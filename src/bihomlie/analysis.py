@@ -8,11 +8,14 @@ and under both structure maps; over an algebraically closed ground field
 there is no proper common invariant subspace iff the unital matrix algebra
 generated by those operators is the full endomorphism algebra, and the
 rational dimension of that span equals its complex dimension because all
-generators are rational.
+generators are rational. The span is computed over the integers: scaling a
+generator by the lcm of its denominators multiplies every product it enters
+by a nonzero scalar, which changes no span.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import (
@@ -162,44 +165,72 @@ def is_ideal(a: BiHomAlgebra, s: Subspace) -> IdealReport:
     return IdealReport(s, True, True, None)
 
 
+def _primitive(v: list[int]) -> list[int]:
+    g = math.gcd(*v)
+    return v if g <= 1 else [x // g for x in v]
+
+
 def enveloping_dim(gens: list[MatrixQ]) -> int:
     """Dimension of the span of all finite products of the generators
-    together with the identity (closure under left multiplication)."""
+    together with the identity (closure under left multiplication).
+
+    Computed over the integers: scaling each generator by the lcm of its
+    denominators gives every word a nonzero scalar, so the span is unchanged.
+    The span is a fraction-free echelon basis {pivot: primitive row that is
+    zero before it}; the row r at the leading entry p of a word v turns v into
+    r[p]*v - v[p]*r, made primitive again. The walk stops once it is full."""
     if not gens:
         raise DimensionMismatch("at least one generator required")
     n = gens[0].rows
     for g in gens:
         if not (g.is_square and g.rows == n):
             raise DimensionMismatch("generators must be square of one size")
-    builder = SpanBuilder(n * n)
-    work = [MatrixQ.identity(n)]
-    builder.add(work[0].flatten())
-    while work:
+    int_gens = []
+    for g in gens:
+        scale = math.lcm(*(x.denominator for x in g.flatten()))
+        int_gens.append([[x.numerator * (scale // x.denominator) for x in row]
+                         for row in g.entries])
+    identity = [int(i == j) for i in range(n) for j in range(n)]
+    span = {0: identity}
+    work = [identity]
+    while work and len(span) < n * n:
         w = work.pop(0)
-        for g in gens:
-            p = g * w
-            if builder.add(p.flatten()):
+        wcols = [w[j::n] for j in range(n)]
+        for g in int_gens:
+            v = p = _primitive([sum(a * b for a, b in zip(row, col)) for row in g for col in wcols])
+            lead = next((j for j, x in enumerate(v) if x), None)
+            while lead in span:
+                r = span[lead]
+                d = math.gcd(v[lead], r[lead])
+                x, y = v[lead] // d, r[lead] // d
+                v = _primitive([y * a - x * b for a, b in zip(v, r)])
+                lead = next((j for j in range(lead + 1, n * n) if v[j]), None)
+            if lead is not None:
+                span[lead] = v
+                if len(span) == n * n:
+                    break
                 work.append(p)
-    return builder.dim
+    return len(span)
 
 
 def burnside_generators(a: BiHomAlgebra) -> list[MatrixQ]:
     """Operators whose common invariant subspaces are exactly the ideals:
     bracketing against every basis vector (both sides, since the BiHom
-    bracket is not symmetric) plus the two structure maps and the identity."""
+    bracket is not symmetric) plus the two structure maps. The identity is
+    not among them: enveloping_dim starts its span at the identity."""
     gens = []
     for k in range(a.dim):
         e_k = basis_vector(a.dim, k)
         gens.append(right_bracket_matrix(a.tensor, e_k))
         gens.append(ad_matrix(a.tensor, e_k))
-    gens.extend([a.alpha, a.beta, MatrixQ.identity(a.dim)])
+    gens.extend([a.alpha, a.beta])
     return gens
 
 
 def is_simple(a: BiHomAlgebra) -> bool:
     """No proper ideals and not abelian, decided by Burnside: the bracketing
-    operators together with alpha, beta and the identity must generate the
-    full matrix algebra."""
+    operators together with alpha and beta must generate the full matrix
+    algebra as a unital algebra."""
     report = check_all(a)
     if not report.all_pass:
         raise AxiomViolation("is_simple requires a verified algebra; failing: "
@@ -210,13 +241,16 @@ def is_simple(a: BiHomAlgebra) -> bool:
 
 
 def killing_form(t: StructureTensor) -> MatrixQ:
-    """K[i][j] = trace(ad(e_i) ad(e_j)) of an ordinary Lie algebra."""
+    """K[i][j] = trace(ad(e_i) ad(e_j)) of an ordinary Lie algebra; ad(e_i)
+    holds c[i][l][k] at (k, l), so K[i][j] = sum_{k,l} c[i][l][k] c[j][k][l]."""
     lie = is_lie_algebra(t)
     if not lie.ok:
         raise NotLie(f"killing_form needs a Lie algebra: {lie.witness.detail}")
-    ads = [ad_matrix(t, basis_vector(t.dim, i)) for i in range(t.dim)]
-    return MatrixQ([[ (ads[i] * ads[j]).trace() for j in range(t.dim)]
-                    for i in range(t.dim)])
+    n, c = t.dim, t.c
+    ads = [[c[i][l][k] for k in range(n) for l in range(n)] for i in range(n)]
+    flat = [[x for row in c[j] for x in row] for j in range(n)]
+    return MatrixQ([[sum((a * b for a, b in zip(ads[i], flat[j]) if a and b), Q(0))
+                     for j in range(n)] for i in range(n)])
 
 
 def is_semisimple_lie(t: StructureTensor) -> bool:

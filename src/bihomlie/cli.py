@@ -311,21 +311,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ZeroParameter as exc:
+    except (ParseError, DimensionMismatch, ZeroParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except BiHomError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -40,10 +40,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v: Vector) -> Vector:
     c = as_fraction(c)
     return tuple(c * a for a in v)
@@ -152,9 +148,6 @@ class MatrixQ:
             raise DimensionMismatch(f"vector of length {len(v)} for {self.rows}x{self.cols}")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ(list(zip(*self.entries)))
-
     def trace(self) -> Fraction:
         self._require_square()
         return sum((self.entries[i][i] for i in range(self.rows)), Q(0))
@@ -242,9 +235,6 @@ class SpanBuilder:
         self._pivots.insert(at, pivot)
         return True
 
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self._reduce(v))
-
     @property
     def dim(self) -> int:
         return len(self._rows)
@@ -295,19 +285,15 @@ class Subspace:
         return [tuple(r) for r in self.basis_rows]
 
     def contains(self, v: Vector) -> bool:
+        """One pass of reduction against the RREF rows decides membership."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        b = SpanBuilder(self.ambient_dim)
-        for r in self.basis_rows:
-            b.add(r)
-        return b.contains(v)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis_vectors())
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.ambient_dim, list(self.basis_rows) + list(other.basis_rows))
+        v = list(v)
+        for row in self.basis_rows:
+            f = v[next(j for j, x in enumerate(row) if x != 0)]
+            if f != 0:
+                v = [a - f * b for a, b in zip(v, row)]
+        return all(x == 0 for x in v)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style intersection: null combinations of the stacked bases."""
@@ -419,14 +405,6 @@ class PolyQ:
     def __setattr__(self, name, value):
         raise AttributeError("PolyQ is immutable")
 
-    @classmethod
-    def from_roots(cls, roots) -> "PolyQ":
-        """Monic polynomial with the given roots (with multiplicity)."""
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-as_fraction(r), 1])
-        return p
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -442,13 +420,6 @@ class PolyQ:
         acc = Q(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, m: MatrixQ) -> MatrixQ:
-        m._require_square()
-        acc = MatrixQ.zeros(m.rows, m.rows)
-        for c in reversed(self.coeffs):
-            acc = acc * m + MatrixQ.identity(m.rows).scale(c)
         return acc
 
     def __eq__(self, other):

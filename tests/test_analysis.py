@@ -7,6 +7,7 @@ from bihomlie.algebra import (
     BiHomAlgebra,
     StructureTensor,
     ad_matrix,
+    conjugate_algebra,
     conjugate_tensor,
 )
 from bihomlie.analysis import (
@@ -24,16 +25,17 @@ from bihomlie.analysis import (
     killing_form,
     type_candidates,
 )
-from bihomlie.catalog import direct_sum, make_L1, make_sl2, sl2_bihom
+from bihomlie.catalog import direct_sum, make_L1, make_L2, make_L3, make_sl2, sl2_bihom
 from bihomlie.errors import (
     DimensionMismatch,
     IrrationalSplit,
+    NotLie,
     NotPermuted,
     NotSemisimple,
 )
-from bihomlie.exactlin import MatrixQ, Subspace, basis_vector, det
-from bihomlie.twist import TwistInput, yau_twist
-from conftest import random_invertible
+from bihomlie.exactlin import MatrixQ, SpanBuilder, Subspace, basis_vector, det, invert
+from bihomlie.twist import TwistInput, induce_lie, yau_twist
+from conftest import random_fraction, random_invertible
 
 SOLVABLE = StructureTensor.from_brackets(2, {(0, 1): (0, 1), (1, 0): (0, -1)})
 
@@ -126,6 +128,91 @@ def test_enveloping_dim_mismatch():
         enveloping_dim([MatrixQ.identity(2), MatrixQ.identity(3)])
 
 
+def fraction_span_dim(gens):
+    """Reference for enveloping_dim: the breadth-first walk over words with
+    every product and every reduction done in Fraction arithmetic."""
+    n = gens[0].rows
+    builder = SpanBuilder(n * n)
+    work = [MatrixQ.identity(n)]
+    builder.add(work[0].flatten())
+    while work:
+        w = work.pop(0)
+        for g in gens:
+            p = g * w
+            if builder.add(p.flatten()):
+                work.append(p)
+    return builder.dim
+
+
+def random_matrix(rng, n, height=10):
+    return MatrixQ([[random_fraction(rng, height) for _ in range(n)] for _ in range(n)])
+
+
+def random_generator_set(rng, kind):
+    """Small generator sets of one kind: general rational, repeated and
+    dependent, scalar, nilpotent, commuting, or sparse integer."""
+    n = rng.randint(1, 4)
+    count = rng.randint(1, 3)
+    if kind == 0:
+        return [random_matrix(rng, n) for _ in range(count)]
+    if kind == 1:
+        g, h = random_matrix(rng, n), random_matrix(rng, n, 3)
+        combo = g.scale(random_fraction(rng, 5)) + h.scale(random_fraction(rng, 5))
+        return [g, h, g, combo, h.scale(Q(-7, 3))]
+    if kind == 2:
+        scalars = [MatrixQ.identity(n).scale(random_fraction(rng, 9)) for _ in range(count)]
+        return scalars + [random_matrix(rng, n)] * rng.randint(0, 1)
+    basis = random_invertible(n, rng)
+    inv = invert(basis)
+    if kind == 3:
+        upper = [MatrixQ([[random_fraction(rng, 6) if j > i else Q(0) for j in range(n)]
+                          for i in range(n)]) for _ in range(count)]
+        return [inv * u * basis for u in upper]
+    if kind == 4 and count == 1:
+        g = random_matrix(rng, n, 4)
+        return [g, g * g - g.scale(3), g * g * g]
+    if kind == 4:
+        return [inv * MatrixQ.diagonal([random_fraction(rng, 5) for _ in range(n)]) * basis
+                for _ in range(count)]
+    return [MatrixQ([[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)])
+            for _ in range(count + 1)]
+
+
+def test_enveloping_dim_matches_fraction_oracle():
+    rng = random.Random(2024)
+    for case in range(240):
+        gens = random_generator_set(rng, case % 6)
+        expected = fraction_span_dim(gens)
+        assert enveloping_dim(gens) == expected, (case, gens)
+        identity = MatrixQ.identity(gens[0].rows)
+        assert enveloping_dim(gens + [identity]) == expected
+
+
+def block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        for row in b.entries:
+            rows.append([Q(0)] * offset + list(row) + [Q(0)] * (n - offset - b.rows))
+        offset += b.rows
+    return MatrixQ(rows)
+
+
+def test_enveloping_dim_matches_fraction_oracle_on_sums():
+    rng = random.Random(77)
+    parts = [make_L1(2, 3), make_L3(5), make_L2(), make_L1(-3, Q(7, 2)), sl2_bihom()]
+    swap = yau_twist(TwistInput(direct_sum([sl2_bihom(), sl2_bihom()]).tensor,
+                                block_permutation(6, 3, 1), MatrixQ.identity(6)))
+    cases = [conjugate_algebra(direct_sum(rng.sample(parts, 2)), random_invertible(6, rng, 1)),
+             conjugate_algebra(swap, random_invertible(6, rng, 1)),
+             conjugate_algebra(direct_sum(rng.sample(parts, 3)),
+                               block_diagonal([random_invertible(3, rng) for _ in range(3)]))]
+    for algebra in cases:
+        gens = burnside_generators(algebra)
+        assert enveloping_dim(gens) == fraction_span_dim(gens)
+    assert [enveloping_dim(burnside_generators(a)) for a in cases] == [18, 36, 27]
+
+
 def test_is_simple_l1():
     assert is_simple(make_L1(2, 3))
 
@@ -179,7 +266,27 @@ def test_killing_det_multiplicative_on_sums():
 
 def test_killing_symmetric():
     k = killing_form(direct_sum([sl2_bihom(), sl2_bihom()]).tensor)
-    assert k == k.transpose()
+    assert k.entries == tuple(zip(*k.entries))
+
+
+def test_killing_form_matches_trace_of_ad_products():
+    rng = random.Random(91)
+    parts = [sl2_bihom(), make_L1(2, 3), make_L1(-1, Q(5, 2)), make_L2(), make_L3(Q(-4, 3))]
+    for count in (1, 1, 2, 2, 3):
+        induced, _, _ = induce_lie(direct_sum(rng.sample(parts, count)))
+        lie = conjugate_tensor(induced, random_invertible(induced.dim, rng))
+        ads = [ad_matrix(lie, basis_vector(lie.dim, i)) for i in range(lie.dim)]
+        expected = MatrixQ([[(ads[i] * ads[j]).trace() for j in range(lie.dim)]
+                            for i in range(lie.dim)])
+        assert killing_form(lie) == expected
+
+
+def test_killing_form_rejects_non_lie():
+    with pytest.raises(NotLie):
+        killing_form(make_L1(2, 3).tensor)
+    skewless = StructureTensor.from_brackets(2, {(0, 1): (0, 1)})
+    with pytest.raises(NotLie):
+        killing_form(skewless)
 
 
 def test_is_semisimple():
@@ -229,7 +336,7 @@ def test_decompose_properties():
     double = direct_sum([sl2_bihom(), sl2_bihom()])
     parts = decompose_semisimple(double.tensor)
     assert parts[0].intersect(parts[1]).dim == 0
-    assert parts[0].sum(parts[1]) == Subspace.full(6)
+    assert Subspace(6, list(parts[0].basis_rows) + list(parts[1].basis_rows)) == Subspace.full(6)
     for part in parts:
         assert is_ideal(double, part).is_ideal
         # minimality: every basis vector of the piece spins back to all of it

@@ -26,6 +26,22 @@ from conftest import random_fraction, random_invertible
 UNIPOTENT = MatrixQ([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
 
+def poly_from_roots(roots):
+    """Monic polynomial with the given roots (with multiplicity)."""
+    p = PolyQ([1])
+    for r in roots:
+        p = p * PolyQ([-Q(r), 1])
+    return p
+
+
+def eval_at_matrix(p, m):
+    """p(m) by Horner's rule."""
+    acc = MatrixQ.zeros(m.rows, m.rows)
+    for c in reversed(p.coeffs):
+        acc = acc * m + MatrixQ.identity(m.rows).scale(c)
+    return acc
+
+
 def test_rref_identity():
     reduced, rk = rref(MatrixQ.identity(3))
     assert reduced == MatrixQ.identity(3)
@@ -95,23 +111,23 @@ def test_invert_roundtrip():
 
 
 def test_char_poly_identity():
-    assert char_poly(MatrixQ.identity(3)) == PolyQ.from_roots([1, 1, 1])
+    assert char_poly(MatrixQ.identity(3)) == poly_from_roots([1, 1, 1])
 
 
 def test_char_poly_diagonal():
-    assert char_poly(MatrixQ.diagonal([1, 2, Q(1, 2)])) == PolyQ.from_roots([1, 2, Q(1, 2)])
-    assert char_poly(MatrixQ.diagonal([1, -1, -1])) == PolyQ.from_roots([1, -1, -1])
+    assert char_poly(MatrixQ.diagonal([1, 2, Q(1, 2)])) == poly_from_roots([1, 2, Q(1, 2)])
+    assert char_poly(MatrixQ.diagonal([1, -1, -1])) == poly_from_roots([1, -1, -1])
 
 
 def test_cayley_hamilton():
     rng = random.Random(14)
     for n in (2, 3, 4):
         m = MatrixQ([[random_fraction(rng, 3) for _ in range(n)] for _ in range(n)])
-        assert char_poly(m).eval_matrix(m).is_zero()
+        assert eval_at_matrix(char_poly(m), m).is_zero()
 
 
 def test_rational_roots_cubed():
-    roots, residual = rational_roots(PolyQ.from_roots([1, 1, 1]))
+    roots, residual = rational_roots(poly_from_roots([1, 1, 1]))
     assert roots == [(Q(1), 3)]
     assert residual.is_constant()
 
@@ -159,7 +175,8 @@ def test_generalized_eigenspace_neg_pair():
 def test_subspace_sum():
     left = Subspace(3, [basis_vector(3, 0)])
     right = Subspace(3, [basis_vector(3, 1)])
-    assert left.sum(right) == Subspace(3, [basis_vector(3, 0), basis_vector(3, 1)])
+    total = Subspace(3, list(left.basis_rows) + list(right.basis_rows))
+    assert total == Subspace(3, [basis_vector(3, 0), basis_vector(3, 1)])
 
 
 def test_subspace_intersect():
@@ -177,8 +194,11 @@ def test_subspace_contains_full():
 
 
 def test_subspace_dimension_mismatch():
+    left, right = Subspace(3, [basis_vector(3, 0)]), Subspace(2, [basis_vector(2, 0)])
     with pytest.raises(DimensionMismatch):
-        Subspace(3, [basis_vector(3, 0)]).sum(Subspace(2, [basis_vector(2, 0)]))
+        Subspace(3, list(left.basis_rows) + list(right.basis_rows))
+    with pytest.raises(DimensionMismatch):
+        left.intersect(right)
 
 
 def test_det_matches_char_poly_constant():
