@@ -14,17 +14,31 @@ All checks run on basis tuples; multilinearity makes that complete.
 Matrices act on coordinate columns: the map sends the j-th basis vector to
 the j-th matrix column. Construction never validates the axioms, so invalid
 data can be loaded on purpose to exercise the checkers.
+
+The checks run over the integers: c and each map M are multiplied by the lcm
+of their denominators, d_c and d_M. Each identity is homogeneous in c and in
+each map, so scaling keeps it once the degrees balance: (1), (3) and (4) have
+degrees (1,1) in (alpha, beta), (1,1,1) and (1,3,2) in (alpha, beta, c) in
+every term and compare as they are; (2) has degree (1,1) in (M, c) on the left
+and (2,1) on the right, so d_M M c[i][j] is compared with [M e_i, M e_j]. The
+products use operators built once: the rows of L(v)[r][q] = sum_p v_p c[p][q][r]
+for the columns of alpha, beta and beta^2, and S[j][k] = [beta e_j, alpha e_k].
+A failure is located in the plain loop order and its witness recomputed in
+Fraction arithmetic. Verification is kept per object (the report on the
+BiHomAlgebra, the Lie verdict on the StructureTensor), never keyed by content.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DimensionMismatch
 from .exactlin import (
     MatrixQ,
+    Q,
     Vector,
-    basis_vector,
     invert,
     rank,
     vec_add,
@@ -39,10 +53,10 @@ class StructureTensor:
     """Bracket data c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     No symmetry is imposed: BiHom skew-symmetry is a twisted relation, not
-    c[i][j][k] = -c[j][i][k].
+    c[i][j][k] = -c[j][i][k]. Slot _lie keeps the is_lie_algebra verdict.
     """
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_lie")
 
     def __init__(self, c):
         grid = tuple(tuple(vector(row) for row in plane) for plane in c)
@@ -77,18 +91,14 @@ class StructureTensor:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match algebra dimension")
         out = list(zero_vector(self.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.c[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                coeff = xi * yj
-                ck = row[j]
-                for k in range(self.dim):
-                    if ck[k] != 0:
-                        out[k] += coeff * ck[k]
+        for xi, row in zip(x, self.c):
+            if xi != 0:
+                for yj, ck in zip(y, row):
+                    if yj != 0:
+                        coeff = xi * yj
+                        for k, v in enumerate(ck):
+                            if v != 0:
+                                out[k] += coeff * v
         return tuple(out)
 
     def is_zero(self) -> bool:
@@ -165,140 +175,164 @@ class AxiomReport:
     skew: CheckResult
     jacobi: CheckResult
 
+    NAMES = ("commuting", "multiplicative_alpha", "multiplicative_beta", "skew", "jacobi")
+
     @property
     def all_pass(self) -> bool:
-        return all((self.commuting, self.multiplicative_alpha,
-                    self.multiplicative_beta, self.skew, self.jacobi))
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        names = ("commuting", "multiplicative_alpha", "multiplicative_beta",
-                 "skew", "jacobi")
-        return [n for n in names if not getattr(self, n).ok]
+        return [n for n in self.NAMES if not getattr(self, n).ok]
 
 
-def check_commuting(a: BiHomAlgebra) -> CheckResult:
-    """Axiom (1): alpha and beta commute as matrices."""
-    ab = a.alpha * a.beta
-    ba = a.beta * a.alpha
-    if ab == ba:
+def _fail(indices, lhs, rhs, detail) -> CheckResult:
+    return CheckResult(False, Witness(indices=indices, lhs=lhs, rhs=rhs, detail=detail))
+
+
+def _int_rows(m: MatrixQ) -> tuple[int, list[list[int]]]:
+    """The lcm d of the denominators of m and the rows of d*m, in integers."""
+    d = math.lcm(*(x.denominator for x in m.flatten()))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
+
+
+def _int_product(x, y) -> list[list[int]]:
+    return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]
+
+
+def _int_tensor(t: StructureTensor):
+    """(d, c, left): c = d*t.c in integers, rows of ad(e_p) left[p][r][q] = c[p][q][r]."""
+    d = math.lcm(*(x.denominator for plane in t.c for row in plane for x in row))
+    c = [[[x.numerator * (d // x.denominator) for x in row] for row in plane] for plane in t.c]
+    return d, c, [list(zip(*plane)) for plane in c]
+
+
+def _ad_rows(left, v) -> list[list[int]]:
+    """Rows of L(v) = sum_p v_p ad(e_p)."""
+    out = [[0] * len(v) for _ in v]
+    for p, x in enumerate(v):
+        if x:
+            out = [[a + x * b for a, b in zip(orow, prow)] for orow, prow in zip(out, left[p])]
+    return out
+
+
+def homomorphism_failure(m: MatrixQ, src: StructureTensor,
+                         dst: StructureTensor | None = None) -> tuple[int, int] | None:
+    """The first basis pair (i, j), in row-major order, with
+    m([e_i, e_j]_src) != [m(e_i), m(e_j)]_dst, or None when m is a bracket
+    homomorphism from src to dst (dst defaults to src)."""
+    if not (m.is_square and m.rows == src.dim) or (dst is not None and dst.dim != src.dim):
+        raise DimensionMismatch(f"vector of length {src.dim} for {m.rows}x{m.cols}")
+    d_src, c_src, left = _int_tensor(src)
+    d_dst, left = (d_src, left) if dst is None else _int_tensor(dst)[::2]
+    dm, rows = _int_rows(m)
+    g = math.gcd(d_src, d_dst)
+    lhs_k, rhs_k, cols = dm * d_dst // g, d_src // g, list(zip(*rows))
+    for i, col in enumerate(cols):
+        ad = _ad_rows(left, col)
+        for j, v in enumerate(cols):
+            if any(lhs_k * sum(map(mul, row, c_src[i][j])) != rhs_k * sum(map(mul, arow, v))
+                   for row, arow in zip(rows, ad)):
+                return i, j
+    return None
+
+
+def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
+    """Axiom (3) on pairs i <= j and (4) on triples i <= j <= k, from
+    S[i][j] = L(beta e_i) alpha e_j and L(beta^2 e_i) S[j][k]; None maps are
+    identities. Sorted triples suffice given (3): the cyclic sum is invariant
+    under cyclic permutations and then changes sign under transpositions."""
+    _, c, left = _int_tensor(t)
+    n = len(c)
+    if alpha is None:
+        s, outer = c, left
+        alpha = beta = MatrixQ.identity(n)
+    else:
+        acols, b = list(zip(*_int_rows(alpha)[1])), _int_rows(beta)[1]
+        s = [[[sum(map(mul, row, v)) for row in ad] for v in acols]
+             for ad in (_ad_rows(left, v) for v in zip(*b))]
+        outer = [_ad_rows(left, v) for v in zip(*_int_product(b, b))]
+    skew = next(((i, j) for i in range(n) for j in range(i, n)
+                 if any(x + y for x, y in zip(s[i][j], s[j][i]))), None)
+    jacobi = next(((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
+                   if any(sum(map(mul, x, s[j][k])) + sum(map(mul, y, s[k][i]))
+                          + sum(map(mul, z, s[i][j]))
+                          for x, y, z in zip(outer[i], outer[j], outer[k]))), None)
+
+    def br(i, j):
+        return t.bracket(beta.column(i), alpha.column(j))
+
+    def term(i, j, k):
+        return t.bracket((beta * beta).column(i), br(j, k))
+
+    i, j, k = jacobi or (0, 0, 0)
+    return [_fail(skew, br(*skew), vec_scale(-1, br(*skew[::-1])), details[0])
+            if skew else CheckResult(True),
+            _fail(jacobi, vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j)),
+                  zero_vector(n), details[1]) if jacobi else CheckResult(True)]
+
+
+def _multiplicative(t: StructureTensor, m: MatrixQ, name: str) -> CheckResult:
+    ij = homomorphism_failure(m, t)
+    return CheckResult(True) if ij is None else _fail(
+        ij, m.apply(t.bracket_basis(*ij)), t.bracket(m.column(ij[0]), m.column(ij[1])),
+        f"{name}([e_i,e_j]) != [{name}(e_i),{name}(e_j)]")
+
+
+def _commuting(a: BiHomAlgebra) -> CheckResult:
+    x, y = _int_rows(a.alpha)[1], _int_rows(a.beta)[1]
+    if _int_product(x, y) == _int_product(y, x):
         return CheckResult(True)
-    ij = next((i, j) for i in range(a.dim) for j in range(a.dim)
-              if ab.entries[i][j] != ba.entries[i][j])
-    return CheckResult(False, Witness(
-        indices=(ij[1],),
-        lhs=ab.column(ij[1]),
-        rhs=ba.column(ij[1]),
-        detail="alpha(beta(e_j)) != beta(alpha(e_j))"))
+    ab, ba = a.alpha * a.beta, a.beta * a.alpha
+    j = next(j for r1, r2 in zip(ab.entries, ba.entries) for j in range(a.dim) if r1[j] != r2[j])
+    return _fail((j,), ab.column(j), ba.column(j), "alpha(beta(e_j)) != beta(alpha(e_j))")
 
 
-def _check_bracket_preserving(t: StructureTensor, m: MatrixQ, name: str) -> CheckResult:
-    cols = [m.column(j) for j in range(t.dim)]
-    for i in range(t.dim):
-        for j in range(t.dim):
-            lhs = m.apply(t.bracket_basis(i, j))
-            rhs = t.bracket(cols[i], cols[j])
-            if lhs != rhs:
-                return CheckResult(False, Witness(
-                    indices=(i, j), lhs=lhs, rhs=rhs,
-                    detail=f"{name}([e_i,e_j]) != [{name}(e_i),{name}(e_j)]"))
-    return CheckResult(True)
+def _axiom_kernel(a: BiHomAlgebra) -> AxiomReport:
+    return AxiomReport(_commuting(a), _multiplicative(a.tensor, a.alpha, "alpha"),
+                       _multiplicative(a.tensor, a.beta, "beta"), *_skew_jacobi(
+                           a.tensor, a.alpha, a.beta,
+                           ("[beta(e_i),alpha(e_j)] != -[beta(e_j),alpha(e_i)]",
+                            "cyclic BiHom-Jacobi sum is nonzero")))
 
 
-def check_multiplicative_alpha(a: BiHomAlgebra) -> CheckResult:
-    """Axiom (2), alpha half."""
-    return _check_bracket_preserving(a.tensor, a.alpha, "alpha")
+def _lie_kernel(t: StructureTensor) -> CheckResult:
+    skew, jacobi = _skew_jacobi(t, None, None, (
+        "[e_i,e_j] != -[e_j,e_i]", "classical Jacobi sum is nonzero"))
+    return jacobi if skew.ok else skew
 
 
-def check_multiplicative_beta(a: BiHomAlgebra) -> CheckResult:
-    """Axiom (2), beta half."""
-    return _check_bracket_preserving(a.tensor, a.beta, "beta")
+def check_all(a: BiHomAlgebra) -> AxiomReport:
+    """The four axiom checks, run once per algebra object and kept on it."""
+    if "_axiom_report" not in a.__dict__:
+        object.__setattr__(a, "_axiom_report", _axiom_kernel(a))
+    return a.__dict__["_axiom_report"]
+
+
+def is_lie_algebra(t: StructureTensor) -> CheckResult:
+    """Ordinary skew-symmetry, then the classical Jacobi identity; run once
+    per tensor object and kept on it."""
+    if not hasattr(t, "_lie"):
+        object.__setattr__(t, "_lie", _lie_kernel(t))
+    return t._lie
+
+
+def _report_field(name: str, doc: str):
+    def check(a: BiHomAlgebra) -> CheckResult:   # check_[bihom_]<report field>
+        return getattr(check_all(a), name.removeprefix("check_").removeprefix("bihom_"))
+    check.__name__, check.__qualname__, check.__doc__ = name, name, doc
+    return check
+
+
+check_commuting = _report_field("check_commuting", "Axiom (1): alpha and beta commute.")
+check_multiplicative_alpha = _report_field("check_multiplicative_alpha", "Axiom (2), alpha half.")
+check_multiplicative_beta = _report_field("check_multiplicative_beta", "Axiom (2), beta half.")
+check_bihom_skew = _report_field("check_bihom_skew", "Axiom (3) on basis pairs i <= j.")
+check_bihom_jacobi = _report_field("check_bihom_jacobi", "Axiom (4) on triples i <= j <= k.")
 
 
 def check_multiplicative(a: BiHomAlgebra) -> CheckResult:
     """Axiom (2) for both maps; the witness names the failing map."""
-    res = check_multiplicative_alpha(a)
-    if not res.ok:
-        return res
-    return check_multiplicative_beta(a)
-
-
-def check_bihom_skew(a: BiHomAlgebra) -> CheckResult:
-    """Axiom (3) on basis pairs i <= j."""
-    acols = [a.alpha.column(j) for j in range(a.dim)]
-    bcols = [a.beta.column(j) for j in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(i, a.dim):
-            lhs = a.tensor.bracket(bcols[i], acols[j])
-            rhs = vec_scale(-1, a.tensor.bracket(bcols[j], acols[i]))
-            if lhs != rhs:
-                return CheckResult(False, Witness(
-                    indices=(i, j), lhs=lhs, rhs=rhs,
-                    detail="[beta(e_i),alpha(e_j)] != -[beta(e_j),alpha(e_i)]"))
-    return CheckResult(True)
-
-
-def check_bihom_jacobi(a: BiHomAlgebra) -> CheckResult:
-    """Axiom (4) on basis triples i <= j <= k.
-
-    Sorted triples suffice in combination with axiom (3): the cyclic sum is
-    invariant under cyclic permutations and, once the twisted skew-symmetry
-    holds, changes sign under transpositions.
-    """
-    n = a.dim
-    acols = [a.alpha.column(j) for j in range(n)]
-    bcols = [a.beta.column(j) for j in range(n)]
-    beta2 = a.beta * a.beta
-    b2cols = [beta2.column(j) for j in range(n)]
-
-    def term(i, j, k):
-        inner = a.tensor.bracket(bcols[j], acols[k])
-        return a.tensor.bracket(b2cols[i], inner)
-
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                total = vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j))
-                if not vec_is_zero(total):
-                    return CheckResult(False, Witness(
-                        indices=(i, j, k), lhs=total, rhs=zero_vector(n),
-                        detail="cyclic BiHom-Jacobi sum is nonzero"))
-    return CheckResult(True)
-
-
-def check_all(a: BiHomAlgebra) -> AxiomReport:
-    """Run the four axiom checks and aggregate the verdicts."""
-    return AxiomReport(
-        commuting=check_commuting(a),
-        multiplicative_alpha=check_multiplicative_alpha(a),
-        multiplicative_beta=check_multiplicative_beta(a),
-        skew=check_bihom_skew(a),
-        jacobi=check_bihom_jacobi(a),
-    )
-
-
-def is_lie_algebra(t: StructureTensor) -> CheckResult:
-    """Ordinary skew-symmetry and the classical Jacobi identity."""
-    n = t.dim
-    for i in range(n):
-        for j in range(i, n):
-            lhs = t.bracket_basis(i, j)
-            rhs = vec_scale(-1, t.bracket_basis(j, i))
-            if lhs != rhs:
-                return CheckResult(False, Witness(
-                    indices=(i, j), lhs=lhs, rhs=rhs,
-                    detail="[e_i,e_j] != -[e_j,e_i]"))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                total = vec_add(
-                    vec_add(t.bracket(basis_vector(n, i), t.bracket_basis(j, k)),
-                            t.bracket(basis_vector(n, j), t.bracket_basis(k, i))),
-                    t.bracket(basis_vector(n, k), t.bracket_basis(i, j)))
-                if not vec_is_zero(total):
-                    return CheckResult(False, Witness(
-                        indices=(i, j, k), lhs=total, rhs=zero_vector(n),
-                        detail="classical Jacobi sum is nonzero"))
-    return CheckResult(True)
+    return check_multiplicative_alpha(a) and check_multiplicative_beta(a)
 
 
 def is_abelian(t: StructureTensor) -> bool:
@@ -310,18 +344,24 @@ def is_regular(a: BiHomAlgebra) -> bool:
     return rank(a.alpha) == a.dim and rank(a.beta) == a.dim
 
 
-def ad_matrix(t: StructureTensor, x) -> MatrixQ:
-    """Matrix of w -> [x, w] (bracketing with x on the left)."""
+def _bracket_matrix(t: StructureTensor, x, planes) -> MatrixQ:
+    """The matrix whose column j is sum_i x_i planes[i][j]."""
     x = vector(x)
-    return MatrixQ.from_columns(
-        [t.bracket(x, basis_vector(t.dim, j)) for j in range(t.dim)])
+    if len(x) != t.dim:
+        raise DimensionMismatch("vector length does not match algebra dimension")
+    terms = [(xi, planes[i]) for i, xi in enumerate(x) if xi]
+    return MatrixQ([[sum((xi * plane[j][k] for xi, plane in terms), Q(0))
+                     for j in range(t.dim)] for k in range(t.dim)])
+
+
+def ad_matrix(t: StructureTensor, x) -> MatrixQ:
+    """Matrix of w -> [x, w]: column j is sum_i x_i c[i][j]."""
+    return _bracket_matrix(t, x, t.c)
 
 
 def right_bracket_matrix(t: StructureTensor, x) -> MatrixQ:
-    """Matrix of w -> [w, x] (bracketing with x on the right)."""
-    x = vector(x)
-    return MatrixQ.from_columns(
-        [t.bracket(basis_vector(t.dim, j), x) for j in range(t.dim)])
+    """Matrix of w -> [w, x]: column j is sum_i x_i c[j][i]."""
+    return _bracket_matrix(t, x, tuple(zip(*t.c)))
 
 
 def conjugate_tensor(t: StructureTensor, basis: MatrixQ) -> StructureTensor:
@@ -339,10 +379,6 @@ def conjugate_tensor(t: StructureTensor, basis: MatrixQ) -> StructureTensor:
 def conjugate_algebra(a: BiHomAlgebra, basis: MatrixQ) -> BiHomAlgebra:
     """Rewrite the whole 4-tuple in the basis given by the columns of `basis`."""
     inv = invert(basis)
-    return BiHomAlgebra(
-        dim=a.dim,
-        tensor=conjugate_tensor(a.tensor, basis),
-        alpha=inv * a.alpha * basis,
-        beta=inv * a.beta * basis,
-        basis_names=a.basis_names,
-    )
+    return BiHomAlgebra(dim=a.dim, tensor=conjugate_tensor(a.tensor, basis),
+                        alpha=inv * a.alpha * basis, beta=inv * a.beta * basis,
+                        basis_names=a.basis_names)

@@ -139,29 +139,15 @@ def is_ideal(a: BiHomAlgebra, s: Subspace) -> IdealReport:
             img = m.apply(g)
             if not s.contains(img):
                 return IdealReport(s, False, False, (gi, img))
-    # subalgebra: brackets of generators stay inside
-    is_sub = True
-    sub_witness = None
-    for gi, g in enumerate(gens):
-        for h in gens:
-            for img in (a.tensor.bracket(g, h), a.tensor.bracket(h, g)):
-                if not s.contains(img):
-                    is_sub = False
-                    sub_witness = (gi, img)
-                    break
-            if not is_sub:
-                break
-        if not is_sub:
-            break
-    if not is_sub:
-        return IdealReport(s, False, False, sub_witness)
-    # ideal: brackets against all basis vectors stay inside
-    for gi, g in enumerate(gens):
-        for k in range(a.dim):
-            b = basis_vector(a.dim, k)
-            for img in (a.tensor.bracket(g, b), a.tensor.bracket(b, g)):
-                if not s.contains(img):
-                    return IdealReport(s, True, False, (gi, img))
+    # subalgebra: brackets of generators stay inside; ideal: brackets against
+    # all basis vectors stay inside
+    basis = [basis_vector(a.dim, k) for k in range(a.dim)]
+    for others, is_sub in ((gens, False), (basis, True)):
+        witness = next(((gi, img) for gi, g in enumerate(gens) for h in others
+                        for img in (a.tensor.bracket(g, h), a.tensor.bracket(h, g))
+                        if not s.contains(img)), None)
+        if witness is not None:
+            return IdealReport(s, is_sub, False, witness)
     return IdealReport(s, True, True, None)
 
 
@@ -299,7 +285,7 @@ def _commutant(ops: list[MatrixQ], d: int) -> list[MatrixQ]:
     return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
 
 
-def decompose_semisimple(t: StructureTensor) -> list[Subspace]:
+def decompose_semisimple(t: StructureTensor, killing: MatrixQ | None = None) -> list[Subspace]:
     """Minimal ideals of a semisimple Lie algebra.
 
     Spinning first: if some basis vector of a candidate ideal generates a
@@ -307,12 +293,14 @@ def decompose_semisimple(t: StructureTensor) -> list[Subspace]:
     recurse. Otherwise split along rational eigenvalues of a non-scalar
     commutant element of the restricted adjoint action; if the commutant is
     scalar the candidate is minimal. A split that exists only over an
-    extension field raises IrrationalSplit instead of guessing.
+    extension field raises IrrationalSplit instead of guessing. `killing`
+    may carry the Killing form of t.
     """
-    if not is_semisimple_lie(t):
+    if killing is None:
+        killing = killing_form(t)
+    if det(killing) == 0:
         raise NotSemisimple("Killing form is degenerate")
     n = t.dim
-    killing = killing_form(t)
     ads = [ad_matrix(t, basis_vector(n, k)) for k in range(n)]
 
     def minimal_ideals(space: Subspace) -> list[Subspace]:
@@ -381,12 +369,14 @@ def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, .
     return tuple(sigma)
 
 
-def decompose_bihom(a: BiHomAlgebra) -> Decomposition:
+def decompose_bihom(a: BiHomAlgebra, induced=None,
+                    killing: MatrixQ | None = None) -> Decomposition:
     """Decompose the induced Lie algebra into minimal ideals and read off the
-    permutations the structure maps induce on them."""
+    permutations the structure maps induce on them; `induced` and `killing`
+    may carry induce_lie(a) and the Killing form of its tensor."""
     from .twist import induce_lie
-    induced, alpha, beta = induce_lie(a)
-    ideals = decompose_semisimple(induced)
+    induced, alpha, beta = induce_lie(a) if induced is None else induced
+    ideals = decompose_semisimple(induced, killing)
     return Decomposition(
         ideals=tuple(ideals),
         sigma_alpha=automorphism_permutation(ideals, alpha),

@@ -27,6 +27,7 @@ from .algebra import (
     StructureTensor,
     ad_matrix,
     conjugate_algebra,
+    homomorphism_failure,
 )
 from .analysis import is_semisimple_lie, is_simple
 from .catalog import make_L1, make_L2, make_L3, unipotent_full
@@ -488,11 +489,7 @@ def bihom_isomorphic3(a1: BiHomAlgebra, a2: BiHomAlgebra) -> MatrixQ | None:
     if f * a1.alpha != a2.alpha * f or f * a1.beta != a2.beta * f:
         raise Unmatched("certified labels agree but the intertwining "
                         "identities fail; inconsistent classification data")
-    for i in range(3):
-        for j in range(3):
-            lhs = f.apply(a1.tensor.bracket_basis(i, j))
-            rhs = a2.tensor.bracket(f.column(i), f.column(j))
-            if lhs != rhs:
-                raise Unmatched("certified labels agree but the bracket "
-                                "identity fails; inconsistent classification data")
+    if homomorphism_failure(f, a1.tensor, a2.tensor) is not None:
+        raise Unmatched("certified labels agree but the bracket "
+                        "identity fails; inconsistent classification data")
     return f

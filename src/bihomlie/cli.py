@@ -76,17 +76,15 @@ def _print_json(doc) -> None:
 def _cmd_check(args) -> int:
     algebra = load(args.file)
     report = check_all(algebra)
-    names = ("commuting", "multiplicative_alpha", "multiplicative_beta",
-             "skew", "jacobi")
     if args.json:
         doc = {}
-        for name in names:
+        for name in report.NAMES:
             result = getattr(report, name)
             doc[name] = {"ok": result.ok, "witness": _witness_dict(result.witness)}
         doc["all_pass"] = report.all_pass
         _print_json(doc)
     else:
-        for name in names:
+        for name in report.NAMES:
             result = getattr(report, name)
             line = f"{name}: {'pass' if result.ok else 'FAIL'}"
             if result.witness is not None:
@@ -134,8 +132,9 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
         ],
     }
     if regular:
-        induced, _, _ = induce_lie(algebra)
-        killing_det = det(killing_form(induced))
+        induced = induce_lie(algebra)
+        killing = killing_form(induced[0])
+        killing_det = det(killing)
         semisimple = killing_det != 0
         induced_doc = {
             "killing_det": format_rational(killing_det),
@@ -144,7 +143,7 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
         }
         if semisimple:
             try:
-                decomposition = decompose_bihom(algebra)
+                decomposition = decompose_bihom(algebra, induced, killing)
                 induced_doc["decomposition"] = {
                     "m": decomposition.m,
                     "ideal_dims": [s.dim for s in decomposition.ideals],

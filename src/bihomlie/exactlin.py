@@ -525,26 +525,6 @@ def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
     return roots, work
 
 
-def generalized_eigenspace(m: MatrixQ, lam) -> list[Subspace]:
-    """Kernel chain of (m - lam*I)^k until stabilization; the dimension
-    profile reveals the Jordan block structure at lam."""
-    m._require_square()
-    shifted = m - MatrixQ.identity(m.rows).scale(as_fraction(lam))
-    chain = []
-    power = shifted
-    prev_dim = -1
-    while True:
-        ker = kernel(power)
-        if ker.dim == prev_dim:
-            break
-        chain.append(ker)
-        prev_dim = ker.dim
-        if ker.dim == m.rows:
-            break
-        power = power * shifted
-    return chain
-
-
 def sqrt_fraction(q: Fraction):
     """Exact rational square root, or None when q is not a perfect square."""
     q = as_fraction(q)

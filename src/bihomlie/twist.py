@@ -20,6 +20,7 @@ from .algebra import (
     BiHomAlgebra,
     StructureTensor,
     check_all,
+    homomorphism_failure,
     is_lie_algebra,
 )
 from .errors import AxiomViolation, NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularMatrix
@@ -46,12 +47,10 @@ def _validate_twist_input(tw: TwistInput):
         if rank(m) != tw.lie.dim:
             raise SingularMatrix(f"{name} is not invertible")
     for name, m in (("alpha", tw.alpha), ("beta", tw.beta)):
-        cols = [m.column(j) for j in range(tw.lie.dim)]
-        for i in range(tw.lie.dim):
-            for j in range(tw.lie.dim):
-                if m.apply(tw.lie.bracket_basis(i, j)) != tw.lie.bracket(cols[i], cols[j]):
-                    raise NotAutomorphism(
-                        f"{name} does not preserve the bracket at basis pair ({i + 1}, {j + 1})")
+        ij = homomorphism_failure(m, tw.lie)
+        if ij is not None:
+            raise NotAutomorphism(f"{name} does not preserve the bracket at basis "
+                                  f"pair ({ij[0] + 1}, {ij[1] + 1})")
 
 
 def yau_twist(tw: TwistInput) -> BiHomAlgebra:

@@ -4,8 +4,11 @@ from fractions import Fraction as Q
 import pytest
 
 from bihomlie.algebra import (
+    AxiomReport,
     BiHomAlgebra,
+    CheckResult,
     StructureTensor,
+    Witness,
     bracket,
     check_all,
     check_bihom_jacobi,
@@ -13,14 +16,31 @@ from bihomlie.algebra import (
     check_commuting,
     check_multiplicative,
     check_multiplicative_alpha,
+    conjugate_algebra,
     is_abelian,
     is_lie_algebra,
     is_regular,
 )
-from bihomlie.catalog import make_L1, make_L2, make_L3, make_sl2, sl2_bihom
-from bihomlie.errors import DimensionMismatch
-from bihomlie.exactlin import MatrixQ, basis_vector, vec_scale, zero_vector
-from conftest import random_fraction
+from bihomlie.catalog import direct_sum, make_L1, make_L2, make_L3, make_sl2, sl2_bihom
+from bihomlie.errors import (
+    BiHomError,
+    DimensionMismatch,
+    NotAutomorphism,
+    NotCommuting,
+    NotLie,
+    SingularMatrix,
+)
+from bihomlie.exactlin import (
+    MatrixQ,
+    basis_vector,
+    rank,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    zero_vector,
+)
+from bihomlie.twist import TwistInput, induce_lie, yau_twist
+from conftest import random_fraction, random_invertible
 
 
 def test_bracket_l1_table_value():
@@ -178,3 +198,263 @@ def test_identity_maps_reduce_to_lie():
                          beta=MatrixQ.identity(tensor.dim))
         both = check_bihom_skew(a).ok and check_bihom_jacobi(a).ok
         assert both == is_lie_algebra(tensor).ok
+
+
+# --- Fraction oracle --------------------------------------------------------
+# The axiom checkers as they were written before the integer gate: every
+# identity evaluated with Fraction brackets in the loop order the gate keeps.
+
+def fraction_check_commuting(a):
+    ab = a.alpha * a.beta
+    ba = a.beta * a.alpha
+    if ab == ba:
+        return CheckResult(True)
+    ij = next((i, j) for i in range(a.dim) for j in range(a.dim)
+              if ab.entries[i][j] != ba.entries[i][j])
+    return CheckResult(False, Witness(
+        indices=(ij[1],), lhs=ab.column(ij[1]), rhs=ba.column(ij[1]),
+        detail="alpha(beta(e_j)) != beta(alpha(e_j))"))
+
+
+def fraction_check_bracket_preserving(t, m, name):
+    cols = [m.column(j) for j in range(t.dim)]
+    for i in range(t.dim):
+        for j in range(t.dim):
+            lhs = m.apply(t.bracket_basis(i, j))
+            rhs = t.bracket(cols[i], cols[j])
+            if lhs != rhs:
+                return CheckResult(False, Witness(
+                    indices=(i, j), lhs=lhs, rhs=rhs,
+                    detail=f"{name}([e_i,e_j]) != [{name}(e_i),{name}(e_j)]"))
+    return CheckResult(True)
+
+
+def fraction_check_bihom_skew(a):
+    acols = [a.alpha.column(j) for j in range(a.dim)]
+    bcols = [a.beta.column(j) for j in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(i, a.dim):
+            lhs = a.tensor.bracket(bcols[i], acols[j])
+            rhs = vec_scale(-1, a.tensor.bracket(bcols[j], acols[i]))
+            if lhs != rhs:
+                return CheckResult(False, Witness(
+                    indices=(i, j), lhs=lhs, rhs=rhs,
+                    detail="[beta(e_i),alpha(e_j)] != -[beta(e_j),alpha(e_i)]"))
+    return CheckResult(True)
+
+
+def fraction_check_bihom_jacobi(a):
+    n = a.dim
+    acols = [a.alpha.column(j) for j in range(n)]
+    bcols = [a.beta.column(j) for j in range(n)]
+    beta2 = a.beta * a.beta
+    b2cols = [beta2.column(j) for j in range(n)]
+
+    def term(i, j, k):
+        inner = a.tensor.bracket(bcols[j], acols[k])
+        return a.tensor.bracket(b2cols[i], inner)
+
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                total = vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j))
+                if not vec_is_zero(total):
+                    return CheckResult(False, Witness(
+                        indices=(i, j, k), lhs=total, rhs=zero_vector(n),
+                        detail="cyclic BiHom-Jacobi sum is nonzero"))
+    return CheckResult(True)
+
+
+def fraction_check_all(a):
+    return AxiomReport(
+        commuting=fraction_check_commuting(a),
+        multiplicative_alpha=fraction_check_bracket_preserving(a.tensor, a.alpha, "alpha"),
+        multiplicative_beta=fraction_check_bracket_preserving(a.tensor, a.beta, "beta"),
+        skew=fraction_check_bihom_skew(a),
+        jacobi=fraction_check_bihom_jacobi(a),
+    )
+
+
+def fraction_is_lie_algebra(t):
+    n = t.dim
+    for i in range(n):
+        for j in range(i, n):
+            lhs = t.bracket_basis(i, j)
+            rhs = vec_scale(-1, t.bracket_basis(j, i))
+            if lhs != rhs:
+                return CheckResult(False, Witness(
+                    indices=(i, j), lhs=lhs, rhs=rhs,
+                    detail="[e_i,e_j] != -[e_j,e_i]"))
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                total = vec_add(
+                    vec_add(t.bracket(basis_vector(n, i), t.bracket_basis(j, k)),
+                            t.bracket(basis_vector(n, j), t.bracket_basis(k, i))),
+                    t.bracket(basis_vector(n, k), t.bracket_basis(i, j)))
+                if not vec_is_zero(total):
+                    return CheckResult(False, Witness(
+                        indices=(i, j, k), lhs=total, rhs=zero_vector(n),
+                        detail="classical Jacobi sum is nonzero"))
+    return CheckResult(True)
+
+
+def fraction_validate_twist(tw):
+    lie_check = fraction_is_lie_algebra(tw.lie)
+    if not lie_check.ok:
+        raise NotLie(f"input bracket is not a Lie algebra: {lie_check.witness.detail} "
+                     f"at indices {lie_check.witness.indices}")
+    if tw.alpha * tw.beta != tw.beta * tw.alpha:
+        raise NotCommuting("alpha and beta do not commute")
+    for name, m in (("alpha", tw.alpha), ("beta", tw.beta)):
+        if rank(m) != tw.lie.dim:
+            raise SingularMatrix(f"{name} is not invertible")
+    for name, m in (("alpha", tw.alpha), ("beta", tw.beta)):
+        cols = [m.column(j) for j in range(tw.lie.dim)]
+        for i in range(tw.lie.dim):
+            for j in range(tw.lie.dim):
+                if m.apply(tw.lie.bracket_basis(i, j)) != tw.lie.bracket(cols[i], cols[j]):
+                    raise NotAutomorphism(
+                        f"{name} does not preserve the bracket at basis pair ({i + 1}, {j + 1})")
+
+
+# --- the integer gate against the oracle -------------------------------------
+
+def random_part(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return make_L1(random_fraction(rng, 5, nonzero=True),
+                       random_fraction(rng, 5, nonzero=True))
+    if kind == 1:
+        return make_L2()
+    if kind == 2:
+        return make_L3(random_fraction(rng, 5))
+    return sl2_bihom()
+
+
+def random_basis(n, rng):
+    """random_invertible at dim 3, 3x3 random_invertible blocks above: the
+    Fraction oracle takes about 0.13 s per check on a dense dim-6 basis."""
+    if n == 3:
+        return random_invertible(n, rng)
+    blocks = [random_invertible(3, rng) for _ in range(n // 3)]
+    return MatrixQ([[blocks[i // 3].entries[i % 3][j % 3] if i // 3 == j // 3 else 0
+                     for j in range(n)] for i in range(n)])
+
+
+def power(m, k):
+    out = MatrixQ.identity(m.rows)
+    for _ in range(k):
+        out = out * m
+    return out
+
+
+def random_valid(rng):
+    """A verified algebra of dim 3, 6 or 9 (dim 9 least often: the oracle is
+    slowest there): a direct sum of catalog algebras, or its induced Lie
+    algebra twisted again by alpha^p beta^q and alpha^r beta^s, in a random
+    basis."""
+    algebra = direct_sum([random_part(rng) for _ in range(rng.choice((1, 1, 1, 2, 2, 2, 2, 3)))])
+    if rng.random() < 0.5:
+        lie, alpha, beta = induce_lie(algebra)
+        p, q, r, s = (rng.randint(0, 1) for _ in range(4))
+        algebra = yau_twist(TwistInput(lie, power(alpha, p) * power(beta, q),
+                                       power(alpha, r) * power(beta, s)))
+    return conjugate_algebra(algebra, random_basis(algebra.dim, rng))
+
+
+def perturbed(a, rng, part):
+    """A copy with one bracket, alpha or beta entry moved by a nonzero rational."""
+    n, delta = a.dim, random_fraction(rng, 3, nonzero=True)
+    grid = [[list(row) for row in plane] for plane in a.tensor.c]
+    maps = {"alpha": [list(row) for row in a.alpha.entries],
+            "beta": [list(row) for row in a.beta.entries]}
+    if part == "bracket":
+        grid[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += delta
+    else:
+        maps[part][rng.randrange(n)][rng.randrange(n)] += delta
+    return BiHomAlgebra(dim=n, tensor=StructureTensor(grid),
+                        alpha=MatrixQ(maps["alpha"]), beta=MatrixQ(maps["beta"]))
+
+
+def assert_fraction_witnesses(results):
+    for result in results:
+        if result.witness is not None:
+            assert all(isinstance(x, Q) for x in result.witness.lhs + result.witness.rhs)
+
+
+NAMES = ("commuting", "multiplicative_alpha", "multiplicative_beta", "skew", "jacobi")
+
+
+def test_integer_gate_matches_fraction_oracle():
+    rng = random.Random(404)
+    failed = dict.fromkeys(NAMES, 0)
+    dims = set()
+    cases = 0
+    for _ in range(52):
+        a = random_valid(rng)
+        dims.add(a.dim)
+        for variant in (a, perturbed(a, rng, "bracket"), perturbed(a, rng, "alpha"),
+                        perturbed(a, rng, "beta")):
+            report = check_all(variant)
+            expected = fraction_check_all(variant)
+            assert report == expected, (cases, report.failures(), expected.failures())
+            assert_fraction_witnesses(getattr(report, name) for name in NAMES)
+            for name in report.failures():
+                failed[name] += 1
+            cases += 1
+        assert check_all(a).all_pass
+    assert cases >= 200 and dims == {3, 6, 9}
+    # every axiom failed somewhere, so every witness path was compared
+    assert all(failed.values()), failed
+
+
+def test_lie_gate_matches_fraction_oracle():
+    rng = random.Random(405)
+    cases = 0
+    for _ in range(25):
+        lie = induce_lie(random_valid(rng))[0]
+        n = rng.randint(2, 4)
+        noise = [[[random_fraction(rng, 3) for _ in range(n)] for _ in range(n)]
+                 for _ in range(n)]
+        skew = [[[noise[i][j][k] if i < j else -noise[j][i][k] if i > j else 0
+                  for k in range(n)] for j in range(n)] for i in range(n)]
+        grid = [[list(row) for row in plane] for plane in lie.c]
+        i, j, k = (rng.randrange(lie.dim) for _ in range(3))
+        delta = random_fraction(rng, 3, nonzero=True)
+        grid[i][j][k] += delta
+        one_entry = StructureTensor(grid)
+        if i != j:
+            grid[j][i][k] -= delta     # keeps skew-symmetry, breaks Jacobi
+        pair = StructureTensor(grid)
+        for t in (lie, StructureTensor(noise), StructureTensor(skew), one_entry, pair):
+            result = is_lie_algebra(t)
+            assert result == fraction_is_lie_algebra(t), cases
+            assert_fraction_witnesses([result])
+            cases += 1
+        assert is_lie_algebra(lie).ok
+    assert cases >= 100
+
+
+def twist_outcome(validate, tw):
+    try:
+        validate(tw)
+    except BiHomError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_twist_validation_matches_fraction_oracle():
+    rng = random.Random(406)
+    kinds = set()
+    for _ in range(8):
+        lie, alpha, beta = induce_lie(random_valid(rng))
+        n = lie.dim
+        shift = MatrixQ.identity(n).scale(random_fraction(rng, 3, nonzero=True))
+        for pair in ((alpha, beta), (alpha + shift, beta), (alpha, beta + shift),
+                     (alpha, random_invertible(n, rng)), (alpha * beta, beta * beta)):
+            tw = TwistInput(lie, *pair)
+            expected = twist_outcome(fraction_validate_twist, tw)
+            assert twist_outcome(yau_twist, tw) == expected
+            kinds.add(expected and expected[0])
+    assert {None, NotAutomorphism, NotCommuting} <= kinds

@@ -1,15 +1,17 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
 
 import pytest
 
-from bihomlie.algebra import BiHomAlgebra
-from bihomlie.catalog import direct_sum, make_L1, sl2_bihom
+from bihomlie.algebra import BiHomAlgebra, check_all, conjugate_algebra
+from bihomlie.catalog import direct_sum, make_L1, make_L3, sl2_bihom
 from bihomlie.errors import DimensionMismatch, ParseError
 from bihomlie.exactlin import MatrixQ
 from bihomlie.fileio import dumps_algebra, load, loads_algebra, save
+from conftest import random_invertible
 
 
 def run_cli(*args, cwd=None):
@@ -235,3 +237,33 @@ def test_cli_json_outputs_byte_stable(tmp_path):
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def test_analyze_verifies_each_object_once(tmp_path, monkeypatch, capsys):
+    from bihomlie import algebra, cli
+
+    calls = {"axiom": 0, "lie": 0}
+
+    def counting(key, kernel):
+        def wrapper(*args):
+            calls[key] += 1
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "_axiom_kernel", counting("axiom", algebra._axiom_kernel))
+    monkeypatch.setattr(algebra, "_lie_kernel", counting("lie", algebra._lie_kernel))
+    regular = direct_sum([make_L1(2, 3), make_L3(5)])
+    basis = random_invertible(3, random.Random(8))
+    blocks = MatrixQ([[basis.entries[i % 3][j % 3] if i // 3 == j // 3 else 0
+                       for j in range(6)] for i in range(6)])
+    path = tmp_path / "sum.json"
+    save(conjugate_algebra(regular, blocks), path)
+    assert cli.main(["analyze", "--json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regular"] and doc["induced"]["decomposition"]["m"] == 2
+    assert calls == {"axiom": 1, "lie": 1}
+    # the report lives on the loaded object: a second load is verified again
+    first, second = load(path), load(path)
+    assert check_all(first) is check_all(first)
+    check_all(second)
+    assert calls["axiom"] == 3

@@ -13,7 +13,6 @@ from bihomlie.exactlin import (
     basis_vector,
     char_poly,
     det,
-    generalized_eigenspace,
     invert,
     kernel,
     rank,
@@ -40,6 +39,22 @@ def eval_at_matrix(p, m):
     for c in reversed(p.coeffs):
         acc = acc * m + MatrixQ.identity(m.rows).scale(c)
     return acc
+
+
+def generalized_eigenspace(m, lam):
+    """Kernel chain of (m - lam*I)^k until stabilization; the dimension
+    profile reveals the Jordan block structure at lam."""
+    shifted = m - MatrixQ.identity(m.rows).scale(Q(lam))
+    chain = []
+    power = shifted
+    while True:
+        ker = kernel(power)
+        if chain and ker.dim == chain[-1].dim:
+            return chain
+        chain.append(ker)
+        if ker.dim == m.rows:
+            return chain
+        power = power * shifted
 
 
 def test_rref_identity():
