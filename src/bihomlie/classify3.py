@@ -15,12 +15,24 @@ Jordan block; the classifier builds an sl2 basis adapted to the maps
 (eigenvector analysis in the diagonalizable cases, a Jordan chain plus a
 commutant correction in the unipotent ones) and pattern-matches the pair of
 canonical shapes.
+
+When both maps are the identity nothing singles out a basis, and
+find_sl2_triple decides from the Killing form K whether the induced algebra
+is split: stage 1 tries a fixed grid of h-candidates in integer arithmetic
+(v gives a triple when K(v,v)/2 is a positive rational square); stage 2,
+when the grid has no hit, solves the conic K(v,v) = 0 exactly by Legendre's
+reduction and Lagrange descent. The outcome is a verified triple, NotSplit
+with its proof (K definite, or a non-square modulo a named prime), or
+SplitUndecided when a number to be factored exceeds the bound of
+exactlin.factor; "undecided" is never reported as "not split".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .algebra import (
     BiHomAlgebra,
@@ -29,7 +41,7 @@ from .algebra import (
     conjugate_algebra,
     homomorphism_failure,
 )
-from .analysis import is_semisimple_lie, is_simple
+from .analysis import is_simple, killing_form
 from .catalog import make_L1, make_L2, make_L3, unipotent_full
 from .errors import (
     DimensionMismatch,
@@ -38,21 +50,28 @@ from .errors import (
     NotSemisimple,
     NotSimple,
     NotSplit,
+    SplitUndecided,
     Unmatched,
 )
 from .exactlin import (
+    PRIME_PROOF_BOUND,
+    RHO_ITERATIONS,
     MatrixQ,
     Q,
     Vector,
     as_fraction,
     basis_vector,
     char_poly,
+    det,
+    factor,
     invert,
     kernel,
     lift_coordinates,
     rational_roots,
     restrict_operator,
     sqrt_fraction,
+    sqrt_mod_prime,
+    vec_add,
     vec_scale,
 )
 from .twist import induce_lie
@@ -90,7 +109,15 @@ class ClassLabel:
     change_of_basis: MatrixQ
 
 
-_GRID_COEFFS = (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 2))
+# The h-candidates of stage 1, doubled to integer vectors: every support by
+# size, then the coefficients 1, -1, 2, -2, 1/2, -1/2 on it.
+_GRID = tuple(
+    tuple(coeffs[support.index(i)] if i in support else 0 for i in range(3))
+    for size in (1, 2, 3)
+    for support in combinations(range(3), size)
+    for coeffs in product((2, -2, 4, -4, 1, -1), repeat=size))
+
+_DEFINITE = "Killing form is definite: no isotropic vector over the reals"
 
 
 def _triple_relations_hold(t: StructureTensor, h, e, f) -> bool:
@@ -123,54 +150,157 @@ def _complete_triple(t: StructureTensor, h0: Vector, e0: Vector, f0: Vector):
     return Sl2Triple(h=h0, e=e, f=f0)
 
 
-def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
-    """Search for an sl2 triple of a split 3-dimensional semisimple Lie
-    algebra.
+def _triple_at(t: StructureTensor, v: Vector, c: Fraction):
+    """Triple with h = 2v/c for a v with K(v,v)/2 = c^2 > 0, so that ad h has
+    the eigenvalues 0, 2, -2; None when the completion fails."""
+    h = vec_scale(Q(2) / c, v)
+    ad_h = ad_matrix(t, h)
+    identity = MatrixQ.identity(3)
+    plus = kernel(ad_h - identity.scale(2))
+    minus = kernel(ad_h + identity.scale(2))
+    if plus.dim != 1 or minus.dim != 1:
+        return None
+    return _complete_triple(t, h, plus.basis_vectors()[0], minus.basis_vectors()[0])
 
-    Candidate h runs over basis vectors and combinations with coefficients
-    from a fixed grid, ordered by support size; a candidate is accepted when
-    its adjoint map has characteristic polynomial x(x-c)(x+c) for a nonzero
-    rational c. Raises NotSplit when the grid is exhausted.
+
+def _squarefree(q: Fraction) -> tuple[int, tuple[int, ...], Fraction]:
+    """(s, primes, r) with q = s*r^2, s a squarefree integer and primes the
+    prime divisors of s. Raises SplitUndecided when q cannot be factored."""
+    exponents: dict[int, int] = {}
+    for part in (q.numerator, q.denominator):
+        primes, cofactor = factor(part)
+        if cofactor != 1:
+            raise SplitUndecided(
+                f"cannot factor {cofactor}: it is a probable prime of at least "
+                f"{PRIME_PROOF_BOUND} or a composite that {RHO_ITERATIONS} "
+                "Pollard-Brent steps did not split")
+        for p, e in primes.items():
+            exponents[p] = exponents.get(p, 0) + e
+    odd = tuple(p for p in sorted(exponents) if exponents[p] % 2)
+    root = math.prod(p ** (e // 2) for p, e in exponents.items())
+    # q * den^2 = num * den = |s| * root^2 up to sign
+    return math.prod(odd) * (1 if q > 0 else -1), odd, Fraction(root, q.denominator)
+
+
+def _conic_point(a: int, pa, b: int, pb) -> tuple[int, int, int]:
+    """Integers (x, y, z), not all zero, with z^2 = a*x^2 + b*y^2 for
+    squarefree a and b with prime divisors pa and pb, by Lagrange descent.
+    Raises NotSplit with the obstruction when there are none."""
+    if abs(a) > abs(b):
+        y, x, z = _conic_point(b, pb, a, pa)
+        return x, y, z
+    if a == 1:
+        return 1, 0, 1
+    if b == 1:
+        return 0, 1, 1
+    if b == -1:  # and a == -1
+        raise NotSplit(_DEFINITE)
+    # t^2 = a (mod |b|), prime by prime, joined by the Chinese remainder theorem
+    t, mod = 0, 1
+    for p in pb:
+        root = sqrt_mod_prime(a, p)
+        if root is None:
+            raise NotSplit(f"Killing form has no isotropic vector: {a} is not a "
+                           f"square modulo the prime {p}, which divides {b} in "
+                           f"z^2 = {a}x^2 + {b}y^2")
+        t += mod * ((root - t) * pow(mod, -1, p) % p)
+        mod *= p
+    if t > mod // 2:
+        t -= mod
+    # t^2 - a = b*b0*d^2 with |b0| < |b|; a point of (a, b0) gives one of (a, b)
+    b0, p0, d = _squarefree(Fraction((t * t - a) // b))
+    x0, y0, z0 = _conic_point(a, pa, b0, p0)
+    x, y, z = t * x0 - z0, b0 * d.numerator * y0, t * z0 - a * x0
+    g = math.gcd(x, y, z)
+    return x // g, y // g, z // g
+
+
+def _isotropic_vector(killing: MatrixQ) -> Vector:
+    """A nonzero v with K(v,v) = 0 for a nondegenerate symmetric 3x3 K, or
+    NotSplit when there is none. Gram-Schmidt on e1, e2, e3 diagonalises K
+    (an isotropic vector met on the way is returned); the diagonal form
+    d1 x1^2 + d2 x2^2 + d3 x3^2 is the conic (d3 x3)^2 = a X^2 + b Y^2 with
+    -d1 d3 = a ra^2, -d2 d3 = b rb^2, X = ra x1 and Y = rb x2."""
+    def form(u, v):
+        return sum(u[i] * killing.entries[i][j] * v[j]
+                   for i in range(3) for j in range(3))
+
+    basis, norms = [], []
+    for i in range(3):
+        u = basis_vector(3, i)
+        for b, d in zip(basis, norms):
+            u = vec_add(u, vec_scale(-form(u, b) / d, b))
+        d = form(u, u)
+        if d == 0:
+            return u
+        basis.append(u)
+        norms.append(d)
+    d1, d2, d3 = norms
+    if (d1 > 0) == (d2 > 0) == (d3 > 0):
+        raise NotSplit(_DEFINITE)
+    a, pa, ra = _squarefree(-d1 * d3)
+    b, pb, rb = _squarefree(-d2 * d3)
+    x, y, z = _conic_point(a, pa, b, pb)
+    coords = (x / ra, y / rb, z / d3)
+    return tuple(sum(c * v[k] for c, v in zip(coords, basis)) for k in range(3))
+
+
+def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
+    """sl2 triple of a 3-dimensional semisimple Lie algebra over Q, found
+    from its Killing form K in two stages.
+
+    On such an algebra char_poly(ad v) = x^3 - (K(v,v)/2) x, so v yields a
+    triple exactly when K(v,v)/2 is a positive rational square c^2; then
+    h = 2v/c and e, f are the (+2)- and (-2)-eigenvectors of ad h.
+
+    Stage 1 runs v over a fixed grid (basis vectors and combinations with
+    coefficients 1, -1, 2, -2, 1/2, -1/2, by support size) in integer
+    arithmetic and returns the first triple. Stage 2, when the grid has no
+    hit, decides K(v,v) = 0 exactly: Gram-Schmidt diagonalises K, the
+    diagonal form becomes z^2 = a x^2 + b y^2 with squarefree integers a and
+    b, and Lagrange descent solves it (square roots modulo the primes of b
+    by Tonelli-Shanks, joined by CRT). An isotropic e and a basis vector u
+    with K(e,u) != 0 give v = u + s e with K(v,v)/2 = 1.
+
+    Outcomes: a triple, whose relations are verified exactly; NotSplit with
+    its proof (the Killing form is definite, or a is not a square modulo a
+    prime p dividing b); or SplitUndecided when a number to be factored
+    keeps a cofactor beyond the factoring bound of `exactlin.factor`
+    (RHO_ITERATIONS Pollard-Brent steps per composite, primality proved
+    only below PRIME_PROOF_BOUND, about 3.3e24). SplitUndecided is never a
+    verdict of "not split". Also raises NotSemisimple when det K = 0.
     """
     if t.dim != 3:
         raise DimensionMismatch("sl2 triples live in dimension 3")
-    if not is_semisimple_lie(t):
+    killing = killing_form(t)
+    if det(killing) == 0:
         raise NotSemisimple("not a semisimple Lie algebra")
-    from itertools import combinations, product
-
-    def candidates():
-        for size in (1, 2, 3):
-            for support in combinations(range(3), size):
-                for coeffs in product(_GRID_COEFFS, repeat=size):
-                    v = [Q(0)] * 3
-                    for idx, c in zip(support, coeffs):
-                        v[idx] = c
-                    yield tuple(v)
-
-    identity = MatrixQ.identity(3)
-    for v in candidates():
-        ad = ad_matrix(t, v)
-        cp = char_poly(ad)
-        # x^3 - c^2 x exactly
-        if cp.coeffs[0] != 0 or cp.coeffs[2] != 0:
+    # K(v,v)/2 = k(w,w)/(8*den) for the integer form k = den*K and w = 2v
+    den = math.lcm(*(x.denominator for row in killing.entries for x in row))
+    k = [[int(x * den) for x in row] for row in killing.entries]
+    k00, k11, k22 = k[0][0], k[1][1], k[2][2]
+    k01, k02, k12 = 2 * k[0][1], 2 * k[0][2], 2 * k[1][2]
+    scale = 8 * den
+    for w0, w1, w2 in _GRID:
+        n = (k00 * w0 * w0 + k11 * w1 * w1 + k22 * w2 * w2
+             + k01 * w0 * w1 + k02 * w0 * w2 + k12 * w1 * w2)
+        if n <= 0:
             continue
-        k = -cp.coeffs[1]
-        if k <= 0:
+        root = math.isqrt(n * scale)
+        if root * root != n * scale:
             continue
-        c = sqrt_fraction(k)
-        if c is None:
-            continue
-        h = vec_scale(Q(2) / c, v)
-        ad_h = ad_matrix(t, h)
-        plus = kernel(ad_h - identity.scale(2))
-        minus = kernel(ad_h + identity.scale(2))
-        if plus.dim != 1 or minus.dim != 1:
-            continue
-        triple = _complete_triple(t, h, plus.basis_vectors()[0], minus.basis_vectors()[0])
+        triple = _triple_at(t, (Q(w0, 2), Q(w1, 2), Q(w2, 2)), Q(root, scale))
         if triple is not None:
             return triple
-    raise NotSplit("no sl2 triple with rational adjoint eigenvalues "
-                   "found within the search grid")
+    e = _isotropic_vector(killing)
+    ke = killing.apply(e)
+    i = next(i for i, x in enumerate(ke) if x != 0)
+    s = (2 - killing[i, i]) / (2 * ke[i])   # K(u + s e, u + s e) = 2
+    triple = _triple_at(t, vec_add(basis_vector(3, i), vec_scale(s, e)), Q(1))
+    if triple is None:
+        raise SplitUndecided("an isotropic vector of the Killing form did not "
+                             "complete to an sl2 triple")
+    return triple
 
 
 def alpha_profile(m: MatrixQ) -> Profile:
@@ -251,10 +381,11 @@ def _adapted_triple_negpair(t: StructureTensor, m: MatrixQ) -> Sl2Triple:
     if restricted.trace() != 0:
         raise Unmatched("adjoint of the fixed element is not trace-free on "
                         "the (-1)-eigenspace")
-    from .exactlin import det as _det
-    c = sqrt_fraction(-_det(restricted))
+    c = sqrt_fraction(-det(restricted))
     if c is None:
-        raise NotSplit("adapted adjoint eigenvalues are irrational")
+        raise Unmatched("the fixed line of the involution is not split over Q "
+                        "(its adjoint eigenvalues are irrational), so no "
+                        "canonical family matches")
     if c == 0:
         raise Unmatched("fixed element is central on the (-1)-eigenspace")
     two = MatrixQ.identity(2)

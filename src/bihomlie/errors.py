@@ -53,6 +53,11 @@ class NotSplit(BiHomError):
     pass
 
 
+class SplitUndecided(BiHomError):
+    """Splitness could not be decided: a number that must be factored has a
+    cofactor beyond the documented factoring bound. Never a "not split"."""
+
+
 class IrrationalEigenvalues(BiHomError):
     pass
 

@@ -4,6 +4,10 @@ Everything here is pure and immutable: matrices are tuples of tuples of
 ``fractions.Fraction``, vectors are tuples of Fraction, and all algorithms
 use exact arithmetic with deterministic pivoting (first nonzero by index),
 so outputs are reproducible byte for byte.
+
+The few integer routines that exact split detection needs live here too:
+is_prime, factor (with a documented bound past which a cofactor is left
+unfactored) and sqrt_mod_prime.
 """
 
 from __future__ import annotations
@@ -535,6 +539,132 @@ def sqrt_fraction(q: Fraction):
     if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
     return Fraction(rn, rd)
+
+
+# Strong pseudoprime tests to the primes up to 41 are exact below this bound
+# (Sorenson & Webster 2015); above it a passed test only says "probable".
+PRIME_PROOF_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Pollard-Brent steps spent on one composite before it is left unfactored
+RHO_ITERATIONS = 1 << 16
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 41: exact for n below
+    PRIME_PROOF_BOUND, a probable-prime test above it."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int, budget: int):
+    """A proper factor of the odd composite n, or None once `budget` steps
+    of the map y -> y^2 + c have been spent (c = 1, 2, ... in turn)."""
+    block = 128
+    c = 1
+    while budget > 0:
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(block, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += block
+            budget -= 2 * r
+            r *= 2
+        if g == n:      # the block overshot: step through it again
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+        c += 1
+    return None
+
+
+def factor(n: int) -> tuple[dict[int, int], int]:
+    """(primes, cofactor) with |n| = cofactor * prod(p^e). Every key of
+    primes is proved prime; cofactor is 1 unless some part of |n| is a
+    probable prime at or above PRIME_PROOF_BOUND or a composite that
+    RHO_ITERATIONS Pollard-Brent steps did not split."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("factor of zero")
+    primes: dict[int, int] = {}
+    # trial division below 1000; an odd composite never divides what is left
+    for p in (2, *range(3, 1000, 2)):
+        while n % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            n //= p
+    cofactor = 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        root = math.isqrt(m)
+        if root * root == m:
+            pending += [root, root]
+        elif is_prime(m):
+            if m < PRIME_PROOF_BOUND:
+                primes[m] = primes.get(m, 0) + 1
+            else:
+                cofactor *= m
+        else:
+            d = _pollard_brent(m, RHO_ITERATIONS)
+            if d is None:
+                cofactor *= m
+            else:
+                pending += [d, m // d]
+    return dict(sorted(primes.items())), cofactor
+
+
+def sqrt_mod_prime(a: int, p: int):
+    """r with r^2 = a (mod p) for a prime p, by Tonelli-Shanks, or None
+    when a is not a square modulo p."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def restrict_operator(op: MatrixQ, space: Subspace) -> MatrixQ:

@@ -1,9 +1,18 @@
+import math
 import random
+import time
 from fractions import Fraction as Q
+from itertools import combinations, product
 
 import pytest
 
-from bihomlie.algebra import BiHomAlgebra, StructureTensor, conjugate_algebra, conjugate_tensor
+from bihomlie.algebra import (
+    BiHomAlgebra,
+    StructureTensor,
+    ad_matrix,
+    conjugate_algebra,
+    conjugate_tensor,
+)
 from bihomlie.catalog import (
     make_L1,
     make_L2,
@@ -13,6 +22,7 @@ from bihomlie.catalog import (
     unipotent_full,
 )
 from bihomlie.classify3 import (
+    _complete_triple,
     alpha_profile,
     bihom_isomorphic3,
     classify3,
@@ -25,11 +35,12 @@ from bihomlie.errors import (
     NotSemisimple,
     NotSimple,
     NotSplit,
+    SplitUndecided,
     Unmatched,
 )
-from bihomlie.exactlin import MatrixQ, vec_scale
+from bihomlie.exactlin import MatrixQ, char_poly, kernel, sqrt_fraction, vec_scale
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
-from conftest import random_invertible
+from conftest import random_fraction, random_invertible
 
 SO3 = StructureTensor.from_brackets(3, {
     (0, 1): (0, 0, 1), (1, 0): (0, 0, -1),
@@ -71,7 +82,7 @@ def test_find_triple_induced_l2():
 
 
 def test_find_triple_not_split():
-    with pytest.raises(NotSplit):
+    with pytest.raises(NotSplit, match="definite"):
         find_sl2_triple(SO3)
 
 
@@ -252,3 +263,144 @@ def test_iso3_distinguishes_parameters():
     f = bihom_isomorphic3(make_L1(2, 3), make_L1(Q(1, 2), Q(1, 3)))
     assert f is not None
     _assert_intertwines(f, make_L1(2, 3), make_L1(Q(1, 2), Q(1, 3)))
+
+
+def test_negpair_with_nonsplit_fixed_line_is_unmatched():
+    # alpha: h -> -h, e -> -f, f -> -e fixes e - f, which is not ad-split
+    alpha = MatrixQ.from_columns([(-1, 0, 0), (0, 0, -1), (0, -1, 0)])
+    twisted = yau_twist(TwistInput(make_sl2(), alpha, MatrixQ.identity(3)))
+    induced, _, _ = induce_lie(twisted)
+    triple = find_sl2_triple(induced)
+    assert (triple.h, triple.e, triple.f) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(Unmatched, match="not split over Q"):
+        classify3(twisted)
+
+
+# --- split detection ---------------------------------------------------------
+
+_ORACLE_GRID = (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 2))
+
+
+def grid_oracle(t):
+    """The former search of find_sl2_triple: one char_poly per grid point,
+    accepting ad v with characteristic polynomial x^3 - c^2 x; None when the
+    grid is exhausted."""
+    identity = MatrixQ.identity(3)
+    for size in (1, 2, 3):
+        for support in combinations(range(3), size):
+            for coeffs in product(_ORACLE_GRID, repeat=size):
+                v = [Q(0)] * 3
+                for idx, c in zip(support, coeffs):
+                    v[idx] = c
+                cp = char_poly(ad_matrix(t, v))
+                if cp.coeffs[0] != 0 or cp.coeffs[2] != 0 or -cp.coeffs[1] <= 0:
+                    continue
+                c = sqrt_fraction(-cp.coeffs[1])
+                if c is None:
+                    continue
+                h = vec_scale(Q(2) / c, v)
+                ad_h = ad_matrix(t, h)
+                plus = kernel(ad_h - identity.scale(2))
+                minus = kernel(ad_h + identity.scale(2))
+                if plus.dim != 1 or minus.dim != 1:
+                    continue
+                triple = _complete_triple(t, h, plus.basis_vectors()[0],
+                                          minus.basis_vectors()[0])
+                if triple is not None:
+                    return triple
+    return None
+
+
+def quaternion_lie(a, b):
+    """Trace-zero quaternions of (a, b) under the commutator, on i, j, k = ij:
+    split exactly when z^2 = a x^2 + b y^2 has a nonzero rational solution."""
+    return StructureTensor.from_brackets(3, {
+        (0, 1): (0, 0, 2), (1, 0): (0, 0, -2),
+        (1, 2): (-2 * b, 0, 0), (2, 1): (2 * b, 0, 0),
+        (2, 0): (0, -2 * a, 0), (0, 2): (0, 2 * a, 0),
+    })
+
+
+def holzer_solvable(a, b):
+    """Whether z^2 = a x^2 + b y^2 (a, b squarefree) has a nonzero integer
+    solution, by exhausting Holzer's box: with g = gcd(a, b) and z = g w the
+    form a' x^2 + b' y^2 - g w^2 has pairwise coprime squarefree coefficients,
+    and a solution exists iff one has |x| <= sqrt|b'g|, |y| <= sqrt|a'g|,
+    |w| <= sqrt|a'b'|."""
+    g = math.gcd(a, b)
+    a1, b1 = a // g, b // g
+    bx, by, bw = math.isqrt(abs(b1 * g)), math.isqrt(abs(a1 * g)), math.isqrt(abs(a1 * b1))
+    return any(a1 * x * x + b1 * y * y == g * w * w
+               for x in range(-bx, bx + 1) for y in range(-by, by + 1)
+               for w in range(-bw, bw + 1) if (x, y, w) != (0, 0, 0))
+
+
+def wide_sl2_bases(count, seed):
+    """Bases with entries in -10..10 times a random rational diagonal."""
+    rng = random.Random(seed)
+    return [random_invertible(3, rng, spread=10)
+            * MatrixQ.diagonal([random_fraction(rng, nonzero=True) for _ in range(3)])
+            for _ in range(count)]
+
+
+def test_split_detection_wide_sl2_conjugates():
+    target = make_L1(1, 1)
+    conjugates = [conjugate_algebra(target, p) for p in wide_sl2_bases(200, 61)]
+    for algebra in conjugates:
+        label = classify3(algebra)
+        assert (label.family, label.params) == ("L1", (Q(1), Q(1)))
+        back = conjugate_algebra(algebra, label.change_of_basis)
+        assert (back.tensor, back.alpha, back.beta) == (target.tensor, target.alpha, target.beta)
+    for a1, a2 in zip(conjugates[:50:2], conjugates[1:50:2]):
+        f = bihom_isomorphic3(a1, a2)
+        assert f is not None
+        _assert_intertwines(f, a1, a2)
+
+
+SQUAREFREE = [s * v for v in range(1, 16) if v % 4 and v % 9 for s in (1, -1)]
+
+
+def test_split_detection_quaternion_forms():
+    assert len(SQUAREFREE) == 22
+    for a in SQUAREFREE:
+        for b in SQUAREFREE:
+            t = quaternion_lie(a, b)
+            if holzer_solvable(a, b):
+                assert_triple(t, find_sl2_triple(t))
+                continue
+            with pytest.raises(NotSplit) as info:
+                find_sl2_triple(t)
+            message = str(info.value)
+            if a < 0 and b < 0:
+                assert "definite" in message
+            else:
+                assert "modulo the prime" in message
+
+
+def test_split_detection_matches_grid_oracle():
+    inputs = [make_sl2(), induce_lie(make_L1(2, 3))[0], induce_lie(make_L2())[0]]
+    inputs += [conjugate_tensor(make_sl2(), p) for p in wide_sl2_bases(12, 62)]
+    inputs += [quaternion_lie(a, b) for a, b in ((1, 7), (2, 7), (-1, 2), (3, -2), (5, 5))]
+    hits = 0
+    for t in inputs:
+        expected = grid_oracle(t)
+        triple = find_sl2_triple(t)
+        assert_triple(t, triple)
+        if expected is not None:
+            hits += 1
+            assert triple == expected
+    assert 3 < hits < len(inputs)   # both stages are exercised
+
+
+# two primes of about 20 digits each: a and b cannot be factored within the bound
+SEMIPRIME_A = 10000000000000000051 * 20000000000000000011
+SEMIPRIME_B = 30000000000000000041 * 50000000000000000059
+
+
+def test_split_undecided_on_unfactorable_forms():
+    import bihomlie
+    assert bihomlie.SplitUndecided is SplitUndecided
+    start = time.perf_counter()
+    with pytest.raises(SplitUndecided, match="cannot factor"):
+        find_sl2_triple(quaternion_lie(SEMIPRIME_A, SEMIPRIME_B))
+    assert time.perf_counter() - start < 1.0

@@ -267,3 +267,77 @@ def test_analyze_verifies_each_object_once(tmp_path, monkeypatch, capsys):
     assert check_all(first) is check_all(first)
     check_all(second)
     assert calls["axiom"] == 3
+
+
+def _fuzz_files():
+    """Catalog files and a matrix file, as (name, text)."""
+    from bihomlie.catalog import make_L2
+    files = [(f"alg{i}.json", dumps_algebra(a))
+             for i, a in enumerate((sl2_bihom(), make_L1(2, 3), make_L2(), make_L3(3)))]
+    files.append(("alpha.json", '[["1","0","0"],["0","2","0"],["0","0","1/2"]]\n'))
+    return files
+
+
+def _fuzz_argv(tmp_path, name, path):
+    """The commands run on one fuzzed file: the matrix file goes to twist."""
+    if name == "alpha.json":
+        lie = tmp_path / "lie.json"
+        save(sl2_bihom(), lie)
+        beta = tmp_path / "beta.json"
+        beta.write_text('[["1","0","0"],["0","1","0"],["0","0","1"]]')
+        return [["twist", str(lie), "--alpha", str(path), "--beta", str(beta),
+                 "-o", str(tmp_path / "out.json")]]
+    return [["check", str(path)], ["analyze", "--json", str(path)],
+            ["classify3", "--json", str(path)]]
+
+
+def test_cli_fuzz_truncated_and_mutated_files(tmp_path, capsys):
+    from bihomlie import cli
+    rng = random.Random(73)
+    for name, text in _fuzz_files():
+        data = text.encode("utf-8")
+        end = len(text.rstrip())    # every shorter prefix lacks the closing bracket
+        path = tmp_path / name
+        for cut in [0, end - 1] + [rng.randrange(end) for _ in range(4)]:
+            path.write_bytes(data[:cut])
+            for argv in _fuzz_argv(tmp_path, name, path):
+                assert cli.main(argv) == 2, (argv, cut)
+        for _ in range(12):
+            mutated = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            path.write_bytes(bytes(mutated))
+            for argv in _fuzz_argv(tmp_path, name, path):
+                assert cli.main(argv) in (0, 1, 2), (argv, bytes(mutated))
+    capsys.readouterr()
+
+
+def test_load_rejects_invalid_utf8(tmp_path):
+    from bihomlie.fileio import load_matrix
+    path = tmp_path / "bad.json"
+    path.write_bytes(dumps_algebra(sl2_bihom()).encode().replace(b'"e1"', b'"e\xff"'))
+    with pytest.raises(ParseError):
+        load(path)
+    path.write_bytes(b'[["1\xc3"]]')
+    with pytest.raises(ParseError):
+        load_matrix(path)
+    assert run_cli("check", str(path)).returncode == 2
+
+
+def test_cli_split_undecided_exit_code(tmp_path, capsys):
+    from bihomlie import cli
+    from bihomlie.algebra import StructureTensor
+    a = 10000000000000000051 * 20000000000000000011
+    b = 30000000000000000041 * 50000000000000000059
+    quaternions = StructureTensor.from_brackets(3, {
+        (0, 1): (0, 0, 2), (1, 0): (0, 0, -2),
+        (1, 2): (-2 * b, 0, 0), (2, 1): (2 * b, 0, 0),
+        (2, 0): (0, -2 * a, 0), (0, 2): (0, 2 * a, 0),
+    })
+    path = tmp_path / "quaternions.json"
+    save(BiHomAlgebra(dim=3, tensor=quaternions, alpha=MatrixQ.identity(3),
+                      beta=MatrixQ.identity(3)), path)
+    assert cli.main(["classify3", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("SplitUndecided: cannot factor")

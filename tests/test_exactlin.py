@@ -7,18 +7,22 @@ from bihomlie.algebra import ad_matrix
 from bihomlie.catalog import make_sl2
 from bihomlie.errors import DimensionMismatch, SingularMatrix
 from bihomlie.exactlin import (
+    PRIME_PROOF_BOUND,
     MatrixQ,
     PolyQ,
     Subspace,
     basis_vector,
     char_poly,
     det,
+    factor,
     invert,
+    is_prime,
     kernel,
     rank,
     rational_roots,
     rref,
     sqrt_fraction,
+    sqrt_mod_prime,
 )
 from conftest import random_fraction, random_invertible
 
@@ -228,3 +232,58 @@ def test_sqrt_fraction():
     assert sqrt_fraction(Q(4, 9)) == Q(2, 3)
     assert sqrt_fraction(Q(2)) is None
     assert sqrt_fraction(Q(-4)) is None
+
+
+def _sieve(n):
+    flags = [True] * n
+    flags[0] = flags[1] = False
+    for p in range(2, int(n ** 0.5) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(flags[p * p::p])
+    return flags
+
+
+def test_is_prime_matches_sieve_and_rejects_pseudoprimes():
+    flags = _sieve(20000)
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if flags[n]]
+    # Carmichael numbers and strong pseudoprimes to the bases 2..23
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 19 + 51)
+
+
+def test_factor_reconstructs_and_keeps_hard_cofactors():
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randrange(1, 10 ** 15) * rng.choice((1, -1))
+        primes, cofactor = factor(n)
+        assert cofactor == 1
+        assert all(is_prime(p) for p in primes)
+        value = 1
+        for p, e in primes.items():
+            value *= p ** e
+        assert value == abs(n)
+    assert factor(2 ** 4 * (10 ** 9 + 7) ** 2 * (10 ** 12 + 39)) == (
+        {2: 4, 10 ** 9 + 7: 2, 10 ** 12 + 39: 1}, 1)
+    # a probable prime above the proof bound is never reported as prime
+    big = 2 ** 89 - 1
+    assert big > PRIME_PROOF_BOUND
+    assert factor(6 * big) == ({2: 1, 3: 1}, big)
+    # two 20-digit primes: beyond the Pollard-Brent cap
+    semiprime = 10000000000000000051 * 20000000000000000011
+    assert factor(semiprime) == ({}, semiprime)
+
+
+def test_sqrt_mod_prime():
+    # 17, 41, 97 and 257 are 1 mod 8: the Tonelli-Shanks loop proper
+    for p in (2, 3, 5, 7, 13, 17, 41, 97, 257):
+        squares = {x * x % p for x in range(p)}
+        for a in range(-5, p):
+            r = sqrt_mod_prime(a, p)
+            assert (r is None) == (a % p not in squares)
+            assert r is None or r * r % p == a % p
+    p = 2 ** 64 - 59     # 5 mod 8
+    for a in range(2, 40):
+        r = sqrt_mod_prime(a, p)
+        assert (r is None) == (pow(a, (p - 1) // 2, p) == p - 1)
+        assert r is None or r * r % p == a
