@@ -99,9 +99,6 @@ class MatrixQ:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -280,10 +277,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis_rows)
-
-    @property
-    def basis(self) -> MatrixQ | None:
-        return MatrixQ(self.basis_rows) if self.basis_rows else None
 
     def basis_vectors(self) -> list[Vector]:
         return [tuple(r) for r in self.basis_rows]
@@ -476,56 +469,101 @@ def char_poly(m: MatrixQ) -> PolyQ:
     return PolyQ(list(reversed(coeffs_high_first)))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm sequence f, f', -rem, ... (lowest degree first) as primitive
+    positive multiples, down to the last nonzero remainder, a gcd of f, f'."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    chain = [f, [c // math.gcd(*df) for c in df]]
+    while len(chain[-1]) > 1:
+        a, b = list(chain[-2]), chain[-1]
+        lead, flip = b[-1], False
+        while len(a) >= len(b):   # a <- lead*a - q*x^s*b cancels a's top term
+            q, shift = a[-1], len(a) - len(b)
+            a = [lead * x for x in a]
+            for k, y in enumerate(b):
+                a[shift + k] -= q * y
+            a.pop()
+            flip ^= lead < 0
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            break
+        g = math.gcd(*a) * (1 if flip else -1)   # a = lead^steps * rem(a, b)
+        chain.append([x // g for x in a])
+    return chain
+
+
+def _exact_quotient(f: list[int], d: list[int]) -> list[int]:
+    """f / d for an integer divisor d with leading coefficient +-1."""
+    f, out = list(f), []
+    while len(f) >= len(d):
+        q, shift = f[-1] * d[-1], len(f) - len(d)
+        for k, y in enumerate(d):
+            f[shift + k] -= q * y
+        f.pop()
+        out.append(q)
+    return out[::-1]
+
+
+def _sign_changes(chain: list[list[int]], x: int) -> int:
+    count, last = 0, 0
+    for p in chain:
+        v = 0
+        for c in reversed(p):
+            v = v * x + c
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
 
 
 def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
-    """All rational roots with multiplicities, by the classical candidate
-    search over divisors of the cleared constant and leading coefficients.
-    Returns (roots, residual); the residual has no rational roots."""
+    """All rational roots with multiplicities, in increasing order, and the
+    residual: p divided by them, which has no rational root left.
+
+    With p cleared to a primitive integer f = sum a_k x^k of degree d, the
+    integer roots of the monic g(y) = a_d^(d-1) f(y / a_d) are a_d times the
+    rational roots of f, inside Cauchy's bound (-B, B), B = |a_d| + max |a_k|.
+    Bisection with a Sturm sequence of g's squarefree part narrows each real
+    root to a unit interval, whose integer end is tested exactly (after
+    Collins & Akritas 1976): at most d * (log2 B + 2) Sturm evaluations, so
+    the time is polynomial in d and the coefficient bit length, and nothing
+    is factored. Synthetic division by each root gives its multiplicity."""
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    work = p
-    # zero roots first
-    zero_mult = 0
-    while not work.is_constant() and work.coeffs[0] == 0:
-        work = PolyQ(work.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Q(0), zero_mult))
-    if work.is_constant():
-        return roots, work
-    scale = math.lcm(*(c.denominator for c in work.coeffs))
-    ints = [int(c * scale) for c in work.coeffs]
+    if p.is_constant():
+        return [], p
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * scale) for c in p.coeffs]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
-    candidates = []
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            q = Fraction(num, den)
-            for cand in (q, -q):
-                if cand not in candidates:
-                    candidates.append(cand)
-    candidates.sort()
-    for cand in candidates:
+    d, lead = len(ints) - 1, ints[-1]
+    monic = [c * lead ** (d - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    chain = _sturm_chain(monic)
+    if len(chain[-1]) > 1:   # g has repeated factors: use g / gcd(g, g')
+        chain = _sturm_chain(_exact_quotient(monic, chain[-1]))
+    bound = abs(lead) + max(abs(c) for c in ints[:-1])
+    found = []
+    stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+    while stack:   # (lo, hi] holds v_lo - v_hi distinct real roots
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _sign_changes(chain, mid)
+            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+        else:   # hi is the only integer in (lo, hi]; division tests it
+            found.append(Fraction(hi, lead))
+    roots, work = [], p
+    for root in sorted(found):
         mult = 0
-        while not work.is_constant() and work(cand) == 0:
-            work = work.divide_linear(cand)
+        while not work.is_constant() and work(root) == 0:
+            work = work.divide_linear(root)
             mult += 1
         if mult:
-            roots.append((cand, mult))
-    roots.sort(key=lambda rm: rm[0])
+            roots.append((root, mult))
     return roots, work
 
 

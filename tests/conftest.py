@@ -1,6 +1,11 @@
-"""Shared test helpers: seeded random rationals and invertible matrices."""
+"""Shared test helpers: seeded random rationals and invertible matrices, and
+a wall-clock deadline for inputs that must finish in bounded time."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from bihomlie.exactlin import MatrixQ, Q
 
@@ -21,3 +26,22 @@ def random_invertible(n, rng, spread=2):
     upper = [[Q(1) if i == j else (Q(rng.randint(-spread, spread)) if i < j else Q(0))
               for j in range(n)] for i in range(n)]
     return MatrixQ(lower) * MatrixQ(upper)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test if the block runs longer than `seconds` of wall time.
+
+    A SIGALRM timer (setitimer, ITIMER_REAL) interrupts the block between
+    bytecodes, so a run-away pure-Python loop fails with a clear message
+    instead of hanging the suite. Main thread only, not re-entrant."""
+    def expire(signum, frame):
+        pytest.fail(f"did not finish within {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

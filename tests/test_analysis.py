@@ -35,7 +35,7 @@ from bihomlie.errors import (
 )
 from bihomlie.exactlin import MatrixQ, SpanBuilder, Subspace, basis_vector, det, invert
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
-from conftest import random_fraction, random_invertible
+from conftest import deadline, random_fraction, random_invertible
 
 SOLVABLE = StructureTensor.from_brackets(2, {(0, 1): (0, 1), (1, 0): (0, -1)})
 
@@ -330,6 +330,21 @@ def test_decompose_mixed_basis_uses_commutant():
     mapped = sorted(Subspace(6, [p.apply(v) for v in s.basis_vectors()]).basis_rows
                     for s in parts)
     assert mapped == sorted(s.basis_rows for s in decompose_semisimple(double))
+
+
+def test_decompose_bihom_dense_sum():
+    # in this basis the commutant's char_poly has 68-bit cleared coefficients
+    a = direct_sum([make_L1(2, 3), make_L3(5)])
+    p = random_invertible(6, random.Random(0), spread=4)
+    with deadline(10):
+        decomposition = decompose_bihom(conjugate_algebra(a, p))
+    assert decomposition.m == 2
+    assert decomposition.sigma_alpha == decomposition.sigma_beta == (0, 1)
+    mapped = sorted(Subspace(6, [p.apply(v) for v in s.basis_vectors()]).basis_rows
+                    for s in decomposition.ideals)
+    blocks = [Subspace(6, [basis_vector(6, i) for i in block]).basis_rows
+              for block in (range(3), range(3, 6))]
+    assert mapped == sorted(blocks)
 
 
 def test_decompose_properties():

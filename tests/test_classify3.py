@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -38,9 +39,9 @@ from bihomlie.errors import (
     SplitUndecided,
     Unmatched,
 )
-from bihomlie.exactlin import MatrixQ, char_poly, kernel, sqrt_fraction, vec_scale
+from bihomlie.exactlin import MatrixQ, char_poly, invert, is_prime, kernel, sqrt_fraction, vec_scale
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
-from conftest import random_fraction, random_invertible
+from conftest import deadline, random_fraction, random_invertible
 
 SO3 = StructureTensor.from_brackets(3, {
     (0, 1): (0, 0, 1), (1, 0): (0, 0, -1),
@@ -214,6 +215,42 @@ def test_classify_irrational_eigenvalues():
     twisted = yau_twist(TwistInput(make_sl2(), ROTATION, MatrixQ.identity(3)))
     with pytest.raises(IrrationalEigenvalues):
         classify3(twisted)
+
+
+def _adjoint(g):
+    """Ad(g) on sl2 in the basis (h, e, f) for an invertible 2x2 matrix g."""
+    g = MatrixQ(g)
+    columns = []
+    for x in ([[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]):
+        y = g * MatrixQ(x) * invert(g)
+        columns.append((y[0, 0], y[0, 1], y[1, 0]))
+    return MatrixQ.from_columns(columns)
+
+
+def test_classify_irrational_eigenvalues_at_large_height():
+    # char_poly(Ad g) = (x - 1)(q x^2 + (2q - 9) x + q)/q for g = [[0, 1], [-q, 3]]:
+    # no rational root besides 1, and a 20-digit prime at both ends
+    q = next(n for n in itertools.count(10**19 + 1) if is_prime(n))
+    alpha = _adjoint([[0, 1], [-q, 3]])
+    twisted = yau_twist(TwistInput(make_sl2(), alpha, MatrixQ.identity(3)))
+    with deadline(10), pytest.raises(IrrationalEigenvalues,
+                                     match="residual factor of degree 2"):
+        classify3(twisted)
+
+
+def test_classify_and_iso3_at_large_height():
+    # eigenvalues 1, a, 1/a with a 30-digit numerator
+    a = make_L1(Q(10**30 + 57, 7), 3)
+    conj = conjugate_algebra(a, random_invertible(3, random.Random(0)))
+    with deadline(10):
+        label = classify3(conj)
+        f = bihom_isomorphic3(a, conj)
+    assert label.family == "L1"
+    assert label.params == (Q(10**30 + 57, 7), Q(3))
+    back = conjugate_algebra(conj, label.change_of_basis)
+    assert back.alpha == MatrixQ.diagonal([1, Q(10**30 + 57, 7), Q(7, 10**30 + 57)])
+    assert f is not None
+    _assert_intertwines(f, a, conj)
 
 
 def test_classify_not_split_input():

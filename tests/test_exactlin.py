@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -174,6 +175,99 @@ def test_rational_roots_multiplicity_bound():
         total = sum(m for _, m in roots)
         assert total <= p.degree
         assert (total == p.degree) == residual.is_constant()
+
+
+def _divisors(n):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def divisor_rational_roots(p):
+    """Reference: the classical candidate search over the divisors of the
+    cleared constant and leading coefficients (after the zero roots), with
+    multiplicities by synthetic division. Its cost grows like the square
+    root of those coefficients, so it serves only small heights."""
+    roots = []
+    work = p
+    zero_mult = 0
+    while not work.is_constant() and work.coeffs[0] == 0:
+        work = PolyQ(work.coeffs[1:])
+        zero_mult += 1
+    if zero_mult:
+        roots.append((Q(0), zero_mult))
+    if work.is_constant():
+        return roots, work
+    scale = math.lcm(*(c.denominator for c in work.coeffs))
+    ints = [int(c * scale) for c in work.coeffs]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    candidates = sorted({Q(sign * num, den) for num in _divisors(ints[0])
+                         for den in _divisors(ints[-1]) for sign in (1, -1)})
+    for cand in candidates:
+        mult = 0
+        while not work.is_constant() and work(cand) == 0:
+            work = work.divide_linear(cand)
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, work
+
+
+def _random_factor(rng):
+    """A random linear factor, irreducible quadratic or cubic, or binomial
+    b*x^k + c; binomials leave degree gaps in the Sturm sequence."""
+    kind = rng.random()
+    if kind < 0.5:
+        return PolyQ([Q(rng.randint(-12, 12)), rng.randint(1, 6)])
+    if kind < 0.6:
+        k = rng.randint(2, 6)
+        return PolyQ([rng.randint(-12, 12) or 1] + [0] * (k - 1) + [rng.randint(-6, 6) or 1])
+    if kind < 0.8:
+        while True:
+            b, c = rng.randint(-6, 6), rng.randint(-12, 12)
+            disc = b * b - 4 * c
+            if disc < 0 or math.isqrt(disc) ** 2 != disc:
+                return PolyQ([c, b, 1])
+    while True:   # monic integer cubic: a rational root would divide c
+        a, c = rng.randint(-6, 6), rng.randint(1, 12) * rng.choice((1, -1))
+        if all(r ** 3 + a * r + c != 0 for r in range(-abs(c), abs(c) + 1)):
+            return PolyQ([c, a, 0, 1])
+
+
+def test_rational_roots_matches_divisor_oracle():
+    rng = random.Random(16)
+    seen_zero = seen_repeated = seen_residual = 0
+    for _ in range(300):
+        degree = rng.randint(1, 8)
+        p = PolyQ([random_fraction(rng, 6, nonzero=True)])
+        if rng.random() < 0.2:
+            p = p * PolyQ([0, 1])
+        while p.degree < degree:
+            piece = _random_factor(rng)
+            if p.degree + piece.degree > degree:
+                continue
+            p = p * piece
+            if piece.degree == 1 and rng.random() < 0.25 and p.degree < degree:
+                p = p * piece
+        roots, residual = rational_roots(p)
+        assert (roots, residual) == divisor_rational_roots(p)
+        rebuilt = residual
+        for root, mult in roots:
+            rebuilt = rebuilt * poly_from_roots([root] * mult)
+        assert rebuilt == p
+        seen_zero += any(r == 0 for r, _ in roots)
+        seen_repeated += any(m > 1 for _, m in roots)
+        seen_residual += residual.degree >= 2
+    assert min(seen_zero, seen_repeated, seen_residual) >= 20
 
 
 def test_generalized_eigenspace_unipotent():
