@@ -25,7 +25,9 @@ products use operators built once: the rows of L(v)[r][q] = sum_p v_p c[p][q][r]
 for the columns of alpha, beta and beta^2, and S[j][k] = [beta e_j, alpha e_k].
 A failure is located in the plain loop order and its witness recomputed in
 Fraction arithmetic. Verification is kept per object (the report on the
-BiHomAlgebra, the Lie verdict on the StructureTensor), never keyed by content.
+BiHomAlgebra, the Lie verdict on the StructureTensor), never keyed by content,
+and so are the scaled views (d, d*c) and (d, d*M). Twisting, inducing and
+changing basis are one kernel, transform_tensor, on those views.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ from .exactlin import (
     MatrixQ,
     Q,
     Vector,
+    fractions_over,
+    int_product,
     invert,
     rank,
+    reshape,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -53,10 +58,11 @@ class StructureTensor:
     """Bracket data c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     No symmetry is imposed: BiHom skew-symmetry is a twisted relation, not
-    c[i][j][k] = -c[j][i][k]. Slot _lie keeps the is_lie_algebra verdict.
+    c[i][j][k] = -c[j][i][k]. Slot _lie keeps the is_lie_algebra verdict and
+    slot _scaled the view that scaled() returns.
     """
 
-    __slots__ = ("dim", "c", "_lie")
+    __slots__ = ("dim", "c", "_lie", "_scaled")
 
     def __init__(self, c):
         grid = tuple(tuple(vector(row) for row in plane) for plane in c)
@@ -69,6 +75,14 @@ class StructureTensor:
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureTensor is immutable")
+
+    def scaled(self) -> tuple[int, tuple]:
+        """(d, planes): d the lcm of the denominators and planes[i][j][k] the
+        integers d * c[i][j][k]. Computed once per tensor."""
+        if not hasattr(self, "_scaled"):
+            d, rows = MatrixQ([row for plane in self.c for row in plane]).scaled()
+            object.__setattr__(self, "_scaled", (d, reshape(rows, self.dim, self.dim)))
+        return self._scaled
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
@@ -189,23 +203,6 @@ def _fail(indices, lhs, rhs, detail) -> CheckResult:
     return CheckResult(False, Witness(indices=indices, lhs=lhs, rhs=rhs, detail=detail))
 
 
-def _int_rows(m: MatrixQ) -> tuple[int, list[list[int]]]:
-    """The lcm d of the denominators of m and the rows of d*m, in integers."""
-    d = math.lcm(*(x.denominator for x in m.flatten()))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
-
-
-def _int_product(x, y) -> list[list[int]]:
-    return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]
-
-
-def _int_tensor(t: StructureTensor):
-    """(d, c, left): c = d*t.c in integers, rows of ad(e_p) left[p][r][q] = c[p][q][r]."""
-    d = math.lcm(*(x.denominator for plane in t.c for row in plane for x in row))
-    c = [[[x.numerator * (d // x.denominator) for x in row] for row in plane] for plane in t.c]
-    return d, c, [list(zip(*plane)) for plane in c]
-
-
 def _ad_rows(left, v) -> list[list[int]]:
     """Rows of L(v) = sum_p v_p ad(e_p)."""
     out = [[0] * len(v) for _ in v]
@@ -222,9 +219,9 @@ def homomorphism_failure(m: MatrixQ, src: StructureTensor,
     homomorphism from src to dst (dst defaults to src)."""
     if not (m.is_square and m.rows == src.dim) or (dst is not None and dst.dim != src.dim):
         raise DimensionMismatch(f"vector of length {src.dim} for {m.rows}x{m.cols}")
-    d_src, c_src, left = _int_tensor(src)
-    d_dst, left = (d_src, left) if dst is None else _int_tensor(dst)[::2]
-    dm, rows = _int_rows(m)
+    (d_src, c_src), (d_dst, c_dst) = src.scaled(), (dst or src).scaled()
+    left = [list(zip(*plane)) for plane in c_dst]     # left[p][r][q] = c[p][q][r]
+    dm, rows = m.scaled()
     g = math.gcd(d_src, d_dst)
     lhs_k, rhs_k, cols = dm * d_dst // g, d_src // g, list(zip(*rows))
     for i, col in enumerate(cols):
@@ -241,16 +238,16 @@ def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
     S[i][j] = L(beta e_i) alpha e_j and L(beta^2 e_i) S[j][k]; None maps are
     identities. Sorted triples suffice given (3): the cyclic sum is invariant
     under cyclic permutations and then changes sign under transpositions."""
-    _, c, left = _int_tensor(t)
-    n = len(c)
+    c = t.scaled()[1]
+    left, n = [list(zip(*plane)) for plane in c], len(c)
     if alpha is None:
         s, outer = c, left
         alpha = beta = MatrixQ.identity(n)
     else:
-        acols, b = list(zip(*_int_rows(alpha)[1])), _int_rows(beta)[1]
+        acols, b = list(zip(*alpha.scaled()[1])), beta.scaled()[1]
         s = [[[sum(map(mul, row, v)) for row in ad] for v in acols]
              for ad in (_ad_rows(left, v) for v in zip(*b))]
-        outer = [_ad_rows(left, v) for v in zip(*_int_product(b, b))]
+        outer = [_ad_rows(left, v) for v in zip(*int_product(b, b))]
     skew = next(((i, j) for i in range(n) for j in range(i, n)
                  if any(x + y for x, y in zip(s[i][j], s[j][i]))), None)
     jacobi = next(((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
@@ -279,8 +276,8 @@ def _multiplicative(t: StructureTensor, m: MatrixQ, name: str) -> CheckResult:
 
 
 def _commuting(a: BiHomAlgebra) -> CheckResult:
-    x, y = _int_rows(a.alpha)[1], _int_rows(a.beta)[1]
-    if _int_product(x, y) == _int_product(y, x):
+    x, y = a.alpha.scaled()[1], a.beta.scaled()[1]
+    if int_product(x, y) == int_product(y, x):
         return CheckResult(True)
     ab, ba = a.alpha * a.beta, a.beta * a.alpha
     j = next(j for r1, r2 in zip(ab.entries, ba.entries) for j in range(a.dim) if r1[j] != r2[j])
@@ -364,21 +361,39 @@ def right_bracket_matrix(t: StructureTensor, x) -> MatrixQ:
     return _bracket_matrix(t, x, tuple(zip(*t.c)))
 
 
-def conjugate_tensor(t: StructureTensor, basis: MatrixQ) -> StructureTensor:
+def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
+                     out: MatrixQ | None = None) -> StructureTensor:
+    """The tensor c'[i][j] = out [left e_i, right e_j] (out defaults to the
+    identity). The scaled views are contracted one index at a time, over p,
+    then q, then k in sum l[p][i] r[q][j] o[s][k] c[p][q][k]: O(n^4) integer
+    work in place of n^2 Fraction brackets, and one division per entry."""
+    n = t.dim
+    if any(not (m.is_square and m.rows == n) for m in (left, right, out) if m is not None):
+        raise DimensionMismatch(f"maps must be {n}x{n} for a tensor of dimension {n}")
+    (dc, c), (dl, l), (dr, r) = t.scaled(), left.scaled(), right.scaled()
+    do, ot = (1, None) if out is None else (out.scaled()[0], tuple(zip(*out.scaled()[1])))
+    # u[i][q*n + k] = sum_p l[p][i] c[p][q][k]
+    u = int_product(tuple(zip(*l)), [[x for row in plane for x in row] for plane in c])
+    rt, d, planes = tuple(zip(*r)), dc * dl * dr * do, []
+    for ui in u:
+        v = int_product(rt, reshape(ui, n, n))      # v[j][k] = sum_q r[q][j] u[i][q][k]
+        planes.append([fractions_over(d, row) for row in (v if ot is None else int_product(v, ot))])
+    return StructureTensor(planes)
+
+
+def conjugate_tensor(t: StructureTensor, basis: MatrixQ,
+                     inverse: MatrixQ | None = None) -> StructureTensor:
     """The tensor in the new basis whose vectors are the columns of `basis`
-    (coordinates in the old basis)."""
+    (coordinates in the old basis): transform_tensor(t, P, P, P^-1).
+    `inverse` may carry invert(basis)."""
     if not (basis.is_square and basis.rows == t.dim):
         raise DimensionMismatch("change of basis must be square of matching size")
-    inv = invert(basis)
-    cols = [basis.column(j) for j in range(t.dim)]
-    grid = [[inv.apply(t.bracket(cols[i], cols[j])) for j in range(t.dim)]
-            for i in range(t.dim)]
-    return StructureTensor(grid)
+    return transform_tensor(t, basis, basis, invert(basis) if inverse is None else inverse)
 
 
 def conjugate_algebra(a: BiHomAlgebra, basis: MatrixQ) -> BiHomAlgebra:
     """Rewrite the whole 4-tuple in the basis given by the columns of `basis`."""
     inv = invert(basis)
-    return BiHomAlgebra(dim=a.dim, tensor=conjugate_tensor(a.tensor, basis),
+    return BiHomAlgebra(dim=a.dim, tensor=conjugate_tensor(a.tensor, basis, inv),
                         alpha=inv * a.alpha * basis, beta=inv * a.beta * basis,
                         basis_names=a.basis_names)

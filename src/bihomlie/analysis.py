@@ -10,13 +10,14 @@ generated by those operators is the full endomorphism algebra, and the
 rational dimension of that span equals its complex dimension because all
 generators are rational. The span is computed over the integers: scaling a
 generator by the lcm of its denominators multiplies every product it enters
-by a nonzero scalar, which changes no span.
+by a nonzero scalar, which changes no span. The Killing form is contracted
+from the tensor's scaled view.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import (
     BiHomAlgebra,
@@ -46,6 +47,7 @@ from .exactlin import (
     det,
     kernel,
     lift_coordinates,
+    primitive,
     rank,
     rational_roots,
     restrict_operator,
@@ -107,16 +109,11 @@ def _spin(tensor: StructureTensor, maps: list[MatrixQ], seeds: list[Vector]) -> 
     basis = [basis_vector(n, k) for k in range(n)]
     while work:
         v = work.pop(0)
-        images = []
-        for b in basis:
-            images.append(tensor.bracket(v, b))
-            images.append(tensor.bracket(b, v))
-        for m in maps:
-            images.append(m.apply(v))
-        for w in images:
+        images = [w for b in basis for w in (tensor.bracket(v, b), tensor.bracket(b, v))]
+        for w in images + [m.apply(v) for m in maps]:
             if builder.add(w):
                 work.append(w)
-    return builder.subspace()
+    return Subspace(n, builder.rows.values())
 
 
 def ideal_closure(a: BiHomAlgebra, v) -> Subspace:
@@ -151,52 +148,35 @@ def is_ideal(a: BiHomAlgebra, s: Subspace) -> IdealReport:
     return IdealReport(s, True, True, None)
 
 
-def _primitive(v: list[int]) -> list[int]:
-    g = math.gcd(*v)
-    return v if g <= 1 else [x // g for x in v]
-
-
 def enveloping_dim(gens: list[MatrixQ]) -> int:
     """Dimension of the span of all finite products of the generators
     together with the identity (closure under left multiplication).
 
-    Computed over the integers: scaling each generator by the lcm of its
-    denominators gives every word a nonzero scalar, so the span is unchanged.
-    The span is a fraction-free echelon basis {pivot: primitive row that is
-    zero before it}; the row r at the leading entry p of a word v turns v into
-    r[p]*v - v[p]*r, made primitive again. The walk stops once it is full."""
+    Computed over the integers: each generator is replaced by its scaled
+    view d*g, which gives every word a nonzero scalar, so the span is
+    unchanged. Words are walked breadth first, made primitive, and reduced
+    into an integer SpanBuilder; the walk stops once the span is full."""
     if not gens:
         raise DimensionMismatch("at least one generator required")
     n = gens[0].rows
     for g in gens:
         if not (g.is_square and g.rows == n):
             raise DimensionMismatch("generators must be square of one size")
-    int_gens = []
-    for g in gens:
-        scale = math.lcm(*(x.denominator for x in g.flatten()))
-        int_gens.append([[x.numerator * (scale // x.denominator) for x in row]
-                         for row in g.entries])
+    int_gens = [g.scaled()[1] for g in gens]
     identity = [int(i == j) for i in range(n) for j in range(n)]
-    span = {0: identity}
+    span = SpanBuilder(n * n)
+    span.add(identity)
     work = [identity]
-    while work and len(span) < n * n:
+    while work and span.dim < n * n:
         w = work.pop(0)
         wcols = [w[j::n] for j in range(n)]
         for g in int_gens:
-            v = p = _primitive([sum(a * b for a, b in zip(row, col)) for row in g for col in wcols])
-            lead = next((j for j, x in enumerate(v) if x), None)
-            while lead in span:
-                r = span[lead]
-                d = math.gcd(v[lead], r[lead])
-                x, y = v[lead] // d, r[lead] // d
-                v = _primitive([y * a - x * b for a, b in zip(v, r)])
-                lead = next((j for j in range(lead + 1, n * n) if v[j]), None)
-            if lead is not None:
-                span[lead] = v
-                if len(span) == n * n:
+            p = primitive([sum(map(mul, row, col)) for row in g for col in wcols])
+            if span.add(p):
+                if span.dim == n * n:
                     break
                 work.append(p)
-    return len(span)
+    return span.dim
 
 
 def burnside_generators(a: BiHomAlgebra) -> list[MatrixQ]:
@@ -232,11 +212,10 @@ def killing_form(t: StructureTensor) -> MatrixQ:
     lie = is_lie_algebra(t)
     if not lie.ok:
         raise NotLie(f"killing_form needs a Lie algebra: {lie.witness.detail}")
-    n, c = t.dim, t.c
+    n, (d, c) = t.dim, t.scaled()
     ads = [[c[i][l][k] for k in range(n) for l in range(n)] for i in range(n)]
     flat = [[x for row in c[j] for x in row] for j in range(n)]
-    return MatrixQ([[sum((a * b for a, b in zip(ads[i], flat[j]) if a and b), Q(0))
-                     for j in range(n)] for i in range(n)])
+    return MatrixQ.from_scaled(d * d, [[sum(map(mul, a, f)) for f in flat] for a in ads])
 
 
 def is_semisimple_lie(t: StructureTensor) -> bool:

@@ -276,8 +276,7 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
     if det(killing) == 0:
         raise NotSemisimple("not a semisimple Lie algebra")
     # K(v,v)/2 = k(w,w)/(8*den) for the integer form k = den*K and w = 2v
-    den = math.lcm(*(x.denominator for row in killing.entries for x in row))
-    k = [[int(x * den) for x in row] for row in killing.entries]
+    den, k = killing.scaled()
     k00, k11, k22 = k[0][0], k[1][1], k[2][2]
     k01, k02, k12 = 2 * k[0][1], 2 * k[0][2], 2 * k[1][2]
     scale = 8 * den
@@ -407,12 +406,7 @@ def _jordan_basis(m: MatrixQ) -> MatrixQ:
     into the canonical upper bidiagonal form."""
     n = m - MatrixQ.identity(3)
     n2 = n * n
-    seed = None
-    for j in range(3):
-        col = basis_vector(3, j)
-        if not all(x == 0 for x in n2.apply(col)):
-            seed = col
-            break
+    seed = next((basis_vector(3, j) for j in range(3) if any(n2.column(j))), None)
     if seed is None:
         raise Unmatched("map is not a full unipotent Jordan block")
     v2 = n.apply(seed)

@@ -1,9 +1,14 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Everything here is pure and immutable: matrices are tuples of tuples of
-``fractions.Fraction``, vectors are tuples of Fraction, and all algorithms
-use exact arithmetic with deterministic pivoting (first nonzero by index),
-so outputs are reproducible byte for byte.
+Values are immutable tuples of ``fractions.Fraction`` and pivoting is
+deterministic (first nonzero by index), so outputs are reproducible byte for
+byte. The arithmetic runs on integers: each MatrixQ keeps one scaled view,
+the lcm d of its denominators with the integer rows of d*M, and products
+multiply two views. Elimination (rref, kernel, rank, invert, det, Subspace)
+is fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22, 1968) on rows
+cleared by the lcm of their own denominators, which keeps the RREF; each
+result is divided once per entry at the end. SpanBuilder keeps primitive
+integer rows.
 
 The few integer routines that exact split detection needs live here too:
 is_prime, factor (with a documented bound past which a cofactor is left
@@ -14,10 +19,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, SingularMatrix
 
 Q = Fraction
+ZERO = Q(0)
 
 Vector = tuple[Fraction, ...]
 
@@ -53,11 +60,34 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+def cleared(values) -> tuple[int, list[int]]:
+    """(d, [d*x for x in values]) in integers, d the lcm of the denominators
+    of the rationals (or integers) in values."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+def int_product(x, y) -> list[list[int]]:
+    """Product of two integer matrices given as rows."""
+    cols = tuple(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def fractions_over(d: int, ints) -> tuple[Fraction, ...]:
+    """The rationals x/d, one division each; zero entries share one object."""
+    return tuple(Fraction(x, d) if x else ZERO for x in ints)
+
+
+def reshape(flat: list, count: int, width: int) -> tuple[tuple, ...]:
+    return tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(count))
+
+
 class MatrixQ:
     """Dense rational matrix. Acts on coordinate columns: the j-th column
-    holds the image of the j-th basis vector."""
+    holds the image of the j-th basis vector. Slot _scaled keeps the view
+    that scaled() returns."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_scaled")
 
     def __init__(self, entries):
         rows = tuple(tuple(as_fraction(x) for x in row) for row in entries)
@@ -72,6 +102,25 @@ class MatrixQ:
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixQ is immutable")
+
+    @classmethod
+    def from_scaled(cls, d: int, ints) -> "MatrixQ":
+        """The matrix ints/d of integer rows, one division per entry. Its
+        scaled view is kept, over g = gcd(d, entries) with the sign of d."""
+        flat = [x for row in ints for x in row]
+        g = math.gcd(d, *flat) * (-1 if d < 0 else 1)
+        d, rows = d // g, reshape([x // g for x in flat], len(ints), len(ints[0]))
+        obj = cls([fractions_over(d, row) for row in rows])
+        object.__setattr__(obj, "_scaled", (d, rows))
+        return obj
+
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, rows): d the lcm of the denominators and rows the integer rows
+        of d * self. Computed once per matrix."""
+        if not hasattr(self, "_scaled"):
+            d, flat = cleared(self.flatten())
+            object.__setattr__(self, "_scaled", (d, reshape(flat, self.rows, self.cols)))
+        return self._scaled
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
@@ -135,9 +184,8 @@ class MatrixQ:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ocols = list(zip(*other.entries))
-        return MatrixQ([[sum(a * b for a, b in zip(row, col)) for col in ocols]
-                        for row in self.entries])
+        (d1, x), (d2, y) = self.scaled(), other.scaled()
+        return MatrixQ.from_scaled(d1 * d2, int_product(x, y))
 
     def scale(self, c) -> "MatrixQ":
         c = as_fraction(c)
@@ -168,80 +216,96 @@ class MatrixQ:
             raise DimensionMismatch("square matrix required")
 
 
+def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place (Bareiss 1968):
+    with p the pivot found first in the column and q the previous one (1 at
+    first), every other row becomes (p*row - row[col]*pivot_row)/q, an exact
+    division; rows that vanish are dropped. All pivot rows end with the last
+    pivot at their pivot, so the first r rows over it are the RREF. Pivots
+    are sought in the first ncols columns. Returns (pivot columns, last pivot,
+    sign of the row swaps); a full-rank square input has determinant
+    sign * last pivot."""
+    pivots, prev, sign = [], 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if src is None:
+            continue
+        if src != r:
+            work[r], work[src] = work[src], work[r]
+            sign = -sign
+        prow = work[r]
+        p = prow[col]
+        kept = []
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != r and (f or p != prev):
+                row = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            if i <= r or any(row):
+                kept.append(row)
+        work[:] = kept
+        pivots.append(col)
+        prev = p
+        if len(pivots) == len(work):
+            break
+    return pivots, prev, sign
+
+
+def _echelon(rows, ncols: int) -> tuple[list[int], list[list[int]], int]:
+    """(pivot columns, integer RREF rows, last pivot) of rational or integer
+    rows, each cleared by the lcm of its own denominators."""
+    work = [cleared(row)[1] for row in rows]
+    pivots, p, _ = _gauss_jordan(work, ncols)
+    return pivots, work[:len(pivots)], p
+
+
 def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
     """Reduced row-echelon form and rank. Pivot choice is the first nonzero
     entry by index, so the result is the unique canonical RREF."""
-    work = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivot_row = 0
-    for col in range(ncols):
-        src = None
-        for r in range(pivot_row, nrows):
-            if work[r][col] != 0:
-                src = r
-                break
-        if src is None:
-            continue
-        work[pivot_row], work[src] = work[src], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return MatrixQ(work), pivot_row
+    pivots, rows, p = _echelon(m.entries, m.cols)
+    return MatrixQ.from_scaled(p, rows + [[0] * m.cols] * (m.rows - len(rows))), len(pivots)
 
 
 def rank(m: MatrixQ) -> int:
-    return rref(m)[1]
+    return len(_echelon(m.entries, m.cols)[0])
+
+
+def primitive(v: list[int]) -> list[int]:
+    g = math.gcd(*v)
+    return v if g <= 1 else [x // g for x in v]
 
 
 class SpanBuilder:
-    """Incrementally maintained RREF basis of a subspace of Q^n."""
+    """Incrementally maintained basis of a subspace of Q^n over the integers:
+    {pivot: primitive row that is zero before its pivot}. The row r at the
+    leading entry p of a vector v turns v into r[p]*v - v[p]*r (both over
+    their gcd), made primitive again."""
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-
-    def _reduce(self, v):
-        v = list(v)
-        for row, p in zip(self._rows, self._pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(p, self.ambient_dim):
-                    v[j] -= f * row[j]
-        return v
+        self.rows: dict[int, list[int]] = {}
 
     def add(self, v) -> bool:
-        """Add a vector to the span; return True if the dimension grew."""
-        if len(v) != self.ambient_dim:
+        """Add a vector of rationals or integers; True if the dimension grew."""
+        n = self.ambient_dim
+        if len(v) != n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        v = self._reduce(v)
-        pivot = next((j for j, x in enumerate(v) if x != 0), None)
-        if pivot is None:
+        v = primitive(cleared(v)[1])
+        lead = next((j for j, x in enumerate(v) if x), None)
+        while lead in self.rows:
+            r = self.rows[lead]
+            g = math.gcd(v[lead], r[lead])
+            x, y = v[lead] // g, r[lead] // g
+            v = primitive([y * a - x * b for a, b in zip(v, r)])
+            lead = next((j for j in range(lead + 1, n) if v[j]), None)
+        if lead is None:
             return False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        for row in self._rows:
-            if row[pivot] != 0:
-                f = row[pivot]
-                for j in range(pivot, self.ambient_dim):
-                    row[j] -= f * v[j]
-        at = next((k for k, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
-        self._rows.insert(at, v)
-        self._pivots.insert(at, pivot)
+        self.rows[lead] = v
         return True
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
-
-    def subspace(self) -> "Subspace":
-        return Subspace._make(self.ambient_dim, tuple(tuple(r) for r in self._rows))
+        return len(self.rows)
 
 
 class Subspace:
@@ -250,21 +314,15 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis_rows")
 
     def __init__(self, ambient_dim: int, vectors=()):
-        builder = SpanBuilder(ambient_dim)
-        for v in vectors:
-            builder.add(vector(v))
+        rows = [vector(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        _, ints, p = _echelon(rows, ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis_rows", tuple(tuple(r) for r in builder._rows))
+        object.__setattr__(self, "basis_rows", tuple(fractions_over(p, row) for row in ints))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def _make(cls, ambient_dim, rows):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ambient_dim", ambient_dim)
-        object.__setattr__(obj, "basis_rows", rows)
-        return obj
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -281,16 +339,16 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return [tuple(r) for r in self.basis_rows]
 
-    def contains(self, v: Vector) -> bool:
-        """One pass of reduction against the RREF rows decides membership."""
+    def coordinates(self, v: Vector) -> list[Fraction] | None:
+        """Coordinates of v in the RREF basis, which are its entries at the
+        pivots, or None when v is not in the subspace."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        v = list(v)
-        for row in self.basis_rows:
-            f = v[next(j for j, x in enumerate(row) if x != 0)]
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        coords = [v[next(j for j, x in enumerate(row) if x)] for row in self.basis_rows]
+        return coords if lift_coordinates(self, coords) == tuple(v) else None
+
+    def contains(self, v: Vector) -> bool:
+        return self.coordinates(v) is not None
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style intersection: null combinations of the stacked bases."""
@@ -302,13 +360,8 @@ class Subspace:
         stacked = MatrixQ([[self.basis_rows[i][k] for i in range(r1)]
                            + [-other.basis_rows[j][k] for j in range(r2)]
                            for k in range(self.ambient_dim)])
-        vectors = []
-        for combo in kernel(stacked).basis_vectors():
-            v = zero_vector(self.ambient_dim)
-            for i in range(r1):
-                v = vec_add(v, vec_scale(combo[i], self.basis_rows[i]))
-            vectors.append(v)
-        return Subspace(self.ambient_dim, vectors)
+        return Subspace(self.ambient_dim, [lift_coordinates(self, combo)   # first r1 entries
+                                           for combo in kernel(stacked).basis_rows])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -327,65 +380,40 @@ class Subspace:
 
 
 def kernel(m: MatrixQ) -> Subspace:
-    """RREF basis of the null space of m."""
-    reduced, rk = rref(m)
-    pivots = []
-    r = 0
-    for j in range(m.cols):
-        if r < rk and reduced.entries[r][j] == 1 and all(
-                reduced.entries[i][j] == 0 for i in range(rk) if i != r):
-            pivots.append(j)
-            r += 1
-    free = [j for j in range(m.cols) if j not in pivots]
+    """RREF basis of the null space of m: for each free column j, the vector
+    p*e_j - sum over pivot rows of row[j]*e_pivot, p the last pivot."""
+    pivots, rows, p = _echelon(m.entries, m.cols)
     vectors = []
-    for j in free:
-        v = [Q(0)] * m.cols
-        v[j] = Q(1)
-        for r_idx, p in enumerate(pivots):
-            v[p] = -reduced.entries[r_idx][j]
-        vectors.append(v)
+    for j in range(m.cols):
+        if j not in pivots:
+            v = [0] * m.cols
+            v[j] = p
+            for c, row in zip(pivots, rows):
+                v[c] = -row[j]
+            vectors.append(v)
     return Subspace(m.cols, vectors)
 
 
 def invert(m: MatrixQ) -> MatrixQ:
-    """Exact inverse via Gauss-Jordan on [m | I]; SingularMatrix when rank < n."""
+    """Exact inverse: fraction-free Gauss-Jordan on [d*m | I] gives
+    [p*I | p*(d*m)^-1]; SingularMatrix when rank < n."""
     m._require_square()
     n = m.rows
-    work = [list(m.entries[i]) + [Q(1) if j == i else Q(0) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        src = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if src is None:
-            raise SingularMatrix(f"matrix is singular (rank deficient at column {col})")
-        work[col], work[src] = work[src], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return MatrixQ([row[n:] for row in work])
+    d, rows = m.scaled()
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, p, _ = _gauss_jordan(work, n)
+    if len(pivots) < n:
+        col = next(j for j, c in enumerate(pivots + [n]) if c != j)
+        raise SingularMatrix(f"matrix is singular (rank deficient at column {col})")
+    return MatrixQ.from_scaled(p, [[d * x for x in row[n:]] for row in work])
 
 
 def det(m: MatrixQ) -> Fraction:
+    """det(d*m) / d^n, with det(d*m) the signed last Bareiss pivot."""
     m._require_square()
-    n = m.rows
-    work = [list(row) for row in m.entries]
-    result = Q(1)
-    for col in range(n):
-        src = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if src is None:
-            return Q(0)
-        if src != col:
-            work[col], work[src] = work[src], work[col]
-            result = -result
-        result *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return result
+    d, rows = m.scaled()
+    pivots, p, sign = _gauss_jordan([list(row) for row in rows], m.cols)
+    return Fraction(sign * p, d ** m.rows) if len(pivots) == m.rows else Q(0)
 
 
 class PolyQ:
@@ -534,10 +562,7 @@ def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
         raise ValueError("rational_roots of the zero polynomial")
     if p.is_constant():
         return [], p
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
+    ints = primitive(cleared(p.coeffs)[1])
     d, lead = len(ints) - 1, ints[-1]
     monic = [c * lead ** (d - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     chain = _sturm_chain(monic)
@@ -709,29 +734,16 @@ def restrict_operator(op: MatrixQ, space: Subspace) -> MatrixQ:
     """Matrix of an operator that maps `space` into itself, written in the
     coordinates of the RREF basis of `space`. Raises DimensionMismatch when
     the operator does not preserve the subspace."""
-    rows = space.basis_vectors()
-    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in rows]
-    cols = []
-    for b in rows:
-        img = list(op.apply(b))
-        coeffs = []
-        for r, p in zip(rows, pivots):
-            c = img[p]
-            coeffs.append(c)
-            if c != 0:
-                for j in range(space.ambient_dim):
-                    img[j] -= c * r[j]
-        if any(x != 0 for x in img):
-            raise DimensionMismatch("operator does not preserve the subspace")
-        cols.append(coeffs)
+    cols = [space.coordinates(op.apply(b)) for b in space.basis_rows]
+    if None in cols:
+        raise DimensionMismatch("operator does not preserve the subspace")
     return MatrixQ.from_columns(cols)
 
 
 def lift_coordinates(space: Subspace, coords) -> Vector:
     """Vector of Q^n given by coordinates in the RREF basis of `space`."""
-    out = [Q(0)] * space.ambient_dim
-    for c, r in zip(coords, space.basis_vectors()):
-        if c != 0:
-            for j in range(space.ambient_dim):
-                out[j] += c * r[j]
+    out = [ZERO] * space.ambient_dim
+    for c, r in zip(coords, space.basis_rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, r)]
     return tuple(out)

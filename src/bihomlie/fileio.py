@@ -8,7 +8,7 @@
       "beta": [...]
     }
 
-Rationals are strings matching -?[0-9]+(/[1-9][0-9]*)?, never floats.
+Rationals are strings matching -?[0-9]+(/[1-9][0-9]*)? as a whole, never floats.
 Ordinary Lie algebras are the alpha = beta = identity special case, so one
 format serves both. save() emits a canonical layout (reduced rationals,
 fixed key order, one grid row per line) and save o load is the identity on
@@ -25,13 +25,15 @@ from .algebra import BiHomAlgebra, StructureTensor
 from .errors import DimensionMismatch, ParseError
 from .exactlin import MatrixQ
 
-RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
+RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text, where: str) -> Fraction:
-    if not isinstance(text, str) or not RATIONAL_RE.match(text):
+    """The whole string must match; the groups give numerator and denominator."""
+    match = RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(f"{where}: {text!r} is not a rational of the form p or p/q")
-    return Fraction(text)
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def format_rational(q: Fraction) -> str:

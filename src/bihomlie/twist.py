@@ -22,6 +22,7 @@ from .algebra import (
     check_all,
     homomorphism_failure,
     is_lie_algebra,
+    transform_tensor,
 )
 from .errors import AxiomViolation, NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularMatrix
 from .exactlin import MatrixQ, invert, rank
@@ -57,11 +58,7 @@ def yau_twist(tw: TwistInput) -> BiHomAlgebra:
     """Twist a Lie algebra by a commuting automorphism pair into a regular
     BiHom-Lie algebra: new [e_i, e_j] = [alpha(e_i), beta(e_j)]'."""
     _validate_twist_input(tw)
-    n = tw.lie.dim
-    acols = [tw.alpha.column(j) for j in range(n)]
-    bcols = [tw.beta.column(j) for j in range(n)]
-    grid = [[tw.lie.bracket(acols[i], bcols[j]) for j in range(n)] for i in range(n)]
-    return BiHomAlgebra(dim=n, tensor=StructureTensor(grid),
+    return BiHomAlgebra(dim=tw.lie.dim, tensor=transform_tensor(tw.lie, tw.alpha, tw.beta),
                         alpha=tw.alpha, beta=tw.beta)
 
 
@@ -79,11 +76,7 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
         raise AxiomViolation(
             "input is not a verified BiHom-Lie algebra; failing checks: "
             + ", ".join(report.failures()))
-    n = a.dim
-    ai = [alpha_inv.column(j) for j in range(n)]
-    bi = [beta_inv.column(j) for j in range(n)]
-    grid = [[a.tensor.bracket(ai[i], bi[j]) for j in range(n)] for i in range(n)]
-    induced = StructureTensor(grid)
+    induced = transform_tensor(a.tensor, alpha_inv, beta_inv)
     lie_check = is_lie_algebra(induced)
     if not lie_check.ok:
         raise AxiomViolation(

@@ -17,9 +17,11 @@ from bihomlie.algebra import (
     check_multiplicative,
     check_multiplicative_alpha,
     conjugate_algebra,
+    conjugate_tensor,
     is_abelian,
     is_lie_algebra,
     is_regular,
+    transform_tensor,
 )
 from bihomlie.catalog import direct_sum, make_L1, make_L2, make_L3, make_sl2, sl2_bihom
 from bihomlie.errors import (
@@ -41,6 +43,7 @@ from bihomlie.exactlin import (
 )
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import random_fraction, random_invertible
+from test_exactlin import fraction_invert, fraction_matmul, random_shaped
 
 
 def test_bracket_l1_table_value():
@@ -458,3 +461,66 @@ def test_twist_validation_matches_fraction_oracle():
             assert twist_outcome(yau_twist, tw) == expected
             kinds.add(expected and expected[0])
     assert {None, NotAutomorphism, NotCommuting} <= kinds
+
+
+# --- transform_tensor against the Fraction bracket grids ----------------------
+# yau_twist, induce_lie and conjugate_tensor as they built their tensors before
+# transform_tensor: n^2 Fraction brackets of basis images.
+
+def fraction_twist_grid(lie, alpha, beta):
+    n = lie.dim
+    acols = [alpha.column(j) for j in range(n)]
+    bcols = [beta.column(j) for j in range(n)]
+    return StructureTensor([[lie.bracket(acols[i], bcols[j]) for j in range(n)]
+                            for i in range(n)])
+
+
+def fraction_induce_grid(a):
+    return fraction_twist_grid(a.tensor, fraction_invert(a.alpha), fraction_invert(a.beta))
+
+
+def fraction_conjugate_grid(t, basis):
+    inv = fraction_invert(basis)
+    cols = [basis.column(j) for j in range(t.dim)]
+    return StructureTensor([[inv.apply(t.bracket(cols[i], cols[j])) for j in range(t.dim)]
+                            for i in range(t.dim)])
+
+
+def assert_lowest_terms(t):
+    """The view a transformed tensor keeps is the one its entries give afresh."""
+    assert t.scaled() == StructureTensor(t.c).scaled()
+
+
+def test_transform_tensor_matches_fraction_grids():
+    rng = random.Random(409)
+    cases = {}
+    for dim in (3, 3, 6, 6, 6, 9, 9, 9):
+        for dense in (True, False):
+            algebra = direct_sum([random_part(rng) for _ in range(dim // 3)])
+            basis = random_invertible(dim, rng) if dense else random_basis(dim, rng)
+            conj = conjugate_algebra(algebra, basis)
+            assert conj.tensor == fraction_conjugate_grid(algebra.tensor, basis)
+            assert conjugate_tensor(algebra.tensor, basis) == conj.tensor
+            assert conj.alpha == fraction_matmul(fraction_matmul(
+                fraction_invert(basis), algebra.alpha), basis)
+            lie = induce_lie(conj)[0]
+            assert lie == fraction_induce_grid(conj)
+            p, q = rng.randint(0, 2), rng.randint(0, 2)
+            alpha = fraction_matmul(power(conj.alpha, p), power(conj.beta, q))
+            twisted = yau_twist(TwistInput(lie, alpha, conj.beta))
+            assert twisted.tensor == fraction_twist_grid(lie, alpha, conj.beta)
+            # arbitrary maps, singular ones included, through all three slots
+            left, right, out = (random_shaped(rng, dim, dim, rng.randint(0, dim), 9)
+                                for _ in range(3))
+            general = fraction_twist_grid(conj.tensor, left, right)
+            assert transform_tensor(conj.tensor, left, right) == general
+            assert transform_tensor(conj.tensor, left, right, out) == StructureTensor(
+                [[out.apply(v) for v in plane] for plane in general.c])
+            for t in (conj.tensor, lie, twisted.tensor):
+                assert_lowest_terms(t)
+            cases[dim, dense] = cases.get((dim, dense), 0) + 1
+    assert len(cases) == 6
+    with pytest.raises(DimensionMismatch):
+        transform_tensor(make_sl2(), MatrixQ.identity(3), MatrixQ.identity(2))
+    with pytest.raises(DimensionMismatch):
+        conjugate_tensor(make_sl2(), MatrixQ.identity(2))

@@ -33,7 +33,7 @@ from bihomlie.errors import (
     NotPermuted,
     NotSemisimple,
 )
-from bihomlie.exactlin import MatrixQ, SpanBuilder, Subspace, basis_vector, det, invert
+from bihomlie.exactlin import MatrixQ, Subspace, basis_vector, det, invert
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import deadline, random_fraction, random_invertible
 
@@ -128,20 +128,47 @@ def test_enveloping_dim_mismatch():
         enveloping_dim([MatrixQ.identity(2), MatrixQ.identity(3)])
 
 
+class FractionSpanBuilder:
+    """SpanBuilder as it was before the integer rows: an RREF basis kept in
+    Fraction arithmetic, reduced and normalised on every add."""
+
+    def __init__(self, ambient_dim):
+        self.ambient_dim = ambient_dim
+        self.rows, self.pivots = [], []
+
+    def add(self, v):
+        v = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        pivot = next((j for j, x in enumerate(v) if x != 0), None)
+        if pivot is None:
+            return False
+        v = [x / v[pivot] for x in v]
+        for k, row in enumerate(self.rows):
+            if row[pivot] != 0:
+                self.rows[k] = [a - row[pivot] * b for a, b in zip(row, v)]
+        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pivot)
+        return True
+
+
 def fraction_span_dim(gens):
     """Reference for enveloping_dim: the breadth-first walk over words with
     every product and every reduction done in Fraction arithmetic."""
     n = gens[0].rows
-    builder = SpanBuilder(n * n)
-    work = [MatrixQ.identity(n)]
-    builder.add(work[0].flatten())
+    builder = FractionSpanBuilder(n * n)
+    work = [[[Q(int(i == j)) for j in range(n)] for i in range(n)]]
+    builder.add([x for row in work[0] for x in row])
     while work:
         w = work.pop(0)
         for g in gens:
-            p = g * w
-            if builder.add(p.flatten()):
+            p = [[sum(a * b for a, b in zip(row, col)) for col in zip(*w)] for row in g.entries]
+            if builder.add([x for row in p for x in row]):
                 work.append(p)
-    return builder.dim
+    return len(builder.rows)
 
 
 def random_matrix(rng, n, height=10):

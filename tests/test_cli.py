@@ -341,3 +341,37 @@ def test_cli_split_undecided_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("SplitUndecided: cannot factor")
+
+
+def test_rational_with_trailing_newline_is_rejected(tmp_path, capsys):
+    """The documented form -?[0-9]+(/[1-9][0-9]*)? must match the whole
+    string, so "1\\n" is not a rational in a bracket, alpha or matrix file."""
+    from bihomlie import cli
+    from bihomlie.fileio import load_matrix, parse_rational
+    assert parse_rational("-12/8", "x") == Q(-3, 2)
+    assert parse_rational("007", "x") == 7
+    for text in ("1\n", "1/2\n", " 1", "1/0", "+1", "1.5", "1/-2", "1\n/2"):
+        with pytest.raises(ParseError):
+            parse_rational(text, "x")
+    lie, identity = tmp_path / "lie.json", tmp_path / "identity.json"
+    save(sl2_bihom(), lie)
+    identity.write_text('[["1","0","0"],["0","1","0"],["0","0","1"]]')
+    doc = json.loads(dumps_algebra(sl2_bihom()))
+    for key in ("bracket", "alpha"):
+        bad = json.loads(json.dumps(doc))
+        if key == "bracket":
+            bad["bracket"][0][1][1] += "\n"      # [h, e] = 2e
+        else:
+            bad["alpha"][0][0] += "\n"
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ParseError, match=key):
+            load(path)
+        assert cli.main(["check", str(path)]) == 2
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([["1\n", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    with pytest.raises(ParseError, match=r"matrix\[0\]\[0\]"):
+        load_matrix(matrix)
+    assert cli.main(["twist", str(lie), "--alpha", str(matrix), "--beta", str(identity),
+                     "-o", str(tmp_path / "out.json")]) == 2
+    assert "is not a rational" in capsys.readouterr().err

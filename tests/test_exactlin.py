@@ -11,6 +11,7 @@ from bihomlie.exactlin import (
     PRIME_PROOF_BOUND,
     MatrixQ,
     PolyQ,
+    SpanBuilder,
     Subspace,
     basis_vector,
     char_poly,
@@ -381,3 +382,192 @@ def test_sqrt_mod_prime():
         r = sqrt_mod_prime(a, p)
         assert (r is None) == (pow(a, (p - 1) // 2, p) == p - 1)
         assert r is None or r * r % p == a
+
+
+# --- Fraction oracles ---------------------------------------------------------
+# The elimination and product routines as they were written before the integer
+# kernels: every step in Fraction arithmetic, the same pivot order.
+
+def fraction_matmul(a, b):
+    cols = list(zip(*b.entries))
+    return MatrixQ([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
+
+
+def fraction_rref(m):
+    work = [list(row) for row in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivot_row = 0
+    for col in range(ncols):
+        src = next((r for r in range(pivot_row, nrows) if work[r][col] != 0), None)
+        if src is None:
+            continue
+        work[pivot_row], work[src] = work[src], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        for r in range(nrows):
+            if r != pivot_row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return MatrixQ(work), pivot_row
+
+
+def fraction_kernel_rows(m):
+    """RREF basis rows of the null space, from the Fraction RREF."""
+    reduced, rk = fraction_rref(m)
+    pivots = [next(j for j, x in enumerate(reduced.entries[r]) if x != 0) for r in range(rk)]
+    vectors = []
+    for j in range(m.cols):
+        if j not in pivots:
+            v = [Q(0)] * m.cols
+            v[j] = Q(1)
+            for r, p in enumerate(pivots):
+                v[p] = -reduced.entries[r][j]
+            vectors.append(v)
+    return fraction_span_rows(m.cols, vectors)
+
+
+def fraction_span_rows(n, vectors):
+    """The nonzero RREF rows of the stacked vectors."""
+    if not vectors:
+        return ()
+    reduced, rk = fraction_rref(MatrixQ(vectors))
+    return reduced.entries[:rk]
+
+
+def fraction_invert(m):
+    n = m.rows
+    work = [list(m.entries[i]) + [Q(1) if j == i else Q(0) for j in range(n)]
+            for i in range(n)]
+    for col in range(n):
+        src = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if src is None:
+            raise SingularMatrix(f"matrix is singular (rank deficient at column {col})")
+        work[col], work[src] = work[src], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return MatrixQ([row[n:] for row in work])
+
+
+def fraction_det(m):
+    n = m.rows
+    work = [list(row) for row in m.entries]
+    result = Q(1)
+    for col in range(n):
+        src = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if src is None:
+            return Q(0)
+        if src != col:
+            work[col], work[src] = work[src], work[col]
+            result = -result
+        result *= work[col][col]
+        inv = 1 / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                f = work[r][col] * inv
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return result
+
+
+# --- the integer kernels against the oracles ----------------------------------
+
+def random_entry(rng, height):
+    """A rational of the given height, zero a quarter of the time."""
+    if rng.random() < 0.25:
+        return Q(0)
+    return Q(rng.randint(-height, height), rng.randint(1, height))
+
+
+def random_shaped(rng, rows, cols, rank_cap, height):
+    """A rows x cols matrix of rank at most rank_cap (a product through a thin
+    middle when rank_cap is smaller than both sides), with a zero row or a
+    zero column now and then, and its rows shuffled."""
+    if rank_cap == 0:
+        grid = [[Q(0)] * cols for _ in range(rows)]
+    elif rank_cap < min(rows, cols):
+        left = MatrixQ([[random_entry(rng, height) for _ in range(rank_cap)] for _ in range(rows)])
+        right = MatrixQ([[random_entry(rng, height) for _ in range(cols)] for _ in range(rank_cap)])
+        grid = [list(row) for row in fraction_matmul(left, right).entries]
+    else:
+        grid = [[random_entry(rng, height) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.3:
+        grid[rng.randrange(rows)] = [Q(0)] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = Q(0)
+    rng.shuffle(grid)
+    return MatrixQ(grid)
+
+
+def elimination_cases(rng):
+    cases = [MatrixQ([[Q(-7, 3)]]), MatrixQ([[0]]), MatrixQ([[-1, 2], [3, -4]]),
+             MatrixQ([[0, -2, 1], [-3, 0, 0], [0, 0, -5]]), MatrixQ.zeros(2, 3),
+             MatrixQ([[0, 0], [0, 1]]), MatrixQ([[1, 2, 3], [2, 4, 6], [1, 1, 1]])]
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.4:
+            cols = rows
+        height = rng.choice((1, 3, 9, 10 ** 12, 10 ** 30))
+        cases.append(random_shaped(rng, rows, cols, rng.randint(0, min(rows, cols)), height))
+    for n in (3, 6, 9):        # conjugates of negative and large diagonals
+        basis = random_invertible(n, rng, spread=4)
+        diag = MatrixQ.diagonal([Q(-rng.randint(1, 10 ** 15), rng.randint(1, 99))
+                                 for _ in range(n)])
+        cases.append(fraction_matmul(fraction_matmul(basis, diag), fraction_invert(basis)))
+    return cases
+
+
+def test_elimination_matches_fraction_oracle():
+    rng = random.Random(707)
+    seen = {"singular": 0, "wide": 0, "tall": 0, "deficient": 0}
+    for m in elimination_cases(rng):
+        expected, rk = fraction_rref(m)
+        assert rref(m) == (expected, rk)
+        assert rank(m) == rk
+        assert kernel(m).basis_rows == fraction_kernel_rows(m)
+        assert Subspace(m.cols, m.entries).basis_rows == expected.entries[:rk]
+        builder = SpanBuilder(m.cols)
+        grew = [builder.add(row) for row in m.entries]
+        assert sum(grew) == builder.dim == rk
+        assert Subspace(m.cols, builder.rows.values()).basis_rows == expected.entries[:rk]
+        seen["wide"] += m.rows < m.cols
+        seen["tall"] += m.rows > m.cols
+        seen["deficient"] += rk < min(m.rows, m.cols)
+        if m.is_square:
+            assert det(m) == fraction_det(m)
+            try:
+                inverse = fraction_invert(m)
+            except SingularMatrix as exc:
+                seen["singular"] += 1
+                with pytest.raises(SingularMatrix) as got:
+                    invert(m)
+                assert str(got.value) == str(exc)
+            else:
+                assert invert(m) == inverse
+    assert min(seen.values()) >= 15, seen
+
+
+def test_product_matches_fraction_oracle_and_keeps_lowest_terms():
+    rng = random.Random(708)
+    for _ in range(120):
+        rows, inner, cols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        height = rng.choice((1, 5, 10 ** 18))
+        a = random_shaped(rng, rows, inner, inner, height)
+        b = random_shaped(rng, inner, cols, cols, height)
+        product = a * b
+        assert product == fraction_matmul(a, b)
+        # the view a product keeps is the one its entries give afresh
+        assert product.scaled() == MatrixQ(product.entries).scaled()
+        d, ints = product.scaled()
+        assert d == math.lcm(*(x.denominator for x in product.flatten()))
+        assert all(Q(x, d) == y for row, erow in zip(ints, product.entries)
+                   for x, y in zip(row, erow))
+    with pytest.raises(DimensionMismatch):
+        MatrixQ.identity(2) * MatrixQ.identity(3)
