@@ -363,21 +363,25 @@ def right_bracket_matrix(t: StructureTensor, x) -> MatrixQ:
 
 def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
                      out: MatrixQ | None = None) -> StructureTensor:
-    """The tensor c'[i][j] = out [left e_i, right e_j] (out defaults to the
-    identity). The scaled views are contracted one index at a time, over p,
-    then q, then k in sum l[p][i] r[q][j] o[s][k] c[p][q][k]: O(n^4) integer
-    work in place of n^2 Fraction brackets, and one division per entry."""
-    n = t.dim
-    if any(not (m.is_square and m.rows == n) for m in (left, right, out) if m is not None):
-        raise DimensionMismatch(f"maps must be {n}x{n} for a tensor of dimension {n}")
+    """The tensor c'[i][j] = out [left e_i, right e_j]: left and right are
+    n x d, out is d x n and defaults to the identity (n = t.dim). With B the
+    basis columns of a subalgebra and P its pivot selector, (t, B, B, P) is
+    the restriction. The views are contracted over p, then q, then k in
+    sum l[p][i] r[q][j] o[s][k] c[p][q][k], one division per entry."""
+    n, d = t.dim, left.cols
+    if [(left.rows, left.cols), (right.rows, right.cols),
+            (d, d) if out is None else (out.rows, out.cols)] != [(n, d), (n, d), (d, n)]:
+        raise DimensionMismatch(f"maps must be {n}x{d}, {n}x{d} and {d}x{n} "
+                                f"for a tensor of dimension {n}")
     (dc, c), (dl, l), (dr, r) = t.scaled(), left.scaled(), right.scaled()
     do, ot = (1, None) if out is None else (out.scaled()[0], tuple(zip(*out.scaled()[1])))
     # u[i][q*n + k] = sum_p l[p][i] c[p][q][k]
     u = int_product(tuple(zip(*l)), [[x for row in plane for x in row] for plane in c])
-    rt, d, planes = tuple(zip(*r)), dc * dl * dr * do, []
+    rt, den, planes = tuple(zip(*r)), dc * dl * dr * do, []
     for ui in u:
         v = int_product(rt, reshape(ui, n, n))      # v[j][k] = sum_q r[q][j] u[i][q][k]
-        planes.append([fractions_over(d, row) for row in (v if ot is None else int_product(v, ot))])
+        v = v if ot is None else int_product(v, ot)  # v[j][s] = sum_k v[j][k] o[s][k]
+        planes.append([fractions_over(den, row) for row in v])
     return StructureTensor(planes)
 
 

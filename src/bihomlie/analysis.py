@@ -11,7 +11,10 @@ rational dimension of that span equals its complex dimension because all
 generators are rational. The span is computed over the integers: scaling a
 generator by the lcm of its denominators multiplies every product it enters
 by a nonzero scalar, which changes no span. The Killing form is contracted
-from the tensor's scaled view.
+from the tensor's scaled view. A semisimple algebra is decomposed one split
+at a time (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1): a
+proper ideal and its Killing complement, each restricted to the coordinates
+of its RREF basis and decomposed as a Lie algebra of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .algebra import (
     is_abelian,
     is_lie_algebra,
     right_bracket_matrix,
+    transform_tensor,
 )
 from .errors import (
     AxiomViolation,
@@ -38,19 +42,18 @@ from .errors import (
 )
 from .exactlin import (
     MatrixQ,
-    Q,
     SpanBuilder,
     Subspace,
     Vector,
     basis_vector,
     char_poly,
+    cleared,
     det,
     kernel,
     lift_coordinates,
     primitive,
     rank,
     rational_roots,
-    restrict_operator,
     vector,
 )
 
@@ -97,23 +100,19 @@ class TypeLabel:
         return f"({self.series}{self.rank}, m={self.m})"
 
 
-def _spin(tensor: StructureTensor, maps: list[MatrixQ], seeds: list[Vector]) -> Subspace:
-    """Close the span of the seeds under left/right bracketing with every
-    basis vector and under the given maps (deterministic worklist order)."""
-    n = tensor.dim
-    builder = SpanBuilder(n)
-    work = []
-    for s in seeds:
-        if builder.add(s):
-            work.append(s)
-    basis = [basis_vector(n, k) for k in range(n)]
+def _spin(ops: list[MatrixQ], seeds: list[Vector]) -> Subspace:
+    """Close the span of the seeds under the operators, applied through
+    their integer scaled views (a nonzero scalar changes no span)."""
+    builder = SpanBuilder(ops[0].cols)
+    mats = [op.scaled()[1] for op in ops]
+    work = [cleared(s)[1] for s in seeds if builder.add(s)]
     while work:
-        v = work.pop(0)
-        images = [w for b in basis for w in (tensor.bracket(v, b), tensor.bracket(b, v))]
-        for w in images + [m.apply(v) for m in maps]:
+        v = work.pop()
+        for m in mats:
+            w = primitive([sum(map(mul, row, v)) for row in m])
             if builder.add(w):
                 work.append(w)
-    return Subspace(n, builder.rows.values())
+    return Subspace(builder.ambient_dim, builder.rows.values())
 
 
 def ideal_closure(a: BiHomAlgebra, v) -> Subspace:
@@ -123,7 +122,7 @@ def ideal_closure(a: BiHomAlgebra, v) -> Subspace:
     if not report.all_pass:
         raise AxiomViolation("ideal_closure requires a verified algebra; failing: "
                              + ", ".join(report.failures()))
-    return _spin(a.tensor, [a.alpha, a.beta], [vector(v)])
+    return _spin(burnside_generators(a), [vector(v)])
 
 
 def is_ideal(a: BiHomAlgebra, s: Subspace) -> IdealReport:
@@ -184,13 +183,8 @@ def burnside_generators(a: BiHomAlgebra) -> list[MatrixQ]:
     bracketing against every basis vector (both sides, since the BiHom
     bracket is not symmetric) plus the two structure maps. The identity is
     not among them: enveloping_dim starts its span at the identity."""
-    gens = []
-    for k in range(a.dim):
-        e_k = basis_vector(a.dim, k)
-        gens.append(right_bracket_matrix(a.tensor, e_k))
-        gens.append(ad_matrix(a.tensor, e_k))
-    gens.extend([a.alpha, a.beta])
-    return gens
+    return [f(a.tensor, basis_vector(a.dim, k)) for k in range(a.dim)
+            for f in (right_bracket_matrix, ad_matrix)] + [a.alpha, a.beta]
 
 
 def is_simple(a: BiHomAlgebra) -> bool:
@@ -235,96 +229,91 @@ def derived_series(t: StructureTensor) -> list[Subspace]:
             break
         series.append(nxt)
         current = nxt
-        if current.dim == 0:
-            break
     return series
 
 
-def _killing_complement_within(t: StructureTensor, killing: MatrixQ,
-                               inner: Subspace, outer: Subspace) -> Subspace:
-    """Killing-orthogonal complement of `inner` inside `outer`."""
-    rows = [killing.apply(b) for b in inner.basis_vectors()]
-    orth = kernel(MatrixQ(rows))
-    return orth.intersect(outer)
-
-
 def _commutant(ops: list[MatrixQ], d: int) -> list[MatrixQ]:
-    """Basis of {z : z op = op z for all ops}, as d x d matrices."""
+    """Basis of {z : z op = op z for all ops}, as d x d matrices. Each op
+    enters through its scaled view, which scales its equations only."""
     rows = []
-    for op in ops:
+    for x in (op.scaled()[1] for op in ops):
         for i in range(d):
             for j in range(d):
                 # entry (i, j) of op*z - z*op as a linear form in z (row-major)
-                row = [Q(0)] * (d * d)
+                row = [0] * (d * d)
                 for k in range(d):
-                    row[k * d + j] += op.entries[i][k]
-                    row[i * d + k] -= op.entries[k][j]
+                    row[k * d + j] += x[i][k]
+                    row[i * d + k] -= x[k][j]
                 rows.append(row)
     basis = kernel(MatrixQ(rows)).basis_vectors()
     return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
 
 
-def decompose_semisimple(t: StructureTensor, killing: MatrixQ | None = None) -> list[Subspace]:
-    """Minimal ideals of a semisimple Lie algebra.
+def _proper_ideal(ads: list[MatrixQ]) -> Subspace | None:
+    """A proper ideal of the Lie algebra with adjoint operators ads, or None
+    when it is minimal: the ideal some basis vector spins to, else a rational
+    eigenspace of a non-scalar commutant element. A split that exists only
+    over an extension field raises IrrationalSplit instead of guessing."""
+    n = len(ads)
+    for k in range(n):
+        sub = _spin(ads, [basis_vector(n, k)])
+        if sub.dim < n:
+            return sub
+    comm = _commutant(ads, n)
+    if len(comm) <= 1:
+        return None
+    identity = MatrixQ.identity(n)
+    for z in comm:
+        if z.entries[0][0] != 0 and z == identity.scale(z.entries[0][0]):
+            continue
+        roots, residual = rational_roots(char_poly(z))
+        for lam, _mult in roots:
+            ker = kernel(z - identity.scale(lam))
+            if 0 < ker.dim < n:
+                return ker
+        if not residual.is_constant():
+            raise IrrationalSplit(
+                "commutant element splits the ideal only over an extension "
+                f"field (residual factor of degree {residual.degree})")
+    raise IrrationalSplit("commutant is non-scalar but yields no rational split")
 
-    Spinning first: if some basis vector of a candidate ideal generates a
-    proper sub-ideal, split against its Killing-orthogonal complement and
-    recurse. Otherwise split along rational eigenvalues of a non-scalar
-    commutant element of the restricted adjoint action; if the commutant is
-    scalar the candidate is minimal. A split that exists only over an
-    extension field raises IrrationalSplit instead of guessing. `killing`
-    may carry the Killing form of t.
-    """
+
+def _pivots(s: Subspace) -> tuple[int, ...]:
+    return tuple(next(j for j, x in enumerate(row) if x) for row in s.basis_rows)
+
+
+def _minimal_ideals(t: StructureTensor, killing: MatrixQ) -> list[Subspace]:
+    """Split off a proper ideal and its Killing complement, then recurse into
+    each part as a Lie algebra of its own: with B its RREF basis as columns
+    and P its pivot selector, the tensor P [B e_i, B e_j] and the form B^T K B."""
+    n = t.dim
+    ideal = _proper_ideal([ad_matrix(t, basis_vector(n, k)) for k in range(n)])
+    if ideal is None:
+        return [Subspace.full(n)]
+    rest = kernel(MatrixQ(ideal.basis_rows) * killing)
+    if ideal.dim + rest.dim != n:
+        raise NotSemisimple("Killing complement does not split the ideal")
+    out = []
+    for part in (ideal, rest):
+        rows, basis = MatrixQ(part.basis_rows), MatrixQ.from_columns(part.basis_rows)
+        pivots = MatrixQ([basis_vector(n, j) for j in _pivots(part)])
+        out += [Subspace(n, [lift_coordinates(part, c) for c in sub.basis_rows])
+                for sub in _minimal_ideals(transform_tensor(t, basis, basis, pivots),
+                                           rows * killing * basis)]
+    return out
+
+
+def decompose_semisimple(t: StructureTensor, killing: MatrixQ | None = None) -> list[Subspace]:
+    """Minimal ideals of a semisimple Lie algebra, sorted by pivots. A proper
+    ideal I is found by spinning, else in the commutant of the adjoint action;
+    ad(e_k) restricted to I spans ad_I(I), since the complement acts on I as
+    zero, so decomposing I alone finds what the whole algebra would. `killing`
+    may carry the Killing form of t."""
     if killing is None:
         killing = killing_form(t)
     if det(killing) == 0:
         raise NotSemisimple("Killing form is degenerate")
-    n = t.dim
-    ads = [ad_matrix(t, basis_vector(n, k)) for k in range(n)]
-
-    def minimal_ideals(space: Subspace) -> list[Subspace]:
-        # spinning pass
-        for b in space.basis_vectors():
-            sub = _spin(t, [], [b])
-            if 0 < sub.dim < space.dim:
-                rest = _killing_complement_within(t, killing, sub, space)
-                if sub.dim + rest.dim != space.dim:
-                    raise NotSemisimple("Killing complement does not split the ideal")
-                return minimal_ideals(sub) + minimal_ideals(rest)
-        # commutant pass
-        restricted = [restrict_operator(ad, space) for ad in ads]
-        comm = _commutant(restricted, space.dim)
-        if len(comm) <= 1:
-            return [space]
-        identity = MatrixQ.identity(space.dim)
-        for z in comm:
-            if z.entries[0][0] != 0 and z == identity.scale(z.entries[0][0]):
-                continue
-            roots, residual = rational_roots(char_poly(z))
-            for lam, _mult in roots:
-                shifted = z - identity.scale(lam)
-                ker = kernel(shifted)
-                if 0 < ker.dim < space.dim:
-                    piece = Subspace(n, [lift_coordinates(space, c)
-                                         for c in ker.basis_vectors()])
-                    rest = _killing_complement_within(t, killing, piece, space)
-                    if piece.dim + rest.dim != space.dim:
-                        raise NotSemisimple("Killing complement does not split the ideal")
-                    return minimal_ideals(piece) + minimal_ideals(rest)
-            if not residual.is_constant():
-                raise IrrationalSplit(
-                    "commutant element splits the ideal only over an extension "
-                    f"field (residual factor of degree {residual.degree})")
-        raise IrrationalSplit("commutant is non-scalar but yields no rational split")
-
-    def pivot_key(s: Subspace):
-        pivots = tuple(next(j for j, x in enumerate(row) if x != 0)
-                       for row in s.basis_rows)
-        return (pivots, s.basis_rows)
-
-    ideals = minimal_ideals(Subspace.full(n))
-    ideals.sort(key=pivot_key)
-    return ideals
+    return sorted(_minimal_ideals(t, killing), key=lambda s: (_pivots(s), s.basis_rows))
 
 
 def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ given input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -257,7 +258,9 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="bihomlie",
         description="Exact toolkit for finite-dimensional BiHom-Lie algebras")
@@ -306,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, DimensionMismatch, ZeroParameter, OSError) as exc:

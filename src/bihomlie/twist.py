@@ -42,6 +42,8 @@ def _validate_twist_input(tw: TwistInput):
     if not lie_check.ok:
         raise NotLie(f"input bracket is not a Lie algebra: {lie_check.witness.detail} "
                      f"at indices {lie_check.witness.indices}")
+    # BiHomAlgebra's shape check names a map that is not dim x dim
+    BiHomAlgebra(dim=tw.lie.dim, tensor=tw.lie, alpha=tw.alpha, beta=tw.beta)
     if tw.alpha * tw.beta != tw.beta * tw.alpha:
         raise NotCommuting("alpha and beta do not commute")
     for name, m in (("alpha", tw.alpha), ("beta", tw.beta)):

@@ -34,7 +34,10 @@ from bihomlie.errors import (
 )
 from bihomlie.exactlin import (
     MatrixQ,
+    Subspace,
     basis_vector,
+    invert,
+    lift_coordinates,
     rank,
     vec_add,
     vec_is_zero,
@@ -486,13 +489,20 @@ def fraction_conjugate_grid(t, basis):
                             for i in range(t.dim)])
 
 
+def fraction_transform_grid(t, left, right, out):
+    """out [left e_i, right e_j] for n x d maps left, right and d x n out."""
+    lcols = [left.column(i) for i in range(left.cols)]
+    rcols = [right.column(j) for j in range(right.cols)]
+    return StructureTensor([[out.apply(t.bracket(x, y)) for y in rcols] for x in lcols])
+
+
 def assert_lowest_terms(t):
     """The view a transformed tensor keeps is the one its entries give afresh."""
     assert t.scaled() == StructureTensor(t.c).scaled()
 
 
 def test_transform_tensor_matches_fraction_grids():
-    rng = random.Random(409)
+    rng, shapes = random.Random(409), random.Random(410)
     cases = {}
     for dim in (3, 3, 6, 6, 6, 9, 9, 9):
         for dense in (True, False):
@@ -516,11 +526,35 @@ def test_transform_tensor_matches_fraction_grids():
             assert transform_tensor(conj.tensor, left, right) == general
             assert transform_tensor(conj.tensor, left, right, out) == StructureTensor(
                 [[out.apply(v) for v in plane] for plane in general.c])
-            for t in (conj.tensor, lie, twisted.tensor):
+            # rectangular maps: n x d left and right, d x n out
+            d = shapes.randint(1, dim)
+            left, right = (random_shaped(shapes, dim, d, shapes.randint(0, d), 9)
+                           for _ in range(2))
+            out = random_shaped(shapes, d, dim, shapes.randint(0, d), 9)
+            assert transform_tensor(conj.tensor, left, right, out) == \
+                fraction_transform_grid(conj.tensor, left, right, out)
+            # restriction to the first ideal of the induced algebra, in the
+            # coordinates of its RREF basis: columns B, pivot selector P
+            inv = invert(basis)
+            ideal = Subspace(dim, [inv.column(k) for k in range(3)])
+            b = MatrixQ(list(zip(*ideal.basis_rows)))
+            p = MatrixQ([basis_vector(dim, next(j for j, x in enumerate(row) if x))
+                         for row in ideal.basis_rows])
+            restricted = transform_tensor(lie, b, b, p)
+            assert restricted == fraction_transform_grid(lie, b, b, p)
+            assert is_lie_algebra(restricted).ok
+            assert all(lift_coordinates(ideal, restricted.c[i][j])
+                       == lie.bracket(b.column(i), b.column(j))
+                       for i in range(3) for j in range(3))
+            for t in (conj.tensor, lie, twisted.tensor, restricted):
                 assert_lowest_terms(t)
             cases[dim, dense] = cases.get((dim, dense), 0) + 1
     assert len(cases) == 6
-    with pytest.raises(DimensionMismatch):
-        transform_tensor(make_sl2(), MatrixQ.identity(3), MatrixQ.identity(2))
+    sl2, identity = make_sl2(), MatrixQ.identity(3)
+    thin = MatrixQ([[1, 0], [0, 1], [0, 0]])
+    for maps in ((identity, MatrixQ.identity(2)), (thin, identity), (thin, thin),
+                 (thin, thin, identity), (thin, thin, thin), (identity, identity, thin)):
+        with pytest.raises(DimensionMismatch):
+            transform_tensor(sl2, *maps)
     with pytest.raises(DimensionMismatch):
         conjugate_tensor(make_sl2(), MatrixQ.identity(2))

@@ -33,7 +33,19 @@ from bihomlie.errors import (
     NotPermuted,
     NotSemisimple,
 )
-from bihomlie.exactlin import MatrixQ, Subspace, basis_vector, det, invert
+from bihomlie.exactlin import (
+    MatrixQ,
+    SpanBuilder,
+    Subspace,
+    basis_vector,
+    char_poly,
+    det,
+    invert,
+    kernel,
+    lift_coordinates,
+    rational_roots,
+    restrict_operator,
+)
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import deadline, random_fraction, random_invertible
 
@@ -398,6 +410,155 @@ def test_decompose_irrational_split():
         decompose_semisimple(t)
     assert not is_simple(BiHomAlgebra(dim=6, tensor=t, alpha=MatrixQ.identity(6),
                                       beta=MatrixQ.identity(6)))
+
+
+# --- the ambient recursion as it was, kept as the oracle of decompose_semisimple
+# Every candidate ideal stays a subspace of the whole algebra: it is spun with
+# the full tensor, its complement is intersected with it, and all n ambient
+# ad matrices are restricted to it in Fraction arithmetic.
+
+def ambient_spin(tensor, maps, seeds):
+    """Close the span of the seeds under left/right bracketing with every
+    basis vector and under the given maps (deterministic worklist order)."""
+    n = tensor.dim
+    builder = SpanBuilder(n)
+    work = []
+    for s in seeds:
+        if builder.add(s):
+            work.append(s)
+    basis = [basis_vector(n, k) for k in range(n)]
+    while work:
+        v = work.pop(0)
+        images = [w for b in basis for w in (tensor.bracket(v, b), tensor.bracket(b, v))]
+        for w in images + [m.apply(v) for m in maps]:
+            if builder.add(w):
+                work.append(w)
+    return Subspace(n, builder.rows.values())
+
+
+def killing_complement_within(t, killing, inner, outer):
+    """Killing-orthogonal complement of `inner` inside `outer`."""
+    rows = [killing.apply(b) for b in inner.basis_vectors()]
+    orth = kernel(MatrixQ(rows))
+    return orth.intersect(outer)
+
+
+def fraction_commutant(ops, d):
+    """Basis of {z : z op = op z for all ops}, as d x d matrices."""
+    rows = []
+    for op in ops:
+        for i in range(d):
+            for j in range(d):
+                # entry (i, j) of op*z - z*op as a linear form in z (row-major)
+                row = [Q(0)] * (d * d)
+                for k in range(d):
+                    row[k * d + j] += op.entries[i][k]
+                    row[i * d + k] -= op.entries[k][j]
+                rows.append(row)
+    basis = kernel(MatrixQ(rows)).basis_vectors()
+    return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
+
+
+def ambient_minimal_ideals(t, killing=None):
+    """decompose_semisimple with both split sites inside one closure over
+    subspaces of the whole algebra."""
+    if killing is None:
+        killing = killing_form(t)
+    if det(killing) == 0:
+        raise NotSemisimple("Killing form is degenerate")
+    n = t.dim
+    ads = [ad_matrix(t, basis_vector(n, k)) for k in range(n)]
+
+    def minimal_ideals(space):
+        # spinning pass
+        for b in space.basis_vectors():
+            sub = ambient_spin(t, [], [b])
+            if 0 < sub.dim < space.dim:
+                rest = killing_complement_within(t, killing, sub, space)
+                if sub.dim + rest.dim != space.dim:
+                    raise NotSemisimple("Killing complement does not split the ideal")
+                return minimal_ideals(sub) + minimal_ideals(rest)
+        # commutant pass
+        restricted = [restrict_operator(ad, space) for ad in ads]
+        comm = fraction_commutant(restricted, space.dim)
+        if len(comm) <= 1:
+            return [space]
+        identity = MatrixQ.identity(space.dim)
+        for z in comm:
+            if z.entries[0][0] != 0 and z == identity.scale(z.entries[0][0]):
+                continue
+            roots, residual = rational_roots(char_poly(z))
+            for lam, _mult in roots:
+                shifted = z - identity.scale(lam)
+                ker = kernel(shifted)
+                if 0 < ker.dim < space.dim:
+                    piece = Subspace(n, [lift_coordinates(space, c)
+                                         for c in ker.basis_vectors()])
+                    rest = killing_complement_within(t, killing, piece, space)
+                    if piece.dim + rest.dim != space.dim:
+                        raise NotSemisimple("Killing complement does not split the ideal")
+                    return minimal_ideals(piece) + minimal_ideals(rest)
+            if not residual.is_constant():
+                raise IrrationalSplit(
+                    "commutant element splits the ideal only over an extension "
+                    f"field (residual factor of degree {residual.degree})")
+        raise IrrationalSplit("commutant is non-scalar but yields no rational split")
+
+    def pivot_key(s):
+        pivots = tuple(next(j for j, x in enumerate(row) if x != 0)
+                       for row in s.basis_rows)
+        return (pivots, s.basis_rows)
+
+    ideals = minimal_ideals(Subspace.full(n))
+    ideals.sort(key=pivot_key)
+    return ideals
+
+
+def decomposition_outcome(decompose, t, killing):
+    """The ideal list, or the type and message of the exception raised."""
+    try:
+        return decompose(t, killing)
+    except (IrrationalSplit, NotSemisimple) as exc:
+        return type(exc), str(exc)
+
+
+def test_decompose_matches_ambient_oracle():
+    rng = random.Random(808)
+    parts = [make_L1(2, 3), make_L3(5), make_L2(), make_L1(-3, Q(7, 2)), sl2_bihom()]
+    identity6 = MatrixQ.identity(6)
+    sqrt2 = BiHomAlgebra(dim=6, tensor=sqrt2_double_sl2(), alpha=identity6, beta=identity6)
+    cycles = [yau_twist(TwistInput(direct_sum([sl2_bihom()] * k).tensor,
+                                   block_permutation(3 * k, 3, 1), MatrixQ.identity(3 * k)))
+              for k in (2, 3)]
+
+    def blocks(n):
+        return block_diagonal([random_invertible(3, rng) for _ in range(n // 3)])
+
+    def sheared_blocks(n):
+        """Blocks whose later basis vectors also pick up the first block: the
+        complement of the first ideal is then no coordinate subspace, so the
+        restricted Killing form of a part decides the split below it."""
+        shear = MatrixQ([[int(i == j) or (rng.randint(-1, 1) if i < 3 <= j else 0)
+                          for j in range(n)] for i in range(n)])
+        return shear * blocks(n)
+
+    def dense(n):
+        return random_invertible(n, rng, 1)
+
+    cases = ([conjugate_algebra(direct_sum(rng.sample(parts, 2)), dense(6)) for _ in range(3)]
+             + [conjugate_algebra(direct_sum(rng.sample(parts, 3)), basis(9))
+                for basis in (blocks, sheared_blocks, sheared_blocks)]
+             + [conjugate_algebra(cycles[0], dense(6)), conjugate_algebra(cycles[1], blocks(9))]
+             + [sqrt2, conjugate_algebra(sqrt2, dense(6)),
+                direct_sum([sqrt2, sl2_bihom()]), direct_sum([make_L1(2, 3), sqrt2])])
+    outcomes = []
+    for algebra in cases:
+        lie = induce_lie(algebra)[0]
+        killing = killing_form(lie)
+        expected = decomposition_outcome(ambient_minimal_ideals, lie, killing)
+        assert decomposition_outcome(decompose_semisimple, lie, killing) == expected
+        outcomes.append(expected[0] if isinstance(expected, tuple) else len(expected))
+    assert outcomes == [2] * 3 + [3] * 3 + [2, 3] + [IrrationalSplit] * 4
 
 
 def test_automorphism_permutation_identity():

@@ -125,6 +125,40 @@ def test_cli_twist_rejects_bad_hypothesis(tmp_path):
     assert "alpha" in result.stderr  # names the failing hypothesis
 
 
+def test_cli_twist_rejects_wrong_sized_maps(tmp_path):
+    lie = tmp_path / "sl2.json"
+    save(sl2_bihom(), lie)
+    identity = tmp_path / "identity2.json"
+    identity.write_text('[["1","0"],["0","1"]]')
+    result = run_cli("twist", str(lie), "--alpha", str(identity),
+                     "--beta", str(identity), "-o", str(tmp_path / "out.json"))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: alpha must be 3x3\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    from bihomlie import cli
+    built, add_subparsers = [], argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):   # called once per parser that main builds
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    try:
+        path = tmp_path / "sl2.json"
+        assert cli.main(["catalog", "sl2", "-o", str(path)]) == 0
+        assert cli.main(["check", "--json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_pass"]
+        assert built == ["bihomlie"]
+    finally:
+        cli.build_parser.cache_clear()
+
+
 def test_cli_analyze_direct_sum(tmp_path):
     src = tmp_path / "double.json"
     save(direct_sum([sl2_bihom(), sl2_bihom()]), src)

@@ -13,6 +13,7 @@ from bihomlie.catalog import (
     unipotent_full,
 )
 from bihomlie.errors import (
+    DimensionMismatch,
     NotAutomorphism,
     NotCommuting,
     NotLie,
@@ -132,6 +133,16 @@ def test_twist_rejects_singular():
     with pytest.raises(SingularMatrix):
         yau_twist(TwistInput(make_sl2(), MatrixQ.diagonal([0, 1, 1]),
                              MatrixQ.identity(3)))
+
+
+def test_twist_rejects_wrong_sized_maps_naming_the_map():
+    # the shape is checked before the rank test, which would call a 2x2 map singular
+    for alpha, beta, name in ((MatrixQ.identity(2), MatrixQ.identity(2), "alpha"),
+                              (MatrixQ.identity(3), MatrixQ.identity(2), "beta"),
+                              (MatrixQ.identity(4), MatrixQ.identity(3), "alpha"),
+                              (MatrixQ.identity(3), MatrixQ([[1, 0, 0], [0, 1, 0]]), "beta")):
+        with pytest.raises(DimensionMismatch, match=f"^{name} must be 3x3$"):
+            yau_twist(TwistInput(make_sl2(), alpha, beta))
 
 
 def test_twist_rejects_non_automorphism_naming_the_map():
