@@ -2,9 +2,11 @@
 Lie algebra, simple-ideal decomposition, structure-map permutations, and
 type-candidate enumeration.
 
-Simplicity is decided by the Burnside criterion. A subspace is an ideal
-exactly when it is invariant under bracketing against every basis vector
-and under both structure maps; over an algebraically closed ground field
+Where `analyze` has a decomposition, simplicity comes from the orbits of
+the structure maps on the minimal ideals (Decomposition.enveloping_dim);
+the Burnside criterion decides the rest. A subspace is an ideal exactly
+when it is invariant under bracketing against every basis vector and
+under both structure maps; over an algebraically closed ground field
 there is no proper common invariant subspace iff the unital matrix algebra
 generated by those operators is the full endomorphism algebra, and the
 rational dimension of that span equals its complex dimension because all
@@ -81,6 +83,36 @@ class Decomposition:
         # m = 2 is structurally consistent in examples even though the
         # decomposition theory singles it out; flagged, never rejected.
         return self.m == 2
+
+    @property
+    def enveloping_dim(self) -> int:
+        """Dimension of the unital algebra generated by the Burnside
+        generators, read off the orbits of the ideals under sigma_alpha and
+        sigma_beta: the sum of (dim of an orbit sum)^2 over the orbits.
+
+        Exact because decompose_bihom returns only when every ideal's
+        commutant is scalar, so every ideal is absolutely simple. Since
+        alpha and beta are invertible and [x, y] = [alpha x, beta y]' in the
+        induced Lie algebra L, the generators and ad(L), alpha, beta generate
+        one algebra; its invariant subspaces are the sums of orbit sums, so
+        each orbit sum is a simple module, absolutely so, and no two are
+        isomorphic (the ideals of one orbit act on it and annihilate the
+        others). By the density theorem (de Graaf 2000, ch. 1) the algebra
+        is the product of the full endomorphism algebras of the orbit sums."""
+        root = list(range(self.m))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for sigma in (self.sigma_alpha, self.sigma_beta):
+            for i, j in enumerate(sigma):
+                root[find(i)] = find(j)
+        orbit_sums = [0] * self.m
+        for i, ideal in enumerate(self.ideals):
+            orbit_sums[find(i)] += ideal.dim
+        return sum(d * d for d in orbit_sums)
 
 
 _SERIES_ORDER = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")

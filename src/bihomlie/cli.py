@@ -118,20 +118,7 @@ def _cmd_twist(args) -> int:
 def _analyze_doc(algebra: BiHomAlgebra) -> dict:
     regular = is_regular(algebra)
     abelian = is_abelian(algebra.tensor)
-    env = enveloping_dim(burnside_generators(algebra))
-    simple = (not abelian) and env == algebra.dim * algebra.dim
-    doc = {
-        "dim": algebra.dim,
-        "regular": regular,
-        "abelian": abelian,
-        "enveloping_dim": env,
-        "simple": simple,
-        "induced": None,
-        "type_candidates": [
-            {"series": t.series, "rank": t.rank, "m": t.m}
-            for t in type_candidates(algebra.dim)
-        ],
-    }
+    induced_doc = decomposition = None
     if regular:
         induced = induce_lie(algebra)
         killing = killing_form(induced[0])
@@ -158,8 +145,21 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
                 }
             except (IrrationalSplit, NotSemisimple) as exc:
                 induced_doc["decomposition"] = {"error": str(exc)}
-        doc["induced"] = induced_doc
-    return doc
+    # the orbits of the ideals give the span's dimension without walking it
+    env = (decomposition.enveloping_dim if decomposition is not None
+           else enveloping_dim(burnside_generators(algebra)))
+    return {
+        "dim": algebra.dim,
+        "regular": regular,
+        "abelian": abelian,
+        "enveloping_dim": env,
+        "simple": (not abelian) and env == algebra.dim * algebra.dim,
+        "induced": induced_doc,
+        "type_candidates": [
+            {"series": t.series, "rank": t.rank, "m": t.m}
+            for t in type_candidates(algebra.dim)
+        ],
+    }
 
 
 def _cmd_analyze(args) -> int:

@@ -350,19 +350,6 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         return self.coordinates(v) is not None
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-style intersection: null combinations of the stacked bases."""
-        self._check(other)
-        if not self.basis_rows or not other.basis_rows:
-            return Subspace.zero(self.ambient_dim)
-        r1, r2 = len(self.basis_rows), len(other.basis_rows)
-        # columns are basis vectors of self and negated basis vectors of other
-        stacked = MatrixQ([[self.basis_rows[i][k] for i in range(r1)]
-                           + [-other.basis_rows[j][k] for j in range(r2)]
-                           for k in range(self.ambient_dim)])
-        return Subspace(self.ambient_dim, [lift_coordinates(self, combo)   # first r1 entries
-                                           for combo in kernel(stacked).basis_rows])
-
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
@@ -373,10 +360,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
-
-    def _check(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
 
 
 def kernel(m: MatrixQ) -> Subspace:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import BiHomAlgebra, StructureTensor
@@ -33,7 +34,11 @@ def parse_rational(text, where: str) -> Fraction:
     match = RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ParseError(f"{where}: {text!r} is not a rational of the form p or p/q")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError as exc:   # beyond the interpreter's integer-string digit limit
+        raise ParseError(f"{where}: {len(text)}-character rational exceeds "
+                         f"the {sys.get_int_max_str_digits()}-digit integer limit") from exc
 
 
 def format_rational(q: Fraction) -> str:
@@ -134,16 +139,21 @@ def dumps_algebra(a: BiHomAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_algebra(text: str) -> BiHomAlgebra:
+def _parse_json(text: str, where: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
-    return algebra_from_dict(doc)
+    except RecursionError as exc:
+        raise ParseError(f"{where}: JSON nested too deeply") from exc
+    except ValueError as exc:   # an integer literal beyond the digit limit
+        raise ParseError(f"{where}: JSON number exceeds the "
+                         f"{sys.get_int_max_str_digits()}-digit integer limit") from exc
 
 
-def load(path) -> BiHomAlgebra:
+def _read_json(path):
+    """The JSON document in a UTF-8 file; every failure is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -151,7 +161,15 @@ def load(path) -> BiHomAlgebra:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    return loads_algebra(text)
+    return _parse_json(text, str(path))
+
+
+def loads_algebra(text: str) -> BiHomAlgebra:
+    return algebra_from_dict(_parse_json(text, "top level"))
+
+
+def load(path) -> BiHomAlgebra:
+    return algebra_from_dict(_read_json(path))
 
 
 def save(a: BiHomAlgebra, path) -> None:
@@ -161,17 +179,7 @@ def save(a: BiHomAlgebra, path) -> None:
 
 def load_matrix(path) -> MatrixQ:
     """A bare matrix file: a JSON grid of rational strings."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                         f"{exc.msg}") from exc
-    rows = _require_list(doc, None, "matrix")
+    rows = _require_list(_read_json(path), None, "matrix")
     if not rows:
         raise ParseError("matrix: expected at least one row")
     width = None

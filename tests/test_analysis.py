@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 
@@ -386,10 +387,33 @@ def test_decompose_bihom_dense_sum():
     assert mapped == sorted(blocks)
 
 
+def intersect(left, right):
+    """Zassenhaus-style intersection: null combinations of the stacked bases."""
+    if left.ambient_dim != right.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    if not left.basis_rows or not right.basis_rows:
+        return Subspace.zero(left.ambient_dim)
+    r1, r2 = len(left.basis_rows), len(right.basis_rows)
+    # columns are basis vectors of left and negated basis vectors of right
+    stacked = MatrixQ([[left.basis_rows[i][k] for i in range(r1)]
+                       + [-right.basis_rows[j][k] for j in range(r2)]
+                       for k in range(left.ambient_dim)])
+    return Subspace(left.ambient_dim, [lift_coordinates(left, combo)   # first r1 entries
+                                       for combo in kernel(stacked).basis_rows])
+
+
+def test_subspace_intersect():
+    left = Subspace(3, [basis_vector(3, 0), basis_vector(3, 1)])
+    right = Subspace(3, [basis_vector(3, 1), basis_vector(3, 2)])
+    assert intersect(left, right) == Subspace(3, [basis_vector(3, 1)])
+    with pytest.raises(DimensionMismatch):
+        intersect(Subspace(3, [basis_vector(3, 0)]), Subspace(2, [basis_vector(2, 0)]))
+
+
 def test_decompose_properties():
     double = direct_sum([sl2_bihom(), sl2_bihom()])
     parts = decompose_semisimple(double.tensor)
-    assert parts[0].intersect(parts[1]).dim == 0
+    assert intersect(parts[0], parts[1]).dim == 0
     assert Subspace(6, list(parts[0].basis_rows) + list(parts[1].basis_rows)) == Subspace.full(6)
     for part in parts:
         assert is_ideal(double, part).is_ideal
@@ -440,7 +464,7 @@ def killing_complement_within(t, killing, inner, outer):
     """Killing-orthogonal complement of `inner` inside `outer`."""
     rows = [killing.apply(b) for b in inner.basis_vectors()]
     orth = kernel(MatrixQ(rows))
-    return orth.intersect(outer)
+    return intersect(orth, outer)
 
 
 def fraction_commutant(ops, d):
@@ -610,6 +634,51 @@ def test_decompose_bihom_block_cycle():
     assert orbit == {0, 1, 2}
     assert decomposition.sigma_beta == (0, 1, 2)
     assert not decomposition.m_warning
+
+
+def block_permutation_matrix(perm, block=3):
+    """Permutation matrix sending block j to block perm[j]."""
+    n = block * len(perm)
+    return MatrixQ.from_columns([basis_vector(n, block * perm[j // block] + j % block)
+                                 for j in range(n)])
+
+
+def test_decomposition_enveloping_dim_matches_span(tmp_path, capsys):
+    """The orbit formula sum (dim of an orbit sum)^2 against the Burnside span."""
+    from bihomlie import cli
+    from bihomlie.fileio import save
+    rng = random.Random(909)
+    parts = [make_L1(2, 3), make_L3(5), make_L2(), make_L1(-3, Q(7, 2))]
+
+    def sl2_twist(k, alpha, beta):
+        return yau_twist(TwistInput(direct_sum([sl2_bihom()] * k).tensor, alpha, beta))
+
+    def blocks(n):
+        return block_diagonal([random_invertible(3, rng) for _ in range(n // 3)])
+
+    klein = sl2_twist(4, block_permutation_matrix([1, 0, 3, 2]),
+                      block_permutation_matrix([2, 3, 0, 1]))
+    cases = [
+        (conjugate_algebra(direct_sum(rng.sample(parts, 2)), random_invertible(6, rng, 1)), 18),
+        (conjugate_algebra(direct_sum(rng.sample(parts, 3)), blocks(9)), 27),
+        (conjugate_algebra(sl2_twist(3, block_permutation(9, 3, 1), MatrixQ.identity(9)),
+                           blocks(9)), 81),
+        (direct_sum([sl2_twist(2, block_permutation(6, 3, 1), MatrixQ.identity(6)),
+                     make_L2()]), 45),
+        (conjugate_algebra(sl2_twist(3, block_permutation_matrix([1, 0, 2]),
+                                     MatrixQ.identity(9)), blocks(9)), 45),
+        (klein, 144),
+        (sl2_twist(4, block_permutation_matrix([1, 0, 3, 2]), MatrixQ.identity(12)), 72),
+    ]
+    for algebra, expected in cases:
+        assert decompose_bihom(algebra).enveloping_dim == expected
+        assert enveloping_dim(burnside_generators(algebra)) == expected
+    # only the two maps together are transitive, so analyze reports it simple
+    path = tmp_path / "klein.json"
+    save(klein, path)
+    assert cli.main(["analyze", "--json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["enveloping_dim"], doc["simple"]) == (144, True)
 
 
 def test_type_candidates_dim3():

@@ -409,3 +409,36 @@ def test_rational_with_trailing_newline_is_rejected(tmp_path, capsys):
     assert cli.main(["twist", str(lie), "--alpha", str(matrix), "--beta", str(identity),
                      "-o", str(tmp_path / "out.json")]) == 2
     assert "is not a rational" in capsys.readouterr().err
+
+
+def test_cli_oversized_inputs_are_parse_errors(tmp_path):
+    """JSON nested past the interpreter's recursion limit and integers past
+    its digit limit are typed parse errors (exit 2), never a traceback."""
+    deep, wide = tmp_path / "deep.json", tmp_path / "wide.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    big = "1" + "0" * 5000
+    wide.write_text(json.dumps([[big, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    lie, bad_alpha = tmp_path / "lie.json", tmp_path / "bad_alpha.json"
+    save(sl2_bihom(), lie)
+    doc = json.loads(dumps_algebra(sl2_bihom()))
+    doc["alpha"][0][0] = big
+    bad_alpha.write_text(json.dumps(doc))
+    number = tmp_path / "number.json"
+    number.write_text('{"dim": ' + big + "}")
+    out = str(tmp_path / "out.json")
+    cases = [(("check", str(deep)), "deep.json: JSON nested too deeply"),
+             (("check", str(number)), "number.json: JSON number exceeds"),
+             (("check", str(bad_alpha)), "alpha[0][0]: 5001-character rational"),
+             (("twist", str(lie), "--alpha", str(deep), "--beta", str(wide), "-o", out),
+              "deep.json: JSON nested too deeply"),
+             (("twist", str(lie), "--alpha", str(wide), "--beta", str(wide), "-o", out),
+              "matrix[0][0]: 5001-character rational"),
+             (("catalog", "L1", "--a", big, "--b", "1", "-o", out),
+              "--a: 5001-character rational")]
+    for argv, message in cases:
+        result = run_cli(*argv)
+        assert result.returncode == 2, argv
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and message in result.stderr, result.stderr
+    with pytest.raises(ParseError, match="top level: JSON nested too deeply"):
+        loads_algebra(deep.read_text())

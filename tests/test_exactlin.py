@@ -293,12 +293,6 @@ def test_subspace_sum():
     assert total == Subspace(3, [basis_vector(3, 0), basis_vector(3, 1)])
 
 
-def test_subspace_intersect():
-    left = Subspace(3, [basis_vector(3, 0), basis_vector(3, 1)])
-    right = Subspace(3, [basis_vector(3, 1), basis_vector(3, 2)])
-    assert left.intersect(right) == Subspace(3, [basis_vector(3, 1)])
-
-
 def test_subspace_contains_full():
     rng = random.Random(16)
     full = Subspace.full(4)
@@ -311,8 +305,6 @@ def test_subspace_dimension_mismatch():
     left, right = Subspace(3, [basis_vector(3, 0)]), Subspace(2, [basis_vector(2, 0)])
     with pytest.raises(DimensionMismatch):
         Subspace(3, list(left.basis_rows) + list(right.basis_rows))
-    with pytest.raises(DimensionMismatch):
-        left.intersect(right)
 
 
 def test_det_matches_char_poly_constant():
