@@ -39,8 +39,8 @@ from operator import mul
 from .errors import DimensionMismatch
 from .exactlin import (
     MatrixQ,
-    Q,
     Vector,
+    cleared,
     fractions_over,
     int_product,
     invert,
@@ -341,24 +341,28 @@ def is_regular(a: BiHomAlgebra) -> bool:
     return rank(a.alpha) == a.dim and rank(a.beta) == a.dim
 
 
-def _bracket_matrix(t: StructureTensor, x, planes) -> MatrixQ:
-    """The matrix whose column j is sum_i x_i planes[i][j]."""
+def _bracket_matrix(t: StructureTensor, x, right: bool) -> MatrixQ:
+    """The matrix whose column j is sum_i x_i planes[i][j], planes the
+    tensor's scaled view (transposed in its first two indices when right),
+    over the lcm of both denominators."""
     x = vector(x)
     if len(x) != t.dim:
         raise DimensionMismatch("vector length does not match algebra dimension")
-    terms = [(xi, planes[i]) for i, xi in enumerate(x) if xi]
-    return MatrixQ([[sum((xi * plane[j][k] for xi, plane in terms), Q(0))
-                     for j in range(t.dim)] for k in range(t.dim)])
+    (dc, c), (dx, xs) = t.scaled(), cleared(x)
+    planes = tuple(zip(*c)) if right else c
+    terms = [(xi, planes[i]) for i, xi in enumerate(xs) if xi]
+    return MatrixQ.from_scaled(dc * dx, [[sum(xi * plane[j][k] for xi, plane in terms)
+                                          for j in range(t.dim)] for k in range(t.dim)])
 
 
 def ad_matrix(t: StructureTensor, x) -> MatrixQ:
     """Matrix of w -> [x, w]: column j is sum_i x_i c[i][j]."""
-    return _bracket_matrix(t, x, t.c)
+    return _bracket_matrix(t, x, False)
 
 
 def right_bracket_matrix(t: StructureTensor, x) -> MatrixQ:
     """Matrix of w -> [w, x]: column j is sum_i x_i c[j][i]."""
-    return _bracket_matrix(t, x, tuple(zip(*t.c)))
+    return _bracket_matrix(t, x, True)
 
 
 def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,

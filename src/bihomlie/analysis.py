@@ -2,26 +2,32 @@
 Lie algebra, simple-ideal decomposition, structure-map permutations, and
 type-candidate enumeration.
 
-Where `analyze` has a decomposition, simplicity comes from the orbits of
-the structure maps on the minimal ideals (Decomposition.enveloping_dim);
-the Burnside criterion decides the rest. A subspace is an ideal exactly
-when it is invariant under bracketing against every basis vector and
-under both structure maps; over an algebraically closed ground field
-there is no proper common invariant subspace iff the unital matrix algebra
-generated by those operators is the full endomorphism algebra, and the
-rational dimension of that span equals its complex dimension because all
-generators are rational. The span is computed over the integers: scaling a
-generator by the lcm of its denominators multiplies every product it enters
-by a nonzero scalar, which changes no span. The Killing form is contracted
-from the tensor's scaled view. A semisimple algebra is decomposed one split
+Simplicity follows one rule, _simplicity, behind both is_simple and
+analyze: when the algebra is regular and its induced Lie algebra splits,
+it comes from the orbits of the structure maps on the minimal ideals
+(Decomposition.enveloping_dim); the Burnside criterion decides the rest.
+A subspace is an ideal exactly when it is invariant under bracketing
+against every basis vector and under both structure maps; over an
+algebraically closed ground field there is no proper common invariant
+subspace iff the unital matrix algebra generated by those operators is the
+full endomorphism algebra, and the rational dimension of that span equals
+its complex dimension because all generators are rational. The span is
+computed over the integers: scaling a generator by the lcm of its
+denominators multiplies every product it enters by a nonzero scalar, which
+changes no span. The Killing form is contracted from the tensor's scaled
+view. A semisimple algebra is decomposed one split
 at a time (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1): a
 proper ideal and its Killing complement, each restricted to the coordinates
-of its RREF basis and decomposed as a Lie algebra of its own.
+of its RREF basis and decomposed as a Lie algebra of its own. A part of
+dimension below 6 is minimal as it stands: a split would need two semisimple
+parts of dimension 3 or more, and a 3-dimensional one is a form of sl2,
+absolutely simple, which keeps Decomposition.enveloping_dim exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 from .algebra import (
@@ -40,6 +46,7 @@ from .errors import (
     IrrationalSplit,
     NotLie,
     NotPermuted,
+    NotRegular,
     NotSemisimple,
 )
 from .exactlin import (
@@ -58,6 +65,7 @@ from .exactlin import (
     rational_roots,
     vector,
 )
+from .twist import induce_lie
 
 
 @dataclass(frozen=True)
@@ -220,16 +228,38 @@ def burnside_generators(a: BiHomAlgebra) -> list[MatrixQ]:
 
 
 def is_simple(a: BiHomAlgebra) -> bool:
-    """No proper ideals and not abelian, decided by Burnside: the bracketing
-    operators together with alpha and beta must generate the full matrix
-    algebra as a unital algebra."""
+    """No proper ideals and not abelian: the bracketing operators together
+    with alpha and beta generate the full matrix algebra as a unital algebra,
+    an enveloping dimension of dim^2 found by the rule of _simplicity."""
     report = check_all(a)
     if not report.all_pass:
         raise AxiomViolation("is_simple requires a verified algebra; failing: "
                              + ", ".join(report.failures()))
     if is_abelian(a.tensor):
         return False
-    return enveloping_dim(burnside_generators(a)) == a.dim * a.dim
+    return _simplicity(a)[2] == a.dim * a.dim
+
+
+def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
+    """The simplicity rule for a verified algebra, behind is_simple and
+    analyze: (det of the induced Killing form, None when a is not regular;
+    the Decomposition, else the IrrationalSplit or NotSemisimple that
+    stopped it, else None; the enveloping dimension, read off the
+    decomposition when there is one and spanned otherwise)."""
+    try:
+        induced = induce_lie(a)
+    except NotRegular:
+        return None, None, enveloping_dim(burnside_generators(a))
+    killing = killing_form(induced[0])
+    killing_det, outcome = det(killing), None
+    if killing_det != 0:
+        try:
+            outcome = decompose_bihom(a, induced, killing)
+        except (IrrationalSplit, NotSemisimple) as exc:
+            outcome = exc
+    env = (outcome.enveloping_dim if isinstance(outcome, Decomposition)
+           else enveloping_dim(burnside_generators(a)))
+    return killing_det, outcome, env
 
 
 def killing_form(t: StructureTensor) -> MatrixQ:
@@ -319,6 +349,8 @@ def _minimal_ideals(t: StructureTensor, killing: MatrixQ) -> list[Subspace]:
     each part as a Lie algebra of its own: with B its RREF basis as columns
     and P its pivot selector, the tensor P [B e_i, B e_j] and the form B^T K B."""
     n = t.dim
+    if n < 6:   # a split needs two semisimple parts, each of dimension 3 or more
+        return [Subspace.full(n)]
     ideal = _proper_ideal([ad_matrix(t, basis_vector(n, k)) for k in range(n)])
     if ideal is None:
         return [Subspace.full(n)]
@@ -373,16 +405,13 @@ def decompose_bihom(a: BiHomAlgebra, induced=None,
                     killing: MatrixQ | None = None) -> Decomposition:
     """Decompose the induced Lie algebra into minimal ideals and read off the
     permutations the structure maps induce on them; `induced` and `killing`
-    may carry induce_lie(a) and the Killing form of its tensor."""
-    from .twist import induce_lie
+    may carry induce_lie(a) and the Killing form of its tensor. One ideal is
+    fixed by both maps, which induce_lie has already inverted."""
     induced, alpha, beta = induce_lie(a) if induced is None else induced
     ideals = decompose_semisimple(induced, killing)
-    return Decomposition(
-        ideals=tuple(ideals),
-        sigma_alpha=automorphism_permutation(ideals, alpha),
-        sigma_beta=automorphism_permutation(ideals, beta),
-        m=len(ideals),
-    )
+    sigmas = ([(0,)] * 2 if len(ideals) == 1
+              else [automorphism_permutation(ideals, m) for m in (alpha, beta)])
+    return Decomposition(tuple(ideals), *sigmas, m=len(ideals))
 
 
 def _series_rank_for(series: str, quotient: int) -> int | None:

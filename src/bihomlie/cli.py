@@ -14,24 +14,10 @@ import json
 import sys
 
 from . import catalog
-from .algebra import BiHomAlgebra, check_all, is_abelian, is_regular
-from .analysis import (
-    burnside_generators,
-    decompose_bihom,
-    enveloping_dim,
-    killing_form,
-    type_candidates,
-)
+from .algebra import BiHomAlgebra, check_all, is_abelian
+from .analysis import Decomposition, _simplicity, type_candidates
 from .classify3 import bihom_isomorphic3, classify3
-from .errors import (
-    BiHomError,
-    DimensionMismatch,
-    IrrationalSplit,
-    NotSemisimple,
-    ParseError,
-    ZeroParameter,
-)
-from .exactlin import det
+from .errors import BiHomError, DimensionMismatch, ParseError, ZeroParameter
 from .fileio import (
     format_rational,
     load,
@@ -116,41 +102,27 @@ def _cmd_twist(args) -> int:
 
 
 def _analyze_doc(algebra: BiHomAlgebra) -> dict:
-    regular = is_regular(algebra)
+    killing_det, outcome, env = _simplicity(algebra)
     abelian = is_abelian(algebra.tensor)
-    induced_doc = decomposition = None
-    if regular:
-        induced = induce_lie(algebra)
-        killing = killing_form(induced[0])
-        killing_det = det(killing)
-        semisimple = killing_det != 0
-        induced_doc = {
-            "killing_det": format_rational(killing_det),
-            "semisimple": semisimple,
-            "decomposition": None,
-        }
-        if semisimple:
-            try:
-                decomposition = decompose_bihom(algebra, induced, killing)
-                induced_doc["decomposition"] = {
-                    "m": decomposition.m,
-                    "ideal_dims": [s.dim for s in decomposition.ideals],
-                    "ideal_bases": [
-                        [_vector_strings(v) for v in s.basis_vectors()]
-                        for s in decomposition.ideals
-                    ],
-                    "sigma_alpha": list(decomposition.sigma_alpha),
-                    "sigma_beta": list(decomposition.sigma_beta),
-                    "m_warning": decomposition.m_warning,
-                }
-            except (IrrationalSplit, NotSemisimple) as exc:
-                induced_doc["decomposition"] = {"error": str(exc)}
-    # the orbits of the ideals give the span's dimension without walking it
-    env = (decomposition.enveloping_dim if decomposition is not None
-           else enveloping_dim(burnside_generators(algebra)))
+    induced_doc = None
+    if killing_det is not None:
+        induced_doc = {"killing_det": format_rational(killing_det),
+                       "semisimple": killing_det != 0, "decomposition": None}
+        if isinstance(outcome, Decomposition):
+            induced_doc["decomposition"] = {
+                "m": outcome.m,
+                "ideal_dims": [s.dim for s in outcome.ideals],
+                "ideal_bases": [[_vector_strings(v) for v in s.basis_vectors()]
+                                for s in outcome.ideals],
+                "sigma_alpha": list(outcome.sigma_alpha),
+                "sigma_beta": list(outcome.sigma_beta),
+                "m_warning": outcome.m_warning,
+            }
+        elif outcome is not None:
+            induced_doc["decomposition"] = {"error": str(outcome)}
     return {
         "dim": algebra.dim,
-        "regular": regular,
+        "regular": killing_det is not None,
         "abelian": abelian,
         "enveloping_dim": env,
         "simple": (not abelian) and env == algebra.dim * algebra.dim,

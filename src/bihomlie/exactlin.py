@@ -423,40 +423,11 @@ class PolyQ:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def __call__(self, x) -> Fraction:
-        x = as_fraction(x)
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other):
         return isinstance(other, PolyQ) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if self.is_zero() or other.is_zero():
-            return PolyQ([])
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyQ(out)
-
-    def divide_linear(self, root) -> "PolyQ":
-        """Synthetic division by (x - root); the root must be exact."""
-        root = as_fraction(root)
-        out = []
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        remainder = out.pop()
-        if remainder != 0:
-            raise ValueError(f"{root} is not a root")
-        return PolyQ(list(reversed(out)))
 
     def __repr__(self):
         if self.is_zero():
@@ -467,17 +438,20 @@ class PolyQ:
 
 def char_poly(m: MatrixQ) -> PolyQ:
     """Monic characteristic polynomial det(xI - m) by the Faddeev-LeVerrier
-    recursion (exact over the rationals)."""
+    recursion on the scaled view (d, A = d*m): N_k = A (N_(k-1) + c_(k-1) I)
+    and c_k = -tr(N_k)/k, a division that is exact for integral A. c_k is
+    the coefficient of x^(n-k) in det(xI - A), so that of m is c_k / d^k."""
     m._require_square()
     n = m.rows
-    coeffs_high_first = [Q(1)]
-    mk = MatrixQ.zeros(n, n)
-    c = Q(1)
+    d, a = m.scaled()
+    coeffs_high_first, mk, c = [Q(1)], [[0] * n for _ in range(n)], 1
     for k in range(1, n + 1):
-        mk = m * (mk + MatrixQ.identity(n).scale(c))
-        c = -mk.trace() / k
-        coeffs_high_first.append(c)
-    return PolyQ(list(reversed(coeffs_high_first)))
+        for i in range(n):
+            mk[i][i] += c
+        mk = int_product(a, mk)
+        c = -sum(mk[i][i] for i in range(n)) // k
+        coeffs_high_first.append(Fraction(c, d ** k))
+    return PolyQ(coeffs_high_first[::-1])
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
@@ -529,6 +503,20 @@ def _sign_changes(chain: list[list[int]], x: int) -> int:
     return count
 
 
+def _divide_linear(f: list[int], root: Fraction) -> list[int] | None:
+    """f / (b x - a) for root = a/b in lowest terms, or None when root is no
+    root of f. When root is a root the quotient of a primitive f is integral
+    and primitive (Gauss's lemma), so a division with a remainder disproves it."""
+    a, b = root.numerator, root.denominator
+    out, carry = [], 0
+    for c in reversed(f[1:]):   # f_k = b q_(k-1) - a q_k, from the top
+        carry, r = divmod(c + a * carry, b)
+        if r:
+            return None
+        out.append(carry)
+    return out[::-1] if f[0] == -a * carry else None
+
+
 def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
     """All rational roots with multiplicities, in increasing order, and the
     residual: p divided by them, which has no rational root left.
@@ -540,7 +528,9 @@ def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
     root to a unit interval, whose integer end is tested exactly (after
     Collins & Akritas 1976): at most d * (log2 B + 2) Sturm evaluations, so
     the time is polynomial in d and the coefficient bit length, and nothing
-    is factored. Synthetic division by each root gives its multiplicity."""
+    is factored. Each root a/b divides f by b x - a for as long as the
+    division is exact, which gives its multiplicity; the last quotient,
+    rescaled to the leading coefficient of p, is the residual."""
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
     if p.is_constant():
@@ -564,15 +554,15 @@ def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
             stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
         else:   # hi is the only integer in (lo, hi]; division tests it
             found.append(Fraction(hi, lead))
-    roots, work = [], p
+    roots, work = [], ints
     for root in sorted(found):
         mult = 0
-        while not work.is_constant() and work(root) == 0:
-            work = work.divide_linear(root)
-            mult += 1
+        while len(work) > 1 and (q := _divide_linear(work, root)) is not None:
+            work, mult = q, mult + 1
         if mult:
             roots.append((root, mult))
-    return roots, work
+    scale = p.coeffs[-1] / work[-1]
+    return roots, PolyQ([scale * c for c in work])
 
 
 def sqrt_fraction(q: Fraction):

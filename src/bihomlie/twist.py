@@ -67,7 +67,10 @@ def yau_twist(tw: TwistInput) -> BiHomAlgebra:
 def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
     """Recover the induced Lie algebra of a regular BiHom-Lie algebra:
     [e_i, e_j]' = [alpha^-1(e_i), beta^-1(e_j)]. Returns the Lie tensor
-    together with the original maps, which are automorphisms of it."""
+    together with the original maps, which are automorphisms of it; the
+    result is computed once per algebra object and kept on it."""
+    if "_induced" in a.__dict__:
+        return a.__dict__["_induced"]
     try:
         alpha_inv = invert(a.alpha)
         beta_inv = invert(a.beta)
@@ -84,7 +87,8 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
         raise AxiomViolation(
             f"induced bracket is not Lie: {lie_check.witness.detail} "
             f"at indices {lie_check.witness.indices}")
-    return induced, a.alpha, a.beta
+    object.__setattr__(a, "_induced", (induced, a.alpha, a.beta))
+    return a._induced
 
 
 def roundtrip_check(tw: TwistInput) -> bool:

@@ -10,9 +10,11 @@ from bihomlie.algebra import (
     ad_matrix,
     conjugate_algebra,
     conjugate_tensor,
+    is_abelian,
 )
 from bihomlie.analysis import (
     TypeLabel,
+    _simplicity,
     automorphism_permutation,
     burnside_generators,
     decompose_bihom,
@@ -280,6 +282,47 @@ def test_simple_implies_every_closure_is_full():
             continue
         assert ideal_closure(algebra, v) == Subspace.full(3)
         count += 1
+
+
+def test_is_simple_matches_span_on_every_route():
+    """is_simple against the Burnside span on inputs that take each route of
+    the rule: the orbits of a decomposition, and the span for a non-regular
+    input, a degenerate Killing form and an irrational split."""
+    rng = random.Random(1012)
+
+    def sl2_twist(k, alpha, beta):
+        return yau_twist(TwistInput(direct_sum([sl2_bihom()] * k).tensor, alpha, beta))
+
+    sl2_plus_line = StructureTensor.from_brackets(4, {
+        (i, j): tuple(make_sl2().bracket_basis(i, j)) + (0,) for i in range(3) for j in range(3)})
+    cases = [conjugate_algebra(a, random_invertible(3, rng, 3))
+             for a in (make_L1(2, 3), make_L2(), make_L3(5), sl2_bihom())]
+    cases += [
+        conjugate_algebra(direct_sum([make_L1(-3, Q(7, 2)), make_L3(-1)]),
+                          block_diagonal([random_invertible(3, rng) for _ in range(2)])),
+        conjugate_algebra(sl2_twist(3, block_permutation(9, 3, 1), MatrixQ.identity(9)),
+                          block_diagonal([random_invertible(3, rng) for _ in range(3)])),
+        sl2_twist(4, block_permutation_matrix([1, 0, 3, 2]),
+                  block_permutation_matrix([2, 3, 0, 1])),
+        conjugate_algebra(direct_sum([make_L1(2, 3), abelian_bihom(1)]),
+                          random_invertible(4, rng)),
+        conjugate_algebra(BiHomAlgebra(dim=4, tensor=sl2_plus_line,
+                                       alpha=MatrixQ.diagonal([1, 1, 1, 0]),
+                                       beta=MatrixQ.identity(4)), random_invertible(4, rng)),
+        BiHomAlgebra(dim=6, tensor=sqrt2_double_sl2(),
+                     alpha=MatrixQ.identity(6), beta=MatrixQ.identity(6)),
+    ]
+    routes, verdicts = [], []
+    for a in cases:
+        span = enveloping_dim(burnside_generators(a))
+        verdicts.append(is_simple(a))
+        assert verdicts[-1] == (not is_abelian(a.tensor) and span == a.dim ** 2)
+        killing_det, outcome, env = _simplicity(a)
+        assert env == span
+        routes.append("not regular" if killing_det is None else
+                      "degenerate" if killing_det == 0 else type(outcome).__name__)
+    assert routes == ["Decomposition"] * 7 + ["degenerate", "not regular", "IrrationalSplit"]
+    assert verdicts == [True] * 4 + [False, True, True] + [False] * 3
 
 
 def test_killing_form_sl2():

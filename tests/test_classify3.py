@@ -441,3 +441,67 @@ def test_split_undecided_on_unfactorable_forms():
     with pytest.raises(SplitUndecided, match="cannot factor"):
         find_sl2_triple(quaternion_lie(SEMIPRIME_A, SEMIPRIME_B))
     assert time.perf_counter() - start < 1.0
+
+
+def test_classify3_spans_nothing_and_induces_once(monkeypatch):
+    """On regular inputs the simplicity gate reads the decomposition, and
+    classify3 reuses the induced tensor that the gate computed."""
+    import bihomlie.analysis as analysis
+    import bihomlie.twist as twist
+    spans, induced = [], []
+    transform = twist.transform_tensor
+    monkeypatch.setattr(analysis, "enveloping_dim", lambda gens: spans.append(gens))
+
+    def counting(t, *maps):
+        induced.append(t)
+        return transform(t, *maps)
+    monkeypatch.setattr(twist, "transform_tensor", counting)
+    rng = random.Random(1013)
+    inputs = [conjugate_algebra(a, random_invertible(3, rng))
+              for a in (make_L1(2, 3), make_L1(-1, 5), make_L1(1, 1), make_L2(), make_L3(4))]
+    for a in inputs:
+        classify3(a)
+        assert sum(t is a.tensor for t in induced) == 1
+    a1, a2 = (conjugate_algebra(make_L3(Q(-2, 3)), random_invertible(3, rng)) for _ in range(2))
+    assert bihom_isomorphic3(a1, a2) is not None
+    assert [sum(t is a.tensor for t in induced) for a in (a1, a2)] == [1, 1]
+    assert spans == []
+
+
+def _property_case(rng, path):
+    """(input algebra, family, params, catalog algebra of that label) of one
+    seeded case on a profile path."""
+    def generic():   # a nonzero rational other than 1 and -1
+        while abs(x := random_fraction(rng, 6, nonzero=True)) == 1:
+            pass
+        return x
+    if path == "L2":
+        return make_L2(), "L2", (), make_L2()
+    if path == "L3":
+        a = random_fraction(rng, 9)
+        return make_L3(a), "L3", (a,), make_L3(a)
+    a = Q(-1) if path == "L1(-1,b)" else generic()
+    b = Q(1) if path == "L1(a,1)" else generic()
+    params = normalize_l1_params(a, b)[:2]
+    return make_L1(a, b), "L1", params, make_L1(*params)
+
+
+def test_classifier_paths_under_random_bases():
+    """Seeded random-basis cases through classify3 and iso3 on every profile
+    path; each label is certified by conjugating back to the catalog algebra."""
+    rng = random.Random(1014)
+    paths = ("L1 generic", "L1(a,1)", "L1(-1,b)", "L2", "L3")
+    for path in paths * 6:
+        algebra, family, params, expected = _property_case(rng, path)
+        conj = conjugate_algebra(algebra, random_invertible(3, rng, 3))
+        label = classify3(conj)
+        assert (label.family, label.params) == (family, params)
+        back = conjugate_algebra(conj, label.change_of_basis)
+        assert (back.tensor, back.alpha, back.beta) == \
+            (expected.tensor, expected.alpha, expected.beta)
+        other = conjugate_algebra(algebra, random_invertible(3, rng))
+        f = bihom_isomorphic3(conj, other)
+        assert f is not None
+        _assert_intertwines(f, conj, other)
+        different = make_L3(7) if family != "L3" else make_L2()
+        assert bihom_isomorphic3(conj, different) is None

@@ -31,11 +31,38 @@ from conftest import random_fraction, random_invertible
 UNIPOTENT = MatrixQ([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
 
+def poly_mul(p, q):
+    """The product of two PolyQ."""
+    out = [Q(0)] * (len(p.coeffs) + len(q.coeffs) - 1) if p.coeffs and q.coeffs else []
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return PolyQ(out)
+
+
+def poly_eval(p, x):
+    """p(x) by Horner's rule in Fraction arithmetic."""
+    acc = Q(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def divide_linear(p, root):
+    """Synthetic division of p by (x - root); root must be a root of p."""
+    out, acc = [], Q(0)
+    for c in reversed(p.coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    assert out.pop() == 0, f"{root} is not a root"
+    return PolyQ(out[::-1])
+
+
 def poly_from_roots(roots):
     """Monic polynomial with the given roots (with multiplicity)."""
     p = PolyQ([1])
     for r in roots:
-        p = p * PolyQ([-Q(r), 1])
+        p = poly_mul(p, PolyQ([-Q(r), 1]))
     return p
 
 
@@ -214,8 +241,8 @@ def divisor_rational_roots(p):
                          for den in _divisors(ints[-1]) for sign in (1, -1)})
     for cand in candidates:
         mult = 0
-        while not work.is_constant() and work(cand) == 0:
-            work = work.divide_linear(cand)
+        while not work.is_constant() and poly_eval(work, cand) == 0:
+            work = divide_linear(work, cand)
             mult += 1
         if mult:
             roots.append((cand, mult))
@@ -251,19 +278,19 @@ def test_rational_roots_matches_divisor_oracle():
         degree = rng.randint(1, 8)
         p = PolyQ([random_fraction(rng, 6, nonzero=True)])
         if rng.random() < 0.2:
-            p = p * PolyQ([0, 1])
+            p = poly_mul(p, PolyQ([0, 1]))
         while p.degree < degree:
             piece = _random_factor(rng)
             if p.degree + piece.degree > degree:
                 continue
-            p = p * piece
+            p = poly_mul(p, piece)
             if piece.degree == 1 and rng.random() < 0.25 and p.degree < degree:
-                p = p * piece
+                p = poly_mul(p, piece)
         roots, residual = rational_roots(p)
         assert (roots, residual) == divisor_rational_roots(p)
         rebuilt = residual
         for root, mult in roots:
-            rebuilt = rebuilt * poly_from_roots([root] * mult)
+            rebuilt = poly_mul(rebuilt, poly_from_roots([root] * mult))
         assert rebuilt == p
         seen_zero += any(r == 0 for r, _ in roots)
         seen_repeated += any(m > 1 for _, m in roots)
@@ -312,7 +339,7 @@ def test_det_matches_char_poly_constant():
     for _ in range(6):
         m = MatrixQ([[random_fraction(rng, 3) for _ in range(3)] for _ in range(3)])
         # det(xI - m) at x = 0 is (-1)^n det(m)
-        assert char_poly(m)(0) == -det(m)
+        assert poly_eval(char_poly(m), 0) == -det(m)
 
 
 def test_sqrt_fraction():
@@ -563,3 +590,61 @@ def test_product_matches_fraction_oracle_and_keeps_lowest_terms():
                    for x, y in zip(row, erow))
     with pytest.raises(DimensionMismatch):
         MatrixQ.identity(2) * MatrixQ.identity(3)
+
+
+def fraction_char_poly(m):
+    """Reference: the Faddeev-LeVerrier recursion in Fraction arithmetic, as
+    char_poly ran before it moved to the scaled view."""
+    n = m.rows
+    coeffs_high_first = [Q(1)]
+    mk = MatrixQ.zeros(n, n)
+    c = Q(1)
+    for k in range(1, n + 1):
+        shifted = MatrixQ([[x + c if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(mk.entries)])
+        mk = fraction_matmul(m, shifted)
+        c = -sum(mk.entries[i][i] for i in range(n)) / k
+        coeffs_high_first.append(c)
+    return PolyQ(list(reversed(coeffs_high_first)))
+
+
+def test_char_poly_matches_fraction_oracle():
+    rng = random.Random(1010)
+    cases = [MatrixQ([[Q(-7, 3)]]), MatrixQ([[0]]), MatrixQ.zeros(4, 4),
+             MatrixQ([[0, Q(1, 2), 3], [0, 0, Q(-5, 7)], [0, 0, 0]]),   # nilpotent
+             MatrixQ.identity(5).scale(Q(10 ** 30, 3))]
+    for _ in range(60):
+        # 8x8 at height 10^30 with 64 distinct denominators takes seconds either way
+        n = rng.randint(1, 8)
+        height = rng.choice((1, 3, 9) + ((10 ** 12, 10 ** 30) if n <= 5 else ()))
+        cases.append(random_shaped(rng, n, n, rng.randint(0, n), height))
+    for n in (7, 8):   # integral at height 10^30, and one denominator
+        ints = [[rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)] for _ in range(n)]
+        cases += [MatrixQ(ints), MatrixQ(ints).scale(Q(1, 10 ** 30 + 57))]
+    for n in (3, 6):   # nilpotent in a dense basis
+        basis = random_invertible(n, rng, spread=4)
+        shift = MatrixQ([[Q(rng.randint(1, 9), rng.randint(1, 9)) if j == i + 1 else 0
+                          for j in range(n)] for i in range(n)])
+        cases.append(fraction_matmul(fraction_matmul(basis, shift), fraction_invert(basis)))
+    for m in cases:
+        assert char_poly(m) == fraction_char_poly(m)
+    assert char_poly(cases[-1]) == PolyQ([0] * 6 + [1])
+    with pytest.raises(DimensionMismatch, match="square matrix required"):
+        char_poly(MatrixQ([[1, 2]]))
+
+
+def test_rational_roots_repeated_roots_under_non_monic_leads():
+    """Repeated roots a/b with b > 1 under a leading coefficient that is not
+    1: the residual must come back over the leading coefficient of p."""
+    rng = random.Random(1011)
+    for _ in range(150):
+        p = PolyQ([random_fraction(rng, 9, nonzero=True)])
+        for _ in range(rng.randint(1, 2)):
+            root = PolyQ([rng.randint(-9, 9), rng.randint(2, 5)])
+            for _ in range(rng.randint(1, 3)):
+                p = poly_mul(p, root)
+        if rng.random() < 0.5:
+            p = poly_mul(p, PolyQ([rng.randint(1, 5), 0, rng.randint(1, 5)]))
+        roots, residual = rational_roots(p)
+        assert (roots, residual) == divisor_rational_roots(p)
+        assert residual.coeffs[-1] == p.coeffs[-1]
