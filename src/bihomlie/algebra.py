@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import DimensionMismatch
+from .errors import AxiomViolation, DimensionMismatch
 from .exactlin import (
     MatrixQ,
     Vector,
@@ -44,7 +44,6 @@ from .exactlin import (
     fractions_over,
     int_product,
     invert,
-    rank,
     reshape,
     vec_add,
     vec_is_zero,
@@ -305,6 +304,15 @@ def check_all(a: BiHomAlgebra) -> AxiomReport:
     return a.__dict__["_axiom_report"]
 
 
+def require_axioms(a: BiHomAlgebra) -> None:
+    """The gate of every entry point that needs a verified algebra: raise
+    AxiomViolation naming the failing checks of check_all."""
+    failures = check_all(a).failures()
+    if failures:
+        raise AxiomViolation("input is not a verified BiHom-Lie algebra; "
+                             "failing checks: " + ", ".join(failures))
+
+
 def is_lie_algebra(t: StructureTensor) -> CheckResult:
     """Ordinary skew-symmetry, then the classical Jacobi identity; run once
     per tensor object and kept on it."""
@@ -334,11 +342,6 @@ def check_multiplicative(a: BiHomAlgebra) -> CheckResult:
 
 def is_abelian(t: StructureTensor) -> bool:
     return t.is_zero()
-
-
-def is_regular(a: BiHomAlgebra) -> bool:
-    """True iff both structure maps are invertible."""
-    return rank(a.alpha) == a.dim and rank(a.beta) == a.dim
 
 
 def _bracket_matrix(t: StructureTensor, x, right: bool) -> MatrixQ:

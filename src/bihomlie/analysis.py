@@ -34,14 +34,13 @@ from .algebra import (
     BiHomAlgebra,
     StructureTensor,
     ad_matrix,
-    check_all,
     is_abelian,
     is_lie_algebra,
+    require_axioms,
     right_bracket_matrix,
     transform_tensor,
 )
 from .errors import (
-    AxiomViolation,
     DimensionMismatch,
     IrrationalSplit,
     NotLie,
@@ -158,10 +157,7 @@ def _spin(ops: list[MatrixQ], seeds: list[Vector]) -> Subspace:
 def ideal_closure(a: BiHomAlgebra, v) -> Subspace:
     """Smallest subspace containing v that is stable under both structure
     maps and under bracketing with the whole algebra on either side."""
-    report = check_all(a)
-    if not report.all_pass:
-        raise AxiomViolation("ideal_closure requires a verified algebra; failing: "
-                             + ", ".join(report.failures()))
+    require_axioms(a)
     return _spin(burnside_generators(a), [vector(v)])
 
 
@@ -231,10 +227,7 @@ def is_simple(a: BiHomAlgebra) -> bool:
     """No proper ideals and not abelian: the bracketing operators together
     with alpha and beta generate the full matrix algebra as a unital algebra,
     an enveloping dimension of dim^2 found by the rule of _simplicity."""
-    report = check_all(a)
-    if not report.all_pass:
-        raise AxiomViolation("is_simple requires a verified algebra; failing: "
-                             + ", ".join(report.failures()))
+    require_axioms(a)
     if is_abelian(a.tensor):
         return False
     return _simplicity(a)[2] == a.dim * a.dim
@@ -247,14 +240,14 @@ def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
     stopped it, else None; the enveloping dimension, read off the
     decomposition when there is one and spanned otherwise)."""
     try:
-        induced = induce_lie(a)
+        induced = induce_lie(a)[0]
     except NotRegular:
         return None, None, enveloping_dim(burnside_generators(a))
-    killing = killing_form(induced[0])
+    killing = killing_form(induced)
     killing_det, outcome = det(killing), None
     if killing_det != 0:
         try:
-            outcome = decompose_bihom(a, induced, killing)
+            outcome = decompose_bihom(a, killing)
         except (IrrationalSplit, NotSemisimple) as exc:
             outcome = exc
     env = (outcome.enveloping_dim if isinstance(outcome, Decomposition)
@@ -372,11 +365,13 @@ def decompose_semisimple(t: StructureTensor, killing: MatrixQ | None = None) -> 
     ideal I is found by spinning, else in the commutant of the adjoint action;
     ad(e_k) restricted to I spans ad_I(I), since the complement acts on I as
     zero, so decomposing I alone finds what the whole algebra would. `killing`
-    may carry the Killing form of t."""
+    may carry the Killing form of t once its determinant is known to be
+    nonzero; without it the form is computed and a degenerate one raises
+    NotSemisimple."""
     if killing is None:
         killing = killing_form(t)
-    if det(killing) == 0:
-        raise NotSemisimple("Killing form is degenerate")
+        if det(killing) == 0:
+            raise NotSemisimple("Killing form is degenerate")
     return sorted(_minimal_ideals(t, killing), key=lambda s: (_pivots(s), s.basis_rows))
 
 
@@ -401,13 +396,12 @@ def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, .
     return tuple(sigma)
 
 
-def decompose_bihom(a: BiHomAlgebra, induced=None,
-                    killing: MatrixQ | None = None) -> Decomposition:
+def decompose_bihom(a: BiHomAlgebra, killing: MatrixQ | None = None) -> Decomposition:
     """Decompose the induced Lie algebra into minimal ideals and read off the
-    permutations the structure maps induce on them; `induced` and `killing`
-    may carry induce_lie(a) and the Killing form of its tensor. One ideal is
-    fixed by both maps, which induce_lie has already inverted."""
-    induced, alpha, beta = induce_lie(a) if induced is None else induced
+    permutations the structure maps induce on them; `killing` is passed on to
+    decompose_semisimple. One ideal is fixed by both maps, which induce_lie
+    has already inverted."""
+    induced, alpha, beta = induce_lie(a)
     ideals = decompose_semisimple(induced, killing)
     sigmas = ([(0,)] * 2 if len(ideals) == 1
               else [automorphism_permutation(ideals, m) for m in (alpha, beta)])

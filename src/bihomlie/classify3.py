@@ -11,10 +11,12 @@ alone.
 Strategy: the induced Lie algebra of a simple input is a split form of sl2,
 and both structure maps are automorphisms of it. An automorphism is either
 diagonalizable with eigenvalues (1, a, 1/a) or a single full unipotent
-Jordan block; the classifier builds an sl2 basis adapted to the maps
-(eigenvector analysis in the diagonalizable cases, a Jordan chain plus a
-commutant correction in the unipotent ones) and pattern-matches the pair of
-canonical shapes.
+Jordan block; the classifier builds an sl2 basis adapted to the maps and
+pattern-matches the pair of canonical shapes. In the diagonalizable cases
+the fixed line of the map that is not the identity gives h up to the scalar
+c of its adjoint eigenvalues, and _triple_at completes (h, e, f), as it does
+for find_sl2_triple; the unipotent cases take a Jordan chain plus a
+commutant correction.
 
 When both maps are the identity nothing singles out a basis, and
 find_sl2_triple decides from the Killing form K whether the induced algebra
@@ -66,9 +68,7 @@ from .exactlin import (
     factor,
     invert,
     kernel,
-    lift_coordinates,
     rational_roots,
-    restrict_operator,
     sqrt_fraction,
     sqrt_mod_prime,
     vec_add,
@@ -341,61 +341,23 @@ def alpha_profile(m: MatrixQ) -> Profile:
     return Profile("DiagonalDistinct", chosen)
 
 
-def _adapted_triple_diagonal(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
-    """sl2 triple in which a diagonalizable automorphism with eigenvalues
-    (1, r, 1/r), r not in {1,-1}, becomes diag(1, r, 1/r)."""
-    identity = MatrixQ.identity(3)
-    fixed = kernel(m - identity)
-    e_space = kernel(m - identity.scale(r))
-    f_space = kernel(m - identity.scale(1 / r))
-    if fixed.dim != 1 or e_space.dim != 1 or f_space.dim != 1:
-        raise Unmatched("eigenspace dimensions do not match a diagonalizable "
-                        "sl2 automorphism")
+def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
+    """sl2 triple in which an automorphism with eigenvalues (1, r, 1/r), r != 1,
+    becomes diag(1, r, 1/r). With h0 spanning the fixed line, ad h0 is
+    diag(0, c, -c) in such a basis, so c = tr(ad h0 m)/(r - 1/r), which puts
+    e in the r-eigenspace; for r = -1, c = +sqrt(K(h0,h0)/2)."""
+    fixed = kernel(m - MatrixQ.identity(3))
+    if fixed.dim != 1:
+        raise Unmatched("the fixed space of the map is not a line")
     h0 = fixed.basis_vectors()[0]
-    e0 = e_space.basis_vectors()[0]
-    f0 = f_space.basis_vectors()[0]
-    c = _proportionality(e0, t.bracket(h0, e0))
-    if c is None or c == 0:
-        raise Unmatched("map eigenvectors are not root vectors of the fixed element")
-    h = vec_scale(Q(2) / c, h0)
-    if t.bracket(h, f0) != vec_scale(-2, f0):
-        raise Unmatched("eigenvector for the inverse eigenvalue is not the "
-                        "opposite root vector")
-    triple = _complete_triple(t, h, e0, f0)
-    if triple is None:
-        raise Unmatched("adapted eigenvectors do not close into an sl2 triple")
-    return triple
-
-
-def _adapted_triple_negpair(t: StructureTensor, m: MatrixQ) -> Sl2Triple:
-    """sl2 triple adapted to an involutive automorphism diag(1, -1, -1):
-    root vectors are found inside the 2-dimensional (-1)-eigenspace."""
-    identity = MatrixQ.identity(3)
-    fixed = kernel(m - identity)
-    minus = kernel(m + identity)
-    if fixed.dim != 1 or minus.dim != 2:
-        raise Unmatched("eigenspace dimensions do not match diag(1, -1, -1)")
-    h0 = fixed.basis_vectors()[0]
-    restricted = restrict_operator(ad_matrix(t, h0), minus)
-    if restricted.trace() != 0:
-        raise Unmatched("adjoint of the fixed element is not trace-free on "
-                        "the (-1)-eigenspace")
-    c = sqrt_fraction(-det(restricted))
-    if c is None:
+    ad_h0 = ad_matrix(t, h0)
+    c = (sqrt_fraction((ad_h0 * ad_h0).trace() / 2) if r == -1
+         else (ad_h0 * m).trace() / (r - 1 / r))
+    if not c:
         raise Unmatched("the fixed line of the involution is not split over Q "
                         "(its adjoint eigenvalues are irrational), so no "
                         "canonical family matches")
-    if c == 0:
-        raise Unmatched("fixed element is central on the (-1)-eigenspace")
-    two = MatrixQ.identity(2)
-    plus_coords = kernel(restricted - two.scale(c))
-    minus_coords = kernel(restricted + two.scale(c))
-    if plus_coords.dim != 1 or minus_coords.dim != 1:
-        raise Unmatched("restricted adjoint is not split semisimple")
-    e0 = lift_coordinates(minus, plus_coords.basis_vectors()[0])
-    f0 = lift_coordinates(minus, minus_coords.basis_vectors()[0])
-    h = vec_scale(Q(2) / c, h0)
-    triple = _complete_triple(t, h, e0, f0)
+    triple = _triple_at(t, h0, c)
     if triple is None:
         raise Unmatched("adapted eigenvectors do not close into an sl2 triple")
     return triple
@@ -471,6 +433,7 @@ def _diag_one_b_param(m: MatrixQ):
     return b
 
 
+_DIAGONAL = ("DiagonalDistinct", "DiagNegPair")
 _FLIP = MatrixQ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
 
@@ -576,21 +539,15 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
     profile_a = alpha_profile(a.alpha)
     profile_b = alpha_profile(a.beta)
 
-    if profile_a.kind == "DiagonalDistinct":
-        triple = _adapted_triple_diagonal(induced, a.alpha, profile_a.param)
+    if profile_a.kind in _DIAGONAL:
+        triple = _adapted_triple(induced, a.alpha, profile_a.param)
         return _classify_diagonal_family(a, triple, profile_a.param)
-    if profile_a.kind == "DiagNegPair":
-        triple = _adapted_triple_negpair(induced, a.alpha)
-        return _classify_diagonal_family(a, triple, Q(-1))
     if profile_a.kind == "Identity":
         if profile_b.kind == "Identity":
             triple = find_sl2_triple(induced)
             return _classify_diagonal_family(a, triple, Q(1))
-        if profile_b.kind == "DiagonalDistinct":
-            triple = _adapted_triple_diagonal(induced, a.beta, profile_b.param)
-            return _classify_diagonal_family(a, triple, Q(1))
-        if profile_b.kind == "DiagNegPair":
-            triple = _adapted_triple_negpair(induced, a.beta)
+        if profile_b.kind in _DIAGONAL:
+            triple = _adapted_triple(induced, a.beta, profile_b.param)
             return _classify_diagonal_family(a, triple, Q(1))
         if profile_b.kind == "UnipotentFull":
             return _classify_unipotent_family(a, induced, a.beta, "L2")

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import catalog
-from .algebra import BiHomAlgebra, check_all, is_abelian
+from .algebra import BiHomAlgebra, check_all, is_abelian, require_axioms
 from .analysis import Decomposition, _simplicity, type_candidates
 from .classify3 import bihom_isomorphic3, classify3
 from .errors import BiHomError, DimensionMismatch, ParseError, ZeroParameter
@@ -30,11 +30,6 @@ from .twist import TwistInput, induce_lie, yau_twist
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
-
-
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_FAIL
 
 
 def _vector_strings(v):
@@ -136,10 +131,7 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
 
 def _cmd_analyze(args) -> int:
     algebra = load(args.file)
-    report = check_all(algebra)
-    if not report.all_pass:
-        return _fail("analyze: the algebra fails axiom checks: "
-                     + ", ".join(report.failures()))
+    require_axioms(algebra)
     doc = _analyze_doc(algebra)
     if args.json:
         _print_json(doc)

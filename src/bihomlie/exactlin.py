@@ -127,10 +127,6 @@ class MatrixQ:
         return cls([[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls([[Q(0)] * cols for _ in range(rows)])
-
-    @classmethod
     def diagonal(cls, values) -> "MatrixQ":
         vals = [as_fraction(v) for v in values]
         n = len(vals)
@@ -701,16 +697,6 @@ def sqrt_mod_prime(a: int, p: int):
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
-
-
-def restrict_operator(op: MatrixQ, space: Subspace) -> MatrixQ:
-    """Matrix of an operator that maps `space` into itself, written in the
-    coordinates of the RREF basis of `space`. Raises DimensionMismatch when
-    the operator does not preserve the subspace."""
-    cols = [space.coordinates(op.apply(b)) for b in space.basis_rows]
-    if None in cols:
-        raise DimensionMismatch("operator does not preserve the subspace")
-    return MatrixQ.from_columns(cols)
 
 
 def lift_coordinates(space: Subspace, coords) -> Vector:

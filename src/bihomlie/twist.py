@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from .algebra import (
     BiHomAlgebra,
     StructureTensor,
-    check_all,
     homomorphism_failure,
     is_lie_algebra,
+    require_axioms,
     transform_tensor,
 )
 from .errors import AxiomViolation, NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularMatrix
@@ -76,11 +76,7 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
         beta_inv = invert(a.beta)
     except SingularMatrix as exc:
         raise NotRegular(f"algebra is not regular: {exc}") from exc
-    report = check_all(a)
-    if not report.all_pass:
-        raise AxiomViolation(
-            "input is not a verified BiHom-Lie algebra; failing checks: "
-            + ", ".join(report.failures()))
+    require_axioms(a)
     induced = transform_tensor(a.tensor, alpha_inv, beta_inv)
     lie_check = is_lie_algebra(induced)
     if not lie_check.ok:

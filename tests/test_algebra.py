@@ -20,7 +20,6 @@ from bihomlie.algebra import (
     conjugate_tensor,
     is_abelian,
     is_lie_algebra,
-    is_regular,
     transform_tensor,
 )
 from bihomlie.catalog import direct_sum, make_L1, make_L2, make_L3, make_sl2, sl2_bihom
@@ -30,6 +29,7 @@ from bihomlie.errors import (
     NotAutomorphism,
     NotCommuting,
     NotLie,
+    NotRegular,
     SingularMatrix,
 )
 from bihomlie.exactlin import (
@@ -175,12 +175,14 @@ def test_is_abelian():
 
 
 def test_is_regular():
-    assert is_regular(make_L1(2, 3))
-    assert is_regular(sl2_bihom())
+    # regular means induce_lie inverts both maps instead of raising NotRegular
+    assert induce_lie(make_L1(2, 3))[0].dim == 3
+    assert induce_lie(sl2_bihom())[0] == make_sl2()
     singular = BiHomAlgebra(dim=3, tensor=make_sl2(),
                             alpha=MatrixQ([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
                             beta=MatrixQ.identity(3))
-    assert not is_regular(singular)
+    with pytest.raises(NotRegular):
+        induce_lie(singular)
 
 
 def test_skew_on_random_vectors():

@@ -47,7 +47,6 @@ from bihomlie.exactlin import (
     kernel,
     lift_coordinates,
     rational_roots,
-    restrict_operator,
 )
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import deadline, random_fraction, random_invertible
@@ -524,6 +523,14 @@ def fraction_commutant(ops, d):
                 rows.append(row)
     basis = kernel(MatrixQ(rows)).basis_vectors()
     return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
+
+
+def restrict_operator(op, space):
+    """Matrix of an operator that maps `space` into itself, in the
+    coordinates of the RREF basis of `space`."""
+    cols = [space.coordinates(op.apply(b)) for b in space.basis_rows]
+    assert None not in cols, "operator does not preserve the subspace"
+    return MatrixQ.from_columns(cols)
 
 
 def ambient_minimal_ideals(t, killing=None):

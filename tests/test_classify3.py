@@ -40,6 +40,7 @@ from bihomlie.errors import (
     Unmatched,
 )
 from bihomlie.exactlin import MatrixQ, char_poly, invert, is_prime, kernel, sqrt_fraction, vec_scale
+from bihomlie.fileio import format_rational
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import deadline, random_fraction, random_invertible
 
@@ -505,3 +506,45 @@ def test_classifier_paths_under_random_bases():
         _assert_intertwines(f, conj, other)
         different = make_L3(7) if family != "L3" else make_L2()
         assert bihom_isomorphic3(conj, different) is None
+
+
+# change_of_basis of classify3 on one seeded conjugate per diagonal path, as
+# the --json output prints it: (path, catalog L1 params, profile kinds of
+# alpha and beta, change_of_basis)
+PINNED_BASES = [
+    ("alpha DiagonalDistinct", (2, 3), ("DiagonalDistinct", "DiagonalDistinct"),
+     [["-1", "1", "1"], ["2", "-1", "0"], ["-2", "1", "-1"]]),
+    ("alpha DiagNegPair", (-1, 2), ("DiagNegPair", "DiagonalDistinct"),
+     [["10", "4", "1"], ["-5", "-4", "-1/2"], ["-2", "0", "-1/4"]]),
+    ("beta DiagonalDistinct", (1, 3), ("Identity", "DiagonalDistinct"),
+     [["7", "-2", "1"], ["-10", "3", "-2"], ["4", "-1", "1"]]),
+    ("beta DiagNegPair", (1, -1), ("Identity", "DiagNegPair"),
+     [["3", "4", "1"], ["1", "4", "1/2"], ["1", "2", "1/2"]]),
+    ("identity pair, grid", (1, 1), ("Identity", "Identity"),
+     [["0", "-7/4", "1"], ["1/2", "-15/8", "-1/2"], ["0", "1/4", "1"]]),
+]
+# a wide basis on which the grid of find_sl2_triple has no hit (stage 2)
+CONIC_BASIS = MatrixQ([[Q(3, 10), Q(-3, 4), 18], [Q(-21, 10), Q(41, 8), -144],
+                       [Q(-3, 10), Q(1, 8), -99]])
+CONIC_CHANGE = [["1705901/2556", "10565656224599/26132544", "1"],
+                ["238196/1065", "371734105481/2722140", "13947312/41515055"],
+                ["-47/27", "-290605385/276048", "-65036/24909033"]]
+
+
+def test_classify3_change_of_basis_is_pinned():
+    """The exact change of basis on every diagonal path, which fixes the
+    choice of sign of the adapted sl2 triple."""
+    rng = random.Random(1015)
+    cases = [(path, conjugate_algebra(make_L1(*params), random_invertible(3, rng)),
+              kinds, change) for path, params, kinds, change in PINNED_BASES]
+    cases.append(("identity pair, conic", conjugate_algebra(make_L1(1, 1), CONIC_BASIS),
+                  ("Identity", "Identity"), CONIC_CHANGE))
+    for path, algebra, kinds, change in cases:
+        assert (alpha_profile(algebra.alpha).kind, alpha_profile(algebra.beta).kind) == kinds
+        if kinds == ("Identity", "Identity"):
+            grid_hit = grid_oracle(induce_lie(algebra)[0]) is not None
+            assert grid_hit == path.endswith("grid"), path
+        label = classify3(algebra)
+        assert label.family == "L1", path
+        assert [[format_rational(x) for x in row]
+                for row in label.change_of_basis.entries] == change, path

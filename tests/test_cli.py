@@ -6,11 +6,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bihomlie.algebra import BiHomAlgebra, check_all, conjugate_algebra
+from bihomlie.algebra import BiHomAlgebra, StructureTensor, check_all, conjugate_algebra
+from bihomlie.analysis import decompose_bihom, is_simple
 from bihomlie.catalog import direct_sum, make_L1, make_L3, sl2_bihom
-from bihomlie.errors import DimensionMismatch, ParseError
+from bihomlie.classify3 import bihom_isomorphic3, classify3
+from bihomlie.errors import AxiomViolation, DimensionMismatch, ParseError
 from bihomlie.exactlin import MatrixQ
 from bihomlie.fileio import dumps_algebra, load, loads_algebra, save
+from bihomlie.twist import induce_lie
 from conftest import random_invertible
 
 
@@ -179,7 +182,7 @@ def test_cli_analyze_non_regular(tmp_path):
     from bihomlie.algebra import StructureTensor
     src = tmp_path / "singular.json"
     save(BiHomAlgebra(dim=2, tensor=StructureTensor.zero(2),
-                      alpha=MatrixQ.zeros(2, 2), beta=MatrixQ.identity(2)), src)
+                      alpha=MatrixQ([[0] * 2] * 2), beta=MatrixQ.identity(2)), src)
     result = run_cli("analyze", str(src))
     assert result.returncode == 0
     assert "regular: False" in result.stdout
@@ -301,6 +304,59 @@ def test_analyze_verifies_each_object_once(tmp_path, monkeypatch, capsys):
     assert check_all(first) is check_all(first)
     check_all(second)
     assert calls["axiom"] == 3
+
+
+def corrupted_l1():
+    """make_L1(2, 3) with the e2 coefficient of [e1, e2] moved from 6 to 7."""
+    good = make_L1(2, 3)
+    c = [[list(row) for row in plane] for plane in good.tensor.c]
+    c[0][1][1] += 1
+    return BiHomAlgebra(dim=3, tensor=StructureTensor(c), alpha=good.alpha, beta=good.beta)
+
+
+def corrupted_non_regular():
+    """Zero bracket with a singular alpha that does not commute with beta."""
+    return BiHomAlgebra(dim=2, tensor=StructureTensor.zero(2),
+                        alpha=MatrixQ([[0, 1], [0, 0]]), beta=MatrixQ([[1, 0], [0, 2]]))
+
+
+GATED_LIBRARY = {
+    "is_simple": is_simple,
+    "induce_lie": induce_lie,
+    "decompose_bihom": decompose_bihom,
+    "classify3": classify3,
+    "iso3": lambda a: bihom_isomorphic3(a, make_L1(2, 3)),
+}
+
+
+@pytest.mark.parametrize("entry, corrupted, failing", [
+    *((name, corrupted_l1, "skew, jacobi") for name in GATED_LIBRARY),
+    *((f"cli {name}", corrupted_l1, "skew, jacobi")
+      for name in ("analyze", "classify3", "iso3", "induce")),
+    ("is_simple", corrupted_non_regular, "commuting"),
+    ("cli analyze", corrupted_non_regular, "commuting"),
+])
+def test_axiom_gate(entry, corrupted, failing, tmp_path, capsys):
+    """Every entry point that needs a verified algebra raises AxiomViolation
+    naming the failing checks; the CLI exits 1 with nothing on stdout."""
+    from bihomlie import cli
+    message = "input is not a verified BiHom-Lie algebra; failing checks: " + failing
+    if not entry.startswith("cli "):
+        with pytest.raises(AxiomViolation) as info:
+            GATED_LIBRARY[entry](corrupted())
+        assert str(info.value) == message
+        return
+    bad, good, out = tmp_path / "bad.json", tmp_path / "good.json", tmp_path / "out.json"
+    save(corrupted(), bad)
+    save(make_L1(2, 3), good)
+    argv = {"cli analyze": ["analyze", "--json", str(bad)],
+            "cli classify3": ["classify3", "--json", str(bad)],
+            "cli iso3": ["iso3", "--json", str(bad), str(good)],
+            "cli induce": ["induce", str(bad), "-o", str(out)]}[entry]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"AxiomViolation: {message}\n")
+    assert not out.exists()
 
 
 def _fuzz_files():

@@ -68,7 +68,7 @@ def poly_from_roots(roots):
 
 def eval_at_matrix(p, m):
     """p(m) by Horner's rule."""
-    acc = MatrixQ.zeros(m.rows, m.rows)
+    acc = MatrixQ([[0] * m.rows] * m.rows)
     for c in reversed(p.coeffs):
         acc = acc * m + MatrixQ.identity(m.rows).scale(c)
     return acc
@@ -120,7 +120,7 @@ def test_rref_idempotent():
 
 def test_kernel_identity_and_zero():
     assert kernel(MatrixQ.identity(3)).dim == 0
-    full = kernel(MatrixQ.zeros(4, 4))
+    full = kernel(MatrixQ([[0] * 4] * 4))
     assert full == Subspace.full(4)
 
 
@@ -147,7 +147,7 @@ def test_invert_unipotent_back_substitution():
 
 def test_invert_singular():
     with pytest.raises(SingularMatrix):
-        invert(MatrixQ.zeros(2, 2))
+        invert(MatrixQ([[0] * 2] * 2))
 
 
 def test_invert_roundtrip():
@@ -527,7 +527,7 @@ def random_shaped(rng, rows, cols, rank_cap, height):
 
 def elimination_cases(rng):
     cases = [MatrixQ([[Q(-7, 3)]]), MatrixQ([[0]]), MatrixQ([[-1, 2], [3, -4]]),
-             MatrixQ([[0, -2, 1], [-3, 0, 0], [0, 0, -5]]), MatrixQ.zeros(2, 3),
+             MatrixQ([[0, -2, 1], [-3, 0, 0], [0, 0, -5]]), MatrixQ([[0] * 3] * 2),
              MatrixQ([[0, 0], [0, 1]]), MatrixQ([[1, 2, 3], [2, 4, 6], [1, 1, 1]])]
     for _ in range(150):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -597,7 +597,7 @@ def fraction_char_poly(m):
     char_poly ran before it moved to the scaled view."""
     n = m.rows
     coeffs_high_first = [Q(1)]
-    mk = MatrixQ.zeros(n, n)
+    mk = MatrixQ([[0] * n] * n)
     c = Q(1)
     for k in range(1, n + 1):
         shifted = MatrixQ([[x + c if i == j else x for j, x in enumerate(row)]
@@ -610,7 +610,7 @@ def fraction_char_poly(m):
 
 def test_char_poly_matches_fraction_oracle():
     rng = random.Random(1010)
-    cases = [MatrixQ([[Q(-7, 3)]]), MatrixQ([[0]]), MatrixQ.zeros(4, 4),
+    cases = [MatrixQ([[Q(-7, 3)]]), MatrixQ([[0]]), MatrixQ([[0] * 4] * 4),
              MatrixQ([[0, Q(1, 2), 3], [0, 0, Q(-5, 7)], [0, 0, 0]]),   # nilpotent
              MatrixQ.identity(5).scale(Q(10 ** 30, 3))]
     for _ in range(60):
