@@ -57,11 +57,12 @@ class StructureTensor:
     """Bracket data c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     No symmetry is imposed: BiHom skew-symmetry is a twisted relation, not
-    c[i][j][k] = -c[j][i][k]. Slot _lie keeps the is_lie_algebra verdict and
-    slot _scaled the view that scaled() returns.
+    c[i][j][k] = -c[j][i][k]. Slot _lie keeps the is_lie_algebra verdict,
+    slot _killing the analysis.killing_form result and slot _scaled the view
+    that scaled() returns.
     """
 
-    __slots__ = ("dim", "c", "_lie", "_scaled")
+    __slots__ = ("dim", "c", "_lie", "_killing", "_scaled")
 
     def __init__(self, c):
         grid = tuple(tuple(vector(row) for row in plane) for plane in c)
@@ -216,9 +217,11 @@ def homomorphism_failure(m: MatrixQ, src: StructureTensor,
     """The first basis pair (i, j), in row-major order, with
     m([e_i, e_j]_src) != [m(e_i), m(e_j)]_dst, or None when m is a bracket
     homomorphism from src to dst (dst defaults to src)."""
-    if not (m.is_square and m.rows == src.dim) or (dst is not None and dst.dim != src.dim):
-        raise DimensionMismatch(f"vector of length {src.dim} for {m.rows}x{m.cols}")
-    (d_src, c_src), (d_dst, c_dst) = src.scaled(), (dst or src).scaled()
+    dst = dst or src
+    if not (m.is_square and m.rows == src.dim == dst.dim):
+        raise DimensionMismatch(f"map of shape {m.rows}x{m.cols} between tensors of "
+                                f"dimension {src.dim} and {dst.dim}")
+    (d_src, c_src), (d_dst, c_dst) = src.scaled(), dst.scaled()
     left = [list(zip(*plane)) for plane in c_dst]     # left[p][r][q] = c[p][q][r]
     dm, rows = m.scaled()
     g = math.gcd(d_src, d_dst)

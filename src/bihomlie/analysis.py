@@ -243,11 +243,10 @@ def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
         induced = induce_lie(a)[0]
     except NotRegular:
         return None, None, enveloping_dim(burnside_generators(a))
-    killing = killing_form(induced)
-    killing_det, outcome = det(killing), None
+    killing_det, outcome = det(killing_form(induced)), None
     if killing_det != 0:
         try:
-            outcome = decompose_bihom(a, killing)
+            outcome = decompose_bihom(a)
         except (IrrationalSplit, NotSemisimple) as exc:
             outcome = exc
     env = (outcome.enveloping_dim if isinstance(outcome, Decomposition)
@@ -257,14 +256,19 @@ def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
 
 def killing_form(t: StructureTensor) -> MatrixQ:
     """K[i][j] = trace(ad(e_i) ad(e_j)) of an ordinary Lie algebra; ad(e_i)
-    holds c[i][l][k] at (k, l), so K[i][j] = sum_{k,l} c[i][l][k] c[j][k][l]."""
+    holds c[i][l][k] at (k, l), so K[i][j] = sum_{k,l} c[i][l][k] c[j][k][l].
+    Computed once per tensor object and kept on it."""
+    if hasattr(t, "_killing"):
+        return t._killing
     lie = is_lie_algebra(t)
     if not lie.ok:
         raise NotLie(f"killing_form needs a Lie algebra: {lie.witness.detail}")
     n, (d, c) = t.dim, t.scaled()
     ads = [[c[i][l][k] for k in range(n) for l in range(n)] for i in range(n)]
     flat = [[x for row in c[j] for x in row] for j in range(n)]
-    return MatrixQ.from_scaled(d * d, [[sum(map(mul, a, f)) for f in flat] for a in ads])
+    object.__setattr__(t, "_killing", MatrixQ.from_scaled(
+        d * d, [[sum(map(mul, a, f)) for f in flat] for a in ads]))
+    return t._killing
 
 
 def is_semisimple_lie(t: StructureTensor) -> bool:
@@ -360,18 +364,15 @@ def _minimal_ideals(t: StructureTensor, killing: MatrixQ) -> list[Subspace]:
     return out
 
 
-def decompose_semisimple(t: StructureTensor, killing: MatrixQ | None = None) -> list[Subspace]:
+def decompose_semisimple(t: StructureTensor) -> list[Subspace]:
     """Minimal ideals of a semisimple Lie algebra, sorted by pivots. A proper
     ideal I is found by spinning, else in the commutant of the adjoint action;
     ad(e_k) restricted to I spans ad_I(I), since the complement acts on I as
-    zero, so decomposing I alone finds what the whole algebra would. `killing`
-    may carry the Killing form of t once its determinant is known to be
-    nonzero; without it the form is computed and a degenerate one raises
-    NotSemisimple."""
-    if killing is None:
-        killing = killing_form(t)
-        if det(killing) == 0:
-            raise NotSemisimple("Killing form is degenerate")
+    zero, so decomposing I alone finds what the whole algebra would. A
+    degenerate Killing form raises NotSemisimple."""
+    killing = killing_form(t)
+    if det(killing) == 0:
+        raise NotSemisimple("Killing form is degenerate")
     return sorted(_minimal_ideals(t, killing), key=lambda s: (_pivots(s), s.basis_rows))
 
 
@@ -396,13 +397,12 @@ def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, .
     return tuple(sigma)
 
 
-def decompose_bihom(a: BiHomAlgebra, killing: MatrixQ | None = None) -> Decomposition:
+def decompose_bihom(a: BiHomAlgebra) -> Decomposition:
     """Decompose the induced Lie algebra into minimal ideals and read off the
-    permutations the structure maps induce on them; `killing` is passed on to
-    decompose_semisimple. One ideal is fixed by both maps, which induce_lie
-    has already inverted."""
+    permutations the structure maps induce on them. One ideal is fixed by
+    both maps, which induce_lie has already inverted."""
     induced, alpha, beta = induce_lie(a)
-    ideals = decompose_semisimple(induced, killing)
+    ideals = decompose_semisimple(induced)
     sigmas = ([(0,)] * 2 if len(ideals) == 1
               else [automorphism_permutation(ideals, m) for m in (alpha, beta)])
     return Decomposition(tuple(ideals), *sigmas, m=len(ideals))

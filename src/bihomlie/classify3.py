@@ -11,12 +11,13 @@ alone.
 Strategy: the induced Lie algebra of a simple input is a split form of sl2,
 and both structure maps are automorphisms of it. An automorphism is either
 diagonalizable with eigenvalues (1, a, 1/a) or a single full unipotent
-Jordan block; the classifier builds an sl2 basis adapted to the maps and
-pattern-matches the pair of canonical shapes. In the diagonalizable cases
-the fixed line of the map that is not the identity gives h up to the scalar
-c of its adjoint eigenvalues, and _triple_at completes (h, e, f), as it does
-for find_sl2_triple; the unipotent cases take a Jordan chain plus a
-commutant correction.
+Jordan block; the classifier builds an sl2 basis adapted to the maps, reads
+the family parameters off it and lets _certify, the exact conjugation onto
+the catalog algebra, decide. In the diagonalizable cases the fixed line of
+the map that is not the identity gives h up to the scalar c of its adjoint
+eigenvalues, and _triple_at completes (h, e, f), as it does for
+find_sl2_triple; the unipotent cases take a Jordan chain plus a commutant
+correction read off two entries of the induced bracket.
 
 When both maps are the identity nothing singles out a basis, and
 find_sl2_triple decides from the Killing form K whether the induced algebra
@@ -41,10 +42,11 @@ from .algebra import (
     StructureTensor,
     ad_matrix,
     conjugate_algebra,
+    conjugate_tensor,
     homomorphism_failure,
 )
 from .analysis import is_simple, killing_form
-from .catalog import make_L1, make_L2, make_L3, unipotent_full
+from .catalog import make_L1, make_L2, make_L3, make_sl2, unipotent_full
 from .errors import (
     DimensionMismatch,
     IrrationalEigenvalues,
@@ -118,41 +120,13 @@ _GRID = tuple(
     for coeffs in product((2, -2, 4, -4, 1, -1), repeat=size))
 
 _DEFINITE = "Killing form is definite: no isotropic vector over the reals"
-
-
-def _triple_relations_hold(t: StructureTensor, h, e, f) -> bool:
-    return (t.bracket(h, e) == vec_scale(2, e)
-            and t.bracket(h, f) == vec_scale(-2, f)
-            and t.bracket(e, f) == h)
-
-
-def _proportionality(v: Vector, w: Vector):
-    """c with w = c*v, or None (v must be nonzero)."""
-    pivot = next((i for i, x in enumerate(v) if x != 0), None)
-    if pivot is None:
-        return None
-    c = w[pivot] / v[pivot]
-    if tuple(c * x for x in v) != tuple(w):
-        return None
-    return c
-
-
-def _complete_triple(t: StructureTensor, h0: Vector, e0: Vector, f0: Vector):
-    """Scale a raw (h, +eigenvector, -eigenvector) into an exact sl2 triple,
-    or return None when the data is inconsistent."""
-    w = t.bracket(e0, f0)
-    mu = _proportionality(h0, w)
-    if mu is None or mu == 0:
-        return None
-    e = vec_scale(1 / mu, e0)
-    if not _triple_relations_hold(t, h0, e, f0):
-        return None
-    return Sl2Triple(h=h0, e=e, f=f0)
+_SL2 = make_sl2()
 
 
 def _triple_at(t: StructureTensor, v: Vector, c: Fraction):
     """Triple with h = 2v/c for a v with K(v,v)/2 = c^2 > 0, so that ad h has
-    the eigenvalues 0, 2, -2; None when the completion fails."""
+    the eigenvalues 0, 2, -2: e and f span its (+2)- and (-2)-eigenlines and
+    e is scaled by mu with [e, f] = mu h. None when the relations fail."""
     h = vec_scale(Q(2) / c, v)
     ad_h = ad_matrix(t, h)
     identity = MatrixQ.identity(3)
@@ -160,7 +134,15 @@ def _triple_at(t: StructureTensor, v: Vector, c: Fraction):
     minus = kernel(ad_h + identity.scale(2))
     if plus.dim != 1 or minus.dim != 1:
         return None
-    return _complete_triple(t, h, plus.basis_vectors()[0], minus.basis_vectors()[0])
+    e, f = plus.basis_vectors()[0], minus.basis_vectors()[0]
+    pivot = next(i for i, x in enumerate(h) if x != 0)
+    mu = t.bracket(e, f)[pivot] / h[pivot]
+    if mu == 0:
+        return None
+    triple = Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
+    if homomorphism_failure(triple.basis_matrix(), _SL2, t) is not None:
+        return None
+    return triple
 
 
 def _squarefree(q: Fraction) -> tuple[int, tuple[int, ...], Fraction]:
@@ -365,72 +347,15 @@ def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
 
 def _jordan_basis(m: MatrixQ) -> MatrixQ:
     """Chain basis (N^2 v, N v, v) turning a full unipotent Jordan block
-    into the canonical upper bidiagonal form."""
+    into the canonical upper bidiagonal form; alpha_profile has found
+    N^2 != 0."""
     n = m - MatrixQ.identity(3)
     n2 = n * n
-    seed = next((basis_vector(3, j) for j in range(3) if any(n2.column(j))), None)
-    if seed is None:
-        raise Unmatched("map is not a full unipotent Jordan block")
+    seed = next(basis_vector(3, j) for j in range(3) if any(n2.column(j)))
     v2 = n.apply(seed)
     v1 = n.apply(v2)
     # the chain (N^2 v, N v, v) of a full block is always independent
     return MatrixQ.from_columns([v1, v2, seed])
-
-
-def _case3_shape(t: StructureTensor):
-    """Read the two free parameters of an sl2 realization on which the full
-    unipotent block acts:
-
-        [u1,u2] = x u1
-        [u1,u3] = -(x/2) u1 + x u2
-        [u2,u3] = y u1 + (x/2) u2 + x u3
-
-    Returns (x, y), or None when the tensor has a different shape.
-    """
-    c = t.c
-    zero = (Q(0),) * 3
-    for i in range(3):
-        if c[i][i] != zero:
-            return None
-    x = c[0][1][0]
-    if x == 0:
-        return None
-    if c[0][1] != (x, Q(0), Q(0)) or c[1][0] != (-x, Q(0), Q(0)):
-        return None
-    if c[0][2] != (-x / 2, x, Q(0)) or c[2][0] != (x / 2, -x, Q(0)):
-        return None
-    y = c[1][2][0]
-    if c[1][2] != (y, x / 2, x) or c[2][1] != (-y, -x / 2, -x):
-        return None
-    return x, y
-
-
-def _toeplitz_unipotent_params(m: MatrixQ):
-    """(s, p) for an upper triangular Toeplitz matrix [[s,a,p],[0,s,a],[0,0,s]]
-    with s = 1, or None."""
-    e = m.entries
-    if e[1][0] != 0 or e[2][0] != 0 or e[2][1] != 0:
-        return None
-    if not (e[0][0] == e[1][1] == e[2][2] == 1):
-        return None
-    if e[0][1] != e[1][2]:
-        return None
-    return e[0][1], e[0][2]
-
-
-def _diag_one_b_param(m: MatrixQ):
-    """b for a matrix of the form diag(1, b, 1/b), or None."""
-    e = m.entries
-    for i in range(3):
-        for j in range(3):
-            if i != j and e[i][j] != 0:
-                return None
-    if e[0][0] != 1:
-        return None
-    b = e[1][1]
-    if b == 0 or e[2][2] != 1 / b:
-        return None
-    return b
 
 
 _DIAGONAL = ("DiagonalDistinct", "DiagNegPair")
@@ -469,9 +394,8 @@ def _certify(a: BiHomAlgebra, basis: MatrixQ, expected: BiHomAlgebra,
 def _classify_diagonal_family(a: BiHomAlgebra, triple: Sl2Triple,
                               a_param: Fraction) -> ClassLabel:
     basis = triple.basis_matrix()
-    beta_t = invert(basis) * a.beta * basis
-    b_param = _diag_one_b_param(beta_t)
-    if b_param is None:
+    b_param = (invert(basis) * a.beta * basis)[1, 1]
+    if b_param == 0:   # beta swaps the e- and f-lines
         raise Unmatched(
             "alpha is diagonalizable in an adapted sl2 basis but beta is not "
             "diag(1, b, 1/b) there; no canonical family corresponds to this pair")
@@ -483,42 +407,24 @@ def _classify_diagonal_family(a: BiHomAlgebra, triple: Sl2Triple,
 
 def _classify_unipotent_family(a: BiHomAlgebra, induced: StructureTensor,
                                unipotent: MatrixQ, family: str) -> ClassLabel:
-    """Shared L2/L3 path: Jordan-normalize the unipotent map, then correct
-    by a commuting basis change so the induced tensor matches the catalog."""
-    from .algebra import conjugate_tensor
-
+    """Shared L2/L3 path. In the Jordan basis of the unipotent map the
+    induced bracket reads [u1,u2] = x u1, [u1,u3] = -(x/2) u1 + x u2,
+    [u2,u3] = y u1 + (x/2) u2 + x u3 with x != 0: a Lie bracket that the
+    full block preserves and that has [u1,u2] != 0 takes this shape, and one
+    with [u1,u2] = 0 is solvable. The commutant correction g = s*I + u*N^2
+    fixes every polynomial in N and moves (x, y) to (s*x, s*y - 2*x*u),
+    which is (2, 1) of unipotent_base_tensor for s = 2/x and
+    u = (2y/x - 1)/(2x)."""
     jordan = _jordan_basis(unipotent)
-    tensor_j = conjugate_tensor(induced, jordan)
-    shape = _case3_shape(tensor_j)
-    if shape is None:
-        raise Unmatched("induced bracket does not take the unipotent-adapted "
-                        "canonical shape in the Jordan basis")
-    x_in, y_in = shape
-    if family == "L2":
-        expected = make_L2()
-    else:
-        beta_j = invert(jordan) * a.beta * jordan
-        params = _toeplitz_unipotent_params(beta_j)
-        if params is None:
-            raise Unmatched("beta does not commute with the unipotent alpha "
-                            "in canonical Toeplitz form")
-        a_param, p = params
-        if p != (a_param * a_param - a_param) / 2:
-            raise Unmatched("beta is unipotent but not of the canonical "
-                            "companion shape")
-        expected = make_L3(a_param)
-    target_induced, _, _ = induce_lie(expected)
-    x_t, y_t = _case3_shape(target_induced)
-    # commutant correction g = s*I + u*N^2 keeps every polynomial in N fixed
-    # and moves (x, y) to (s*x, s*y - 2*x*u)
-    s = x_t / x_in
-    u = (s * y_in - y_t) / (2 * x_in)
+    c = conjugate_tensor(induced, jordan).c
+    x, y = c[0][1][0], c[1][2][0]
     n = unipotent_full() - MatrixQ.identity(3)
-    g = MatrixQ.identity(3).scale(s) + (n * n).scale(u)
+    g = MatrixQ.identity(3).scale(2 / x) + (n * n).scale((2 * y / x - 1) / (2 * x))
     basis = jordan * g
     if family == "L2":
-        return _certify(a, basis, expected, "L2", ())
-    return _certify(a, basis, expected, "L3", (expected.beta.entries[0][1],))
+        return _certify(a, basis, make_L2(), "L2", ())
+    a_param = (invert(basis) * a.beta * basis)[0, 1]
+    return _certify(a, basis, make_L3(a_param), "L3", (a_param,))
 
 
 def classify3(a: BiHomAlgebra) -> ClassLabel:

@@ -18,6 +18,7 @@ from bihomlie.algebra import (
     check_multiplicative_alpha,
     conjugate_algebra,
     conjugate_tensor,
+    homomorphism_failure,
     is_abelian,
     is_lie_algebra,
     transform_tensor,
@@ -115,6 +116,16 @@ def test_check_multiplicative_failure():
     assert lhs == result.witness.lhs
     assert rhs == result.witness.rhs
     assert lhs != rhs
+
+
+def test_homomorphism_failure_dimension_mismatch():
+    sl2 = make_sl2()
+    with pytest.raises(DimensionMismatch,
+                       match="^map of shape 3x2 between tensors of dimension 3 and 3$"):
+        homomorphism_failure(MatrixQ([[1, 0], [0, 1], [0, 0]]), sl2)
+    with pytest.raises(DimensionMismatch,
+                       match="^map of shape 3x3 between tensors of dimension 3 and 6$"):
+        homomorphism_failure(MatrixQ.identity(3), sl2, direct_sum([sl2_bihom()] * 2).tensor)
 
 
 def test_skew_ordinary_case():

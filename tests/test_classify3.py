@@ -19,11 +19,12 @@ from bihomlie.catalog import (
     make_L2,
     make_L3,
     make_sl2,
+    unipotent_base_tensor,
     unipotent_beta,
     unipotent_full,
 )
 from bihomlie.classify3 import (
-    _complete_triple,
+    Sl2Triple,
     alpha_profile,
     bihom_isomorphic3,
     classify3,
@@ -39,7 +40,18 @@ from bihomlie.errors import (
     SplitUndecided,
     Unmatched,
 )
-from bihomlie.exactlin import MatrixQ, char_poly, invert, is_prime, kernel, sqrt_fraction, vec_scale
+from bihomlie.exactlin import (
+    MatrixQ,
+    Subspace,
+    basis_vector,
+    char_poly,
+    invert,
+    is_prime,
+    kernel,
+    sqrt_fraction,
+    vec_add,
+    vec_scale,
+)
 from bihomlie.fileio import format_rational
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import deadline, random_fraction, random_invertible
@@ -208,8 +220,77 @@ def test_classify_unmatched_swap_pair():
     # landing outside the three families; never coerced into a fourth
     beta_swap = MatrixQ([[-1, 0, 0], [0, 0, Q(1, 2)], [0, 2, 0]])
     twisted = yau_twist(TwistInput(make_sl2(), MatrixQ.diagonal([1, -1, -1]), beta_swap))
-    with pytest.raises(Unmatched):
+    with pytest.raises(Unmatched, match=r"beta is not diag\(1, b, 1/b\)"):
         classify3(twisted)
+
+
+# --- the unipotent path has one gate ------------------------------------------
+# In the Jordan basis of the unipotent map, classify3 reads x = [u1,u2]_1 and
+# y = [u2,u3]_1 of the induced bracket and the L3 parameter off beta, then
+# certifies. The checks below are exact and show that no shape check in front
+# of the certificate could fail on a simple input.
+
+def skew_tensor(z):
+    """The skew bracket whose [u1,u2], [u1,u3], [u2,u3] are the thirds of z."""
+    brackets = {}
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        brackets[i, j] = z[3 * k:3 * k + 3]
+        brackets[j, i] = tuple(-x for x in z[3 * k:3 * k + 3])
+    return StructureTensor.from_brackets(3, brackets)
+
+
+def invariant_point(a, b, c):
+    """[u1,u2] = a u1, [u1,u3] = b u1 + a u2, [u2,u3] = c u1 + (a+b) u2 + a u3."""
+    return (a, 0, 0, b, a, 0, c, a + b, a)
+
+
+def invariance_defect(t, m):
+    """m[e_i, e_j] - [m e_i, m e_j] over all basis pairs, concatenated."""
+    return tuple(x - y for i in range(3) for j in range(3)
+                 for x, y in zip(m.apply(t.bracket_basis(i, j)),
+                                 t.bracket(m.column(i), m.column(j))))
+
+
+def test_unipotent_invariant_skew_brackets():
+    # the defect is linear in the bracket, so its kernel is the invariant space
+    columns = [invariance_defect(skew_tensor(basis_vector(9, k)), unipotent_full())
+               for k in range(9)]
+    assert kernel(MatrixQ.from_columns(columns)) == Subspace(
+        9, [invariant_point(1, 0, 0), invariant_point(0, 1, 0), invariant_point(0, 0, 1)])
+    # the Jacobi sum of (u1, u2, u3) has degree <= 2 in each of a, b, c, so
+    # agreeing with a(a + 2b) u1 on a 3x3x3 grid makes it that polynomial
+    u1, u2, u3 = (basis_vector(3, i) for i in range(3))
+    grid = (Q(-1), Q(0), Q(2))
+    for a, b, c in product(grid, repeat=3):
+        t = skew_tensor(invariant_point(a, b, c))
+        jacobi = vec_add(vec_add(t.bracket(u1, t.bracket(u2, u3)),
+                                 t.bracket(u2, t.bracket(u3, u1))),
+                         t.bracket(u3, t.bracket(u1, u2)))
+        assert jacobi == (a * (a + 2 * b), 0, 0)
+        if a == 0:   # every bracket lies in span(u1, u2), where [u1,u2] = 0: solvable
+            assert all(t.bracket_basis(i, j)[2] == 0 for i in range(3) for j in range(3))
+            assert t.bracket_basis(0, 1) == (0, 0, 0)
+    # so a simple input has a = x != 0 and b = -x/2; the catalog has x = 2, y = 1
+    assert unipotent_base_tensor() == skew_tensor(invariant_point(2, -1, 1))
+
+
+def test_unipotent_commutant_automorphisms():
+    # beta commutes with the full block, so it is p I + q N + r N^2 there
+    rng = random.Random(1016)
+    base, n = unipotent_base_tensor(), unipotent_full() - MatrixQ.identity(3)
+    seen = set()
+    for _ in range(30):
+        q = random_fraction(rng, 6)
+        companion = (q * q - q) / 2
+        for p in (Q(1), Q(-1), Q(2), random_fraction(rng, 6, nonzero=True)):
+            for r in (companion, companion + 1, random_fraction(rng, 6)):
+                m = MatrixQ.identity(3).scale(p) + n.scale(q) + (n * n).scale(r)
+                preserved = not any(invariance_defect(base, m))
+                assert preserved == (p == 1 and r == companion)
+                if preserved:
+                    assert m == unipotent_beta(q)
+                seen.add(preserved)
+    assert seen == {True, False}
 
 
 def test_classify_irrational_eigenvalues():
@@ -342,11 +423,25 @@ def grid_oracle(t):
                 minus = kernel(ad_h + identity.scale(2))
                 if plus.dim != 1 or minus.dim != 1:
                     continue
-                triple = _complete_triple(t, h, plus.basis_vectors()[0],
-                                          minus.basis_vectors()[0])
+                triple = oracle_completion(t, h, plus.basis_vectors()[0],
+                                           minus.basis_vectors()[0])
                 if triple is not None:
                     return triple
     return None
+
+
+def oracle_completion(t, h, e0, f0):
+    """(h, e0/mu, f0) with [e0, f0] = mu h != 0, the relations checked with
+    the Fraction bracket; None when they fail."""
+    w = t.bracket(e0, f0)
+    pivot = next(i for i, x in enumerate(h) if x != 0)
+    mu = w[pivot] / h[pivot]
+    if mu == 0 or w != vec_scale(mu, h):
+        return None
+    e = vec_scale(1 / mu, e0)
+    if t.bracket(h, e) != vec_scale(2, e) or t.bracket(h, f0) != vec_scale(-2, f0):
+        return None
+    return Sl2Triple(h=h, e=e, f=f0)
 
 
 def quaternion_lie(a, b):
