@@ -17,23 +17,26 @@ data can be loaded on purpose to exercise the checkers.
 
 The checks run over the integers: c and each map M are multiplied by the lcm
 of their denominators, d_c and d_M. Each identity is homogeneous in c and in
-each map, so scaling keeps it once the degrees balance: (1), (3) and (4) have
-degrees (1,1) in (alpha, beta), (1,1,1) and (1,3,2) in (alpha, beta, c) in
-every term and compare as they are; (2) has degree (1,1) in (M, c) on the left
-and (2,1) on the right, so d_M M c[i][j] is compared with [M e_i, M e_j]. The
-products use operators built once: the rows of L(v)[r][q] = sum_p v_p c[p][q][r]
-for the columns of alpha, beta and beta^2, and S[j][k] = [beta e_j, alpha e_k].
-A failure is located in the plain loop order and its witness recomputed in
-Fraction arithmetic. Verification is kept per object (the report on the
-BiHomAlgebra, the Lie verdict on the StructureTensor), never keyed by content,
-and so are the scaled views (d, d*c) and (d, d*M). Twisting, inducing and
-changing basis are one kernel, transform_tensor, on those views.
+each map, so scaling keeps it once the degrees balance: (1), (3) and (4)
+compare as they are; (2) has degree (1,1) in (M, c) on the left and (2,1) on
+the right, so d_M M c[i][j] is compared with [M e_i, M e_j]. An n-vector v is
+compared with zero as one integer, pack(v, w) = sum_r v_r 2^(r*w), which is
+linear and is zero only for v = 0 while every |v_r| < 2^(w-1); w comes from
+a bound on the entries of the compared vectors. With P[p][q] = pack(c[p][q]),
+(4) at (i, j, k) is three dot products of po = (beta^2)^T P with the vectors
+S[j][k] = [beta e_j, alpha e_k], and (2) at (i, j) compares c[i][j] . pack(M
+columns) with entry (i, j) of M^T P M. A failure is located in the plain loop
+order and its witness recomputed in Fraction arithmetic. Verification is kept
+per object (the report on the BiHomAlgebra, the Lie verdict on the
+StructureTensor), never keyed by content, and so are the scaled views. Twisting,
+inducing and changing basis are one kernel, transform_tensor, on those views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 
 from .errors import AxiomViolation, DimensionMismatch
@@ -44,6 +47,8 @@ from .exactlin import (
     fractions_over,
     int_product,
     invert,
+    pack,
+    pack_width,
     reshape,
     vec_add,
     vec_is_zero,
@@ -58,11 +63,11 @@ class StructureTensor:
 
     No symmetry is imposed: BiHom skew-symmetry is a twisted relation, not
     c[i][j][k] = -c[j][i][k]. Slot _lie keeps the is_lie_algebra verdict,
-    slot _killing the analysis.killing_form result and slot _scaled the view
-    that scaled() returns.
+    slots _killing and _killing_det the analysis.killing_form result and its
+    determinant, and slot _scaled the view that scaled() returns.
     """
 
-    __slots__ = ("dim", "c", "_lie", "_killing", "_scaled")
+    __slots__ = ("dim", "c", "_lie", "_killing", "_killing_det", "_scaled")
 
     def __init__(self, c):
         grid = tuple(tuple(vector(row) for row in plane) for plane in c)
@@ -128,10 +133,6 @@ class StructureTensor:
         return f"StructureTensor(dim={self.dim})"
 
 
-def default_basis_names(dim: int) -> tuple[str, ...]:
-    return tuple(f"e{i + 1}" for i in range(dim))
-
-
 @dataclass(frozen=True)
 class BiHomAlgebra:
     """The 4-tuple (L, [.,.], alpha, beta) in a fixed basis."""
@@ -149,7 +150,7 @@ class BiHomAlgebra:
             if not (m.is_square and m.rows == self.dim):
                 raise DimensionMismatch(f"{name} must be {self.dim}x{self.dim}")
         if not self.basis_names:
-            object.__setattr__(self, "basis_names", default_basis_names(self.dim))
+            object.__setattr__(self, "basis_names", tuple(f"e{i + 1}" for i in range(self.dim)))
         elif len(self.basis_names) != self.dim:
             raise DimensionMismatch("one basis name per dimension required")
 
@@ -203,13 +204,9 @@ def _fail(indices, lhs, rhs, detail) -> CheckResult:
     return CheckResult(False, Witness(indices=indices, lhs=lhs, rhs=rhs, detail=detail))
 
 
-def _ad_rows(left, v) -> list[list[int]]:
-    """Rows of L(v) = sum_p v_p ad(e_p)."""
-    out = [[0] * len(v) for _ in v]
-    for p, x in enumerate(v):
-        if x:
-            out = [[a + x * b for a, b in zip(orow, prow)] for orow, prow in zip(out, left[p])]
-    return out
+def _height(rows) -> int:
+    """The largest |x| over integer rows."""
+    return max(map(abs, chain.from_iterable(rows)))
 
 
 def homomorphism_failure(m: MatrixQ, src: StructureTensor,
@@ -222,40 +219,52 @@ def homomorphism_failure(m: MatrixQ, src: StructureTensor,
         raise DimensionMismatch(f"map of shape {m.rows}x{m.cols} between tensors of "
                                 f"dimension {src.dim} and {dst.dim}")
     (d_src, c_src), (d_dst, c_dst) = src.scaled(), dst.scaled()
-    left = [list(zip(*plane)) for plane in c_dst]     # left[p][r][q] = c[p][q][r]
     dm, rows = m.scaled()
-    g = math.gcd(d_src, d_dst)
-    lhs_k, rhs_k, cols = dm * d_dst // g, d_src // g, list(zip(*rows))
-    for i, col in enumerate(cols):
-        ad = _ad_rows(left, col)
-        for j, v in enumerate(cols):
-            if any(lhs_k * sum(map(mul, row, c_src[i][j])) != rhs_k * sum(map(mul, arow, v))
-                   for row, arow in zip(rows, ad)):
-                return i, j
-    return None
+    g, n, h = math.gcd(d_src, d_dst), len(rows), _height(rows)
+    lhs_k, rhs_k, cols = dm * d_dst // g, d_src // g, tuple(zip(*rows))
+    w = pack_width(lhs_k * n * h * _height(chain.from_iterable(c_src))
+                   + rhs_k * n * n * h * h * _height(chain.from_iterable(c_dst)))
+    images = [lhs_k * pack(col, w) for col in cols]         # the packed lhs_k m(e_s)
+    packed = [[pack(v, w) for v in plane] for plane in c_dst]
+    brackets = int_product(int_product(cols, packed), rows)   # pack([m e_i, m e_j]_dst)
+    return next(((i, j) for i, (plane, row) in enumerate(zip(c_src, brackets))
+                 for j, (v, b) in enumerate(zip(plane, row))
+                 if sum(map(mul, v, images)) != rhs_k * b), None)
+
+
+def _contract(c, left, right, out_t=None) -> list[list[list[int]]]:
+    """Integer planes sum l[p][i] r[q][j] (o[s][k]) c[p][q][k] of integer views
+    l, r (and o, passed transposed as out_t), contracted over p, then q, then k."""
+    n = len(c)
+    u = int_product(tuple(zip(*left)), [[x for row in plane for x in row] for plane in c])
+    rt = tuple(zip(*right))
+    planes = [int_product(rt, reshape(ui, n, n)) for ui in u]
+    return planes if out_t is None else [int_product(v, out_t) for v in planes]
 
 
 def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
-    """Axiom (3) on pairs i <= j and (4) on triples i <= j <= k, from
-    S[i][j] = L(beta e_i) alpha e_j and L(beta^2 e_i) S[j][k]; None maps are
-    identities. Sorted triples suffice given (3): the cyclic sum is invariant
-    under cyclic permutations and then changes sign under transpositions."""
+    """Axiom (3) on pairs i <= j and (4) on triples i <= j <= k, with S and po
+    of the module note; None maps are identities. Sorted triples suffice
+    given (3): the cyclic sum is invariant under cyclic permutations and then
+    changes sign under transpositions."""
     c = t.scaled()[1]
-    left, n = [list(zip(*plane)) for plane in c], len(c)
+    n, hc = len(c), _height(chain.from_iterable(c))
     if alpha is None:
-        s, outer = c, left
+        s, b2, hl = c, None, hc
         alpha = beta = MatrixQ.identity(n)
     else:
-        acols, b = list(zip(*alpha.scaled()[1])), beta.scaled()[1]
-        s = [[[sum(map(mul, row, v)) for row in ad] for v in acols]
-             for ad in (_ad_rows(left, v) for v in zip(*b))]
-        outer = [_ad_rows(left, v) for v in zip(*int_product(b, b))]
+        b = beta.scaled()[1]
+        s, b2 = _contract(c, b, alpha.scaled()[1]), int_product(b, b)
+        hl = n * _height(b2) * hc
     skew = next(((i, j) for i in range(n) for j in range(i, n)
                  if any(x + y for x, y in zip(s[i][j], s[j][i]))), None)
+    w = pack_width(3 * n * hl * _height(chain.from_iterable(s)))
+    po = [[pack(v, w) for v in plane] for plane in c]
+    if b2 is not None:
+        po = int_product(tuple(zip(*b2)), po)
     jacobi = next(((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
-                   if any(sum(map(mul, x, s[j][k])) + sum(map(mul, y, s[k][i]))
-                          + sum(map(mul, z, s[i][j]))
-                          for x, y, z in zip(outer[i], outer[j], outer[k]))), None)
+                   if sum(map(mul, po[i], s[j][k])) + sum(map(mul, po[j], s[k][i]))
+                   + sum(map(mul, po[k], s[i][j]))), None)
 
     def br(i, j):
         return t.bracket(beta.column(i), alpha.column(j))
@@ -385,14 +394,9 @@ def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
                                 f"for a tensor of dimension {n}")
     (dc, c), (dl, l), (dr, r) = t.scaled(), left.scaled(), right.scaled()
     do, ot = (1, None) if out is None else (out.scaled()[0], tuple(zip(*out.scaled()[1])))
-    # u[i][q*n + k] = sum_p l[p][i] c[p][q][k]
-    u = int_product(tuple(zip(*l)), [[x for row in plane for x in row] for plane in c])
-    rt, den, planes = tuple(zip(*r)), dc * dl * dr * do, []
-    for ui in u:
-        v = int_product(rt, reshape(ui, n, n))      # v[j][k] = sum_q r[q][j] u[i][q][k]
-        v = v if ot is None else int_product(v, ot)  # v[j][s] = sum_k v[j][k] o[s][k]
-        planes.append([fractions_over(den, row) for row in v])
-    return StructureTensor(planes)
+    den = dc * dl * dr * do
+    return StructureTensor([[fractions_over(den, row) for row in v]
+                            for v in _contract(c, l, r, ot)])
 
 
 def conjugate_tensor(t: StructureTensor, basis: MatrixQ,

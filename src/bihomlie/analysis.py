@@ -243,7 +243,7 @@ def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
         induced = induce_lie(a)[0]
     except NotRegular:
         return None, None, enveloping_dim(burnside_generators(a))
-    killing_det, outcome = det(killing_form(induced)), None
+    killing_det, outcome = killing_determinant(induced), None
     if killing_det != 0:
         try:
             outcome = decompose_bihom(a)
@@ -271,9 +271,16 @@ def killing_form(t: StructureTensor) -> MatrixQ:
     return t._killing
 
 
+def killing_determinant(t: StructureTensor) -> Fraction:
+    """det(killing_form(t)), computed once per tensor object and kept on it."""
+    if not hasattr(t, "_killing_det"):
+        object.__setattr__(t, "_killing_det", det(killing_form(t)))
+    return t._killing_det
+
+
 def is_semisimple_lie(t: StructureTensor) -> bool:
     """Cartan criterion: nondegenerate Killing form."""
-    return det(killing_form(t)) != 0
+    return killing_determinant(t) != 0
 
 
 def derived_series(t: StructureTensor) -> list[Subspace]:
@@ -370,10 +377,10 @@ def decompose_semisimple(t: StructureTensor) -> list[Subspace]:
     ad(e_k) restricted to I spans ad_I(I), since the complement acts on I as
     zero, so decomposing I alone finds what the whole algebra would. A
     degenerate Killing form raises NotSemisimple."""
-    killing = killing_form(t)
-    if det(killing) == 0:
+    if killing_determinant(t) == 0:
         raise NotSemisimple("Killing form is degenerate")
-    return sorted(_minimal_ideals(t, killing), key=lambda s: (_pivots(s), s.basis_rows))
+    return sorted(_minimal_ideals(t, killing_form(t)),
+                  key=lambda s: (_pivots(s), s.basis_rows))
 
 
 def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, ...]:

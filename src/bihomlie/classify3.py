@@ -45,7 +45,7 @@ from .algebra import (
     conjugate_tensor,
     homomorphism_failure,
 )
-from .analysis import is_simple, killing_form
+from .analysis import is_simple, killing_determinant, killing_form
 from .catalog import make_L1, make_L2, make_L3, make_sl2, unipotent_full
 from .errors import (
     DimensionMismatch,
@@ -66,7 +66,6 @@ from .exactlin import (
     as_fraction,
     basis_vector,
     char_poly,
-    det,
     factor,
     invert,
     kernel,
@@ -254,9 +253,9 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
     """
     if t.dim != 3:
         raise DimensionMismatch("sl2 triples live in dimension 3")
-    killing = killing_form(t)
-    if det(killing) == 0:
+    if killing_determinant(t) == 0:
         raise NotSemisimple("not a semisimple Lie algebra")
+    killing = killing_form(t)
     # K(v,v)/2 = k(w,w)/(8*den) for the integer form k = den*K and w = 2v
     den, k = killing.scaled()
     k00, k11, k22 = k[0][0], k[1][1], k[2][2]

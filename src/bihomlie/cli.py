@@ -22,6 +22,7 @@ from .fileio import (
     format_rational,
     load,
     load_matrix,
+    matrix_strings,
     parse_rational,
     save,
 )
@@ -34,10 +35,6 @@ EXIT_IO = 2
 
 def _vector_strings(v):
     return [format_rational(x) for x in v]
-
-
-def _matrix_strings(m):
-    return [[format_rational(x) for x in row] for row in m.entries]
 
 
 def _witness_dict(witness):
@@ -172,13 +169,13 @@ def _cmd_classify3(args) -> int:
         _print_json({
             "family": label.family,
             "params": [format_rational(p) for p in label.params],
-            "change_of_basis": _matrix_strings(label.change_of_basis),
+            "change_of_basis": matrix_strings(label.change_of_basis),
         })
     else:
         params = ", ".join(format_rational(p) for p in label.params)
         print(f"family: {label.family}" + (f" with parameters ({params})" if params else ""))
         print("change of basis (columns are the catalog basis in input coordinates):")
-        for row in _matrix_strings(label.change_of_basis):
+        for row in matrix_strings(label.change_of_basis):
             print("  " + " ".join(row))
     return EXIT_OK
 
@@ -190,13 +187,13 @@ def _cmd_iso3(args) -> int:
     if args.json:
         _print_json({
             "isomorphic": f is not None,
-            "matrix": _matrix_strings(f) if f is not None else None,
+            "matrix": matrix_strings(f) if f is not None else None,
         })
     elif f is None:
         print("not isomorphic")
     else:
         print("isomorphic; intertwining matrix:")
-        for row in _matrix_strings(f):
+        for row in matrix_strings(f):
             print("  " + " ".join(row))
     return EXIT_OK
 

@@ -73,6 +73,20 @@ def int_product(x, y) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
+def pack_width(bound: int) -> int:
+    """The least slot width w with 2^(w-1) > bound."""
+    return bound.bit_length() + 1
+
+
+def pack(values, width: int) -> int:
+    """Kronecker substitution: sum_r v_r 2^(r*width). Linear over the
+    integers, and zero only for v = 0 when every |v_r| < 2^(width-1)."""
+    out = 0
+    for x in reversed(values):
+        out = (out << width) + x
+    return out
+
+
 def fractions_over(d: int, ints) -> tuple[Fraction, ...]:
     """The rationals x/d, one division each; zero entries share one object."""
     return tuple(Fraction(x, d) if x else ZERO for x in ints)

@@ -53,13 +53,21 @@ def _require_list(value, length, where: str):
     return value
 
 
-def _parse_matrix(value, dim: int, where: str) -> MatrixQ:
-    rows = _require_list(value, dim, where)
-    parsed = []
-    for i, row in enumerate(rows):
-        row = _require_list(row, dim, f"{where}[{i}]")
-        parsed.append([parse_rational(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    return MatrixQ(parsed)
+def _parse_row(row, length, where: str) -> list[Fraction]:
+    """The rationals of a list of `length` entries (any number when None);
+    where[k] is formatted only for an entry that fails to parse."""
+    row = _require_list(row, length, where)
+    try:
+        return [parse_rational(x, where) for x in row]
+    except ParseError:
+        for k, x in enumerate(row):
+            parse_rational(x, f"{where}[{k}]")
+        raise
+
+
+def _parse_grid(value, dim: int, where: str) -> list[list[Fraction]]:
+    return [_parse_row(row, dim, f"{where}[{i}]")
+            for i, row in enumerate(_require_list(value, dim, where))]
 
 
 def algebra_from_dict(doc) -> BiHomAlgebra:
@@ -79,26 +87,18 @@ def algebra_from_dict(doc) -> BiHomAlgebra:
     for i, name in enumerate(basis):
         if not isinstance(name, str):
             raise ParseError(f"basis[{i}]: expected a string label")
-    planes = _require_list(doc["bracket"], dim, "bracket")
-    grid = []
-    for i, plane in enumerate(planes):
-        plane = _require_list(plane, dim, f"bracket[{i}]")
-        rows = []
-        for j, row in enumerate(plane):
-            row = _require_list(row, dim, f"bracket[{i}][{j}]")
-            rows.append([parse_rational(x, f"bracket[{i}][{j}][{k}]")
-                         for k, x in enumerate(row)])
-        grid.append(rows)
+    grid = [_parse_grid(plane, dim, f"bracket[{i}]")
+            for i, plane in enumerate(_require_list(doc["bracket"], dim, "bracket"))]
     return BiHomAlgebra(
         dim=dim,
         tensor=StructureTensor(grid),
-        alpha=_parse_matrix(doc["alpha"], dim, "alpha"),
-        beta=_parse_matrix(doc["beta"], dim, "beta"),
+        alpha=MatrixQ(_parse_grid(doc["alpha"], dim, "alpha")),
+        beta=MatrixQ(_parse_grid(doc["beta"], dim, "beta")),
         basis_names=tuple(basis),
     )
 
 
-def _matrix_rows(m: MatrixQ) -> list[list[str]]:
+def matrix_strings(m: MatrixQ) -> list[list[str]]:
     return [[format_rational(x) for x in row] for row in m.entries]
 
 
@@ -108,35 +108,23 @@ def algebra_to_dict(a: BiHomAlgebra) -> dict:
         "basis": list(a.basis_names),
         "bracket": [[[format_rational(x) for x in a.tensor.bracket_basis(i, j)]
                      for j in range(a.dim)] for i in range(a.dim)],
-        "alpha": _matrix_rows(a.alpha),
-        "beta": _matrix_rows(a.beta),
+        "alpha": matrix_strings(a.alpha),
+        "beta": matrix_strings(a.beta),
     }
 
 
 def dumps_algebra(a: BiHomAlgebra) -> str:
     """Canonical text form: fixed key order, one grid row per line."""
     doc = algebra_to_dict(a)
-    lines = ["{"]
-    lines.append(f'  "dim": {doc["dim"]},')
-    lines.append(f'  "basis": {json.dumps(doc["basis"])},')
-    lines.append('  "bracket": [')
-    for i, plane in enumerate(doc["bracket"]):
-        lines.append("    [")
-        for j, row in enumerate(plane):
-            comma = "," if j + 1 < len(plane) else ""
-            lines.append(f"      {json.dumps(row)}{comma}")
-        comma = "," if i + 1 < len(doc["bracket"]) else ""
-        lines.append(f"    ]{comma}")
-    lines.append("  ],")
-    for key in ("alpha", "beta"):
-        lines.append(f'  "{key}": [')
-        for i, row in enumerate(doc[key]):
-            comma = "," if i + 1 < len(doc[key]) else ""
-            lines.append(f"    {json.dumps(row)}{comma}")
-        close = "," if key == "alpha" else ""
-        lines.append(f"  ]{close}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+    def grid(rows, indent: str) -> str:
+        return ",\n".join(indent + json.dumps(row) for row in rows)
+
+    planes = ",\n".join(f"    [\n{grid(plane, ' ' * 6)}\n    ]" for plane in doc["bracket"])
+    return (f'{{\n  "dim": {doc["dim"]},\n  "basis": {json.dumps(doc["basis"])},\n'
+            f'  "bracket": [\n{planes}\n  ],\n'
+            f'  "alpha": [\n{grid(doc["alpha"], " " * 4)}\n  ],\n'
+            f'  "beta": [\n{grid(doc["beta"], " " * 4)}\n  ]\n}}\n')
 
 
 def _parse_json(text: str, where: str):
@@ -185,7 +173,6 @@ def load_matrix(path) -> MatrixQ:
     width = None
     parsed = []
     for i, row in enumerate(rows):
-        row = _require_list(row, width, f"matrix[{i}]")
+        parsed.append(_parse_row(row, width, f"matrix[{i}]"))
         width = len(row)
-        parsed.append([parse_rational(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)])
     return MatrixQ(parsed)

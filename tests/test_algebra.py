@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from bihomlie import algebra as algebra_module
 from bihomlie.algebra import (
     AxiomReport,
     BiHomAlgebra,
@@ -39,6 +41,8 @@ from bihomlie.exactlin import (
     basis_vector,
     invert,
     lift_coordinates,
+    pack,
+    pack_width,
     rank,
     vec_add,
     vec_is_zero,
@@ -453,6 +457,201 @@ def test_lie_gate_matches_fraction_oracle():
             cases += 1
         assert is_lie_algebra(lie).ok
     assert cases >= 100
+
+
+# --- the packed comparisons at large heights and at the edge slots -----------
+
+def huge_valid(rng, dim):
+    """A verified direct sum of dim // 3 catalog parts in a basis that scales
+    each vector by a signed rational of height up to 10^30."""
+    scale = MatrixQ.diagonal([Q(rng.choice((1, -1)) * rng.randint(1, 10 ** 30),
+                                rng.randint(1, 10 ** 30)) for _ in range(dim)])
+    return conjugate_algebra(direct_sum([random_part(rng) for _ in range(dim // 3)]),
+                             random_basis(dim, rng) * scale)
+
+
+def edge_delta(rng):
+    return rng.choice((random_fraction(rng, 3, nonzero=True),
+                       Q(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 30))))
+
+
+def slot_perturbed(a, rng, part, slots):
+    """A copy with output coordinates `slots` of one bracket value or of one
+    map column moved: one slot by delta, or two adjacent slots by +delta and
+    -delta."""
+    n, delta, i, j = a.dim, edge_delta(rng), rng.randrange(a.dim), rng.randrange(a.dim)
+    grid = [[list(row) for row in plane] for plane in a.tensor.c]
+    maps = {"alpha": [list(row) for row in a.alpha.entries],
+            "beta": [list(row) for row in a.beta.entries]}
+    for r, sign in zip(slots, (1, -1)):
+        if part == "bracket":
+            grid[i][j][r] += sign * delta
+        else:
+            maps[part][r][j] += sign * delta
+    return BiHomAlgebra(dim=n, tensor=StructureTensor(grid),
+                        alpha=MatrixQ(maps["alpha"]), beta=MatrixQ(maps["beta"]))
+
+
+def edge_slots(n, rng):
+    r = rng.randrange(n - 1)
+    return ((0,), (n - 1,), (0, 1), (n - 2, n - 1), (r, r + 1))
+
+
+def test_gates_match_fraction_oracle_at_edge_slots():
+    """Heights up to 10^30 and more at dims 3, 6 and 9; perturbations that
+    move only the lowest or only the highest packed slot, or two adjacent
+    slots by opposite deltas."""
+    rng = random.Random(411)
+    failed, lie_failed = dict.fromkeys(NAMES, 0), 0
+    for dim in (3, 6, 9, 3, 6):
+        a = huge_valid(rng, dim)
+        assert check_all(a).all_pass
+        variants = [slot_perturbed(a, rng, part, slots) for part in ("bracket", "alpha", "beta")
+                    for slots in edge_slots(dim, rng)[:4 if dim == 9 else 5]]
+        for variant in variants:
+            report = check_all(variant)
+            assert report == fraction_check_all(variant), (dim, report.failures())
+            assert_fraction_witnesses(getattr(report, name) for name in NAMES)
+            for name in report.failures():
+                failed[name] += 1
+        lie = induce_lie(a)[0]
+        assert is_lie_algebra(lie).ok
+        for slots in edge_slots(dim, rng):
+            grid, delta = [[list(row) for row in plane] for plane in lie.c], edge_delta(rng)
+            i, j = rng.sample(range(dim), 2)
+            for r, sign in zip(slots, (1, -1)):
+                grid[i][j][r] += sign * delta
+                grid[j][i][r] -= sign * delta    # keeps skew-symmetry
+            t = StructureTensor(grid)
+            result = is_lie_algebra(t)
+            assert result == fraction_is_lie_algebra(t)
+            assert_fraction_witnesses([result])
+            lie_failed += not result.ok
+    assert all(failed.values()) and lie_failed, (failed, lie_failed)
+
+
+def fraction_homomorphism_failure(m, src, dst):
+    cols = [m.column(j) for j in range(src.dim)]
+    return next(((i, j) for i in range(src.dim) for j in range(src.dim)
+                 if m.apply(src.bracket_basis(i, j)) != dst.bracket(cols[i], cols[j])), None)
+
+
+def test_homomorphism_failure_matches_fraction_oracle():
+    """src != dst with different denominators, as iso3 and _triple_at call
+    it: m = P^-1 carries src onto its conjugate by P. A change of src at the
+    last basis pair fails only there."""
+    rng = random.Random(412)
+    outcomes = set()
+    for dim in (3, 6, 9, 3, 6, 9):
+        src = huge_valid(rng, dim).tensor
+        basis = random_basis(dim, rng) * MatrixQ.diagonal(
+            [Q(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 6)) for _ in range(dim)])
+        dst, m = conjugate_tensor(src, basis), invert(basis)
+        assert src.scaled()[0] != dst.scaled()[0]
+        cases = [(m, src, dst)]
+        for slots in edge_slots(dim, rng):
+            for target in ("src", "dst", "map"):
+                delta = edge_delta(rng)
+                grid = [[list(row) for row in plane]
+                        for plane in (dst if target == "dst" else src).c]
+                rows = [list(row) for row in m.entries]
+                i, j = divmod(dim * dim - 1 if target == "src" else rng.randrange(dim * dim), dim)
+                for r, sign in zip(slots, (1, -1)):
+                    if target == "map":
+                        rows[r][j] += sign * delta
+                    else:
+                        grid[i][j][r] += sign * delta
+                changed = StructureTensor(grid)
+                cases.append((MatrixQ(rows), changed if target == "src" else src,
+                              changed if target == "dst" else dst))
+                if target == "src":
+                    assert homomorphism_failure(*cases[-1]) == (dim - 1, dim - 1)
+        for case in cases:
+            found = homomorphism_failure(*case)
+            assert found == fraction_homomorphism_failure(*case)
+            outcomes.add(found and found[0] * dim + found[1] < dim * dim - 1)
+    assert outcomes == {None, False, True}
+
+
+def test_pack_zero_only_at_zero():
+    """Exhaustive for widths w <= 4 and lengths n <= 3: pack(v, w) is zero only
+    for v = 0, and distinct, over every v with all |v_r| < 2^(w-1); past that
+    bound a carry can cancel. pack is linear, and pack_width(b) is the least w
+    with 2^(w-1) > b."""
+    for w in range(1, 5):
+        half = 1 << (w - 1)
+        for n in range(1, 4):
+            vectors = list(itertools.product(range(1 - half, half), repeat=n))
+            packed = [pack(v, w) for v in vectors]
+            assert all((p == 0) == (not any(v)) for p, v in zip(packed, vectors)), (w, n)
+            assert len(set(packed)) == len(vectors)
+        assert pack((1 << w, -1), w) == 0
+    rng = random.Random(413)
+    for _ in range(50):
+        u, v = ([rng.randint(-99, 99) for _ in range(4)] for _ in range(2))
+        x, y, w = rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 12)
+        assert x * pack(u, w) + y * pack(v, w) == pack([x * a + y * b for a, b in zip(u, v)], w)
+    for bound in range(300):
+        w = pack_width(bound)
+        assert 2 ** (w - 1) > bound >= 2 ** (w - 2) or (bound == 0 and w == 1)
+
+
+def scaled_residue_heights(widths, kernel, residues):
+    """Run kernel with pack_width recorded; return (the largest |entry| over
+    the true integer residues, 2^(w-1) for the width kernel used)."""
+    widths.clear()
+    kernel()
+    return max(abs(x) for v in residues for x in v), 2 ** (widths[0] - 1)
+
+
+def test_pack_width_bounds_true_residues(monkeypatch):
+    """The width each kernel computes keeps every true residue it packs, the
+    integer Jacobi sums and bracket-preservation differences of the scaled
+    views, below 2^(w-1), on valid and perturbed inputs alike."""
+    widths = []
+    monkeypatch.setattr(algebra_module, "pack_width",
+                        lambda bound: widths.append(pack_width(bound)) or widths[-1])
+    rng = random.Random(414)
+    nonzero = 0
+    for dim in (3, 6, 9, 3, 6):
+        a = huge_valid(rng, dim)
+        for variant in [a] + [slot_perturbed(a, rng, part, slots)
+                              for part in ("bracket", "alpha", "beta")
+                              for slots in edge_slots(dim, rng)[:2]]:
+            t, n = variant.tensor, dim
+            dc, (da, db) = t.scaled()[0], (variant.alpha.scaled()[0], variant.beta.scaled()[0])
+            b2 = variant.beta * variant.beta
+            acols = [variant.alpha.column(j) for j in range(n)]
+            bcols = [variant.beta.column(j) for j in range(n)]
+            sums = [vec_add(vec_add(*(t.bracket(b2.column(x), t.bracket(bcols[y], acols[z]))
+                                      for x, y, z in ((i, j, k), (j, k, i)))),
+                            t.bracket(b2.column(k), t.bracket(bcols[i], acols[j])))
+                    for i in range(n) for j in range(i, n) for k in range(j, n)]
+            scale = da * db ** 3 * dc ** 2
+            top, limit = scaled_residue_heights(widths, lambda: algebra_module._skew_jacobi(
+                t, variant.alpha, variant.beta, ("", "")), [[scale * x for x in v] for v in sums])
+            assert top < limit
+            nonzero += top > 0
+            for m in (variant.alpha, variant.beta):
+                dm, cols = m.scaled()[0], [m.column(j) for j in range(n)]
+                scale = dm * dm * dc     # dm^2 d_src d_dst / gcd(d_src, d_dst)
+                diffs = [[scale * (x - y) for x, y in zip(m.apply(t.bracket_basis(i, j)),
+                                                          t.bracket(cols[i], cols[j]))]
+                         for i in range(n) for j in range(n)]
+                top, limit = scaled_residue_heights(
+                    widths, lambda: homomorphism_failure(m, t), diffs)
+                assert top < limit
+                nonzero += top > 0
+        lie = StructureTensor(induce_lie(a)[0].c)     # not yet verified
+        d = lie.scaled()[0]
+        sums = [vec_add(vec_add(lie.bracket(basis_vector(n, i), lie.bracket_basis(j, k)),
+                                lie.bracket(basis_vector(n, j), lie.bracket_basis(k, i))),
+                        lie.bracket(basis_vector(n, k), lie.bracket_basis(i, j)))
+                for i in range(n) for j in range(i, n) for k in range(j, n)]
+        top, limit = scaled_residue_heights(
+            widths, lambda: is_lie_algebra(lie), [[d * d * x for x in v] for v in sums])
+        assert top < limit
+    assert nonzero > 20
 
 
 def twist_outcome(validate, tw):

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
 
+from bihomlie import exactlin
 from bihomlie.algebra import (
     BiHomAlgebra,
     StructureTensor,
@@ -643,3 +645,23 @@ def test_classify3_change_of_basis_is_pinned():
         assert label.family == "L1", path
         assert [[format_rational(x) for x in row]
                 for row in label.change_of_basis.entries] == change, path
+
+
+def test_killing_determinant_taken_once(monkeypatch):
+    """An identity-pair input passes the is_simple gate, decompose_semisimple
+    and find_sl2_triple on one induced tensor: its Killing determinant is
+    computed once, through every module that binds exactlin.det."""
+    calls, det = [], exactlin.det
+
+    def counted(m):
+        calls.append(m)
+        return det(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bihomlie") and getattr(module, "det", None) is det:
+            monkeypatch.setattr(module, "det", counted)
+    sl2 = BiHomAlgebra(dim=3, tensor=make_sl2(), alpha=MatrixQ.identity(3),
+                       beta=MatrixQ.identity(3))
+    label = classify3(conjugate_algebra(sl2, random_invertible(3, random.Random(7))))
+    assert (label.family, label.params) == ("L1", (1, 1))
+    assert len(calls) == 1 and calls[0].rows == 3

@@ -467,6 +467,26 @@ def test_rational_with_trailing_newline_is_rejected(tmp_path, capsys):
     assert "is not a rational" in capsys.readouterr().err
 
 
+def test_parse_error_names_the_bad_entry():
+    """Locations are formatted only for a failing entry; the message is the
+    one a per-entry location gives, deep in bracket and in beta alike."""
+    doc = json.loads(dumps_algebra(direct_sum([sl2_bihom(), make_L1(2, 3)])))
+    bad = json.loads(json.dumps(doc))
+    bad["bracket"][5][4][3] = "2/x"
+    with pytest.raises(ParseError) as exc:
+        loads_algebra(json.dumps(bad))
+    assert str(exc.value) == "bracket[5][4][3]: '2/x' is not a rational of the form p or p/q"
+    bad = json.loads(json.dumps(doc))
+    bad["beta"][4][5], bad["alpha"][5][5] = 7, "1/0"   # beta parses after alpha
+    with pytest.raises(ParseError) as exc:
+        loads_algebra(json.dumps(bad))
+    assert str(exc.value) == "alpha[5][5]: '1/0' is not a rational of the form p or p/q"
+    bad["alpha"][5][5] = "1"
+    with pytest.raises(ParseError) as exc:
+        loads_algebra(json.dumps(bad))
+    assert str(exc.value) == "beta[4][5]: 7 is not a rational of the form p or p/q"
+
+
 def test_cli_oversized_inputs_are_parse_errors(tmp_path):
     """JSON nested past the interpreter's recursion limit and integers past
     its digit limit are typed parse errors (exit 2), never a traceback."""
