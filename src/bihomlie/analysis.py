@@ -11,17 +11,17 @@ against every basis vector and under both structure maps; over an
 algebraically closed ground field there is no proper common invariant
 subspace iff the unital matrix algebra generated by those operators is the
 full endomorphism algebra, and the rational dimension of that span equals
-its complex dimension because all generators are rational. The span is
-computed over the integers: scaling a generator by the lcm of its
-denominators multiplies every product it enters by a nonzero scalar, which
-changes no span. The Killing form is contracted from the tensor's scaled
-view. A semisimple algebra is decomposed one split
-at a time (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1): a
-proper ideal and its Killing complement, each restricted to the coordinates
-of its RREF basis and decomposed as a Lie algebra of its own. A part of
-dimension below 6 is minimal as it stands: a split would need two semisimple
-parts of dimension 3 or more, and a 3-dimensional one is a form of sl2,
-absolutely simple, which keeps Decomposition.enveloping_dim exact.
+its complex dimension because all generators are rational. One closure,
+_closure, walks every span over the integers: scaling a generator by the
+lcm of its denominators multiplies every product it enters by a nonzero
+scalar, which changes no span. The adjoint operators and the Killing form
+come from the tensor's scaled view. A semisimple algebra is decomposed one
+split at a time (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch.
+1): a proper ideal and its Killing complement, each restricted to the
+coordinates of its RREF basis and decomposed as a Lie algebra of its own.
+A part of dimension below 6 is minimal as it stands: a split would need two
+semisimple parts of dimension 3 or more, and a 3-dimensional one is a form
+of sl2, absolutely simple, which keeps Decomposition.enveloping_dim exact.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .exactlin import (
     cleared,
     det,
     kernel,
-    lift_coordinates,
     primitive,
     rank,
     rational_roots,
@@ -139,26 +138,31 @@ class TypeLabel:
         return f"({self.series}{self.rank}, m={self.m})"
 
 
-def _spin(ops: list[MatrixQ], seeds: list[Vector]) -> Subspace:
-    """Close the span of the seeds under the operators, applied through
-    their integer scaled views (a nonzero scalar changes no span)."""
-    builder = SpanBuilder(ops[0].cols)
-    mats = [op.scaled()[1] for op in ops]
-    work = [cleared(s)[1] for s in seeds if builder.add(s)]
-    while work:
-        v = work.pop()
+def _closure(mats, seed) -> SpanBuilder:
+    """Span of the integer n x k matrix with columns seed and its products
+    with the integer n x n mats, over row-major entries: walked breadth
+    first, each product made primitive, until the span is full."""
+    k = len(seed)
+    span = SpanBuilder(len(mats[0]) * k)
+    flat = [x for row in zip(*seed) for x in row]
+    work = [flat] if span.add(flat) else []
+    for w in work:
+        cols = [w[j::k] for j in range(k)]
         for m in mats:
-            w = primitive([sum(map(mul, row, v)) for row in m])
-            if builder.add(w):
-                work.append(w)
-    return Subspace(builder.ambient_dim, builder.rows.values())
+            if span.dim == span.ambient_dim:
+                return span
+            p = primitive([sum(map(mul, row, col)) for row in m for col in cols])
+            if span.add(p):
+                work.append(p)
+    return span
 
 
 def ideal_closure(a: BiHomAlgebra, v) -> Subspace:
     """Smallest subspace containing v that is stable under both structure
     maps and under bracketing with the whole algebra on either side."""
     require_axioms(a)
-    return _spin(burnside_generators(a), [vector(v)])
+    span = _closure([g.scaled()[1] for g in burnside_generators(a)], [cleared(vector(v))[1]])
+    return Subspace(a.dim, span.rows.values())
 
 
 def is_ideal(a: BiHomAlgebra, s: Subspace) -> IdealReport:
@@ -189,29 +193,15 @@ def enveloping_dim(gens: list[MatrixQ]) -> int:
 
     Computed over the integers: each generator is replaced by its scaled
     view d*g, which gives every word a nonzero scalar, so the span is
-    unchanged. Words are walked breadth first, made primitive, and reduced
-    into an integer SpanBuilder; the walk stops once the span is full."""
+    unchanged; _closure walks the words from the identity."""
     if not gens:
         raise DimensionMismatch("at least one generator required")
     n = gens[0].rows
     for g in gens:
         if not (g.is_square and g.rows == n):
             raise DimensionMismatch("generators must be square of one size")
-    int_gens = [g.scaled()[1] for g in gens]
-    identity = [int(i == j) for i in range(n) for j in range(n)]
-    span = SpanBuilder(n * n)
-    span.add(identity)
-    work = [identity]
-    while work and span.dim < n * n:
-        w = work.pop(0)
-        wcols = [w[j::n] for j in range(n)]
-        for g in int_gens:
-            p = primitive([sum(map(mul, row, col)) for row in g for col in wcols])
-            if span.add(p):
-                if span.dim == n * n:
-                    break
-                work.append(p)
-    return span.dim
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _closure([g.scaled()[1] for g in gens], identity).dim
 
 
 def burnside_generators(a: BiHomAlgebra) -> list[MatrixQ]:
@@ -236,9 +226,9 @@ def is_simple(a: BiHomAlgebra) -> bool:
 def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
     """The simplicity rule for a verified algebra, behind is_simple and
     analyze: (det of the induced Killing form, None when a is not regular;
-    the Decomposition, else the IrrationalSplit or NotSemisimple that
-    stopped it, else None; the enveloping dimension, read off the
-    decomposition when there is one and spanned otherwise)."""
+    the Decomposition, else the IrrationalSplit that stopped it, else None;
+    the enveloping dimension, read off the decomposition when there is one
+    and spanned otherwise)."""
     try:
         induced = induce_lie(a)[0]
     except NotRegular:
@@ -247,7 +237,7 @@ def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
     if killing_det != 0:
         try:
             outcome = decompose_bihom(a)
-        except (IrrationalSplit, NotSemisimple) as exc:
+        except IrrationalSplit as exc:
             outcome = exc
     env = (outcome.enveloping_dim if isinstance(outcome, Decomposition)
            else enveloping_dim(burnside_generators(a)))
@@ -298,11 +288,11 @@ def derived_series(t: StructureTensor) -> list[Subspace]:
     return series
 
 
-def _commutant(ops: list[MatrixQ], d: int) -> list[MatrixQ]:
-    """Basis of {z : z op = op z for all ops}, as d x d matrices. Each op
-    enters through its scaled view, which scales its equations only."""
+def _commutant(ops, d: int) -> list[MatrixQ]:
+    """Basis of {z : z op = op z for all ops}, as d x d matrices, from
+    integer d x d ops."""
     rows = []
-    for x in (op.scaled()[1] for op in ops):
+    for x in ops:
         for i in range(d):
             for j in range(d):
                 # entry (i, j) of op*z - z*op as a linear form in z (row-major)
@@ -315,23 +305,21 @@ def _commutant(ops: list[MatrixQ], d: int) -> list[MatrixQ]:
     return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
 
 
-def _proper_ideal(ads: list[MatrixQ]) -> Subspace | None:
-    """A proper ideal of the Lie algebra with adjoint operators ads, or None
-    when it is minimal: the ideal some basis vector spins to, else a rational
-    eigenspace of a non-scalar commutant element. A split that exists only
-    over an extension field raises IrrationalSplit instead of guessing."""
+def _proper_ideal(ads) -> Subspace | None:
+    """A proper ideal of the Lie algebra with integer ad(e_k) multiples ads,
+    or None when it is minimal: the ideal some basis vector spins to, else a
+    proper rational eigenspace of a commutant element. A split that exists
+    only over an extension field raises IrrationalSplit instead of guessing."""
     n = len(ads)
     for k in range(n):
-        sub = _spin(ads, [basis_vector(n, k)])
-        if sub.dim < n:
-            return sub
+        span = _closure(ads, [[int(i == k) for i in range(n)]])
+        if span.dim < n:
+            return Subspace(n, span.rows.values())
     comm = _commutant(ads, n)
     if len(comm) <= 1:
         return None
     identity = MatrixQ.identity(n)
     for z in comm:
-        if z.entries[0][0] != 0 and z == identity.scale(z.entries[0][0]):
-            continue
         roots, residual = rational_roots(char_poly(z))
         for lam, _mult in roots:
             ker = kernel(z - identity.scale(lam))
@@ -351,21 +339,20 @@ def _pivots(s: Subspace) -> tuple[int, ...]:
 def _minimal_ideals(t: StructureTensor, killing: MatrixQ) -> list[Subspace]:
     """Split off a proper ideal and its Killing complement, then recurse into
     each part as a Lie algebra of its own: with B its RREF basis as columns
-    and P its pivot selector, the tensor P [B e_i, B e_j] and the form B^T K B."""
+    and P its pivot selector, the tensor P [B e_i, B e_j] and the form B^T K B.
+    ad(e_k) is plane k of the scaled view, transposed. The complement always
+    splits I off: their intersection is an ideal on which K vanishes, so 0."""
     n = t.dim
     if n < 6:   # a split needs two semisimple parts, each of dimension 3 or more
         return [Subspace.full(n)]
-    ideal = _proper_ideal([ad_matrix(t, basis_vector(n, k)) for k in range(n)])
+    ideal = _proper_ideal([tuple(zip(*plane)) for plane in t.scaled()[1]])
     if ideal is None:
         return [Subspace.full(n)]
-    rest = kernel(MatrixQ(ideal.basis_rows) * killing)
-    if ideal.dim + rest.dim != n:
-        raise NotSemisimple("Killing complement does not split the ideal")
     out = []
-    for part in (ideal, rest):
+    for part in (ideal, kernel(MatrixQ(ideal.basis_rows) * killing)):
         rows, basis = MatrixQ(part.basis_rows), MatrixQ.from_columns(part.basis_rows)
         pivots = MatrixQ([basis_vector(n, j) for j in _pivots(part)])
-        out += [Subspace(n, [lift_coordinates(part, c) for c in sub.basis_rows])
+        out += [Subspace(n, (MatrixQ(sub.basis_rows) * rows).entries)
                 for sub in _minimal_ideals(transform_tensor(t, basis, basis, pivots),
                                            rows * killing * basis)]
     return out

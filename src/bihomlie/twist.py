@@ -24,7 +24,7 @@ from .algebra import (
     require_axioms,
     transform_tensor,
 )
-from .errors import AxiomViolation, NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularMatrix
+from .errors import NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularMatrix
 from .exactlin import MatrixQ, invert, rank
 
 
@@ -68,7 +68,8 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
     """Recover the induced Lie algebra of a regular BiHom-Lie algebra:
     [e_i, e_j]' = [alpha^-1(e_i), beta^-1(e_j)]. Returns the Lie tensor
     together with the original maps, which are automorphisms of it; the
-    result is computed once per algebra object and kept on it."""
+    result is computed once per algebra object and kept on it. The axioms
+    make it Lie (Graziani-Makhlouf-Menini-Panaite, SIGMA 11 (2015) 086)."""
     if "_induced" in a.__dict__:
         return a.__dict__["_induced"]
     try:
@@ -77,13 +78,8 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
     except SingularMatrix as exc:
         raise NotRegular(f"algebra is not regular: {exc}") from exc
     require_axioms(a)
-    induced = transform_tensor(a.tensor, alpha_inv, beta_inv)
-    lie_check = is_lie_algebra(induced)
-    if not lie_check.ok:
-        raise AxiomViolation(
-            f"induced bracket is not Lie: {lie_check.witness.detail} "
-            f"at indices {lie_check.witness.indices}")
-    object.__setattr__(a, "_induced", (induced, a.alpha, a.beta))
+    object.__setattr__(a, "_induced", (transform_tensor(a.tensor, alpha_inv, beta_inv),
+                                       a.alpha, a.beta))
     return a._induced
 
 

@@ -459,6 +459,20 @@ def test_lie_gate_matches_fraction_oracle():
     assert cases >= 100
 
 
+def test_induced_tensor_of_verified_algebra_is_lie():
+    """induce_lie does not check that its result is Lie: the axioms imply it.
+    Every twist, re-twist and conjugate that the Fraction axiom oracle
+    accepts induces a tensor that the Fraction Lie oracle accepts."""
+    rng = random.Random(1402)
+    dims = set()
+    for _ in range(16):
+        a = random_valid(rng)
+        assert fraction_check_all(a).all_pass
+        assert fraction_is_lie_algebra(induce_lie(a)[0]).ok
+        dims.add(a.dim)
+    assert dims == {3, 6, 9}
+
+
 # --- the packed comparisons at large heights and at the edge slots -----------
 
 def huge_valid(rng, dim):

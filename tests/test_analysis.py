@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from bihomlie import analysis
 from bihomlie.algebra import (
     BiHomAlgebra,
     StructureTensor,
@@ -47,6 +48,7 @@ from bihomlie.exactlin import (
     kernel,
     lift_coordinates,
     rational_roots,
+    vec_add,
 )
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import deadline, random_fraction, random_invertible
@@ -121,6 +123,17 @@ def test_ideal_closure_output_is_ideal():
                        (direct_sum([sl2_bihom(), sl2_bihom()]), basis_vector(6, 4))):
         closure = ideal_closure(algebra, v)
         assert is_ideal(algebra, closure).is_ideal
+
+
+def test_ideal_closure_edges():
+    """A vector of the wrong length raises SpanBuilder's DimensionMismatch;
+    the zero vector closes to the zero subspace."""
+    for v in ((), (1, 0), (1, 0, 0, 0)):
+        with pytest.raises(DimensionMismatch) as info:
+            ideal_closure(make_L1(2, 3), v)
+        assert str(info.value) == "vector length does not match ambient dimension"
+    assert ideal_closure(make_L1(2, 3), (0, 0, 0)) == Subspace.zero(3)
+    assert ideal_closure(direct_sum([sl2_bihom()] * 2), (Q(0),) * 6) == Subspace.zero(6)
 
 
 def test_enveloping_dim_identity_only():
@@ -596,7 +609,9 @@ def decomposition_outcome(decompose, t, killing):
         return type(exc), str(exc)
 
 
-def test_decompose_matches_ambient_oracle():
+def ambient_oracle_cases():
+    """Dense and block sums of two and three catalog algebras, block-cycle
+    twists, and forms that split only over Q(sqrt 2), seeded."""
     rng = random.Random(808)
     parts = [make_L1(2, 3), make_L3(5), make_L2(), make_L1(-3, Q(7, 2)), sl2_bihom()]
     identity6 = MatrixQ.identity(6)
@@ -625,14 +640,88 @@ def test_decompose_matches_ambient_oracle():
              + [conjugate_algebra(cycles[0], dense(6)), conjugate_algebra(cycles[1], blocks(9))]
              + [sqrt2, conjugate_algebra(sqrt2, dense(6)),
                 direct_sum([sqrt2, sl2_bihom()]), direct_sum([make_L1(2, 3), sqrt2])])
+    return cases
+
+
+def test_decompose_matches_ambient_oracle():
     outcomes = []
-    for algebra in cases:
+    for algebra in ambient_oracle_cases():
         lie = induce_lie(algebra)[0]
         killing = killing_form(lie)
         expected = decomposition_outcome(ambient_minimal_ideals, lie, killing)
         assert decomposition_outcome(lambda t, _k: decompose_semisimple(t), lie, killing) == expected
         outcomes.append(expected[0] if isinstance(expected, tuple) else len(expected))
     assert outcomes == [2] * 3 + [3] * 3 + [2, 3] + [IrrationalSplit] * 4
+
+
+def test_ideal_closure_matches_fraction_spin_on_dense_bases():
+    """ideal_closure against ambient_spin, which brackets in Fraction
+    arithmetic, on densely conjugated sums: seeds inside one summand, inside
+    two, and random seeds."""
+    rng = random.Random(1403)
+    parts = [make_L1(2, 3), make_L3(5), make_L2(), make_L1(-3, Q(7, 2)), sl2_bihom()]
+    dims = []
+    for count in (2, 2, 3):
+        p = random_invertible(3 * count, rng)
+        a, inv = conjugate_algebra(direct_sum(rng.sample(parts, count)), p), invert(p)
+        n = a.dim
+        seeds = [inv.apply(basis_vector(n, rng.randrange(3))),
+                 vec_add(inv.apply(basis_vector(n, 0)), inv.apply(basis_vector(n, 4))),
+                 tuple(random_fraction(rng, 4) for _ in range(n))]
+        for v in seeds:
+            closure = ideal_closure(a, v)
+            assert closure == ambient_spin(a.tensor, [a.alpha, a.beta], [v])
+            dims.append(closure.dim)
+    assert dims == [3, 6, 6, 3, 6, 6, 3, 6, 9]
+
+
+def test_decomposition_levels_always_split(monkeypatch):
+    """Why _minimal_ideals checks no dimensions: on the oracle's inputs the
+    Gram matrix B^T K B of every level is nondegenerate, and each proper
+    ideal and its Killing complement meet in 0 with dimensions adding up to
+    the level's. (I meets its complement in an ideal on which K vanishes,
+    hence solvable, hence 0.)"""
+    levels, minimal, proper = [], analysis._minimal_ideals, analysis._proper_ideal
+
+    def level(t, killing):
+        levels.append({"dim": t.dim, "killing": killing})
+        return minimal(t, killing)
+
+    def split(ads):
+        levels[-1]["ideal"] = proper(ads)     # before any recursion below it
+        return levels[-1]["ideal"]
+
+    monkeypatch.setattr(analysis, "_minimal_ideals", level)
+    monkeypatch.setattr(analysis, "_proper_ideal", split)
+    for algebra in ambient_oracle_cases():
+        lie = induce_lie(algebra)[0]
+        decomposition_outcome(lambda t, _k: decompose_semisimple(t), lie, None)
+    splits = 0
+    for lv in levels:
+        assert det(lv["killing"]) != 0
+        ideal = lv.get("ideal")
+        if ideal is not None:
+            rest = kernel(MatrixQ(ideal.basis_rows) * lv["killing"])
+            assert ideal.dim + rest.dim == lv["dim"]
+            assert intersect(ideal, rest).dim == 0
+            splits += 1
+    assert (len(levels), splits) == (39, 14)
+
+
+def test_scalar_commutant_element_gives_no_split():
+    """Why _proper_ideal skips no scalar: z = cI has the one root c, whose
+    eigenspace is everything, and a constant residual, so the loop over the
+    commutant passes it without a split or an IrrationalSplit. The commutant
+    of sqrt2_double_sl2 starts with the identity; the next element raises."""
+    for n, c in ((1, 3), (3, Q(-2, 5)), (6, 1), (9, Q(7, 3))):
+        identity, z = MatrixQ.identity(n), MatrixQ.identity(n).scale(c)
+        roots, residual = rational_roots(char_poly(z))
+        assert roots == [(c, n)] and residual.is_constant()
+        assert kernel(z - identity.scale(roots[0][0])).dim == n
+    ads = [tuple(zip(*plane)) for plane in sqrt2_double_sl2().scaled()[1]]
+    assert analysis._commutant(ads, 6)[0] == MatrixQ.identity(6)
+    with pytest.raises(IrrationalSplit, match=r"residual factor of degree 6\)$"):
+        analysis._proper_ideal(ads)
 
 
 def test_automorphism_permutation_identity():
