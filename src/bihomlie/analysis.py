@@ -57,6 +57,7 @@ from .exactlin import (
     char_poly,
     cleared,
     det,
+    int_product,
     kernel,
     primitive,
     rank,
@@ -371,7 +372,8 @@ def decompose_semisimple(t: StructureTensor) -> list[Subspace]:
 
 
 def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, ...]:
-    """sigma with m(ideals[i]) = ideals[sigma(i)] as subspace equality."""
+    """sigma with m(ideals[i]) = ideals[sigma(i)] as subspace equality; an
+    image is spanned by the rows of B M^T, B the cleared basis rows, M = d m."""
     if not ideals:
         raise NotPermuted("empty ideal list")
     n = ideals[0].ambient_dim
@@ -379,9 +381,10 @@ def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, .
         raise DimensionMismatch("map size does not match ambient dimension")
     if rank(m) != n:
         raise NotPermuted("map is not invertible")
+    mt = tuple(zip(*m.scaled()[1]))
     sigma = []
     for i, ideal in enumerate(ideals):
-        image = Subspace(n, [m.apply(b) for b in ideal.basis_vectors()])
+        image = Subspace(n, int_product([cleared(b)[1] for b in ideal.basis_rows], mt))
         target = next((j for j, other in enumerate(ideals) if other == image), None)
         if target is None:
             raise NotPermuted(f"image of ideal {i + 1} is not in the ideal list")
@@ -402,28 +405,10 @@ def decompose_bihom(a: BiHomAlgebra) -> Decomposition:
     return Decomposition(tuple(ideals), *sigmas, m=len(ideals))
 
 
-def _series_rank_for(series: str, quotient: int) -> int | None:
-    """Smallest-rank solution l of dim_formula(series, l) = quotient, or None."""
-    if series == "A":
-        # l(l+2) = q
-        l = 1
-        while l * (l + 2) < quotient:
-            l += 1
-        return l if l * (l + 2) == quotient else None
-    if series in ("B", "C"):
-        l = 2 if series == "B" else 3
-        while l * (2 * l + 1) < quotient:
-            l += 1
-        return l if l * (2 * l + 1) == quotient else None
-    if series == "D":
-        # classical convention l >= 4 avoids the A/B/C overlaps
-        l = 4
-        while l * (2 * l - 1) < quotient:
-            l += 1
-        return l if l * (2 * l - 1) == quotient else None
-    return None
-
-
+# The classical series: dimension in terms of the rank l, and the least rank
+# (the classical convention l >= 4 for D avoids the A/B/C overlaps)
+_CLASSICAL = {"A": (lambda l: l * (l + 2), 1), "B": (lambda l: l * (2 * l + 1), 2),
+              "C": (lambda l: l * (2 * l + 1), 3), "D": (lambda l: l * (2 * l - 1), 4)}
 _EXCEPTIONAL_DIMS = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
 
 
@@ -442,7 +427,9 @@ def type_candidates(dim: int) -> list[TypeLabel]:
                 if quotient == _EXCEPTIONAL_DIMS[series]:
                     out.append(TypeLabel(series, 0, m))
             else:
-                l = _series_rank_for(series, quotient)
-                if l is not None:
+                dim_of, l = _CLASSICAL[series]
+                while dim_of(l) < quotient:
+                    l += 1
+                if dim_of(l) == quotient:
                     out.append(TypeLabel(series, l, m))
     return out

@@ -135,18 +135,13 @@ def make_L3(a) -> BiHomAlgebra:
 def printed_L3_tensor(a) -> StructureTensor:
     """The commonly transcribed L3 bracket grid, kept for the errata tests.
     It differs from make_L3 in the e1-coefficients of [e2,e3] and [e3,e3]
-    and fails the multiplicativity axiom unless a is 0 or 3."""
+    and fails the multiplicativity axiom unless a is 0 or 3: it is make_L3's
+    grid with those two transcribed coefficients put back."""
     a = as_fraction(a)
-    return StructureTensor.from_brackets(3, {
-        (0, 1): (2, 0, 0),
-        (0, 2): (2 * a - 1, 2, 0),
-        (1, 0): (-2, 0, 0),
-        (1, 1): (2 * (1 - a), 0, 0),
-        (1, 2): ((3 * a - a * a) / 2, 3, 2),
-        (2, 0): (-1, -2, 0),
-        (2, 1): (-(a + 1), -(1 + 2 * a), -2),
-        (2, 2): ((1 - a) * (a + 4) / 2, 1 - a * a, 2 * (1 - a)),
-    })
+    c = [[list(row) for row in plane] for plane in make_L3(a).tensor.c]
+    c[1][2][0] = (3 * a - a * a) / 2
+    c[2][2][0] = (1 - a) * (a + 4) / 2
+    return StructureTensor(c)
 
 
 def direct_sum(entries: list[BiHomAlgebra]) -> BiHomAlgebra:

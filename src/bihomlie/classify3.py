@@ -122,25 +122,23 @@ _DEFINITE = "Killing form is definite: no isotropic vector over the reals"
 _SL2 = make_sl2()
 
 
-def _triple_at(t: StructureTensor, v: Vector, c: Fraction):
-    """Triple with h = 2v/c for a v with K(v,v)/2 = c^2 > 0, so that ad h has
-    the eigenvalues 0, 2, -2: e and f span its (+2)- and (-2)-eigenlines and
-    e is scaled by mu with [e, f] = mu h. None when the relations fail."""
+def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
+    """Triple with h = 2v/c for a v with K(v,v)/2 = c^2 > 0 on a
+    3-dimensional semisimple Lie algebra: char_poly(ad h) = x^3 - 4x, so e
+    and f span the simple eigenlines of 2 and -2, and [e, f] is a nonzero
+    element of ker ad h = Q h (else [L, L] != L), so e is scaled by the mu
+    with [e, f] = mu h. homomorphism_failure certifies the triple; if it
+    fails, SplitUndecided is raised, never a verdict of "not split"."""
     h = vec_scale(Q(2) / c, v)
     ad_h = ad_matrix(t, h)
     identity = MatrixQ.identity(3)
-    plus = kernel(ad_h - identity.scale(2))
-    minus = kernel(ad_h + identity.scale(2))
-    if plus.dim != 1 or minus.dim != 1:
-        return None
-    e, f = plus.basis_vectors()[0], minus.basis_vectors()[0]
+    e = kernel(ad_h - identity.scale(2)).basis_vectors()[0]
+    f = kernel(ad_h + identity.scale(2)).basis_vectors()[0]
     pivot = next(i for i, x in enumerate(h) if x != 0)
     mu = t.bracket(e, f)[pivot] / h[pivot]
-    if mu == 0:
-        return None
     triple = Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
     if homomorphism_failure(triple.basis_matrix(), _SL2, t) is not None:
-        return None
+        raise SplitUndecided("the eigenvectors of ad h do not close into an sl2 triple")
     return triple
 
 
@@ -243,12 +241,14 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
     by Tonelli-Shanks, joined by CRT). An isotropic e and a basis vector u
     with K(e,u) != 0 give v = u + s e with K(v,v)/2 = 1.
 
-    Outcomes: a triple, whose relations are verified exactly; NotSplit with
-    its proof (the Killing form is definite, or a is not a square modulo a
+    Outcomes: a triple, from the first grid hit or from stage 2, certified
+    by one homomorphism_failure check in _triple_at; NotSplit with its
+    proof (the Killing form is definite, or a is not a square modulo a
     prime p dividing b); or SplitUndecided when a number to be factored
     keeps a cofactor beyond the factoring bound of `exactlin.factor`
     (RHO_ITERATIONS Pollard-Brent steps per composite, primality proved
-    only below PRIME_PROOF_BOUND, about 3.3e24). SplitUndecided is never a
+    only below PRIME_PROOF_BOUND, about 3.3e24), or when the certificate
+    fails, which no semisimple input reaches. SplitUndecided is never a
     verdict of "not split". Also raises NotSemisimple when det K = 0.
     """
     if t.dim != 3:
@@ -269,18 +269,12 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
         root = math.isqrt(n * scale)
         if root * root != n * scale:
             continue
-        triple = _triple_at(t, (Q(w0, 2), Q(w1, 2), Q(w2, 2)), Q(root, scale))
-        if triple is not None:
-            return triple
+        return _triple_at(t, (Q(w0, 2), Q(w1, 2), Q(w2, 2)), Q(root, scale))
     e = _isotropic_vector(killing)
     ke = killing.apply(e)
     i = next(i for i, x in enumerate(ke) if x != 0)
     s = (2 - killing[i, i]) / (2 * ke[i])   # K(u + s e, u + s e) = 2
-    triple = _triple_at(t, vec_add(basis_vector(3, i), vec_scale(s, e)), Q(1))
-    if triple is None:
-        raise SplitUndecided("an isotropic vector of the Killing form did not "
-                             "complete to an sl2 triple")
-    return triple
+    return _triple_at(t, vec_add(basis_vector(3, i), vec_scale(s, e)), Q(1))
 
 
 def alpha_profile(m: MatrixQ) -> Profile:
@@ -296,8 +290,6 @@ def alpha_profile(m: MatrixQ) -> Profile:
     for value, mult in roots:
         eigen.extend([value] * mult)
     eigen.sort()
-    if len(eigen) != 3:
-        raise NotAutomorphismShape("expected three rational eigenvalues")
     identity = MatrixQ.identity(3)
     if eigen == [1, 1, 1]:
         if m == identity:
@@ -315,7 +307,7 @@ def alpha_profile(m: MatrixQ) -> Profile:
     pair = list(eigen)
     pair.remove(Q(1))
     a, b = pair
-    if a * b != 1 or a in (1, -1):
+    if a * b != 1:
         raise NotAutomorphismShape(f"eigenvalue multiset {eigen} is not of the "
                                    "form {1, a, 1/a}")
     chosen = max(pair, key=lambda r: (abs(r), r))
@@ -326,11 +318,9 @@ def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
     """sl2 triple in which an automorphism with eigenvalues (1, r, 1/r), r != 1,
     becomes diag(1, r, 1/r). With h0 spanning the fixed line, ad h0 is
     diag(0, c, -c) in such a basis, so c = tr(ad h0 m)/(r - 1/r), which puts
-    e in the r-eigenspace; for r = -1, c = +sqrt(K(h0,h0)/2)."""
-    fixed = kernel(m - MatrixQ.identity(3))
-    if fixed.dim != 1:
-        raise Unmatched("the fixed space of the map is not a line")
-    h0 = fixed.basis_vectors()[0]
+    e in the r-eigenspace; for r = -1, c = +sqrt(K(h0,h0)/2). The fixed
+    space is a line, since alpha_profile found the eigenvalue 1 simple."""
+    h0 = kernel(m - MatrixQ.identity(3)).basis_vectors()[0]
     ad_h0 = ad_matrix(t, h0)
     c = (sqrt_fraction((ad_h0 * ad_h0).trace() / 2) if r == -1
          else (ad_h0 * m).trace() / (r - 1 / r))
@@ -338,10 +328,7 @@ def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
         raise Unmatched("the fixed line of the involution is not split over Q "
                         "(its adjoint eigenvalues are irrational), so no "
                         "canonical family matches")
-    triple = _triple_at(t, h0, c)
-    if triple is None:
-        raise Unmatched("adapted eigenvectors do not close into an sl2 triple")
-    return triple
+    return _triple_at(t, h0, c)
 
 
 def _jordan_basis(m: MatrixQ) -> MatrixQ:
@@ -466,17 +453,13 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
 
 def bihom_isomorphic3(a1: BiHomAlgebra, a2: BiHomAlgebra) -> MatrixQ | None:
     """Explicit isomorphism between two 3-dimensional simple algebras, or
-    None. A returned f satisfies f o alpha1 = alpha2 o f,
-    f o beta1 = beta2 o f and f([x,y]_1) = [f(x), f(y)]_2 exactly."""
+    None when their labels differ. A returned f = B2 B1^-1 satisfies
+    f o alpha1 = alpha2 o f, f o beta1 = beta2 o f and
+    f([x,y]_1) = [f(x), f(y)]_2 by construction: _certify has checked that
+    a_i in the basis B_i (the columns of its change of basis) is exactly the
+    same catalog algebra, and f maps the basis B1 onto the basis B2."""
     label1 = classify3(a1)
     label2 = classify3(a2)
     if label1.family != label2.family or label1.params != label2.params:
         return None
-    f = label2.change_of_basis * invert(label1.change_of_basis)
-    if f * a1.alpha != a2.alpha * f or f * a1.beta != a2.beta * f:
-        raise Unmatched("certified labels agree but the intertwining "
-                        "identities fail; inconsistent classification data")
-    if homomorphism_failure(f, a1.tensor, a2.tensor) is not None:
-        raise Unmatched("certified labels agree but the bracket "
-                        "identity fails; inconsistent classification data")
-    return f
+    return label2.change_of_basis * invert(label1.change_of_basis)

@@ -741,6 +741,22 @@ def test_automorphism_permutation_swap_and_cycle():
     assert sorted(sigma) == [0, 1, 2] and all(sigma[i] != i for i in range(3))
 
 
+def test_automorphism_permutation_zero_ideal_dense_basis_and_singular_map():
+    # a zero subspace in the list maps onto itself, rational maps and ideal
+    # bases go through the integer product, and a singular map is rejected
+    double = direct_sum([sl2_bihom(), sl2_bihom()]).tensor
+    swap = block_permutation(6, 3, 1)
+    parts = [Subspace.zero(6)] + decompose_semisimple(double)
+    assert automorphism_permutation(parts, swap.scale(Q(2, 3))) == (0, 2, 1)
+    p = random_invertible(6, random.Random(1505))
+    dense = [Subspace.zero(6)] + decompose_semisimple(conjugate_tensor(double, p))
+    assert any(x.denominator != 1 for s in dense for row in s.basis_rows for x in row)
+    assert automorphism_permutation(dense, invert(p) * swap.scale(Q(-1, 7)) * p) == (0, 2, 1)
+    assert automorphism_permutation(dense, MatrixQ.identity(6)) == (0, 1, 2)
+    with pytest.raises(NotPermuted, match="map is not invertible"):
+        automorphism_permutation(parts, MatrixQ.diagonal([1, 1, 1, 1, 1, 0]))
+
+
 def test_automorphism_permutation_rejects_mixing():
     parts = decompose_semisimple(direct_sum([sl2_bihom(), sl2_bihom()]).tensor)
     rng = random.Random(42)

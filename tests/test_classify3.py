@@ -15,7 +15,9 @@ from bihomlie.algebra import (
     ad_matrix,
     conjugate_algebra,
     conjugate_tensor,
+    homomorphism_failure,
 )
+from bihomlie.analysis import killing_form
 from bihomlie.catalog import (
     make_L1,
     make_L2,
@@ -26,7 +28,10 @@ from bihomlie.catalog import (
     unipotent_full,
 )
 from bihomlie.classify3 import (
+    _GRID,
     Sl2Triple,
+    _isotropic_vector,
+    _triple_at,
     alpha_profile,
     bihom_isomorphic3,
     classify3,
@@ -665,3 +670,134 @@ def test_killing_determinant_taken_once(monkeypatch):
     label = classify3(conjugate_algebra(sl2, random_invertible(3, random.Random(7))))
     assert (label.family, label.params) == ("L1", (1, 1))
     assert len(calls) == 1 and calls[0].rows == 3
+
+
+# --- the checks that no input can fail ----------------------------------------
+# _triple_at is called only with K(v,v)/2 = c^2 > 0 on a 3-dimensional
+# semisimple Lie algebra, _adapted_triple only with a DiagonalDistinct or
+# DiagNegPair map, and bihom_isomorphic3 only with two labels certified
+# against the same catalog algebra. The tests below check, on seeded inputs
+# of every path, the facts that make one certificate per verdict enough.
+
+def _path_conjugates(rng, count):
+    """Seeded conjugates of every family on every profile path, L1(1,1)
+    among them."""
+    paths = ("L1 generic", "L1(a,1)", "L1(-1,b)", "L2", "L3")
+    out = [conjugate_algebra(_property_case(rng, path)[0], random_invertible(3, rng))
+           for path in paths * count]
+    return out + [conjugate_algebra(make_L1(1, 1), random_invertible(3, rng))
+                  for _ in range(count)]
+
+
+def _triple_premises(t):
+    """(v, c) with K(v,v)/2 = c^2 > 0 for every grid candidate of stage 1,
+    and the vector of stage 2 with c = 1."""
+    killing = killing_form(t)
+
+    def half_norm(v):
+        return sum(v[i] * killing[i, j] * v[j] for i in range(3) for j in range(3)) / 2
+    out = []
+    for w in _GRID:
+        v = tuple(Q(x, 2) for x in w)
+        c = sqrt_fraction(half_norm(v))   # None when negative or not a square
+        if c:
+            out.append((v, c))
+    e = _isotropic_vector(killing)
+    ke = killing.apply(e)
+    i = next(i for i, x in enumerate(ke) if x != 0)
+    v = vec_add(basis_vector(3, i), vec_scale((2 - killing[i, i]) / (2 * ke[i]), e))
+    assert half_norm(v) == 1
+    return out + [(v, Q(1))]
+
+
+def test_triple_at_premise_fixes_the_triple():
+    """For h = 2v/c: char_poly(ad h) = x^3 - 4x, the eigenspaces of 2 and -2
+    are lines, ker ad h = Q h holds the nonzero [e, f], and the completed
+    triple passes homomorphism_failure."""
+    rng = random.Random(1501)
+    tensors = [induce_lie(a)[0] for a in _path_conjugates(rng, 1)]
+    tensors += [conjugate_tensor(make_sl2(), p) for p in wide_sl2_bases(4, 1502)]
+    tensors.append(induce_lie(conjugate_algebra(make_L1(1, 1), CONIC_BASIS))[0])
+    identity, sl2, candidates = MatrixQ.identity(3), make_sl2(), 0
+    for t in tensors:
+        for v, c in _triple_premises(t):
+            h = vec_scale(2 / c, v)
+            ad_h = ad_matrix(t, h)
+            assert char_poly(ad_h).coeffs == (0, -4, 0, 1)
+            plus, minus = kernel(ad_h - identity.scale(2)), kernel(ad_h + identity.scale(2))
+            assert plus.dim == minus.dim == 1
+            assert kernel(ad_h) == Subspace(3, [h])
+            e, f = plus.basis_vectors()[0], minus.basis_vectors()[0]
+            ef = t.bracket(e, f)
+            pivot = next(i for i, x in enumerate(h) if x != 0)
+            mu = ef[pivot] / h[pivot]
+            assert mu != 0 and ef == vec_scale(mu, h)
+            triple = _triple_at(t, v, c)
+            assert triple == Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
+            assert homomorphism_failure(triple.basis_matrix(), sl2, t) is None
+            candidates += 1
+    assert candidates > 10 * len(tensors)
+
+
+def test_triple_certificate_failure_is_split_undecided():
+    # a non-skew tensor with ad h = diag(0, 2, -2) and [e, f] = h, but
+    # [e, h] = 0: the eigenlines close, the certificate does not
+    brackets = {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0),
+                (2, 1): (-1, 0, 0)}
+    t = StructureTensor.from_brackets(3, brackets)
+    with pytest.raises(SplitUndecided, match="do not close"):
+        _triple_at(t, (Q(1), Q(0), Q(0)), Q(2))
+
+
+def test_fixed_space_of_diagonal_profiles_is_a_line():
+    """The eigenvalue 1 of a DiagonalDistinct or DiagNegPair map is simple,
+    so its fixed space is the line that _adapted_triple reads h0 from, and
+    K(h0,h0)/2 = c^2 for the c it reads off that line."""
+    rng = random.Random(1503)
+    maps = []
+    for algebra in _path_conjugates(rng, 2):
+        maps += [(induce_lie(algebra)[0], m) for m in (algebra.alpha, algebra.beta)]
+    for _ in range(10):
+        a = _property_case(rng, "L1 generic")[0].alpha[1, 1]
+        p = random_invertible(3, rng, 3)
+        maps += [(None, invert(p) * MatrixQ.diagonal(d) * p)
+                 for d in ([1, a, 1 / a], [1, -1, -1])]
+    seen = set()
+    for t, m in maps:
+        profile = alpha_profile(m)
+        if profile.kind not in ("DiagonalDistinct", "DiagNegPair"):
+            continue
+        seen.add(profile.kind)
+        fixed = kernel(m - MatrixQ.identity(3))
+        assert fixed.dim == 1
+        if t is None:
+            continue
+        h0, r = fixed.basis_vectors()[0], profile.param
+        ad_h0 = ad_matrix(t, h0)
+        half_norm = (ad_h0 * ad_h0).trace() / 2
+        c = sqrt_fraction(half_norm) if r == -1 else (ad_h0 * m).trace() / (r - 1 / r)
+        assert c and c * c == half_norm
+    assert seen == {"DiagonalDistinct", "DiagNegPair"}
+
+
+def test_iso3_isomorphism_holds_by_construction():
+    """On seeded isomorphic pairs of every path, L1(a,b) against
+    L1(1/a,1/b) and identity pairs through the grid and the conic, the f of
+    iso3 intertwines both maps and preserves the bracket."""
+    rng = random.Random(1504)
+    pairs = [(a, conjugate_algebra(a, random_invertible(3, rng)))
+             for a in _path_conjugates(rng, 1)]
+    for _ in range(3):
+        a, b = (_property_case(rng, "L1 generic")[0].alpha[1, 1] for _ in range(2))
+        pairs.append(tuple(conjugate_algebra(make_L1(*params), random_invertible(3, rng))
+                           for params in ((a, b), (1 / a, 1 / b))))
+    conic = conjugate_algebra(make_L1(1, 1), CONIC_BASIS)
+    grid = conjugate_algebra(make_L1(1, 1), random_invertible(3, rng))
+    assert grid_oracle(induce_lie(grid)[0]) is not None
+    assert grid_oracle(induce_lie(conic)[0]) is None
+    pairs += [(grid, conic), (conic, grid), (conic, conic)]
+    for a1, a2 in pairs:
+        f = bihom_isomorphic3(a1, a2)
+        assert f is not None
+        assert f * a1.alpha == a2.alpha * f and f * a1.beta == a2.beta * f
+        assert homomorphism_failure(f, a1.tensor, a2.tensor) is None
