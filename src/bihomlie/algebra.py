@@ -51,7 +51,6 @@ from .exactlin import (
     pack_width,
     reshape,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vector,
     zero_vector,
@@ -62,12 +61,13 @@ class StructureTensor:
     """Bracket data c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     No symmetry is imposed: BiHom skew-symmetry is a twisted relation, not
-    c[i][j][k] = -c[j][i][k]. Slot _lie keeps the is_lie_algebra verdict,
-    slots _killing and _killing_det the analysis.killing_form result and its
-    determinant, and slot _scaled the view that scaled() returns.
+    c[i][j][k] = -c[j][i][k]. It is kept as its view (slot _scaled), the
+    Fraction grid (slot _c) once given or read. Slot _lie keeps the
+    is_lie_algebra verdict, slots _killing and _killing_det the
+    analysis.killing_form result and its determinant.
     """
 
-    __slots__ = ("dim", "c", "_lie", "_killing", "_killing_det", "_scaled")
+    __slots__ = ("dim", "_c", "_lie", "_killing", "_killing_det", "_scaled")
 
     def __init__(self, c):
         grid = tuple(tuple(vector(row) for row in plane) for plane in c)
@@ -75,19 +75,39 @@ class StructureTensor:
         if any(len(plane) != n for plane in grid) or any(
                 len(row) != n for plane in grid for row in plane):
             raise DimensionMismatch("structure tensor must be dim x dim x dim")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "c", grid)
+        object.__setattr__(self, "_c", grid)
+        d, flat = cleared([x for plane in grid for row in plane for x in row])
+        self._keep(d, reshape(flat, n * n, n))
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureTensor is immutable")
 
+    @classmethod
+    def from_scaled(cls, d: int, planes) -> "StructureTensor":
+        """The tensor planes/d of integer planes; no Fraction is built."""
+        obj = object.__new__(cls)
+        obj._keep(*MatrixQ.from_scaled(d, [row for plane in planes for row in plane]).scaled())
+        return obj
+
+    def _keep(self, d: int, rows):
+        """Keep the view of the n^2 x n rows over d, which are in lowest terms."""
+        n = len(rows[0]) if rows else 0
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "_scaled", (d, reshape(rows, n, n)))
+
     def scaled(self) -> tuple[int, tuple]:
-        """(d, planes): d the lcm of the denominators and planes[i][j][k] the
-        integers d * c[i][j][k]. Computed once per tensor."""
-        if not hasattr(self, "_scaled"):
-            d, rows = MatrixQ([row for plane in self.c for row in plane]).scaled()
-            object.__setattr__(self, "_scaled", (d, reshape(rows, self.dim, self.dim)))
+        """(d, planes): d > 0 the lcm of the denominators and planes[i][j][k]
+        the integers d * c[i][j][k], with gcd(d, entries) = 1 as for MatrixQ."""
         return self._scaled
+
+    @property
+    def c(self) -> tuple[tuple[Vector, ...], ...]:
+        """The Fraction grid, built from the view on first read."""
+        if not hasattr(self, "_c"):
+            d, planes = self._scaled
+            object.__setattr__(self, "_c", tuple(tuple(fractions_over(d, row) for row in plane)
+                                                 for plane in planes))
+        return self._c
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
@@ -121,13 +141,13 @@ class StructureTensor:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for plane in self.c for row in plane)
+        return not any(map(any, chain.from_iterable(self.scaled()[1])))
 
     def __eq__(self, other):
-        return isinstance(other, StructureTensor) and self.c == other.c
+        return isinstance(other, StructureTensor) and self.scaled() == other.scaled()
 
     def __hash__(self):
-        return hash(self.c)
+        return hash(self.scaled())
 
     def __repr__(self):
         return f"StructureTensor(dim={self.dim})"
@@ -386,7 +406,7 @@ def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
     n x d, out is d x n and defaults to the identity (n = t.dim). With B the
     basis columns of a subalgebra and P its pivot selector, (t, B, B, P) is
     the restriction. The views are contracted over p, then q, then k in
-    sum l[p][i] r[q][j] o[s][k] c[p][q][k], one division per entry."""
+    sum l[p][i] r[q][j] o[s][k] c[p][q][k], and the result is kept as a view."""
     n, d = t.dim, left.cols
     if [(left.rows, left.cols), (right.rows, right.cols),
             (d, d) if out is None else (out.rows, out.cols)] != [(n, d), (n, d), (d, n)]:
@@ -394,9 +414,7 @@ def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
                                 f"for a tensor of dimension {n}")
     (dc, c), (dl, l), (dr, r) = t.scaled(), left.scaled(), right.scaled()
     do, ot = (1, None) if out is None else (out.scaled()[0], tuple(zip(*out.scaled()[1])))
-    den = dc * dl * dr * do
-    return StructureTensor([[fractions_over(den, row) for row in v]
-                            for v in _contract(c, l, r, ot)])
+    return StructureTensor.from_scaled(dc * dl * dr * do, _contract(c, l, r, ot))
 
 
 def conjugate_tensor(t: StructureTensor, basis: MatrixQ,
@@ -409,9 +427,11 @@ def conjugate_tensor(t: StructureTensor, basis: MatrixQ,
     return transform_tensor(t, basis, basis, invert(basis) if inverse is None else inverse)
 
 
-def conjugate_algebra(a: BiHomAlgebra, basis: MatrixQ) -> BiHomAlgebra:
-    """Rewrite the whole 4-tuple in the basis given by the columns of `basis`."""
-    inv = invert(basis)
+def conjugate_algebra(a: BiHomAlgebra, basis: MatrixQ,
+                      inverse: MatrixQ | None = None) -> BiHomAlgebra:
+    """Rewrite the whole 4-tuple in the basis given by the columns of `basis`.
+    `inverse` may carry invert(basis)."""
+    inv = invert(basis) if inverse is None else inverse
     return BiHomAlgebra(dim=a.dim, tensor=conjugate_tensor(a.tensor, basis, inv),
                         alpha=inv * a.alpha * basis, beta=inv * a.beta * basis,
                         basis_names=a.basis_names)

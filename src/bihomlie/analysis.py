@@ -302,7 +302,7 @@ def _commutant(ops, d: int) -> list[MatrixQ]:
                     row[k * d + j] += x[i][k]
                     row[i * d + k] -= x[k][j]
                 rows.append(row)
-    basis = kernel(MatrixQ(rows)).basis_vectors()
+    basis = kernel(MatrixQ.from_scaled(1, rows)).basis_vectors()
     return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
 
 

@@ -366,8 +366,8 @@ def normalize_l1_params(a, b) -> tuple[Fraction, Fraction, bool]:
 
 
 def _certify(a: BiHomAlgebra, basis: MatrixQ, expected: BiHomAlgebra,
-             family: str, params: tuple) -> ClassLabel:
-    conj = conjugate_algebra(a, basis)
+             family: str, params: tuple, inverse: MatrixQ | None = None) -> ClassLabel:
+    conj = conjugate_algebra(a, basis, inverse)
     if conj.tensor != expected.tensor or conj.alpha != expected.alpha \
             or conj.beta != expected.beta:
         raise Unmatched(
@@ -380,15 +380,16 @@ def _certify(a: BiHomAlgebra, basis: MatrixQ, expected: BiHomAlgebra,
 def _classify_diagonal_family(a: BiHomAlgebra, triple: Sl2Triple,
                               a_param: Fraction) -> ClassLabel:
     basis = triple.basis_matrix()
-    b_param = (invert(basis) * a.beta * basis)[1, 1]
+    inverse = invert(basis)
+    b_param = (inverse * a.beta * basis)[1, 1]
     if b_param == 0:   # beta swaps the e- and f-lines
         raise Unmatched(
             "alpha is diagonalizable in an adapted sl2 basis but beta is not "
             "diag(1, b, 1/b) there; no canonical family corresponds to this pair")
     a_n, b_n, flipped = normalize_l1_params(a_param, b_param)
-    if flipped:
-        basis = basis * _FLIP
-    return _certify(a, basis, make_L1(a_n, b_n), "L1", (a_n, b_n))
+    if flipped:   # _FLIP is an involution
+        basis, inverse = basis * _FLIP, _FLIP * inverse
+    return _certify(a, basis, make_L1(a_n, b_n), "L1", (a_n, b_n), inverse)
 
 
 def _classify_unipotent_family(a: BiHomAlgebra, induced: StructureTensor,
@@ -409,8 +410,9 @@ def _classify_unipotent_family(a: BiHomAlgebra, induced: StructureTensor,
     basis = jordan * g
     if family == "L2":
         return _certify(a, basis, make_L2(), "L2", ())
-    a_param = (invert(basis) * a.beta * basis)[0, 1]
-    return _certify(a, basis, make_L3(a_param), "L3", (a_param,))
+    inverse = invert(basis)
+    a_param = (inverse * a.beta * basis)[0, 1]
+    return _certify(a, basis, make_L3(a_param), "L3", (a_param,), inverse)
 
 
 def classify3(a: BiHomAlgebra) -> ClassLabel:

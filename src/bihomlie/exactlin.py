@@ -1,14 +1,14 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Values are immutable tuples of ``fractions.Fraction`` and pivoting is
-deterministic (first nonzero by index), so outputs are reproducible byte for
-byte. The arithmetic runs on integers: each MatrixQ keeps one scaled view,
-the lcm d of its denominators with the integer rows of d*M, and products
-multiply two views. Elimination (rref, kernel, rank, invert, det, Subspace)
-is fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22, 1968) on rows
-cleared by the lcm of their own denominators, which keeps the RREF; each
-result is divided once per entry at the end. SpanBuilder keeps primitive
-integer rows.
+Values are immutable and pivoting is deterministic (first nonzero by index),
+so outputs are reproducible byte for byte. A MatrixQ is stored as its scaled
+view (d, rows): d > 0 the lcm of its denominators, rows the integer rows of
+d*M and gcd(d, entries) = 1, so equal matrices have equal views; its
+``fractions.Fraction`` entries are built only when read. Products multiply
+two views, and elimination (rref, kernel, rank, invert, det, Subspace) is
+fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22, 1968) on integer
+rows, which keeps the RREF; Subspace divides its basis once at the end.
+SpanBuilder keeps primitive integer rows.
 
 The few integer routines that exact split detection needs live here too:
 is_prime, factor (with a documented bound past which a cofactor is left
@@ -56,10 +56,6 @@ def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
-def vec_is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 def cleared(values) -> tuple[int, list[int]]:
     """(d, [d*x for x in values]) in integers, d the lcm of the denominators
     of the rationals (or integers) in values."""
@@ -98,47 +94,54 @@ def reshape(flat: list, count: int, width: int) -> tuple[tuple, ...]:
 
 class MatrixQ:
     """Dense rational matrix. Acts on coordinate columns: the j-th column
-    holds the image of the j-th basis vector. Slot _scaled keeps the view
-    that scaled() returns."""
+    holds the image of the j-th basis vector. It is kept as its view (slot
+    _scaled), the Fraction rows (slot _entries) once given or read."""
 
-    __slots__ = ("rows", "cols", "entries", "_scaled")
+    __slots__ = ("rows", "cols", "_entries", "_scaled")
 
     def __init__(self, entries):
         rows = tuple(tuple(as_fraction(x) for x in row) for row in entries)
         if not rows:
             raise DimensionMismatch("matrix needs at least one row")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("ragged matrix rows")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_entries", rows)
+        self._keep(*cleared([x for row in rows for x in row]), len(rows), len(rows[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixQ is immutable")
 
     @classmethod
     def from_scaled(cls, d: int, ints) -> "MatrixQ":
-        """The matrix ints/d of integer rows, one division per entry. Its
-        scaled view is kept, over g = gcd(d, entries) with the sign of d."""
-        flat = [x for row in ints for x in row]
-        g = math.gcd(d, *flat) * (-1 if d < 0 else 1)
-        d, rows = d // g, reshape([x // g for x in flat], len(ints), len(ints[0]))
-        obj = cls([fractions_over(d, row) for row in rows])
-        object.__setattr__(obj, "_scaled", (d, rows))
+        """The matrix ints/d of integer rows; no Fraction is built."""
+        obj = object.__new__(cls)
+        obj._keep(d, [x for row in ints for x in row], len(ints), len(ints[0]))
         return obj
 
+    def _keep(self, d: int, flat: list[int], rows: int, cols: int):
+        """Keep the view of flat/d over g = gcd(d, entries) with the sign of d."""
+        g = math.gcd(d, *flat) * (-1 if d < 0 else 1)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        flat = flat if g == 1 else [x // g for x in flat]
+        object.__setattr__(self, "_scaled", (d // g, reshape(flat, rows, cols)))
+
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(d, rows): d the lcm of the denominators and rows the integer rows
-        of d * self. Computed once per matrix."""
-        if not hasattr(self, "_scaled"):
-            d, flat = cleared(self.flatten())
-            object.__setattr__(self, "_scaled", (d, reshape(flat, self.rows, self.cols)))
+        """(d, rows): d > 0 the lcm of the denominators and rows the integer
+        rows of d * self, so gcd(d, entries) = 1."""
         return self._scaled
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows of Fraction entries, built from the view on first read."""
+        if not hasattr(self, "_entries"):
+            d, rows = self._scaled
+            object.__setattr__(self, "_entries", tuple(fractions_over(d, row) for row in rows))
+        return self._entries
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return cls([[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
+        return cls.from_scaled(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, values) -> "MatrixQ":
@@ -166,27 +169,28 @@ class MatrixQ:
         return self.entries[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, MatrixQ) and self.entries == other.entries
+        return isinstance(other, MatrixQ) and self.scaled() == other.scaled()
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.scaled())
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"MatrixQ[{body}]"
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        self._same_shape(other)
-        return MatrixQ([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix shapes differ")
+        (d1, x), (d2, y) = self.scaled(), other.scaled()
+        return MatrixQ.from_scaled(d1 * d2, [[a * d2 + b * d1 for a, b in zip(r1, r2)]
+                                             for r1, r2 in zip(x, y)])
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        self._same_shape(other)
-        return MatrixQ([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self) -> "MatrixQ":
-        return MatrixQ([[-a for a in row] for row in self.entries])
+        d, rows = self.scaled()
+        return MatrixQ.from_scaled(-d, rows)
 
     def __mul__(self, other: "MatrixQ") -> "MatrixQ":
         if not isinstance(other, MatrixQ):
@@ -198,8 +202,9 @@ class MatrixQ:
         return MatrixQ.from_scaled(d1 * d2, int_product(x, y))
 
     def scale(self, c) -> "MatrixQ":
-        c = as_fraction(c)
-        return MatrixQ([[c * a for a in row] for row in self.entries])
+        c, (d, rows) = as_fraction(c), self.scaled()
+        return MatrixQ.from_scaled(d * c.denominator, [[c.numerator * x for x in row]
+                                                       for row in rows])
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times coordinate column."""
@@ -209,17 +214,11 @@ class MatrixQ:
 
     def trace(self) -> Fraction:
         self._require_square()
-        return sum((self.entries[i][i] for i in range(self.rows)), Q(0))
+        d, rows = self.scaled()
+        return Fraction(sum(rows[i][i] for i in range(self.rows)), d)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
-
-    def flatten(self) -> Vector:
-        return tuple(a for row in self.entries for a in row)
-
-    def _same_shape(self, other: "MatrixQ"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix shapes differ")
+        return not any(map(any, self.scaled()[1]))
 
     def _require_square(self):
         if not self.is_square:
@@ -262,9 +261,9 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, in
 
 
 def _echelon(rows, ncols: int) -> tuple[list[int], list[list[int]], int]:
-    """(pivot columns, integer RREF rows, last pivot) of rational or integer
-    rows, each cleared by the lcm of its own denominators."""
-    work = [cleared(row)[1] for row in rows]
+    """(pivot columns, integer RREF rows, last pivot) of integer rows, each
+    made primitive first."""
+    work = [primitive(list(row)) for row in rows]
     pivots, p, _ = _gauss_jordan(work, ncols)
     return pivots, work[:len(pivots)], p
 
@@ -272,12 +271,12 @@ def _echelon(rows, ncols: int) -> tuple[list[int], list[list[int]], int]:
 def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
     """Reduced row-echelon form and rank. Pivot choice is the first nonzero
     entry by index, so the result is the unique canonical RREF."""
-    pivots, rows, p = _echelon(m.entries, m.cols)
+    pivots, rows, p = _echelon(m.scaled()[1], m.cols)
     return MatrixQ.from_scaled(p, rows + [[0] * m.cols] * (m.rows - len(rows))), len(pivots)
 
 
 def rank(m: MatrixQ) -> int:
-    return len(_echelon(m.entries, m.cols)[0])
+    return len(_echelon(m.scaled()[1], m.cols)[0])
 
 
 def primitive(v: list[int]) -> list[int]:
@@ -327,7 +326,7 @@ class Subspace:
         rows = [vector(v) for v in vectors]
         if any(len(v) != ambient_dim for v in rows):
             raise DimensionMismatch("vector length does not match ambient dimension")
-        _, ints, p = _echelon(rows, ambient_dim)
+        _, ints, p = _echelon([cleared(v)[1] for v in rows], ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis_rows", tuple(fractions_over(p, row) for row in ints))
 
@@ -375,7 +374,7 @@ class Subspace:
 def kernel(m: MatrixQ) -> Subspace:
     """RREF basis of the null space of m: for each free column j, the vector
     p*e_j - sum over pivot rows of row[j]*e_pivot, p the last pivot."""
-    pivots, rows, p = _echelon(m.entries, m.cols)
+    pivots, rows, p = _echelon(m.scaled()[1], m.cols)
     vectors = []
     for j in range(m.cols):
         if j not in pivots:

@@ -10,39 +10,72 @@
 
 Rationals are strings matching -?[0-9]+(/[1-9][0-9]*)? as a whole, never floats.
 Ordinary Lie algebras are the alpha = beta = identity special case, so one
-format serves both. save() emits a canonical layout (reduced rationals,
-fixed key order, one grid row per line) and save o load is the identity on
-canonical files.
+format serves both. A grid is read in integers, cleared by one lcm into the
+scaled view that MatrixQ and StructureTensor store, and save() prints each
+entry x/d of the view reduced: no Fraction is built either way. save()
+emits a canonical layout (reduced rationals, fixed key order, one grid row
+per line) and save o load is the identity on canonical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .algebra import BiHomAlgebra, StructureTensor
 from .errors import DimensionMismatch, ParseError
-from .exactlin import MatrixQ
+from .exactlin import MatrixQ, reshape
 
 RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+ROW_RE = re.compile(rf"{RATIONAL_RE.pattern}(?:,{RATIONAL_RE.pattern})*")
+
+
+def _rationals(texts, name) -> tuple[int, list[int]]:
+    """(d, [d*x for x in texts]), d the lcm of the denominators, for a list of
+    rational strings matched as one comma-joined string. An entry k that
+    fails alone is reported as name(k)."""
+    try:
+        text = ",".join(texts)
+        if ROW_RE.fullmatch(text) and text.count(",") == len(texts) - 1:
+            if "/" not in text:
+                return 1, list(map(int, texts))
+            pairs = [(int(p), int(q or 1)) for p, q in RATIONAL_RE.findall(text)]
+            d = math.lcm(*(q for _, q in pairs))
+            return d, [p * (d // q) for p, q in pairs]
+    except (TypeError, ValueError):   # a non-string entry, or the digit limit
+        pass
+    for k, x in enumerate(texts):
+        match = RATIONAL_RE.fullmatch(x) if isinstance(x, str) else None
+        if match is None:
+            raise ParseError(f"{name(k)}: {x!r} is not a rational of the form p or p/q")
+        try:
+            int(match[1]), int(match[2] or 1)
+        except ValueError as exc:   # beyond the interpreter's integer-string digit limit
+            raise ParseError(f"{name(k)}: {len(x)}-character rational exceeds the "
+                             f"{sys.get_int_max_str_digits()}-digit integer limit") from exc
+    return 1, []   # no entry fails alone: the list is empty
+
+
+def _strings(d: int, ints) -> list[str]:
+    """The rationals x/d of integers x over d > 0, reduced, as p or p/q."""
+    if d == 1:
+        return list(map(str, ints))
+    return [str(x // g) if g == d else f"{x // g}/{d // g}"
+            for x, g in zip(ints, map(math.gcd, ints, repeat(d)))]
 
 
 def parse_rational(text, where: str) -> Fraction:
-    """The whole string must match; the groups give numerator and denominator."""
-    match = RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        raise ParseError(f"{where}: {text!r} is not a rational of the form p or p/q")
-    try:
-        return Fraction(int(match[1]), int(match[2] or 1))
-    except ValueError as exc:   # beyond the interpreter's integer-string digit limit
-        raise ParseError(f"{where}: {len(text)}-character rational exceeds "
-                         f"the {sys.get_int_max_str_digits()}-digit integer limit") from exc
+    """One rational at the edge, such as a command-line parameter."""
+    d, (x,) = _rationals([text], lambda k: where)
+    return Fraction(x, d)
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    return _strings(q.denominator, [q.numerator])[0]
 
 
 def _require_list(value, length, where: str):
@@ -53,21 +86,20 @@ def _require_list(value, length, where: str):
     return value
 
 
-def _parse_row(row, length, where: str) -> list[Fraction]:
-    """The rationals of a list of `length` entries (any number when None);
-    where[k] is formatted only for an entry that fails to parse."""
-    row = _require_list(row, length, where)
-    try:
-        return [parse_rational(x, where) for x in row]
-    except ParseError:
-        for k, x in enumerate(row):
-            parse_rational(x, f"{where}[{k}]")
-        raise
+def _parse_row(row, length, where: str) -> tuple[int, list[int]]:
+    """A list of `length` rationals (any number when None) as (d, integers)."""
+    return _rationals(_require_list(row, length, where), lambda k: f"{where}[{k}]")
 
 
-def _parse_grid(value, dim: int, where: str) -> list[list[Fraction]]:
-    return [_parse_row(row, dim, f"{where}[{i}]")
-            for i, row in enumerate(_require_list(value, dim, where))]
+def _view(rows) -> tuple[int, list[list[int]]]:
+    """One view (d, integer rows) of parsed rows, d the lcm of theirs."""
+    d = math.lcm(*(dr for dr, _ in rows))
+    return d, [row if dr == d else [x * (d // dr) for x in row] for dr, row in rows]
+
+
+def _parse_grid(value, dim: int, where: str) -> tuple[int, list[list[int]]]:
+    return _view([_parse_row(row, dim, f"{where}[{i}]")
+                  for i, row in enumerate(_require_list(value, dim, where))])
 
 
 def algebra_from_dict(doc) -> BiHomAlgebra:
@@ -87,27 +119,29 @@ def algebra_from_dict(doc) -> BiHomAlgebra:
     for i, name in enumerate(basis):
         if not isinstance(name, str):
             raise ParseError(f"basis[{i}]: expected a string label")
-    grid = [_parse_grid(plane, dim, f"bracket[{i}]")
-            for i, plane in enumerate(_require_list(doc["bracket"], dim, "bracket"))]
+    d, rows = _view([_parse_row(row, dim, f"bracket[{i}][{j}]")
+                     for i, plane in enumerate(_require_list(doc["bracket"], dim, "bracket"))
+                     for j, row in enumerate(_require_list(plane, dim, f"bracket[{i}]"))])
     return BiHomAlgebra(
         dim=dim,
-        tensor=StructureTensor(grid),
-        alpha=MatrixQ(_parse_grid(doc["alpha"], dim, "alpha")),
-        beta=MatrixQ(_parse_grid(doc["beta"], dim, "beta")),
+        tensor=StructureTensor.from_scaled(d, reshape(rows, dim, dim)),
+        alpha=MatrixQ.from_scaled(*_parse_grid(doc["alpha"], dim, "alpha")),
+        beta=MatrixQ.from_scaled(*_parse_grid(doc["beta"], dim, "beta")),
         basis_names=tuple(basis),
     )
 
 
 def matrix_strings(m: MatrixQ) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.entries]
+    d, rows = m.scaled()
+    return [_strings(d, row) for row in rows]
 
 
 def algebra_to_dict(a: BiHomAlgebra) -> dict:
+    d, planes = a.tensor.scaled()
     return {
         "dim": a.dim,
         "basis": list(a.basis_names),
-        "bracket": [[[format_rational(x) for x in a.tensor.bracket_basis(i, j)]
-                     for j in range(a.dim)] for i in range(a.dim)],
+        "bracket": [[_strings(d, row) for row in plane] for plane in planes],
         "alpha": matrix_strings(a.alpha),
         "beta": matrix_strings(a.beta),
     }
@@ -175,4 +209,4 @@ def load_matrix(path) -> MatrixQ:
     for i, row in enumerate(rows):
         parsed.append(_parse_row(row, width, f"matrix[{i}]"))
         width = len(row)
-    return MatrixQ(parsed)
+    return MatrixQ.from_scaled(*_view(parsed))

@@ -45,13 +45,20 @@ from bihomlie.exactlin import (
     pack_width,
     rank,
     vec_add,
-    vec_is_zero,
     vec_scale,
     zero_vector,
 )
+from bihomlie.fileio import algebra_to_dict, dumps_algebra
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import random_fraction, random_invertible
-from test_exactlin import fraction_invert, fraction_matmul, random_shaped
+from test_exactlin import (
+    assert_canonical,
+    fraction_invert,
+    fraction_matmul,
+    random_entry,
+    random_shaped,
+    scaled_twin,
+)
 
 
 def test_bracket_l1_table_value():
@@ -281,7 +288,7 @@ def fraction_check_bihom_jacobi(a):
         for j in range(i, n):
             for k in range(j, n):
                 total = vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j))
-                if not vec_is_zero(total):
+                if any(total):
                     return CheckResult(False, Witness(
                         indices=(i, j, k), lhs=total, rhs=zero_vector(n),
                         detail="cyclic BiHom-Jacobi sum is nonzero"))
@@ -315,7 +322,7 @@ def fraction_is_lie_algebra(t):
                     vec_add(t.bracket(basis_vector(n, i), t.bracket_basis(j, k)),
                             t.bracket(basis_vector(n, j), t.bracket_basis(k, i))),
                     t.bracket(basis_vector(n, k), t.bracket_basis(i, j)))
-                if not vec_is_zero(total):
+                if any(total):
                     return CheckResult(False, Witness(
                         indices=(i, j, k), lhs=total, rhs=zero_vector(n),
                         detail="classical Jacobi sum is nonzero"))
@@ -784,3 +791,43 @@ def test_transform_tensor_matches_fraction_grids():
             transform_tensor(sl2, *maps)
     with pytest.raises(DimensionMismatch):
         conjugate_tensor(make_sl2(), MatrixQ.identity(2))
+
+
+def test_tensor_view_is_canonical_from_fractions_and_from_scaled():
+    """A StructureTensor built from Fractions and the same tensor through
+    from_scaled (non-reduced, zero planes and rows, negative d) agree on c,
+    scaled(), ==, hash, is_zero and the saved bytes of an algebra holding
+    them, and both views are canonical; transform_tensor keeps such a view."""
+    rng = random.Random(1618)
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        height = rng.choice((1, 9, 10 ** 15))
+        c = [[[random_entry(rng, height) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for i, j in rng.sample([(i, j) for i in range(n) for j in range(n)], rng.randint(0, n)):
+            c[i][j] = [Q(0)] * n
+        if rng.random() < 0.2:
+            c[rng.randrange(n)] = [[Q(0)] * n for _ in range(n)]
+        values = [x for plane in c for row in plane for x in row]
+        t = StructureTensor(c)
+        u = scaled_twin(rng, values, lambda d, flat: StructureTensor.from_scaled(
+            d, [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]))
+        d, planes = u.scaled()
+        assert_canonical((d, [row for plane in planes for row in plane]), values)
+        assert t.scaled() == u.scaled() and u.dim == t.dim == n
+        assert t == u and hash(t) == hash(u)
+        assert u.c == t.c == tuple(tuple(tuple(row) for row in plane) for plane in c)
+        assert u.is_zero() == t.is_zero() == all(x == 0 for x in values)
+        m = random_shaped(rng, n, n, n, 5)
+        flat_m = [x for row in m.entries for x in row]
+        maps = [scaled_twin(rng, flat_m, lambda d, flat: MatrixQ.from_scaled(
+            d, [flat[i * n:(i + 1) * n] for i in range(n)])) for _ in range(2)]
+        saved = {dumps_algebra(BiHomAlgebra(dim=n, tensor=x, alpha=maps[0], beta=maps[1]))
+                 for x in (t, u)}
+        assert len(saved) == 1
+        assert algebra_to_dict(BiHomAlgebra(dim=n, tensor=u, alpha=m, beta=m))["bracket"] \
+            == [[[str(x) for x in row] for row in plane] for plane in c]
+        moved = transform_tensor(u, m, m)
+        d, planes = moved.scaled()
+        assert_canonical((d, [row for plane in planes for row in plane]),
+                         [x for plane in moved.c for row in plane for x in row])
+        assert moved == StructureTensor(moved.c)

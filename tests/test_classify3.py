@@ -801,3 +801,36 @@ def test_iso3_isomorphism_holds_by_construction():
         assert f is not None
         assert f * a1.alpha == a2.alpha * f and f * a1.beta == a2.beta * f
         assert homomorphism_failure(f, a1.tensor, a2.tensor) is None
+
+
+def test_each_label_inverts_no_matrix_twice(monkeypatch):
+    """The inverse that _classify_diagonal_family and the L3 branch read a
+    parameter with is the one _certify conjugates by (under the flip it is
+    _FLIP times it, _FLIP being an involution): counting exactlin.invert in
+    every module that binds it, no matrix is inverted twice for a label."""
+    classify3_module = sys.modules["bihomlie.classify3"]
+    calls, flips = [], []
+    original, normalize = exactlin.invert, classify3_module.normalize_l1_params
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    def recorded(a, b):
+        out = normalize(a, b)
+        flips.append(out[2])
+        return out
+
+    rng = random.Random(1619)
+    inputs = [conjugate_algebra(a, random_invertible(3, rng)) for a in (
+        make_L1(2, 3), make_L3(5), make_L1(Q(1, 2), Q(-1, 3)), make_L3(Q(-2, 7)),
+        *[make_L1(-1, b) for b in (3, Q(1, 3), Q(-2, 5), Q(5, 2))])]
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bihomlie") and getattr(module, "invert", None) is original:
+            monkeypatch.setattr(module, "invert", counted)
+    monkeypatch.setattr(classify3_module, "normalize_l1_params", recorded)
+    for a in inputs:
+        calls.clear()
+        label = classify3(a)
+        assert len(calls) == len(set(calls)), (label.family, label.params)
+    assert True in flips and False in flips   # both sides of the flip ran

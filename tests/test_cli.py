@@ -12,7 +12,7 @@ from bihomlie.catalog import direct_sum, make_L1, make_L3, sl2_bihom
 from bihomlie.classify3 import bihom_isomorphic3, classify3
 from bihomlie.errors import AxiomViolation, DimensionMismatch, ParseError
 from bihomlie.exactlin import MatrixQ
-from bihomlie.fileio import dumps_algebra, load, loads_algebra, save
+from bihomlie.fileio import dumps_algebra, load, load_matrix, loads_algebra, save
 from bihomlie.twist import induce_lie
 from conftest import random_invertible
 
@@ -518,3 +518,138 @@ def test_cli_oversized_inputs_are_parse_errors(tmp_path):
         assert result.stderr.startswith("error: ") and message in result.stderr, result.stderr
     with pytest.raises(ParseError, match="top level: JSON nested too deeply"):
         loads_algebra(deep.read_text())
+
+
+BIG = "1" + "0" * 5000   # past the interpreter's default integer-string digit limit
+
+
+def _two_fault_algebras():
+    """(name, document) pairs of a dim-3 algebra file with two faults each;
+    the first in reading order decides the message."""
+    def doc(**faults):
+        d = json.loads(dumps_algebra(sl2_bihom()))
+        for path, value in faults.items():
+            key, *index = path.split("_")
+            if not index:
+                d[key] = value
+                continue
+            target = d[key]
+            for i in index[:-1]:
+                target = target[int(i)]
+            target[int(index[-1])] = value
+        return d
+
+    return [
+        ("bad bracket[2] entry, short alpha",
+         doc(bracket_2_0_1="x", alpha=[["1", "0", "0"], ["0", "1", "0"]])),
+        ("bad beta entry, alpha past the digit limit", doc(beta_1_2="1/0", alpha_0_0=BIG)),
+        ("long bracket row after a comma entry",
+         doc(bracket_0_1=["0", "0", "1", "0"], bracket_0_0_2="1,2")),
+        ("comma entry beside a fraction in beta", doc(beta_2=["1/3", "0,1", "x"])),
+        ("integer alpha entry before a padded one", doc(alpha_2_1=" 1", alpha_1_0=3)),
+        ("trailing newline in bracket, beta not a list", doc(bracket_1_1_0="1\n", beta="I")),
+        ("alpha row not a list, plus sign in bracket", doc(alpha_0="row", bracket_2_2_2="+1")),
+        ("zero denominator in bracket, empty beta entry", doc(bracket_0_0_0="-0/0", beta_0_0="")),
+        ("denominator past the digit limit, short bracket plane",
+         doc(bracket_1_0_2="1/" + BIG, bracket_2=[["0"] * 3] * 2)),
+        ("digit limit before a bad entry in one row", doc(alpha_1=[BIG, "x", "0"])),
+        ("bad entry before the digit limit in one row", doc(alpha_1=["x", BIG, "0"])),
+        ("bracket plane not a list, bad alpha entry", doc(bracket_1="x", alpha_0_0="1.5")),
+        ("float entry, bad later row", doc(beta_0_1=0.5, beta_2=["a", "b", "c"])),
+    ]
+
+
+TWO_FAULT_MATRICES = [
+    ("bad entry, ragged later row", [["1", "x", "0"], ["0", "1", "0"], ["0", "1"]]),
+    ("ragged row, digit limit in it", [["1", "0"], ["0", BIG, "1"]]),
+    ("digit limit, bad later entry", [["1", "0"], [BIG, "0"], ["0", "y"]]),
+    ("integer entry, comma entry", [["1", 2], ["3,4", "1"]]),
+    ("comma entry in a row of fractions", [["1/2", "3,4/5"], ["0", "1"]]),
+    ("null entry", [[None, "0"], ["0", "1"]]),
+    ("no rows", []),
+    ("row not a list, bad earlier entry", [["1", "0/0"], "row"]),
+    ("denominator with a leading zero", [["1/007"]]),
+]
+
+
+PARSE_ERRORS = {   # recorded with the per-entry Fraction reader that preceded the row reader
+    "bad bracket[2] entry, short alpha":
+        ("ParseError", "bracket[2][0][1]: 'x' is not a rational of the form p or p/q"),
+    "bad beta entry, alpha past the digit limit":
+        ("ParseError", "alpha[0][0]: 5001-character rational exceeds the "
+                       "4300-digit integer limit"),
+    "long bracket row after a comma entry":
+        ("ParseError", "bracket[0][0][2]: '1,2' is not a rational of the form p or p/q"),
+    "comma entry beside a fraction in beta":
+        ("ParseError", "beta[2][1]: '0,1' is not a rational of the form p or p/q"),
+    "integer alpha entry before a padded one":
+        ("ParseError", "alpha[1][0]: 3 is not a rational of the form p or p/q"),
+    "trailing newline in bracket, beta not a list":
+        ("ParseError", "bracket[1][1][0]: '1\\n' is not a rational of the form p or p/q"),
+    "alpha row not a list, plus sign in bracket":
+        ("ParseError", "bracket[2][2][2]: '+1' is not a rational of the form p or p/q"),
+    "zero denominator in bracket, empty beta entry":
+        ("ParseError", "bracket[0][0][0]: '-0/0' is not a rational of the form p or p/q"),
+    "denominator past the digit limit, short bracket plane":
+        ("ParseError", "bracket[1][0][2]: 5003-character rational exceeds the "
+                       "4300-digit integer limit"),
+    "digit limit before a bad entry in one row":
+        ("ParseError", "alpha[1][0]: 5001-character rational exceeds the "
+                       "4300-digit integer limit"),
+    "bad entry before the digit limit in one row":
+        ("ParseError", "alpha[1][0]: 'x' is not a rational of the form p or p/q"),
+    "bracket plane not a list, bad alpha entry":
+        ("ParseError", "bracket[1]: expected a list"),
+    "float entry, bad later row":
+        ("ParseError", "beta[0][1]: 0.5 is not a rational of the form p or p/q"),
+    "bad entry, ragged later row":
+        ("ParseError", "matrix[0][1]: 'x' is not a rational of the form p or p/q"),
+    "ragged row, digit limit in it":
+        ("DimensionMismatch", "matrix[1]: expected 2 entries, found 3"),
+    "digit limit, bad later entry":
+        ("ParseError", "matrix[1][0]: 5001-character rational exceeds the "
+                       "4300-digit integer limit"),
+    "integer entry, comma entry":
+        ("ParseError", "matrix[0][1]: 2 is not a rational of the form p or p/q"),
+    "comma entry in a row of fractions":
+        ("ParseError", "matrix[0][1]: '3,4/5' is not a rational of the form p or p/q"),
+    "null entry":
+        ("ParseError", "matrix[0][0]: None is not a rational of the form p or p/q"),
+    "no rows":
+        ("ParseError", "matrix: expected at least one row"),
+    "row not a list, bad earlier entry":
+        ("ParseError", "matrix[0][1]: '0/0' is not a rational of the form p or p/q"),
+    "denominator with a leading zero":
+        ("ParseError", "matrix[0][0]: '1/007' is not a rational of the form p or p/q"),
+}
+
+
+def _first_error(read, path):
+    with pytest.raises((ParseError, DimensionMismatch)) as exc:
+        read(path)
+    return type(exc.value).__name__, str(exc.value)
+
+
+def test_parse_errors_keep_their_order_and_text(tmp_path):
+    """With two faults in one file, load and load_matrix report the first in
+    reading order (bracket, alpha, beta; rows in order, entries in order) with
+    the message they gave before grids were read into integers. An
+    alpha grid whose fault comes first is also read as a bare matrix file."""
+    assert sys.get_int_max_str_digits() == 4300
+    seen = []
+    for name, doc in _two_fault_algebras():
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        kind, message = PARSE_ERRORS[name]
+        assert _first_error(load, path) == (kind, message), name
+        seen.append(name)
+        if message.startswith("alpha["):
+            path.write_text(json.dumps(doc["alpha"]))
+            assert _first_error(load_matrix, path) == (
+                kind, message.replace("alpha", "matrix", 1)), name
+    for name, grid in TWO_FAULT_MATRICES:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(grid))
+        assert _first_error(load_matrix, path) == PARSE_ERRORS[name], name
+        seen.append(name)
+    assert sorted(seen) == sorted(PARSE_ERRORS)

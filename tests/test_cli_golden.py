@@ -1,16 +1,21 @@
 """Golden outputs of the command line: exit code, stdout and stderr of
-`analyze`, `classify3`, `iso3` and `check` on fixed inputs, pinned byte
-for byte.
+`analyze`, `classify3`, `iso3`, `check`, `induce` and `twist` on fixed
+inputs, pinned byte for byte, and the SHA-256 of each file that `induce -o`
+and `twist -o` write.
 
 The inputs are built from the catalog under seeded bases and saved to a
-temporary directory; a call takes one input, or two for `iso3`. The
-SHA-256 of each saved file is pinned beside its outputs, so a drift in the
-inputs is told apart from a drift in the outputs. Re-record with `PYTHONPATH=src python tests/test_cli_golden.py`
-from the root of a checkout; it rewrites tests/data/cli_golden.json."""
+temporary directory; a call takes one input, or two for `iso3`. `twist`
+reads the alpha and beta of its input from matrix files written beside it,
+and one input is spelled with non-canonical rationals ("2/4", "-0", "007",
+"0/9"). The SHA-256 of each saved file is pinned beside its outputs, so a
+drift in the inputs is told apart from a drift in the outputs. Re-record
+with `PYTHONPATH=src python tests/test_cli_golden.py` from the root of a
+checkout; it rewrites tests/data/cli_golden.json."""
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -21,8 +26,8 @@ from bihomlie import cli
 from bihomlie.algebra import BiHomAlgebra, StructureTensor, conjugate_algebra
 from bihomlie.catalog import direct_sum, make_L1, make_L2, make_L3, make_sl2, sl2_bihom
 from bihomlie.exactlin import MatrixQ
-from bihomlie.fileio import dumps_algebra
-from bihomlie.twist import TwistInput, yau_twist
+from bihomlie.fileio import dumps_algebra, matrix_strings
+from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import random_invertible
 from test_analysis import abelian_bihom, block_diagonal, block_permutation, sqrt2_double_sl2
 from test_classify3 import CONIC_BASIS, SO3
@@ -70,7 +75,48 @@ def inputs():
         "L3(-2/3) conjugate": conjugate_algebra(make_L3(Q(-2, 3)), random_invertible(3, rng)),
         "corrupted DS_2 dense": corrupted(dense(direct_sum([p() for p in PARTS[:2]]))),
         **classify3_inputs(random.Random(1500)),
+        **roundtrip_inputs(random.Random(1600)),
     }
+
+
+def induced(a):
+    tensor, alpha, beta = induce_lie(a)
+    return BiHomAlgebra(dim=a.dim, tensor=tensor, alpha=alpha, beta=beta)
+
+
+def roundtrip_inputs(rng):
+    """Inputs of `induce -o` and `twist -o`: a dense dim-6 and a block dim-12
+    direct sum and their induced Lie algebras."""
+    ds_2 = dense(direct_sum([p() for p in PARTS[:2]]))
+    ds_4 = conjugate_algebra(direct_sum([p() for p in PARTS] + [make_L1(Q(1, 2), -3)]),
+                             block_diagonal([random_invertible(3, rng) for _ in range(4)]))
+    return {"DS_2 dense induced": induced(ds_2), "DS_4 block": ds_4,
+            "DS_4 block induced": induced(ds_4)}
+
+
+def respell(text):
+    """The same algebra with every rational spelled another way, in turn:
+    zeros as "-0", "0/9", "000" or "-000", other values with both parts
+    doubled ("1/2" as "2/4"), zero-padded ("7" as "007", "-7" as "-007") or
+    with both parts tripled."""
+    zeros = itertools.cycle(("-0", "0/9", "000", "-000"))
+    others = itertools.cycle((2, 0, 3))
+
+    def spell(x):
+        if x == "0":
+            return next(zeros)
+        num, _, den = x.partition("/")
+        k = next(others)
+        return (f"{int(num) * k}/{int(den or 1) * k}" if k
+                else ("-" if num[0] == "-" else "") + "00" + x.lstrip("-"))
+
+    def walk(v):
+        return [walk(x) for x in v] if isinstance(v, list) else spell(v)
+
+    doc = json.loads(text)
+    for key in ("bracket", "alpha", "beta"):
+        doc[key] = walk(doc[key])
+    return json.dumps(doc)
 
 
 def classify3_inputs(rng):
@@ -106,24 +152,47 @@ CALLS = ([((name,), argv) for name in ("DS_2 dense", "cycle_2 dense", "DS_3 bloc
          + [((name,), argv) for name in ERRORS
             for argv in (["classify3", "--json"], ["classify3"])]
          + [((name, name), ["iso3"]) for name in ERRORS])
+OUT, ALPHA, BETA = "<output>", "<alpha>", "<beta>"
+RESPELLED = "DS_3 block respelled"
+WRITES = ([((name,), ["induce", "-o", OUT])
+           for name in ("DS_2 dense", "DS_4 block", "DS_3 block", RESPELLED)]
+          + [((name,), ["twist", "--alpha", ALPHA, "--beta", BETA, "-o", OUT])
+             for name in ("DS_2 dense induced", "DS_4 block induced")]
+          + [((RESPELLED,), ["check", "--json"])])
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(directory):
-    """One record per call: the input's digest, exit code, stdout, stderr."""
-    files = {}
-    for i, (name, algebra) in enumerate(inputs().items()):
-        text = dumps_algebra(algebra)
+    """One record per call: the inputs' digests, exit code, stdout, stderr,
+    and for a call that writes a file, the digest of that file."""
+    files, algebras = {}, inputs()
+    texts = {name: dumps_algebra(a) for name, a in algebras.items()}
+    texts[RESPELLED] = respell(texts["DS_3 block"])
+    for i, (name, text) in enumerate(texts.items()):
         files[name] = (directory / f"input{i}.json", text)
         files[name][0].write_text(text)
     records = []
-    for names, argv in CALLS:
+    for names, argv in CALLS + WRITES:
+        stem = files[names[0]][0].with_suffix("")
+        paths = {OUT: stem.with_suffix(".out.json"), ALPHA: stem.with_suffix(".alpha.json"),
+                 BETA: stem.with_suffix(".beta.json")}
+        for key, m in ((ALPHA, "alpha"), (BETA, "beta")):
+            if key in argv:
+                paths[key].write_text(json.dumps(matrix_strings(getattr(algebras[names[0]], m))))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv + [str(files[name][0]) for name in names])
-        records.append({"inputs": list(names), "argv": argv,
-                        "input_sha256": [hashlib.sha256(files[name][1].encode()).hexdigest()
-                                         for name in names],
-                        "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+            code = cli.main([str(paths.get(x, x)) for x in argv]
+                            + [str(files[name][0]) for name in names])
+        record = {"inputs": list(names), "argv": argv,
+                  "input_sha256": [sha256(files[name][1]) for name in names],
+                  "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        if OUT in argv:
+            written = paths[OUT]
+            record["output_sha256"] = sha256(written.read_text()) if written.exists() else None
+        records.append(record)
     return records
 
 

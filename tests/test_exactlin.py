@@ -7,6 +7,7 @@ import pytest
 from bihomlie.algebra import ad_matrix
 from bihomlie.catalog import make_sl2
 from bihomlie.errors import DimensionMismatch, SingularMatrix
+from bihomlie import exactlin
 from bihomlie.exactlin import (
     PRIME_PROOF_BOUND,
     MatrixQ,
@@ -26,6 +27,7 @@ from bihomlie.exactlin import (
     sqrt_fraction,
     sqrt_mod_prime,
 )
+from bihomlie.fileio import matrix_strings
 from conftest import random_fraction, random_invertible
 
 UNIPOTENT = MatrixQ([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
@@ -585,7 +587,7 @@ def test_product_matches_fraction_oracle_and_keeps_lowest_terms():
         # the view a product keeps is the one its entries give afresh
         assert product.scaled() == MatrixQ(product.entries).scaled()
         d, ints = product.scaled()
-        assert d == math.lcm(*(x.denominator for x in product.flatten()))
+        assert d == math.lcm(*(x.denominator for row in product.entries for x in row))
         assert all(Q(x, d) == y for row, erow in zip(ints, product.entries)
                    for x, y in zip(row, erow))
     with pytest.raises(DimensionMismatch):
@@ -648,3 +650,84 @@ def test_rational_roots_repeated_roots_under_non_monic_leads():
         roots, residual = rational_roots(p)
         assert (roots, residual) == divisor_rational_roots(p)
         assert residual.coeffs[-1] == p.coeffs[-1]
+
+
+def scaled_twin(rng, values, make):
+    """The same rationals through make(d, ints): d the lcm of the
+    denominators times a random factor, negative now and then, so that
+    ints/d is not in lowest terms and d may be negative."""
+    flat = list(values)
+    k = rng.choice((1, 1, -1)) * rng.choice((1, 2, 6, 35, 10 ** 20))
+    d = k * math.lcm(*(x.denominator for x in flat))
+    return make(d, [int(x * d) for x in flat])
+
+
+def assert_canonical(view, values):
+    """(d, rows) is d > 0, the lcm of the reduced denominators, rows of d*x,
+    and gcd(d, entries) = 1."""
+    d, rows = view
+    flat = [x for row in rows for x in row]
+    assert d == math.lcm(*(x.denominator for x in values)) > 0
+    assert math.gcd(d, *flat) == 1
+    assert flat == [int(x * d) for x in values]
+
+
+def test_matrix_view_is_canonical_from_fractions_and_from_scaled():
+    """A MatrixQ built from Fractions and the same matrix through from_scaled
+    (non-reduced, zero rows, negative d) agree on entries, scaled(), ==, hash
+    and the strings save() writes, and both views are canonical; sums,
+    differences, negation and scaling on the view match Fraction arithmetic."""
+    rng = random.Random(1616)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        height = rng.choice((1, 9, 10 ** 15))
+        grid = [[random_entry(rng, height) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            grid[i] = [Q(0)] * cols
+        a = MatrixQ(grid)
+        b = scaled_twin(rng, [x for row in grid for x in row],
+                        lambda d, flat: MatrixQ.from_scaled(d, [flat[i * cols:(i + 1) * cols]
+                                                                 for i in range(rows)]))
+        assert_canonical(b.scaled(), [x for row in grid for x in row])
+        assert a.scaled() == b.scaled()
+        assert a == b and hash(a) == hash(b)
+        assert b.entries == a.entries == tuple(tuple(row) for row in grid)
+        assert matrix_strings(b) == matrix_strings(a) == [[str(x) for x in row] for row in grid]
+        assert (a.rows, a.cols) == (b.rows, b.cols)
+        assert b.is_zero() == all(x == 0 for row in grid for x in row)
+        assert -b == MatrixQ([[-x for x in row] for row in grid])
+        c, other = random_entry(rng, 20), random_shaped(rng, rows, cols, cols, height)
+        assert b.scale(c) == MatrixQ([[c * x for x in row] for row in grid])
+        assert b + other == MatrixQ([[x + y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(grid, other.entries)])
+        assert (b - other).entries == tuple(tuple(x - y for x, y in zip(r1, r2))
+                                            for r1, r2 in zip(grid, other.entries))
+        if rows == cols:
+            assert b.trace() == sum(grid[i][i] for i in range(rows))
+    assert MatrixQ([[1, 2]]) != MatrixQ([[1], [2]])
+
+
+def test_product_chain_builds_no_fraction(monkeypatch):
+    """Products and scaled() work on the views alone: a chain of 15 x 15
+    products built from views calls fractions_over (the one place a view
+    becomes Fractions) not once; reading the entries afterwards agrees with
+    the Fraction oracle."""
+    rng = random.Random(1617)
+    mats = [MatrixQ.from_scaled(rng.choice((1, 3, -4, 10 ** 6)),
+                                [[rng.randint(-9, 9) for _ in range(15)] for _ in range(15)])
+            for _ in range(5)]
+    calls = []
+    original = exactlin.fractions_over
+    monkeypatch.setattr(exactlin, "fractions_over",
+                        lambda d, ints: calls.append(d) or original(d, ints))
+    product = mats[0]
+    for m in mats[1:]:
+        product = product * m
+    d, rows = product.scaled()
+    assert product == MatrixQ.from_scaled(d, rows) and not product.is_zero()
+    assert calls == []
+    expected = mats[0]
+    for m in mats[1:]:
+        expected = fraction_matmul(expected, m)
+    assert product.entries == expected.entries
+    assert len(calls) == 15 * 6   # the rows of the five factors and of the product, once each
