@@ -29,9 +29,7 @@ from .analysis import (
     burnside_generators,
     decompose_bihom,
     decompose_semisimple,
-    derived_series,
     enveloping_dim,
-    ideal_closure,
     is_ideal,
     is_semisimple_lie,
     is_simple,

@@ -26,8 +26,9 @@ a bound on the entries of the compared vectors. With P[p][q] = pack(c[p][q]),
 (4) at (i, j, k) is three dot products of po = (beta^2)^T P with the vectors
 S[j][k] = [beta e_j, alpha e_k], and (2) at (i, j) compares c[i][j] . pack(M
 columns) with entry (i, j) of M^T P M. A failure is located in the plain loop
-order and its witness recomputed in Fraction arithmetic. Verification is kept
-per object (the report on the BiHomAlgebra, the Lie verdict on the
+order; a skew or Jacobi witness is the failing integer vector (unpacked) over
+its scale, the others are recomputed in Fraction arithmetic. Verification is
+kept per object (the report on the BiHomAlgebra, the Lie verdict on the
 StructureTensor), never keyed by content, and so are the scaled views. Twisting,
 inducing and changing basis are one kernel, transform_tensor, on those views.
 """
@@ -35,9 +36,9 @@ inducing and changing basis are one kernel, transform_tensor, on those views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
+from typing import NamedTuple
 
 from .errors import AxiomViolation, DimensionMismatch
 from .exactlin import (
@@ -50,8 +51,7 @@ from .exactlin import (
     pack,
     pack_width,
     reshape,
-    vec_add,
-    vec_scale,
+    unpack,
     vector,
     zero_vector,
 )
@@ -153,26 +153,41 @@ class StructureTensor:
         return f"StructureTensor(dim={self.dim})"
 
 
-@dataclass(frozen=True)
 class BiHomAlgebra:
-    """The 4-tuple (L, [.,.], alpha, beta) in a fixed basis."""
+    """The 4-tuple (L, [.,.], alpha, beta) in a fixed basis, equal to another
+    exactly when the five fields are. Slots _induced and _axiom_report keep
+    the twist.induce_lie result and the check_all report."""
 
-    dim: int
-    tensor: StructureTensor
-    alpha: MatrixQ
-    beta: MatrixQ
-    basis_names: tuple[str, ...] = ()
+    __slots__ = ("dim", "tensor", "alpha", "beta", "basis_names", "_induced", "_axiom_report")
 
-    def __post_init__(self):
-        if self.tensor.dim != self.dim:
+    def __init__(self, dim: int, tensor: StructureTensor, alpha: MatrixQ, beta: MatrixQ,
+                 basis_names: tuple[str, ...] = ()):
+        if tensor.dim != dim:
             raise DimensionMismatch("tensor dimension differs from algebra dimension")
-        for name, m in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (m.is_square and m.rows == self.dim):
-                raise DimensionMismatch(f"{name} must be {self.dim}x{self.dim}")
-        if not self.basis_names:
-            object.__setattr__(self, "basis_names", tuple(f"e{i + 1}" for i in range(self.dim)))
-        elif len(self.basis_names) != self.dim:
+        for name, m in (("alpha", alpha), ("beta", beta)):
+            if not (m.is_square and m.rows == dim):
+                raise DimensionMismatch(f"{name} must be {dim}x{dim}")
+        if not basis_names:
+            basis_names = tuple(f"e{i + 1}" for i in range(dim))
+        elif len(basis_names) != dim:
             raise DimensionMismatch("one basis name per dimension required")
+        for name, value in zip(self.__slots__, (dim, tensor, alpha, beta, basis_names)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BiHomAlgebra is immutable")
+
+    def _key(self) -> tuple:
+        return self.dim, self.tensor, self.alpha, self.beta, self.basis_names
+
+    def __eq__(self, other):
+        return isinstance(other, BiHomAlgebra) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"BiHomAlgebra(dim={self.dim}, basis_names={self.basis_names})"
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         return self.tensor.bracket(x, y)
@@ -183,8 +198,7 @@ def bracket(a: BiHomAlgebra, x, y) -> Vector:
     return a.tensor.bracket(vector(x), vector(y))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Where an identity failed: basis indices plus both sides' coordinates."""
 
     indices: tuple[int, ...]
@@ -193,8 +207,7 @@ class Witness:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: Witness | None = None
 
@@ -202,8 +215,7 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     commuting: CheckResult
     multiplicative_alpha: CheckResult
     multiplicative_beta: CheckResult
@@ -266,36 +278,33 @@ def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
     """Axiom (3) on pairs i <= j and (4) on triples i <= j <= k, with S and po
     of the module note; None maps are identities. Sorted triples suffice
     given (3): the cyclic sum is invariant under cyclic permutations and then
-    changes sign under transpositions."""
-    c = t.scaled()[1]
+    changes sign under transpositions. A witness is read off S (over ds) and
+    the unpacked cyclic sum (over ds * dp, dp the scale of po)."""
+    dc, c = t.scaled()
     n, hc = len(c), _height(chain.from_iterable(c))
     if alpha is None:
-        s, b2, hl = c, None, hc
-        alpha = beta = MatrixQ.identity(n)
+        s, b2, hl, ds, dp = c, None, hc, dc, dc
     else:
-        b = beta.scaled()[1]
-        s, b2 = _contract(c, b, alpha.scaled()[1]), int_product(b, b)
-        hl = n * _height(b2) * hc
+        (da, a), (db, b) = alpha.scaled(), beta.scaled()
+        s, b2 = _contract(c, b, a), int_product(b, b)
+        hl, ds, dp = n * _height(b2) * hc, dc * da * db, dc * db * db
     skew = next(((i, j) for i in range(n) for j in range(i, n)
                  if any(x + y for x, y in zip(s[i][j], s[j][i]))), None)
     w = pack_width(3 * n * hl * _height(chain.from_iterable(s)))
     po = [[pack(v, w) for v in plane] for plane in c]
     if b2 is not None:
         po = int_product(tuple(zip(*b2)), po)
+
+    def cyclic(i, j, k):   # pack of the cyclic sum at (i, j, k), over ds * dp
+        return (sum(map(mul, po[i], s[j][k])) + sum(map(mul, po[j], s[k][i]))
+                + sum(map(mul, po[k], s[i][j])))
+
     jacobi = next(((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
-                   if sum(map(mul, po[i], s[j][k])) + sum(map(mul, po[j], s[k][i]))
-                   + sum(map(mul, po[k], s[i][j]))), None)
-
-    def br(i, j):
-        return t.bracket(beta.column(i), alpha.column(j))
-
-    def term(i, j, k):
-        return t.bracket((beta * beta).column(i), br(j, k))
-
-    i, j, k = jacobi or (0, 0, 0)
-    return [_fail(skew, br(*skew), vec_scale(-1, br(*skew[::-1])), details[0])
-            if skew else CheckResult(True),
-            _fail(jacobi, vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j)),
+                   if cyclic(i, j, k)), None)
+    i, j = skew or (0, 0)
+    return [_fail(skew, fractions_over(ds, s[i][j]), fractions_over(ds, [-x for x in s[j][i]]),
+                  details[0]) if skew else CheckResult(True),
+            _fail(jacobi, fractions_over(ds * dp, unpack(cyclic(*jacobi), w, n)),
                   zero_vector(n), details[1]) if jacobi else CheckResult(True)]
 
 
@@ -331,9 +340,9 @@ def _lie_kernel(t: StructureTensor) -> CheckResult:
 
 def check_all(a: BiHomAlgebra) -> AxiomReport:
     """The four axiom checks, run once per algebra object and kept on it."""
-    if "_axiom_report" not in a.__dict__:
+    if not hasattr(a, "_axiom_report"):
         object.__setattr__(a, "_axiom_report", _axiom_kernel(a))
-    return a.__dict__["_axiom_report"]
+    return a._axiom_report
 
 
 def require_axioms(a: BiHomAlgebra) -> None:

@@ -26,9 +26,9 @@ of sl2, absolutely simple, which keeps Decomposition.enveloping_dim exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import (
     BiHomAlgebra,
@@ -62,21 +62,18 @@ from .exactlin import (
     primitive,
     rank,
     rational_roots,
-    vector,
 )
 from .twist import induce_lie
 
 
-@dataclass(frozen=True)
-class IdealReport:
+class IdealReport(NamedTuple):
     subspace: Subspace
     is_subalgebra: bool
     is_ideal: bool
     failing_witness: tuple[int, Vector] | None = None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Minimal ideals of the induced Lie algebra plus the permutations the
     structure maps induce on them."""
 
@@ -125,8 +122,7 @@ class Decomposition:
 _SERIES_ORDER = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 
 
-@dataclass(frozen=True)
-class TypeLabel:
+class TypeLabel(NamedTuple):
     """Candidate (series, rank, m): m simple ideals of the given type."""
 
     series: str
@@ -156,14 +152,6 @@ def _closure(mats, seed) -> SpanBuilder:
             if span.add(p):
                 work.append(p)
     return span
-
-
-def ideal_closure(a: BiHomAlgebra, v) -> Subspace:
-    """Smallest subspace containing v that is stable under both structure
-    maps and under bracketing with the whole algebra on either side."""
-    require_axioms(a)
-    span = _closure([g.scaled()[1] for g in burnside_generators(a)], [cleared(vector(v))[1]])
-    return Subspace(a.dim, span.rows.values())
 
 
 def is_ideal(a: BiHomAlgebra, s: Subspace) -> IdealReport:
@@ -272,21 +260,6 @@ def killing_determinant(t: StructureTensor) -> Fraction:
 def is_semisimple_lie(t: StructureTensor) -> bool:
     """Cartan criterion: nondegenerate Killing form."""
     return killing_determinant(t) != 0
-
-
-def derived_series(t: StructureTensor) -> list[Subspace]:
-    """L^(0) = L, L^(k+1) = [L^(k), L^(k)], until stabilization."""
-    n = t.dim
-    current = Subspace.full(n)
-    series = [current]
-    while True:
-        gens = current.basis_vectors()
-        nxt = Subspace(n, [t.bracket(x, y) for x in gens for y in gens])
-        if nxt == current:
-            break
-        series.append(nxt)
-        current = nxt
-    return series
 
 
 def _commutant(ops, d: int) -> list[MatrixQ]:

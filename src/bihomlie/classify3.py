@@ -33,9 +33,9 @@ exactlin.factor; "undecided" is never reported as "not split".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import (
     BiHomAlgebra,
@@ -78,8 +78,7 @@ from .exactlin import (
 from .twist import induce_lie
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(NamedTuple):
     """Coordinate vectors with [h,e]' = 2e, [h,f]' = -2f, [e,f]' = h."""
 
     h: Vector
@@ -90,8 +89,7 @@ class Sl2Triple:
         return MatrixQ.from_columns([self.h, self.e, self.f])
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Canonical shape of a candidate sl2-automorphism.
 
     kind is one of DiagonalDistinct, Identity, UnipotentFull,
@@ -103,8 +101,7 @@ class Profile:
     param: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     family: str  # "L1", "L2" or "L3"
     params: tuple[Fraction, ...]
     change_of_basis: MatrixQ

@@ -83,6 +83,15 @@ def pack(values, width: int) -> int:
     return out
 
 
+def unpack(packed: int, width: int, n: int) -> list[int]:
+    """The v of length n with pack(v, width) = packed, each |v_r| < 2^(width-1)."""
+    half, out = 1 << (width - 1), []
+    for _ in range(n):
+        out.append((packed + half) % (2 * half) - half)
+        packed = (packed - out[-1]) >> width
+    return out
+
+
 def fractions_over(d: int, ints) -> tuple[Fraction, ...]:
     """The rationals x/d, one division each; zero entries share one object."""
     return tuple(Fraction(x, d) if x else ZERO for x in ints)
@@ -339,7 +348,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [basis_vector(ambient_dim, i) for i in range(ambient_dim)])
+        """Q^n, whose RREF basis is the identity rows: no elimination."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ambient_dim", ambient_dim)
+        object.__setattr__(obj, "basis_rows", tuple(basis_vector(ambient_dim, i)
+                                                    for i in range(ambient_dim)))
+        return obj
 
     @property
     def dim(self) -> int:

@@ -14,7 +14,7 @@ fails the axioms; the validator reports which map is at fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     BiHomAlgebra,
@@ -28,8 +28,7 @@ from .errors import NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularM
 from .exactlin import MatrixQ, invert, rank
 
 
-@dataclass(frozen=True)
-class TwistInput:
+class TwistInput(NamedTuple):
     """An ordinary Lie bracket together with a commuting automorphism pair."""
 
     lie: StructureTensor
@@ -70,8 +69,8 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
     together with the original maps, which are automorphisms of it; the
     result is computed once per algebra object and kept on it. The axioms
     make it Lie (Graziani-Makhlouf-Menini-Panaite, SIGMA 11 (2015) 086)."""
-    if "_induced" in a.__dict__:
-        return a.__dict__["_induced"]
+    if hasattr(a, "_induced"):
+        return a._induced
     try:
         alpha_inv = invert(a.alpha)
         beta_inv = invert(a.beta)

@@ -44,6 +44,7 @@ from bihomlie.exactlin import (
     pack,
     pack_width,
     rank,
+    unpack,
     vec_add,
     vec_scale,
     zero_vector,
@@ -596,9 +597,9 @@ def test_homomorphism_failure_matches_fraction_oracle():
 
 def test_pack_zero_only_at_zero():
     """Exhaustive for widths w <= 4 and lengths n <= 3: pack(v, w) is zero only
-    for v = 0, and distinct, over every v with all |v_r| < 2^(w-1); past that
-    bound a carry can cancel. pack is linear, and pack_width(b) is the least w
-    with 2^(w-1) > b."""
+    for v = 0, and distinct, over every v with all |v_r| < 2^(w-1), and unpack
+    recovers v; past that bound a carry can cancel. pack is linear, and
+    pack_width(b) is the least w with 2^(w-1) > b."""
     for w in range(1, 5):
         half = 1 << (w - 1)
         for n in range(1, 4):
@@ -606,6 +607,7 @@ def test_pack_zero_only_at_zero():
             packed = [pack(v, w) for v in vectors]
             assert all((p == 0) == (not any(v)) for p, v in zip(packed, vectors)), (w, n)
             assert len(set(packed)) == len(vectors)
+            assert all(unpack(p, w, n) == list(v) for p, v in zip(packed, vectors)), (w, n)
         assert pack((1 << w, -1), w) == 0
     rng = random.Random(413)
     for _ in range(50):

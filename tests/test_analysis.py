@@ -12,6 +12,7 @@ from bihomlie.algebra import (
     conjugate_algebra,
     conjugate_tensor,
     is_abelian,
+    require_axioms,
 )
 from bihomlie.analysis import (
     TypeLabel,
@@ -20,9 +21,7 @@ from bihomlie.analysis import (
     burnside_generators,
     decompose_bihom,
     decompose_semisimple,
-    derived_series,
     enveloping_dim,
-    ideal_closure,
     is_ideal,
     is_semisimple_lie,
     is_simple,
@@ -43,12 +42,14 @@ from bihomlie.exactlin import (
     Subspace,
     basis_vector,
     char_poly,
+    cleared,
     det,
     invert,
     kernel,
     lift_coordinates,
     rational_roots,
     vec_add,
+    vector,
 )
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import deadline, random_fraction, random_invertible
@@ -68,6 +69,32 @@ def block_permutation(total, block, shift):
         target = (j + block * shift) % total
         cols.append(tuple(Q(1) if i == target else Q(0) for i in range(total)))
     return MatrixQ.from_columns(cols)
+
+
+def ideal_closure(a, v):
+    """Smallest subspace containing v that is stable under both structure
+    maps and under bracketing with the whole algebra on either side: the
+    library's integer closure of v under the Burnside generators."""
+    require_axioms(a)
+    span = analysis._closure([g.scaled()[1] for g in burnside_generators(a)],
+                             [cleared(vector(v))[1]])
+    return Subspace(a.dim, span.rows.values())
+
+
+def derived_series(t):
+    """L^(0) = L, L^(k+1) = [L^(k), L^(k)], until stabilization, bracketed in
+    Fraction arithmetic."""
+    n = t.dim
+    current = Subspace.full(n)
+    series = [current]
+    while True:
+        gens = current.basis_vectors()
+        nxt = Subspace(n, [t.bracket(x, y) for x in gens for y in gens])
+        if nxt == current:
+            break
+        series.append(nxt)
+        current = nxt
+    return series
 
 
 def sqrt2_double_sl2():

@@ -162,6 +162,27 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
         cli.build_parser.cache_clear()
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI call pays for what `import bihomlie.cli` loads; compared with
+    a bare interpreter, it adds neither dataclasses nor inspect (which
+    brings ast, dis and tokenize)."""
+    import os
+    from pathlib import Path
+
+    import bihomlie
+    env = dict(os.environ, PYTHONPATH=str(Path(bihomlie.__file__).parents[1]))
+    show = "import sys; print('\\n'.join(sys.modules))"
+
+    def modules(prefix):
+        out = subprocess.run([sys.executable, "-c", prefix + show], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    added = modules("import bihomlie.cli; ") - modules("")
+    assert "bihomlie.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added & {"dataclasses", "inspect"})
+
+
 def test_cli_analyze_direct_sum(tmp_path):
     src = tmp_path / "double.json"
     save(direct_sum([sl2_bihom(), sl2_bihom()]), src)

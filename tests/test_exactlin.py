@@ -330,6 +330,22 @@ def test_subspace_contains_full():
         assert full.contains(v)
 
 
+def test_subspace_full_is_the_eliminated_identity():
+    """Subspace.full builds the identity rows directly; they are the RREF
+    basis that elimination of any spanning set gives, Fraction for Fraction."""
+    rng = random.Random(18)
+    for n in range(6):
+        full = Subspace.full(n)
+        spanned = Subspace(n, [basis_vector(n, i) for i in range(n)])
+        assert full == spanned and hash(full) == hash(spanned)
+        assert full.basis_rows == spanned.basis_rows and full.dim == n
+        assert all(type(x) is Q for row in full.basis_rows for x in row)
+        if n:
+            assert Subspace(n, random_invertible(n, rng).entries) == full
+    with pytest.raises(AttributeError):
+        Subspace.full(2).basis_rows = ()
+
+
 def test_subspace_dimension_mismatch():
     left, right = Subspace(3, [basis_vector(3, 0)]), Subspace(2, [basis_vector(2, 0)])
     with pytest.raises(DimensionMismatch):
