@@ -27,10 +27,12 @@ a bound on the entries of the compared vectors. With P[p][q] = pack(c[p][q]),
 S[j][k] = [beta e_j, alpha e_k], and (2) at (i, j) compares c[i][j] . pack(M
 columns) with entry (i, j) of M^T P M. A failure is located in the plain loop
 order; a skew or Jacobi witness is the failing integer vector (unpacked) over
-its scale, the others are recomputed in Fraction arithmetic. Verification is
-kept per object (the report on the BiHomAlgebra, the Lie verdict on the
-StructureTensor), never keyed by content, and so are the scaled views. Twisting,
-inducing and changing basis are one kernel, transform_tensor, on those views.
+its scale, a multiplicativity witness (M c[i][j] and [M e_i, M e_j]) is read
+off the views, and a commuting witness is recomputed in Fraction arithmetic.
+Verification is kept per object (the report on the BiHomAlgebra, the Lie
+verdict on the StructureTensor), never keyed by content, and so are the
+scaled views. Twisting, inducing and changing basis are one kernel,
+transform_tensor, on those views.
 """
 
 from __future__ import annotations
@@ -310,9 +312,13 @@ def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
 
 def _multiplicative(t: StructureTensor, m: MatrixQ, name: str) -> CheckResult:
     ij = homomorphism_failure(m, t)
-    return CheckResult(True) if ij is None else _fail(
-        ij, m.apply(t.bracket_basis(*ij)), t.bracket(m.column(ij[0]), m.column(ij[1])),
-        f"{name}([e_i,e_j]) != [{name}(e_i),{name}(e_j)]")
+    if ij is None:
+        return CheckResult(True)
+    (dc, c), (dm, rows), (i, j) = t.scaled(), m.scaled(), ij
+    lhs = m * MatrixQ.from_scaled(dc, [[x] for x in c[i][j]])   # M c[i][j] and [M e_i, M e_j]
+    rhs = ad_matrix(t, m.column(i)) * MatrixQ.from_scaled(dm, [[row[j]] for row in rows])
+    return _fail(ij, lhs.column(0), rhs.column(0),
+                 f"{name}([e_i,e_j]) != [{name}(e_i),{name}(e_j)]")
 
 
 def _commuting(a: BiHomAlgebra) -> CheckResult:

@@ -19,13 +19,14 @@ come from the tensor's scaled view. A semisimple algebra is decomposed one
 split at a time (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch.
 1): a proper ideal and its Killing complement, each restricted to the
 coordinates of its RREF basis and decomposed as a Lie algebra of its own.
-A part of dimension below 6 is minimal as it stands: a split would need two
-semisimple parts of dimension 3 or more, and a 3-dimensional one is a form
-of sl2, absolutely simple, which keeps Decomposition.enveloping_dim exact.
+A part of dimension below 6 is minimal as it stands and is not restricted:
+a split needs two semisimple parts of dimension 3 or more, and one of
+dimension 3 is a form of sl2, absolutely simple: enveloping_dim is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -55,13 +56,13 @@ from .exactlin import (
     Vector,
     basis_vector,
     char_poly,
-    cleared,
     det,
     int_product,
     kernel,
     primitive,
     rank,
     rational_roots,
+    reshape,
 )
 from .twist import induce_lie
 
@@ -158,7 +159,7 @@ def is_ideal(a: BiHomAlgebra, s: Subspace) -> IdealReport:
     """Check map-stability and bracket-stability of s on basis generators."""
     if s.ambient_dim != a.dim:
         raise DimensionMismatch("subspace ambient dimension differs from algebra")
-    gens = s.basis_vectors()
+    gens = s.basis_rows
     for gi, g in enumerate(gens):
         for m in (a.alpha, a.beta):
             img = m.apply(g)
@@ -275,8 +276,8 @@ def _commutant(ops, d: int) -> list[MatrixQ]:
                     row[k * d + j] += x[i][k]
                     row[i * d + k] -= x[k][j]
                 rows.append(row)
-    basis = kernel(MatrixQ.from_scaled(1, rows)).basis_vectors()
-    return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
+    p, basis = kernel(MatrixQ.from_scaled(1, rows)).scaled()
+    return [MatrixQ.from_scaled(p, reshape(v, d, d)) for v in basis]
 
 
 def _proper_ideal(ads) -> Subspace | None:
@@ -288,7 +289,7 @@ def _proper_ideal(ads) -> Subspace | None:
     for k in range(n):
         span = _closure(ads, [[int(i == k) for i in range(n)]])
         if span.dim < n:
-            return Subspace(n, span.rows.values())
+            return Subspace.spanned(n, span.rows.values())
     comm = _commutant(ads, n)
     if len(comm) <= 1:
         return None
@@ -306,47 +307,49 @@ def _proper_ideal(ads) -> Subspace | None:
     raise IrrationalSplit("commutant is non-scalar but yields no rational split")
 
 
-def _pivots(s: Subspace) -> tuple[int, ...]:
-    return tuple(next(j for j, x in enumerate(row) if x) for row in s.basis_rows)
-
-
 def _minimal_ideals(t: StructureTensor, killing: MatrixQ) -> list[Subspace]:
     """Split off a proper ideal and its Killing complement, then recurse into
-    each part as a Lie algebra of its own: with B its RREF basis as columns
-    and P its pivot selector, the tensor P [B e_i, B e_j] and the form B^T K B.
-    ad(e_k) is plane k of the scaled view, transposed. The complement always
-    splits I off: their intersection is an ideal on which K vanishes, so 0."""
+    each part of dimension 6 or more as a Lie algebra of its own: with B its
+    RREF basis as columns and P its pivot selector, the tensor P [B e_i, B e_j]
+    and the form B^T K B. A smaller part is minimal as it stands. ad(e_k) is
+    plane k of the scaled view, transposed. The complement always splits I
+    off: their intersection is an ideal on which K vanishes, so 0."""
     n = t.dim
-    if n < 6:   # a split needs two semisimple parts, each of dimension 3 or more
-        return [Subspace.full(n)]
-    ideal = _proper_ideal([tuple(zip(*plane)) for plane in t.scaled()[1]])
+    ideal = None if n < 6 else _proper_ideal([tuple(zip(*plane)) for plane in t.scaled()[1]])
     if ideal is None:
         return [Subspace.full(n)]
     out = []
-    for part in (ideal, kernel(MatrixQ(ideal.basis_rows) * killing)):
-        rows, basis = MatrixQ(part.basis_rows), MatrixQ.from_columns(part.basis_rows)
-        pivots = MatrixQ([basis_vector(n, j) for j in _pivots(part)])
-        out += [Subspace(n, (MatrixQ(sub.basis_rows) * rows).entries)
+    for part in (ideal, kernel(MatrixQ.from_scaled(*ideal.scaled()) * killing)):
+        if part.dim < 6:
+            out.append(part)
+            continue
+        p, ints = part.scaled()
+        rows, basis = MatrixQ.from_scaled(p, ints), MatrixQ.from_scaled(p, tuple(zip(*ints)))
+        pivots = MatrixQ.from_scaled(1, [[int(j == c) for j in range(n)] for c in part.pivots()])
+        out += [Subspace.spanned(n, int_product(sub.scaled()[1], ints))
                 for sub in _minimal_ideals(transform_tensor(t, basis, basis, pivots),
                                            rows * killing * basis)]
     return out
 
 
 def decompose_semisimple(t: StructureTensor) -> list[Subspace]:
-    """Minimal ideals of a semisimple Lie algebra, sorted by pivots. A proper
+    """Minimal ideals of a semisimple Lie algebra, sorted by pivots and then
+    by the RREF rows as rationals, compared over one common scale. A proper
     ideal I is found by spinning, else in the commutant of the adjoint action;
     ad(e_k) restricted to I spans ad_I(I), since the complement acts on I as
     zero, so decomposing I alone finds what the whole algebra would. A
     degenerate Killing form raises NotSemisimple."""
     if killing_determinant(t) == 0:
         raise NotSemisimple("Killing form is degenerate")
-    return sorted(_minimal_ideals(t, killing_form(t)),
-                  key=lambda s: (_pivots(s), s.basis_rows))
+    ideals = _minimal_ideals(t, killing_form(t))
+    common = math.lcm(*(s.scaled()[0] for s in ideals))
+    return sorted(ideals, key=lambda s: (s.pivots(), [[x * (common // s.scaled()[0]) for x in row]
+                                                       for row in s.scaled()[1]]))
 
 
 def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, ...]:
     """sigma with m(ideals[i]) = ideals[sigma(i)] as subspace equality; an
-    image is spanned by the rows of B M^T, B the cleared basis rows, M = d m."""
+    image is spanned by the rows of B M^T, B the ideal's view rows, M = d m."""
     if not ideals:
         raise NotPermuted("empty ideal list")
     n = ideals[0].ambient_dim
@@ -357,7 +360,7 @@ def automorphism_permutation(ideals: list[Subspace], m: MatrixQ) -> tuple[int, .
     mt = tuple(zip(*m.scaled()[1]))
     sigma = []
     for i, ideal in enumerate(ideals):
-        image = Subspace(n, int_product([cleared(b)[1] for b in ideal.basis_rows], mt))
+        image = Subspace.spanned(n, int_product(ideal.scaled()[1], mt))
         target = next((j for j, other in enumerate(ideals) if other == image), None)
         if target is None:
             raise NotPermuted(f"image of ideal {i + 1} is not in the ideal list")

@@ -67,6 +67,7 @@ from .exactlin import (
     basis_vector,
     char_poly,
     factor,
+    fractions_over,
     invert,
     kernel,
     rational_roots,
@@ -124,16 +125,16 @@ def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
     3-dimensional semisimple Lie algebra: char_poly(ad h) = x^3 - 4x, so e
     and f span the simple eigenlines of 2 and -2, and [e, f] is a nonzero
     element of ker ad h = Q h (else [L, L] != L), so e is scaled by the mu
-    with [e, f] = mu h. homomorphism_failure certifies the triple; if it
-    fails, SplitUndecided is raised, never a verdict of "not split"."""
+    with [e, f] = mu h, read off the views of t and of the eigenlines.
+    homomorphism_failure certifies the triple; if it fails, SplitUndecided
+    is raised, never a verdict of "not split"."""
     h = vec_scale(Q(2) / c, v)
-    ad_h = ad_matrix(t, h)
-    identity = MatrixQ.identity(3)
-    e = kernel(ad_h - identity.scale(2)).basis_vectors()[0]
-    f = kernel(ad_h + identity.scale(2)).basis_vectors()[0]
-    pivot = next(i for i, x in enumerate(h) if x != 0)
-    mu = t.bracket(e, f)[pivot] / h[pivot]
-    triple = Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
+    ad_h, identity, (dc, planes) = ad_matrix(t, h), MatrixQ.identity(3), t.scaled()
+    (pe, (e, *_)), (pf, (f, *_)) = (kernel(ad_h - identity.scale(s)).scaled() for s in (2, -2))
+    k = next(i for i, x in enumerate(h) if x != 0)
+    mu = Fraction(sum(x * y * z[k] for x, plane in zip(e, planes) for y, z in zip(f, plane)),
+                  pe * pf * dc) / h[k]
+    triple = Sl2Triple(h=h, e=vec_scale(1 / mu, fractions_over(pe, e)), f=fractions_over(pf, f))
     if homomorphism_failure(triple.basis_matrix(), _SL2, t) is not None:
         raise SplitUndecided("the eigenvectors of ad h do not close into an sl2 triple")
     return triple
@@ -317,7 +318,7 @@ def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
     diag(0, c, -c) in such a basis, so c = tr(ad h0 m)/(r - 1/r), which puts
     e in the r-eigenspace; for r = -1, c = +sqrt(K(h0,h0)/2). The fixed
     space is a line, since alpha_profile found the eigenvalue 1 simple."""
-    h0 = kernel(m - MatrixQ.identity(3)).basis_vectors()[0]
+    h0 = kernel(m - MatrixQ.identity(3)).basis_rows[0]
     ad_h0 = ad_matrix(t, h0)
     c = (sqrt_fraction((ad_h0 * ad_h0).trace() / 2) if r == -1
          else (ad_h0 * m).trace() / (r - 1 / r))
@@ -400,8 +401,8 @@ def _classify_unipotent_family(a: BiHomAlgebra, induced: StructureTensor,
     which is (2, 1) of unipotent_base_tensor for s = 2/x and
     u = (2y/x - 1)/(2x)."""
     jordan = _jordan_basis(unipotent)
-    c = conjugate_tensor(induced, jordan).c
-    x, y = c[0][1][0], c[1][2][0]
+    d, c = conjugate_tensor(induced, jordan).scaled()
+    x, y = Fraction(c[0][1][0], d), Fraction(c[1][2][0], d)
     n = unipotent_full() - MatrixQ.identity(3)
     g = MatrixQ.identity(3).scale(2 / x) + (n * n).scale((2 * y / x - 1) / (2 * x))
     basis = jordan * g

@@ -104,8 +104,7 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
             induced_doc["decomposition"] = {
                 "m": outcome.m,
                 "ideal_dims": [s.dim for s in outcome.ideals],
-                "ideal_bases": [[_vector_strings(v) for v in s.basis_vectors()]
-                                for s in outcome.ideals],
+                "ideal_bases": [matrix_strings(s) for s in outcome.ideals],
                 "sigma_alpha": list(outcome.sigma_alpha),
                 "sigma_beta": list(outcome.sigma_beta),
                 "m_warning": outcome.m_warning,

@@ -7,7 +7,7 @@ d*M and gcd(d, entries) = 1, so equal matrices have equal views; its
 ``fractions.Fraction`` entries are built only when read. Products multiply
 two views, and elimination (rref, kernel, rank, invert, det, Subspace) is
 fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22, 1968) on integer
-rows, which keeps the RREF; Subspace divides its basis once at the end.
+rows, which keeps the RREF; a Subspace keeps the view of its RREF basis.
 SpanBuilder keeps primitive integer rows.
 
 The few integer routines that exact split detection needs live here too:
@@ -327,59 +327,64 @@ class SpanBuilder:
 
 
 class Subspace:
-    """A subspace of Q^n held by its unique RREF basis, one vector per row."""
+    """A subspace of Q^n held by its unique RREF basis, one vector per row,
+    kept as its view (p, rows): p > 0 and rows the integer rows of p times
+    the RREF, gcd(p, entries) = 1. The Fraction rows are built when read."""
 
-    __slots__ = ("ambient_dim", "basis_rows")
+    __slots__ = ("ambient_dim", "_scaled")
 
-    def __init__(self, ambient_dim: int, vectors=()):
-        rows = [vector(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in rows):
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        _, ints, p = _echelon([cleared(v)[1] for v in rows], ambient_dim)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis_rows", tuple(fractions_over(p, row) for row in ints))
+    def __new__(cls, ambient_dim: int, vectors=()):
+        return cls.spanned(ambient_dim, [cleared(vector(v))[1] for v in vectors])
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
+    def spanned(cls, ambient_dim: int, ints) -> "Subspace":
+        """The span of integer rows of length ambient_dim; no Fraction is built."""
+        if any(len(v) != ambient_dim for v in ints):
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        _, rows, p = _echelon(ints, ambient_dim)   # the RREF over the last pivot, maybe < 0
+        return cls._view(ambient_dim, MatrixQ.from_scaled(p, rows).scaled() if rows else (1, ()))
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
+    def full(cls, n: int) -> "Subspace":
         """Q^n, whose RREF basis is the identity rows: no elimination."""
+        return cls._view(n, (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
+
+    @classmethod
+    def _view(cls, n: int, view) -> "Subspace":
         obj = object.__new__(cls)
-        object.__setattr__(obj, "ambient_dim", ambient_dim)
-        object.__setattr__(obj, "basis_rows", tuple(basis_vector(ambient_dim, i)
-                                                    for i in range(ambient_dim)))
+        object.__setattr__(obj, "ambient_dim", n)
+        object.__setattr__(obj, "_scaled", view)
         return obj
+
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return self._scaled
+
+    @property
+    def basis_rows(self) -> tuple[Vector, ...]:
+        """The RREF rows of Fraction entries, built from the view when read."""
+        p, rows = self._scaled
+        return tuple(fractions_over(p, row) for row in rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis_rows)
+        return len(self._scaled[1])
 
-    def basis_vectors(self) -> list[Vector]:
-        return [tuple(r) for r in self.basis_rows]
-
-    def coordinates(self, v: Vector) -> list[Fraction] | None:
-        """Coordinates of v in the RREF basis, which are its entries at the
-        pivots, or None when v is not in the subspace."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector/ambient dimension mismatch")
-        coords = [v[next(j for j, x in enumerate(row) if x)] for row in self.basis_rows]
-        return coords if lift_coordinates(self, coords) == tuple(v) else None
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self._scaled[1])
 
     def contains(self, v: Vector) -> bool:
-        return self.coordinates(v) is not None
+        rows = self._scaled[1] + (cleared(vector(v))[1],)
+        return Subspace.spanned(self.ambient_dim, rows).dim == self.dim
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace)
-                and self.ambient_dim == other.ambient_dim
-                and self.basis_rows == other.basis_rows)
+        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
+                and self._scaled == other._scaled)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis_rows))
+        return hash((self.ambient_dim, self._scaled))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -388,16 +393,10 @@ class Subspace:
 def kernel(m: MatrixQ) -> Subspace:
     """RREF basis of the null space of m: for each free column j, the vector
     p*e_j - sum over pivot rows of row[j]*e_pivot, p the last pivot."""
-    pivots, rows, p = _echelon(m.scaled()[1], m.cols)
-    vectors = []
-    for j in range(m.cols):
-        if j not in pivots:
-            v = [0] * m.cols
-            v[j] = p
-            for c, row in zip(pivots, rows):
-                v[c] = -row[j]
-            vectors.append(v)
-    return Subspace(m.cols, vectors)
+    n, (pivots, rows, p) = m.cols, _echelon(m.scaled()[1], m.cols)
+    at = dict(zip(pivots, rows))
+    return Subspace.spanned(n, [[-at[k][j] if k in at else p * (k == j) for k in range(n)]
+                                for j in range(n) if j not in at])
 
 
 def invert(m: MatrixQ) -> MatrixQ:
@@ -724,12 +723,3 @@ def sqrt_mod_prime(a: int, p: int):
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
-
-
-def lift_coordinates(space: Subspace, coords) -> Vector:
-    """Vector of Q^n given by coordinates in the RREF basis of `space`."""
-    out = [ZERO] * space.ambient_dim
-    for c, r in zip(coords, space.basis_rows):
-        if c:
-            out = [a + c * b for a, b in zip(out, r)]
-    return tuple(out)

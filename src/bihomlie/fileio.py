@@ -131,7 +131,8 @@ def algebra_from_dict(doc) -> BiHomAlgebra:
     )
 
 
-def matrix_strings(m: MatrixQ) -> list[list[str]]:
+def matrix_strings(m) -> list[list[str]]:
+    """The rows of a MatrixQ, or of a Subspace's RREF basis, as strings."""
     d, rows = m.scaled()
     return [_strings(d, row) for row in rows]
 

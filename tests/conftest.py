@@ -45,3 +45,12 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def lift_coordinates(space, coords):
+    """The vector of Q^n with the given coordinates in the RREF basis of
+    `space`, in Fraction arithmetic."""
+    out = [Q(0)] * space.ambient_dim
+    for c, row in zip(coords, space.basis_rows):
+        out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)

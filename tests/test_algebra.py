@@ -40,7 +40,6 @@ from bihomlie.exactlin import (
     Subspace,
     basis_vector,
     invert,
-    lift_coordinates,
     pack,
     pack_width,
     rank,
@@ -51,7 +50,7 @@ from bihomlie.exactlin import (
 )
 from bihomlie.fileio import algebra_to_dict, dumps_algebra
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
-from conftest import random_fraction, random_invertible
+from conftest import lift_coordinates, random_fraction, random_invertible
 from test_exactlin import (
     assert_canonical,
     fraction_invert,

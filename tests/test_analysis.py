@@ -46,13 +46,12 @@ from bihomlie.exactlin import (
     det,
     invert,
     kernel,
-    lift_coordinates,
     rational_roots,
     vec_add,
     vector,
 )
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
-from conftest import deadline, random_fraction, random_invertible
+from conftest import deadline, lift_coordinates, random_fraction, random_invertible
 
 SOLVABLE = StructureTensor.from_brackets(2, {(0, 1): (0, 1), (1, 0): (0, -1)})
 
@@ -88,7 +87,7 @@ def derived_series(t):
     current = Subspace.full(n)
     series = [current]
     while True:
-        gens = current.basis_vectors()
+        gens = current.basis_rows
         nxt = Subspace(n, [t.bracket(x, y) for x in gens for y in gens])
         if nxt == current:
             break
@@ -132,7 +131,7 @@ def test_ideal_closure_block():
 def test_is_ideal_trivial_cases():
     a = make_L1(2, 3)
     assert is_ideal(a, Subspace.full(3)).is_ideal
-    assert is_ideal(a, Subspace.zero(3)).is_ideal
+    assert is_ideal(a, Subspace(3)).is_ideal
 
 
 def test_is_ideal_witness():
@@ -159,8 +158,8 @@ def test_ideal_closure_edges():
         with pytest.raises(DimensionMismatch) as info:
             ideal_closure(make_L1(2, 3), v)
         assert str(info.value) == "vector length does not match ambient dimension"
-    assert ideal_closure(make_L1(2, 3), (0, 0, 0)) == Subspace.zero(3)
-    assert ideal_closure(direct_sum([sl2_bihom()] * 2), (Q(0),) * 6) == Subspace.zero(6)
+    assert ideal_closure(make_L1(2, 3), (0, 0, 0)) == Subspace(3)
+    assert ideal_closure(direct_sum([sl2_bihom()] * 2), (Q(0),) * 6) == Subspace(6)
 
 
 def test_enveloping_dim_identity_only():
@@ -449,7 +448,7 @@ def test_decompose_mixed_basis_uses_commutant():
     mixed = conjugate_tensor(double, p)
     parts = decompose_semisimple(mixed)
     assert [s.dim for s in parts] == [3, 3]
-    mapped = sorted(Subspace(6, [p.apply(v) for v in s.basis_vectors()]).basis_rows
+    mapped = sorted(Subspace(6, [p.apply(v) for v in s.basis_rows]).basis_rows
                     for s in parts)
     assert mapped == sorted(s.basis_rows for s in decompose_semisimple(double))
 
@@ -462,7 +461,7 @@ def test_decompose_bihom_dense_sum():
         decomposition = decompose_bihom(conjugate_algebra(a, p))
     assert decomposition.m == 2
     assert decomposition.sigma_alpha == decomposition.sigma_beta == (0, 1)
-    mapped = sorted(Subspace(6, [p.apply(v) for v in s.basis_vectors()]).basis_rows
+    mapped = sorted(Subspace(6, [p.apply(v) for v in s.basis_rows]).basis_rows
                     for s in decomposition.ideals)
     blocks = [Subspace(6, [basis_vector(6, i) for i in block]).basis_rows
               for block in (range(3), range(3, 6))]
@@ -474,7 +473,7 @@ def intersect(left, right):
     if left.ambient_dim != right.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     if not left.basis_rows or not right.basis_rows:
-        return Subspace.zero(left.ambient_dim)
+        return Subspace(left.ambient_dim)
     r1, r2 = len(left.basis_rows), len(right.basis_rows)
     # columns are basis vectors of left and negated basis vectors of right
     stacked = MatrixQ([[left.basis_rows[i][k] for i in range(r1)]
@@ -500,7 +499,7 @@ def test_decompose_properties():
     for part in parts:
         assert is_ideal(double, part).is_ideal
         # minimality: every basis vector of the piece spins back to all of it
-        for v in part.basis_vectors():
+        for v in part.basis_rows:
             assert ideal_closure(double, v) == part
 
 
@@ -544,7 +543,7 @@ def ambient_spin(tensor, maps, seeds):
 
 def killing_complement_within(t, killing, inner, outer):
     """Killing-orthogonal complement of `inner` inside `outer`."""
-    rows = [killing.apply(b) for b in inner.basis_vectors()]
+    rows = [killing.apply(b) for b in inner.basis_rows]
     orth = kernel(MatrixQ(rows))
     return intersect(orth, outer)
 
@@ -561,16 +560,16 @@ def fraction_commutant(ops, d):
                     row[k * d + j] += op.entries[i][k]
                     row[i * d + k] -= op.entries[k][j]
                 rows.append(row)
-    basis = kernel(MatrixQ(rows)).basis_vectors()
+    basis = kernel(MatrixQ(rows)).basis_rows
     return [MatrixQ([v[i * d:(i + 1) * d] for i in range(d)]) for v in basis]
 
 
 def restrict_operator(op, space):
     """Matrix of an operator that maps `space` into itself, in the
     coordinates of the RREF basis of `space`."""
-    cols = [space.coordinates(op.apply(b)) for b in space.basis_rows]
-    assert None not in cols, "operator does not preserve the subspace"
-    return MatrixQ.from_columns(cols)
+    images = [op.apply(b) for b in space.basis_rows]
+    assert all(space.contains(v) for v in images), "operator does not preserve the subspace"
+    return MatrixQ.from_columns([[v[j] for j in space.pivots()] for v in images])
 
 
 def ambient_minimal_ideals(t, killing=None):
@@ -585,7 +584,7 @@ def ambient_minimal_ideals(t, killing=None):
 
     def minimal_ideals(space):
         # spinning pass
-        for b in space.basis_vectors():
+        for b in space.basis_rows:
             sub = ambient_spin(t, [], [b])
             if 0 < sub.dim < space.dim:
                 rest = killing_complement_within(t, killing, sub, space)
@@ -607,7 +606,7 @@ def ambient_minimal_ideals(t, killing=None):
                 ker = kernel(shifted)
                 if 0 < ker.dim < space.dim:
                     piece = Subspace(n, [lift_coordinates(space, c)
-                                         for c in ker.basis_vectors()])
+                                         for c in ker.basis_rows])
                     rest = killing_complement_within(t, killing, piece, space)
                     if piece.dim + rest.dim != space.dim:
                         raise NotSemisimple("Killing complement does not split the ideal")
@@ -707,7 +706,10 @@ def test_decomposition_levels_always_split(monkeypatch):
     Gram matrix B^T K B of every level is nondegenerate, and each proper
     ideal and its Killing complement meet in 0 with dimensions adding up to
     the level's. (I meets its complement in an ideal on which K vanishes,
-    hence solvable, hence 0.)"""
+    hence solvable, hence 0.) Only a part of dimension 6 or more is
+    restricted and entered as a level of its own: a smaller one is minimal,
+    so a level of dimension 3 would return it unsplit. That leaves 18 levels
+    here; entering every part gave 39, with the same 14 splits."""
     levels, minimal, proper = [], analysis._minimal_ideals, analysis._proper_ideal
 
     def level(t, killing):
@@ -732,7 +734,7 @@ def test_decomposition_levels_always_split(monkeypatch):
             assert ideal.dim + rest.dim == lv["dim"]
             assert intersect(ideal, rest).dim == 0
             splits += 1
-    assert (len(levels), splits) == (39, 14)
+    assert (len(levels), splits) == (18, 14)
 
 
 def test_scalar_commutant_element_gives_no_split():
@@ -773,15 +775,50 @@ def test_automorphism_permutation_zero_ideal_dense_basis_and_singular_map():
     # bases go through the integer product, and a singular map is rejected
     double = direct_sum([sl2_bihom(), sl2_bihom()]).tensor
     swap = block_permutation(6, 3, 1)
-    parts = [Subspace.zero(6)] + decompose_semisimple(double)
+    parts = [Subspace(6)] + decompose_semisimple(double)
     assert automorphism_permutation(parts, swap.scale(Q(2, 3))) == (0, 2, 1)
     p = random_invertible(6, random.Random(1505))
-    dense = [Subspace.zero(6)] + decompose_semisimple(conjugate_tensor(double, p))
+    dense = [Subspace(6)] + decompose_semisimple(conjugate_tensor(double, p))
     assert any(x.denominator != 1 for s in dense for row in s.basis_rows for x in row)
     assert automorphism_permutation(dense, invert(p) * swap.scale(Q(-1, 7)) * p) == (0, 2, 1)
     assert automorphism_permutation(dense, MatrixQ.identity(6)) == (0, 1, 2)
     with pytest.raises(NotPermuted, match="map is not invertible"):
         automorphism_permutation(parts, MatrixQ.diagonal([1, 1, 1, 1, 1, 0]))
+
+
+def test_decomposition_reads_no_fraction_rows(monkeypatch):
+    """decompose_semisimple and automorphism_permutation work on the integer
+    views of the subspaces alone: with Subspace.basis_rows patched to raise,
+    they run through block and dense sums of sl2 and of the dim-3 catalog
+    algebras (dense at dim 6 only: a dense sum of three sl2 takes seconds),
+    and give the ideals and permutations of an unpatched run."""
+    rng = random.Random(1818)
+    cases = []
+    for parts, dense in (([sl2_bihom()] * 3, False), ([sl2_bihom()] * 2, True),
+                         ([make_L1(2, 3), make_L3(5)], True)):
+        k = len(parts)
+        tensor, cycle = induce_lie(direct_sum(parts))[0], block_permutation(3 * k, 3, 1)
+        bases = [block_diagonal([random_invertible(3, rng) for _ in range(k)])]
+        bases += [random_invertible(3 * k, rng)] if dense else []
+        cases += [(tensor, cycle)] + [(conjugate_tensor(tensor, p), invert(p) * cycle * p)
+                                      for p in bases]
+    expected = []
+    for tensor, cycle in cases:
+        ideals = decompose_semisimple(tensor)
+        expected.append((ideals, automorphism_permutation(ideals, cycle)))
+    assert any(x.denominator != 1 for ideals, _ in expected
+               for s in ideals for row in s.basis_rows for x in row)
+
+    def trip(self):
+        raise AssertionError("Subspace.basis_rows read")
+
+    monkeypatch.setattr(Subspace, "basis_rows", property(trip))
+    for (tensor, cycle), (ideals, sigma) in zip(cases, expected):
+        tensor = StructureTensor.from_scaled(*tensor.scaled())   # no kept Killing form
+        got = decompose_semisimple(tensor)
+        assert got == ideals
+        assert automorphism_permutation(got, cycle) == sigma
+        assert sorted(sigma) == list(range(len(got))) and sigma != tuple(range(len(got)))
 
 
 def test_automorphism_permutation_rejects_mixing():

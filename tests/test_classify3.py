@@ -430,8 +430,8 @@ def grid_oracle(t):
                 minus = kernel(ad_h + identity.scale(2))
                 if plus.dim != 1 or minus.dim != 1:
                     continue
-                triple = oracle_completion(t, h, plus.basis_vectors()[0],
-                                           minus.basis_vectors()[0])
+                triple = oracle_completion(t, h, plus.basis_rows[0],
+                                           minus.basis_rows[0])
                 if triple is not None:
                     return triple
     return None
@@ -727,7 +727,7 @@ def test_triple_at_premise_fixes_the_triple():
             plus, minus = kernel(ad_h - identity.scale(2)), kernel(ad_h + identity.scale(2))
             assert plus.dim == minus.dim == 1
             assert kernel(ad_h) == Subspace(3, [h])
-            e, f = plus.basis_vectors()[0], minus.basis_vectors()[0]
+            e, f = plus.basis_rows[0], minus.basis_rows[0]
             ef = t.bracket(e, f)
             pivot = next(i for i, x in enumerate(h) if x != 0)
             mu = ef[pivot] / h[pivot]
@@ -772,7 +772,7 @@ def test_fixed_space_of_diagonal_profiles_is_a_line():
         assert fixed.dim == 1
         if t is None:
             continue
-        h0, r = fixed.basis_vectors()[0], profile.param
+        h0, r = fixed.basis_rows[0], profile.param
         ad_h0 = ad_matrix(t, h0)
         half_norm = (ad_h0 * ad_h0).trace() / 2
         c = sqrt_fraction(half_norm) if r == -1 else (ad_h0 * m).trace() / (r - 1 / r)

@@ -74,6 +74,8 @@ def inputs():
         "L2 conjugate": conjugate_algebra(make_L2(), random_invertible(3, rng)),
         "L3(-2/3) conjugate": conjugate_algebra(make_L3(Q(-2, 3)), random_invertible(3, rng)),
         "corrupted DS_2 dense": corrupted(dense(direct_sum([p() for p in PARTS[:2]]))),
+        "cycle_3 block": conjugate_algebra(cycle(3), block_diagonal(
+            [random_invertible(3, random.Random(1700 + k)) for k in range(3)])),
         **classify3_inputs(random.Random(1500)),
         **roundtrip_inputs(random.Random(1600)),
     }
@@ -140,7 +142,7 @@ def classify3_inputs(rng):
 ERRORS = ("e/f swap", "non-split fixed line", "definite")
 CALLS = ([((name,), argv) for name in ("DS_2 dense", "cycle_2 dense", "DS_3 block",
                                        "sqrt2_double_sl2", "sqrt2_double_sl2 dense",
-                                       "non-regular", "degenerate Killing")
+                                       "non-regular", "degenerate Killing", "cycle_3 block")
           for argv in (["analyze", "--json"], ["analyze"])]
          + [((name,), ["classify3", "--json"])
             for name in ("L2 conjugate", "L3(-2/3) conjugate", "L1(1,1) conjugate",

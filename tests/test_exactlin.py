@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import pytest
 
 from bihomlie.algebra import ad_matrix
-from bihomlie.catalog import make_sl2
+from bihomlie.analysis import _closure
+from bihomlie.catalog import make_L1, make_sl2
 from bihomlie.errors import DimensionMismatch, SingularMatrix
 from bihomlie import exactlin
 from bihomlie.exactlin import (
@@ -747,3 +748,62 @@ def test_product_chain_builds_no_fraction(monkeypatch):
         expected = fraction_matmul(expected, m)
     assert product.entries == expected.entries
     assert len(calls) == 15 * 6   # the rows of the five factors and of the product, once each
+
+
+# --- Subspace: the canonical view ---------------------------------------------
+
+def test_subspace_view_divides_by_a_negative_last_pivot():
+    """Bareiss can end on a negative pivot: the spins of L1(2,3) from e1 and
+    from e3 eliminate to -I over -1. The view divides by the gcd with the
+    sign of the pivot, so every spin is Subspace.full(3) in view, == and
+    hash, and so is the kernel of the zero matrix; a kernel whose last pivot
+    is -1 keeps a positive scale too."""
+    identity = (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    ads = [tuple(zip(*plane)) for plane in make_L1(2, 3).tensor.scaled()[1]]
+    spins = [list(_closure(ads, [[int(i == k) for i in range(3)]]).rows.values())
+             for k in range(3)]
+    assert [exactlin._echelon(rows, 3)[2] for rows in spins] == [-1, 1, -1]
+    for space in [Subspace(3, rows) for rows in spins] + [kernel(MatrixQ([[0] * 3] * 3))]:
+        assert space.scaled() == Subspace.full(3).scaled() == identity
+        assert space == Subspace.full(3) and hash(space) == hash(Subspace.full(3))
+    line = kernel(MatrixQ([[-1, 2]]))
+    assert line.scaled() == (2, ((2, 1),)) and line.basis_rows == ((Q(1), Q(1, 2)),)
+    assert line == Subspace(2, [(4, 2)]) and hash(line) == hash(Subspace(2, [(-6, -3)]))
+    assert Subspace(4).scaled() == (1, ()) and Subspace(4) != Subspace(3)
+
+
+def test_subspace_view_matches_fraction_rref():
+    """Seeded spanning sets of every rank against the Fraction RREF: the
+    basis rows are its nonzero rows and the view is (lcm of their
+    denominators, the rows times it). Another spanning set of the same space
+    (the rows recombined by an invertible matrix, scaled, with a zero row)
+    gives the same view, == and hash, in Fractions and in integers."""
+    rng = random.Random(1818)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        height = rng.choice((1, 9, 10 ** 15))
+        m = random_shaped(rng, rows, cols, rng.randint(0, min(rows, cols)), height)
+        expected = fraction_span_rows(cols, m.entries)
+        space = Subspace(cols, m.entries)
+        assert space.basis_rows == expected and space.dim == len(expected)
+        assert_canonical(space.scaled(), [x for row in expected for x in row])
+        assert len(space.scaled()[1]) == len(expected)
+        if expected:
+            mixed = random_invertible(len(expected), rng) * MatrixQ(expected)
+            others = [row for row in mixed.scale(random_fraction(rng, 9, True)).entries]
+        else:
+            others = []
+        others.insert(rng.randint(0, len(others)), (Q(0),) * cols)
+        twin = Subspace(cols, others)
+        assert twin.scaled() == space.scaled()
+        assert twin == space and hash(twin) == hash(space)
+        ints = Subspace.spanned(cols, [[int(x * 7 * math.lcm(*(y.denominator for y in row)))
+                                        for x in row] for row in others])
+        assert ints.scaled() == space.scaled() and ints == space
+        v = tuple(random_entry(rng, height) for _ in range(cols))
+        inside = (MatrixQ([[random_fraction(rng, 9) for _ in expected]]) * MatrixQ(expected)
+                  ).entries[0] if expected else (Q(0),) * cols
+        for w in (v, inside):
+            assert space.contains(w) == (len(fraction_span_rows(cols, expected + (w,)))
+                                         == len(expected))
+        assert space.contains(inside)
