@@ -432,21 +432,18 @@ def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
     return StructureTensor.from_scaled(dc * dl * dr * do, _contract(c, l, r, ot))
 
 
-def conjugate_tensor(t: StructureTensor, basis: MatrixQ,
-                     inverse: MatrixQ | None = None) -> StructureTensor:
+def conjugate_tensor(t: StructureTensor, basis: MatrixQ) -> StructureTensor:
     """The tensor in the new basis whose vectors are the columns of `basis`
-    (coordinates in the old basis): transform_tensor(t, P, P, P^-1).
-    `inverse` may carry invert(basis)."""
+    (coordinates in the old basis): transform_tensor(t, P, P, P^-1)."""
     if not (basis.is_square and basis.rows == t.dim):
         raise DimensionMismatch("change of basis must be square of matching size")
-    return transform_tensor(t, basis, basis, invert(basis) if inverse is None else inverse)
+    return transform_tensor(t, basis, basis, invert(basis))
 
 
-def conjugate_algebra(a: BiHomAlgebra, basis: MatrixQ,
-                      inverse: MatrixQ | None = None) -> BiHomAlgebra:
-    """Rewrite the whole 4-tuple in the basis given by the columns of `basis`.
-    `inverse` may carry invert(basis)."""
-    inv = invert(basis) if inverse is None else inverse
-    return BiHomAlgebra(dim=a.dim, tensor=conjugate_tensor(a.tensor, basis, inv),
+def conjugate_algebra(a: BiHomAlgebra, basis: MatrixQ) -> BiHomAlgebra:
+    """Rewrite the whole 4-tuple in the basis given by the columns of `basis`,
+    inverting it once."""
+    inv = invert(basis)
+    return BiHomAlgebra(dim=a.dim, tensor=transform_tensor(a.tensor, basis, basis, inv),
                         alpha=inv * a.alpha * basis, beta=inv * a.beta * basis,
                         basis_names=a.basis_names)

@@ -9,15 +9,17 @@ that conjugation before being returned, never inferred from invariants
 alone.
 
 Strategy: the induced Lie algebra of a simple input is a split form of sl2,
-and both structure maps are automorphisms of it. An automorphism is either
-diagonalizable with eigenvalues (1, a, 1/a) or a single full unipotent
-Jordan block; the classifier builds an sl2 basis adapted to the maps, reads
-the family parameters off it and lets _certify, the exact conjugation onto
-the catalog algebra, decide. In the diagonalizable cases the fixed line of
-the map that is not the identity gives h up to the scalar c of its adjoint
-eigenvalues, and _triple_at completes (h, e, f), as it does for
-find_sl2_triple; the unipotent cases take a Jordan chain plus a commutant
-correction read off two entries of the induced bracket.
+and both structure maps are commuting automorphisms of it. An automorphism
+is either diagonalizable with eigenvalues (1, a, 1/a) or a single full
+unipotent Jordan block, and once one map is not the identity it forces the
+shape of the other. So only m, beta when alpha is the identity and alpha
+otherwise, is profiled; the classifier builds an sl2 basis adapted to m,
+and _certify conjugates the input once into it, reads the family
+parameters off the conjugated maps and compares the whole 4-tuple with the
+catalog algebra. When m is diagonalizable its fixed line gives h up to the
+scalar c of its adjoint eigenvalues, and _triple_at completes (h, e, f), as
+it does for find_sl2_triple; a unipotent m takes a Jordan chain plus a
+commutant correction read off two entries of the induced bracket.
 
 When both maps are the identity nothing singles out a basis, and
 find_sl2_triple decides from the Killing form K whether the induced algebra
@@ -329,21 +331,29 @@ def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
     return _triple_at(t, h0, c)
 
 
-def _jordan_basis(m: MatrixQ) -> MatrixQ:
-    """Chain basis (N^2 v, N v, v) turning a full unipotent Jordan block
-    into the canonical upper bidiagonal form; alpha_profile has found
-    N^2 != 0."""
+def _unipotent_basis(t: StructureTensor, m: MatrixQ) -> MatrixQ:
+    """Corrected Jordan basis of a full unipotent block m on the induced
+    bracket t. In the chain basis (N^2 v, N v, v) the bracket reads
+    [u1,u2] = x u1, [u1,u3] = -(x/2) u1 + x u2, [u2,u3] = y u1 + (x/2) u2
+    + x u3 with x != 0: a Lie bracket that the full block preserves and
+    that has [u1,u2] != 0 takes this shape, and one with [u1,u2] = 0 is
+    solvable. The commutant correction g = s*I + u*N^2 fixes every
+    polynomial in N and moves (x, y) to (s*x, s*y - 2*x*u), which is (2, 1)
+    of unipotent_base_tensor for s = 2/x and u = (2y/x - 1)/(2x)."""
     n = m - MatrixQ.identity(3)
     n2 = n * n
     seed = next(basis_vector(3, j) for j in range(3) if any(n2.column(j)))
-    v2 = n.apply(seed)
-    v1 = n.apply(v2)
-    # the chain (N^2 v, N v, v) of a full block is always independent
-    return MatrixQ.from_columns([v1, v2, seed])
+    # the chain of a full block (alpha_profile has found N^2 != 0) is independent
+    jordan = MatrixQ.from_columns([n2.apply(seed), n.apply(seed), seed])
+    d, c = conjugate_tensor(t, jordan).scaled()
+    x, y = Fraction(c[0][1][0], d), Fraction(c[1][2][0], d)
+    nc = unipotent_full() - MatrixQ.identity(3)   # N of the catalog block
+    g = MatrixQ.identity(3).scale(2 / x) + (nc * nc).scale((2 * y / x - 1) / (2 * x))
+    return jordan * g
 
 
-_DIAGONAL = ("DiagonalDistinct", "DiagNegPair")
 _FLIP = MatrixQ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+_CATALOG = {"L1": make_L1, "L2": make_L2, "L3": make_L3}
 
 
 def _l1_param_key(a: Fraction, b: Fraction):
@@ -363,64 +373,44 @@ def normalize_l1_params(a, b) -> tuple[Fraction, Fraction, bool]:
     return a, b, False
 
 
-def _certify(a: BiHomAlgebra, basis: MatrixQ, expected: BiHomAlgebra,
-             family: str, params: tuple, inverse: MatrixQ | None = None) -> ClassLabel:
-    conj = conjugate_algebra(a, basis, inverse)
+def _certify(a: BiHomAlgebra, basis: MatrixQ, family: str) -> ClassLabel:
+    """The label of a in the candidate basis: one conjugation, the family
+    parameters read off the conjugated maps (entry (1, 1) of alpha and beta
+    for L1, normalized by the flip, and entry (0, 1) of beta for L3), and an
+    exact comparison of the whole 4-tuple with the catalog algebra."""
+    conj, params = conjugate_algebra(a, basis), ()
+    if family == "L1":
+        if conj.beta[1, 1] == 0:   # beta swaps the e- and f-lines
+            raise Unmatched(
+                "alpha is diagonalizable in an adapted sl2 basis but beta is not "
+                "diag(1, b, 1/b) there; no canonical family corresponds to this pair")
+        a_n, b_n, flipped = normalize_l1_params(conj.alpha[1, 1], conj.beta[1, 1])
+        if flipped:
+            basis, conj = basis * _FLIP, conjugate_algebra(conj, _FLIP)
+        params = (a_n, b_n)
+    elif family == "L3":
+        params = (conj.beta[0, 1],)
+    expected = _CATALOG[family](*params)
     if conj.tensor != expected.tensor or conj.alpha != expected.alpha \
             or conj.beta != expected.beta:
         raise Unmatched(
             f"profiles matched family {family} but exact conjugation against "
             "the catalog algebra failed; the input is not isomorphic to "
             f"{family}{tuple(str(p) for p in params)}")
-    return ClassLabel(family=family, params=tuple(params), change_of_basis=basis)
-
-
-def _classify_diagonal_family(a: BiHomAlgebra, triple: Sl2Triple,
-                              a_param: Fraction) -> ClassLabel:
-    basis = triple.basis_matrix()
-    inverse = invert(basis)
-    b_param = (inverse * a.beta * basis)[1, 1]
-    if b_param == 0:   # beta swaps the e- and f-lines
-        raise Unmatched(
-            "alpha is diagonalizable in an adapted sl2 basis but beta is not "
-            "diag(1, b, 1/b) there; no canonical family corresponds to this pair")
-    a_n, b_n, flipped = normalize_l1_params(a_param, b_param)
-    if flipped:   # _FLIP is an involution
-        basis, inverse = basis * _FLIP, _FLIP * inverse
-    return _certify(a, basis, make_L1(a_n, b_n), "L1", (a_n, b_n), inverse)
-
-
-def _classify_unipotent_family(a: BiHomAlgebra, induced: StructureTensor,
-                               unipotent: MatrixQ, family: str) -> ClassLabel:
-    """Shared L2/L3 path. In the Jordan basis of the unipotent map the
-    induced bracket reads [u1,u2] = x u1, [u1,u3] = -(x/2) u1 + x u2,
-    [u2,u3] = y u1 + (x/2) u2 + x u3 with x != 0: a Lie bracket that the
-    full block preserves and that has [u1,u2] != 0 takes this shape, and one
-    with [u1,u2] = 0 is solvable. The commutant correction g = s*I + u*N^2
-    fixes every polynomial in N and moves (x, y) to (s*x, s*y - 2*x*u),
-    which is (2, 1) of unipotent_base_tensor for s = 2/x and
-    u = (2y/x - 1)/(2x)."""
-    jordan = _jordan_basis(unipotent)
-    d, c = conjugate_tensor(induced, jordan).scaled()
-    x, y = Fraction(c[0][1][0], d), Fraction(c[1][2][0], d)
-    n = unipotent_full() - MatrixQ.identity(3)
-    g = MatrixQ.identity(3).scale(2 / x) + (n * n).scale((2 * y / x - 1) / (2 * x))
-    basis = jordan * g
-    if family == "L2":
-        return _certify(a, basis, make_L2(), "L2", ())
-    inverse = invert(basis)
-    a_param = (inverse * a.beta * basis)[0, 1]
-    return _certify(a, basis, make_L3(a_param), "L3", (a_param,), inverse)
+    return ClassLabel(family=family, params=params, change_of_basis=basis)
 
 
 def classify3(a: BiHomAlgebra) -> ClassLabel:
     """Decide which canonical family a 3-dimensional multiplicative simple
     BiHom-Lie algebra belongs to and produce the witnessing change of basis.
 
-    Diagonalizable-alpha inputs land in L1(a,b) (with beta forced diagonal
-    in the adapted basis), identity alpha with full unipotent beta in L2,
-    and full unipotent alpha with its commuting companion beta in L3(a).
-    Profile pairs outside the three families are reported Unmatched; a
+    Only m, beta when alpha is the identity and alpha otherwise, is
+    profiled: the maps are commuting automorphisms of the induced sl2, so
+    m forces the shape of the other. An identity m leads to
+    find_sl2_triple and a diagonalizable one to the adapted triple, both
+    certified as L1(a,b); a full unipotent block leads to its corrected
+    Jordan basis, certified as L2 when alpha is the identity and as L3(a)
+    otherwise. A profile that no family realizes is reported Unmatched; a
     fourth family is never invented.
     """
     if a.dim != 3:
@@ -428,26 +418,19 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
     if not is_simple(a):
         raise NotSimple("the algebra is not simple")
     induced, _, _ = induce_lie(a)
-    profile_a = alpha_profile(a.alpha)
-    profile_b = alpha_profile(a.beta)
-
-    if profile_a.kind in _DIAGONAL:
-        triple = _adapted_triple(induced, a.alpha, profile_a.param)
-        return _classify_diagonal_family(a, triple, profile_a.param)
-    if profile_a.kind == "Identity":
-        if profile_b.kind == "Identity":
-            triple = find_sl2_triple(induced)
-            return _classify_diagonal_family(a, triple, Q(1))
-        if profile_b.kind in _DIAGONAL:
-            triple = _adapted_triple(induced, a.beta, profile_b.param)
-            return _classify_diagonal_family(a, triple, Q(1))
-        if profile_b.kind == "UnipotentFull":
-            return _classify_unipotent_family(a, induced, a.beta, "L2")
-        raise Unmatched(f"identity alpha with beta profile {profile_b.kind} "
+    identity_alpha = a.alpha == MatrixQ.identity(3)
+    m = a.beta if identity_alpha else a.alpha
+    profile = alpha_profile(m)
+    if profile.kind == "Identity":
+        return _certify(a, find_sl2_triple(induced).basis_matrix(), "L1")
+    if profile.kind in ("DiagonalDistinct", "DiagNegPair"):
+        return _certify(a, _adapted_triple(induced, m, profile.param).basis_matrix(), "L1")
+    if profile.kind == "UnipotentFull":
+        return _certify(a, _unipotent_basis(induced, m), "L2" if identity_alpha else "L3")
+    if identity_alpha:
+        raise Unmatched(f"identity alpha with beta profile {profile.kind} "
                         "corresponds to no canonical family")
-    if profile_a.kind == "UnipotentFull":
-        return _classify_unipotent_family(a, induced, a.alpha, "L3")
-    raise Unmatched(f"alpha profile {profile_a.kind} is not realized by any "
+    raise Unmatched(f"alpha profile {profile.kind} is not realized by any "
                     "simple family (such brackets are never simple)")
 
 

@@ -304,11 +304,11 @@ class SpanBuilder:
         self.rows: dict[int, list[int]] = {}
 
     def add(self, v) -> bool:
-        """Add a vector of rationals or integers; True if the dimension grew."""
+        """Add an integer vector; True if the dimension grew."""
         n = self.ambient_dim
         if len(v) != n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        v = primitive(cleared(v)[1])
+        v = primitive(v)
         lead = next((j for j, x in enumerate(v) if x), None)
         while lead in self.rows:
             r = self.rows[lead]

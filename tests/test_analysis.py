@@ -15,6 +15,7 @@ from bihomlie.algebra import (
     require_axioms,
 )
 from bihomlie.analysis import (
+    IdealReport,
     TypeLabel,
     _simplicity,
     automorphism_permutation,
@@ -141,6 +142,18 @@ def test_is_ideal_witness():
     gen_index, image = report.failing_witness
     assert gen_index == 0
     assert image == (Q(2, 3), Q(0), Q(0))
+
+
+def test_is_ideal_structure_map_witness():
+    # the first block of two sl2 copies twisted by the block swap brackets to
+    # 0 with itself ([x, y] = [swap x, y]), but alpha moves it to the second
+    double = direct_sum([sl2_bihom()] * 2)
+    twisted = yau_twist(TwistInput(double.tensor, block_permutation(6, 3, 1),
+                                   MatrixQ.identity(6)))
+    s = Subspace(6, [basis_vector(6, i) for i in range(3)])
+    assert all(not any(twisted.tensor.bracket(x, y)) for x in s.basis_rows for y in s.basis_rows)
+    first = s.basis_rows[0]
+    assert is_ideal(twisted, s) == IdealReport(s, False, False, (0, twisted.alpha.apply(first)))
 
 
 def test_ideal_closure_output_is_ideal():
@@ -503,6 +516,43 @@ def test_decompose_properties():
             assert ideal_closure(double, v) == part
 
 
+def sl3_bihom():
+    """sl3 with identity maps, in the basis of the six matrix units E_ij
+    (i != j) and E_11 - E_22, E_22 - E_33, bracketed as commutators."""
+    off = [(i, j) for i in range(3) for j in range(3) if i != j]
+    basis = [[[int((r, c) == ij) for c in range(3)] for r in range(3)] for ij in off]
+    basis += [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
+
+    def product(x, y):
+        return [[sum(x[r][k] * y[k][c] for k in range(3)) for c in range(3)] for r in range(3)]
+
+    def coordinates(x):   # x traceless: its diagonal is x11 H1 + (x11 + x22) H2
+        return tuple(x[i][j] for i, j in off) + (x[0][0], x[0][0] + x[1][1])
+
+    brackets = {(p, q): coordinates([[u - v for u, v in zip(r1, r2)] for r1, r2
+                                     in zip(product(x, y), product(y, x))])
+                for p, x in enumerate(basis) for q, y in enumerate(basis)}
+    return BiHomAlgebra(dim=8, tensor=StructureTensor.from_brackets(8, brackets),
+                        alpha=MatrixQ.identity(8), beta=MatrixQ.identity(8))
+
+
+def test_simple_part_of_dimension_eight():
+    """sl3 is the first simple part large enough for _minimal_ideals to look
+    for a split: no basis vector spins to a proper ideal and the commutant
+    is the scalars, so _proper_ideal finds none; next to sl2 it is one of
+    the two parts."""
+    a = sl3_bihom()
+    ads = [tuple(zip(*plane)) for plane in a.tensor.scaled()[1]]
+    assert analysis._proper_ideal(ads) is None
+    assert decompose_semisimple(a.tensor) == [Subspace.full(8)]
+    assert is_simple(a)
+    assert decompose_bihom(a).enveloping_dim == 64
+    assert enveloping_dim(burnside_generators(a)) == 64
+    parts = decompose_semisimple(direct_sum([sl2_bihom(), a]).tensor)
+    assert parts == [Subspace(11, [basis_vector(11, i) for i in block])
+                     for block in (range(3), range(3, 11))]
+
+
 def test_decompose_rejects_non_semisimple():
     with pytest.raises(NotSemisimple):
         decompose_semisimple(SOLVABLE)
@@ -529,14 +579,14 @@ def ambient_spin(tensor, maps, seeds):
     builder = SpanBuilder(n)
     work = []
     for s in seeds:
-        if builder.add(s):
+        if builder.add(cleared(s)[1]):
             work.append(s)
     basis = [basis_vector(n, k) for k in range(n)]
     while work:
         v = work.pop(0)
         images = [w for b in basis for w in (tensor.bracket(v, b), tensor.bracket(b, v))]
         for w in images + [m.apply(v) for m in maps]:
-            if builder.add(w):
+            if builder.add(cleared(w)[1]):
                 work.append(w)
     return Subspace(n, builder.rows.values())
 

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -29,6 +30,7 @@ from bihomlie.catalog import (
 )
 from bihomlie.classify3 import (
     _GRID,
+    Profile,
     Sl2Triple,
     _isotropic_vector,
     _triple_at,
@@ -222,13 +224,15 @@ def test_classify_rejects_non_simple():
         classify3(abelian)
 
 
+# diag(1,-1,-1) with the off-diagonal involution: a valid simple algebra
+# landing outside the three families; never coerced into a fourth
+SWAP_PAIR = yau_twist(TwistInput(make_sl2(), MatrixQ.diagonal([1, -1, -1]),
+                                 MatrixQ([[-1, 0, 0], [0, 0, Q(1, 2)], [0, 2, 0]])))
+
+
 def test_classify_unmatched_swap_pair():
-    # diag(1,-1,-1) with the off-diagonal involution: a valid simple algebra
-    # landing outside the three families; never coerced into a fourth
-    beta_swap = MatrixQ([[-1, 0, 0], [0, 0, Q(1, 2)], [0, 2, 0]])
-    twisted = yau_twist(TwistInput(make_sl2(), MatrixQ.diagonal([1, -1, -1]), beta_swap))
     with pytest.raises(Unmatched, match=r"beta is not diag\(1, b, 1/b\)"):
-        classify3(twisted)
+        classify3(SWAP_PAIR)
 
 
 # --- the unipotent path has one gate ------------------------------------------
@@ -804,10 +808,10 @@ def test_iso3_isomorphism_holds_by_construction():
 
 
 def test_each_label_inverts_no_matrix_twice(monkeypatch):
-    """The inverse that _classify_diagonal_family and the L3 branch read a
-    parameter with is the one _certify conjugates by (under the flip it is
-    _FLIP times it, _FLIP being an involution): counting exactlin.invert in
-    every module that binds it, no matrix is inverted twice for a label."""
+    """_certify reads the parameters off its one conjugation, which inverts
+    the candidate basis, and a flipped L1 label conjugates that result by
+    _FLIP once more: counting exactlin.invert in every module that binds it,
+    no matrix is inverted twice for a label."""
     classify3_module = sys.modules["bihomlie.classify3"]
     calls, flips = [], []
     original, normalize = exactlin.invert, classify3_module.normalize_l1_params
@@ -834,3 +838,77 @@ def test_each_label_inverts_no_matrix_twice(monkeypatch):
         label = classify3(a)
         assert len(calls) == len(set(calls)), (label.family, label.params)
     assert True in flips and False in flips   # both sides of the flip ran
+
+
+# --- one profile per label ------------------------------------------------------
+# classify3 profiles m, beta when alpha is the identity and alpha otherwise.
+# The maps of a simple input are commuting automorphisms of the induced sl2,
+# so m forces the shape of the other map, and the profile that classify3
+# does not compute could not change a verdict.
+
+def _one_map_cases(rng):
+    """(path, dense conjugate, catalog algebra of its label or None) on every
+    path of classify3."""
+    cases = [(path, *_property_case(rng, path)[::3])
+             for path in ("L1 generic", "L1(a,1)", "L1(-1,b)", "L2", "L3")]
+    b = _property_case(rng, "L1 generic")[0].alpha[1, 1]
+    cases += [("identity alpha, diagonal beta", make_L1(1, b),
+               make_L1(*normalize_l1_params(1, b)[:2])),
+              ("identity pair, grid", make_L1(1, 1), make_L1(1, 1)),
+              ("L3(0)", make_L3(0), make_L3(0)),
+              ("r = -1, swapping beta", SWAP_PAIR, None)]
+    out = [(path, conjugate_algebra(a, random_invertible(3, rng)), expected)
+           for path, a, expected in cases]
+    return out + [("identity pair, conic", conjugate_algebra(make_L1(1, 1), CONIC_BASIS),
+                   make_L1(1, 1))]
+
+
+def test_classify3_profiles_one_map(monkeypatch):
+    classify3_module = sys.modules["bihomlie.classify3"]
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return alpha_profile(m)
+    monkeypatch.setattr(classify3_module, "alpha_profile", counted)
+    for path, a, _ in _one_map_cases(random.Random(1901)):
+        calls.clear()
+        with contextlib.suppress(Unmatched):   # the swapping beta
+            classify3(a)
+        assert calls == [a.beta if a.alpha == MatrixQ.identity(3) else a.alpha], path
+
+
+def test_dropped_profile_is_forced():
+    """On every path the profile of the map that classify3 does not profile
+    is computed without error and is that of the same map of the catalog
+    algebra (for the swapping beta, an involution moving h to -h), while the
+    label is certified as before."""
+    seen = set()
+    for path, a, expected in _one_map_cases(random.Random(1902)):
+        name = "alpha" if a.alpha == MatrixQ.identity(3) else "beta"
+        dropped = alpha_profile(getattr(a, name))
+        if expected is None:
+            assert dropped == ("DiagNegPair", -1), path
+            with pytest.raises(Unmatched, match=r"beta is not diag\(1, b, 1/b\)"):
+                classify3(a)
+            continue
+        assert dropped == alpha_profile(getattr(expected, name)), path
+        if path.startswith("identity pair"):
+            assert (grid_oracle(induce_lie(a)[0]) is not None) == path.endswith("grid")
+        label = classify3(a)
+        back = conjugate_algebra(a, label.change_of_basis)
+        assert (back.tensor, back.alpha, back.beta) == \
+            (expected.tensor, expected.alpha, expected.beta), path
+        seen.add(dropped.kind)
+    assert seen == {"Identity", "DiagonalDistinct", "UnipotentFull"}
+
+
+def test_unrealized_profile_is_unmatched(monkeypatch):
+    """A profile that no family realizes names the map it was read from;
+    automorphisms of sl2 never have one, so the profile is stubbed."""
+    monkeypatch.setattr(sys.modules["bihomlie.classify3"], "alpha_profile",
+                        lambda m: Profile("NegJordan"))
+    with pytest.raises(Unmatched, match="^alpha profile NegJordan is not realized"):
+        classify3(make_L3(2))
+    with pytest.raises(Unmatched, match="^identity alpha with beta profile NegJordan"):
+        classify3(make_L2())
