@@ -32,7 +32,9 @@ off the views, and a commuting witness is recomputed in Fraction arithmetic.
 Verification is kept per object (the report on the BiHomAlgebra, the Lie
 verdict on the StructureTensor), never keyed by content, and so are the
 scaled views. Twisting, inducing and changing basis are one kernel,
-transform_tensor, on those views.
+transform_tensor, on those views: each c[p][q] (o c[p][q] with an output map
+o) is packed into one integer, and the n x n packed matrix is contracted over
+p and over q by two integer products, then unpacked.
 """
 
 from __future__ import annotations
@@ -268,12 +270,18 @@ def homomorphism_failure(m: MatrixQ, src: StructureTensor,
 
 def _contract(c, left, right, out_t=None) -> list[list[list[int]]]:
     """Integer planes sum l[p][i] r[q][j] (o[s][k]) c[p][q][k] of integer views
-    l, r (and o, passed transposed as out_t), contracted over p, then q, then k."""
-    n = len(c)
-    u = int_product(tuple(zip(*left)), [[x for row in plane for x in row] for plane in c])
-    rt = tuple(zip(*right))
-    planes = [int_product(rt, reshape(ui, n, n)) for ui in u]
-    return planes if out_t is None else [int_product(v, out_t) for v in planes]
+    l, r (and o, passed transposed as out_t), packed as in the module note at
+    the width of n^2 |l| |r| |c| (times n |o|), which bounds every entry."""
+    n, m = len(c), len(c) if out_t is None else len(out_t[0])
+    w = pack_width(n * n * _height(left) * _height(right) * _height(chain.from_iterable(c))
+                   * (1 if out_t is None else n * _height(out_t)))
+    if out_t is None:
+        packed = [[pack(v, w) for v in plane] for plane in c]
+    else:
+        o = [pack(col, w) for col in out_t]
+        packed = [[sum(map(mul, v, o)) for v in plane] for plane in c]
+    return [[unpack(x, w, m) for x in row]
+            for row in int_product(int_product(tuple(zip(*left)), packed), right)]
 
 
 def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
@@ -420,8 +428,8 @@ def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
     """The tensor c'[i][j] = out [left e_i, right e_j]: left and right are
     n x d, out is d x n and defaults to the identity (n = t.dim). With B the
     basis columns of a subalgebra and P its pivot selector, (t, B, B, P) is
-    the restriction. The views are contracted over p, then q, then k in
-    sum l[p][i] r[q][j] o[s][k] c[p][q][k], and the result is kept as a view."""
+    the restriction. The views are contracted by _contract, packed over the
+    output index, and the result is kept as a view."""
     n, d = t.dim, left.cols
     if [(left.rows, left.cols), (right.rows, right.cols),
             (d, d) if out is None else (out.rows, out.cols)] != [(n, d), (n, d), (d, n)]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
@@ -59,10 +60,13 @@ from .exactlin import (
     det,
     int_product,
     kernel,
+    pack,
+    pack_width,
     primitive,
     rank,
     rational_roots,
     reshape,
+    unpack,
 )
 from .twist import induce_lie
 
@@ -237,17 +241,19 @@ def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
 def killing_form(t: StructureTensor) -> MatrixQ:
     """K[i][j] = trace(ad(e_i) ad(e_j)) of an ordinary Lie algebra; ad(e_i)
     holds c[i][l][k] at (k, l), so K[i][j] = sum_{k,l} c[i][l][k] c[j][k][l].
-    Computed once per tensor object and kept on it."""
+    Entry (k, l) of the planes is packed over j, so row i is one dot product
+    of c[i] flattened over (l, k) with those n^2 integers, unpacked. Computed
+    once per tensor object and kept on it."""
     if hasattr(t, "_killing"):
         return t._killing
     lie = is_lie_algebra(t)
     if not lie.ok:
         raise NotLie(f"killing_form needs a Lie algebra: {lie.witness.detail}")
     n, (d, c) = t.dim, t.scaled()
-    ads = [[c[i][l][k] for k in range(n) for l in range(n)] for i in range(n)]
-    flat = [[x for row in c[j] for x in row] for j in range(n)]
+    w = pack_width(n * n * max(map(abs, chain.from_iterable(chain.from_iterable(c)))) ** 2)
+    cols = [pack(col, w) for col in zip(*(chain.from_iterable(zip(*plane)) for plane in c))]
     object.__setattr__(t, "_killing", MatrixQ.from_scaled(
-        d * d, [[sum(map(mul, a, f)) for f in flat] for a in ads]))
+        d * d, [unpack(sum(map(mul, chain.from_iterable(plane), cols)), w, n) for plane in c]))
     return t._killing
 
 

@@ -44,7 +44,6 @@ from .algebra import (
     StructureTensor,
     ad_matrix,
     conjugate_algebra,
-    conjugate_tensor,
     homomorphism_failure,
 )
 from .analysis import is_simple, killing_determinant, killing_form
@@ -337,19 +336,22 @@ def _unipotent_basis(t: StructureTensor, m: MatrixQ) -> MatrixQ:
     [u1,u2] = x u1, [u1,u3] = -(x/2) u1 + x u2, [u2,u3] = y u1 + (x/2) u2
     + x u3 with x != 0: a Lie bracket that the full block preserves and
     that has [u1,u2] != 0 takes this shape, and one with [u1,u2] = 0 is
-    solvable. The commutant correction g = s*I + u*N^2 fixes every
-    polynomial in N and moves (x, y) to (s*x, s*y - 2*x*u), which is (2, 1)
-    of unipotent_base_tensor for s = 2/x and u = (2y/x - 1)/(2x)."""
+    solvable. x and y are read off [u1,u2] and [u2,u3] - (x/2) u2 - x u3 at
+    a nonzero coordinate of u1, with no inversion of the chain. The
+    commutant correction g = s*I + u*N^2 fixes every polynomial in N and
+    moves (x, y) to (s*x, s*y - 2*x*u), which is (2, 1) of
+    unipotent_base_tensor for s = 2/x and u = (2y/x - 1)/(2x)."""
     n = m - MatrixQ.identity(3)
     n2 = n * n
     seed = next(basis_vector(3, j) for j in range(3) if any(n2.column(j)))
-    # the chain of a full block (alpha_profile has found N^2 != 0) is independent
-    jordan = MatrixQ.from_columns([n2.apply(seed), n.apply(seed), seed])
-    d, c = conjugate_tensor(t, jordan).scaled()
-    x, y = Fraction(c[0][1][0], d), Fraction(c[1][2][0], d)
+    u1, u2 = n2.apply(seed), n.apply(seed)
+    r = next(r for r, v in enumerate(u1) if v)
+    x = t.bracket(u1, u2)[r] / u1[r]
+    y = (t.bracket(u2, seed)[r] - x / 2 * u2[r] - x * seed[r]) / u1[r]
     nc = unipotent_full() - MatrixQ.identity(3)   # N of the catalog block
     g = MatrixQ.identity(3).scale(2 / x) + (nc * nc).scale((2 * y / x - 1) / (2 * x))
-    return jordan * g
+    # the chain of a full block (alpha_profile has found N^2 != 0) is independent
+    return MatrixQ.from_columns([u1, u2, seed]) * g
 
 
 _FLIP = MatrixQ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])

@@ -85,9 +85,9 @@ def pack(values, width: int) -> int:
 
 def unpack(packed: int, width: int, n: int) -> list[int]:
     """The v of length n with pack(v, width) = packed, each |v_r| < 2^(width-1)."""
-    half, out = 1 << (width - 1), []
+    half, mask, out = 1 << (width - 1), (1 << width) - 1, []
     for _ in range(n):
-        out.append((packed + half) % (2 * half) - half)
+        out.append(((packed + half) & mask) - half)
         packed = (packed - out[-1]) >> width
     return out
 

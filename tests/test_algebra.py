@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from bihomlie import algebra as algebra_module
+from bihomlie import analysis as analysis_module
 from bihomlie.algebra import (
     AxiomReport,
     BiHomAlgebra,
@@ -620,23 +621,43 @@ def test_pack_zero_only_at_zero():
 
 def scaled_residue_heights(widths, kernel, residues):
     """Run kernel with pack_width recorded; return (the largest |entry| over
-    the true integer residues, 2^(w-1) for the width kernel used)."""
+    the true integer residues, 2^(w-1) for the width of the kernel's last
+    packing, the one that holds them)."""
     widths.clear()
     kernel()
-    return max(abs(x) for v in residues for x in v), 2 ** (widths[0] - 1)
+    return max(abs(x) for v in residues for x in v), 2 ** (widths[-1] - 1)
+
+
+def scaled_transform_entries(t, left, right, out):
+    """The integer planes the contraction of transform_tensor unpacks: the
+    Fraction grid out [left e_i, right e_j] times the four view scales."""
+    scale = t.scaled()[0] * left.scaled()[0] * right.scaled()[0] * out.scaled()[0]
+    return [[scale * x for x in v] for plane in fraction_transform_grid(t, left, right, out).c
+            for v in plane]
 
 
 def test_pack_width_bounds_true_residues(monkeypatch):
-    """The width each kernel computes keeps every true residue it packs, the
-    integer Jacobi sums and bracket-preservation differences of the scaled
-    views, below 2^(w-1), on valid and perturbed inputs alike."""
+    """The width each kernel computes keeps every true residue it packs below
+    2^(w-1), on valid and perturbed inputs alike: the integer Jacobi sums,
+    the S = [beta e_j, alpha e_k] planes contracted before them and the
+    bracket-preservation differences of the scaled views; the planes of a
+    conjugation and of a restriction; the entries of the Killing form."""
     widths = []
-    monkeypatch.setattr(algebra_module, "pack_width",
-                        lambda bound: widths.append(pack_width(bound)) or widths[-1])
+    for module in (algebra_module, analysis_module):
+        monkeypatch.setattr(module, "pack_width",
+                            lambda bound: widths.append(pack_width(bound)) or widths[-1])
     rng = random.Random(414)
     nonzero = 0
     for dim in (3, 6, 9, 3, 6):
         a = huge_valid(rng, dim)
+        basis, d = random_basis(dim, rng), rng.randint(2, dim - 1)
+        thin = MatrixQ([row[:d] for row in basis.entries])       # n x d, then d x n
+        for args in ((basis, basis, fraction_invert(basis)),
+                     (thin, thin, random_shaped(rng, d, dim, d, 10 ** 30))):
+            top, limit = scaled_residue_heights(
+                widths, lambda: transform_tensor(a.tensor, *args),
+                scaled_transform_entries(a.tensor, *args))
+            assert 0 < top < limit
         for variant in [a] + [slot_perturbed(a, rng, part, slots)
                               for part in ("bracket", "alpha", "beta")
                               for slots in edge_slots(dim, rng)[:2]]:
@@ -654,6 +675,9 @@ def test_pack_width_bounds_true_residues(monkeypatch):
                 t, variant.alpha, variant.beta, ("", "")), [[scale * x for x in v] for v in sums])
             assert top < limit
             nonzero += top > 0
+            s_planes = [da * db * dc * x for j in range(n) for k in range(n)
+                        for x in t.bracket(bcols[j], acols[k])]      # packed by the first call
+            assert 0 < max(map(abs, s_planes)) < 2 ** (widths[0] - 1)
             for m in (variant.alpha, variant.beta):
                 dm, cols = m.scaled()[0], [m.column(j) for j in range(n)]
                 scale = dm * dm * dc     # dm^2 d_src d_dst / gcd(d_src, d_dst)
@@ -673,6 +697,11 @@ def test_pack_width_bounds_true_residues(monkeypatch):
         top, limit = scaled_residue_heights(
             widths, lambda: is_lie_algebra(lie), [[d * d * x for x in v] for v in sums])
         assert top < limit
+        c = lie.c
+        top, limit = scaled_residue_heights(widths, lambda: analysis_module.killing_form(lie), [
+            [d * d * sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)])
+        assert 0 < top < limit
     assert nonzero > 20
 
 
@@ -792,6 +821,53 @@ def test_transform_tensor_matches_fraction_grids():
             transform_tensor(sl2, *maps)
     with pytest.raises(DimensionMismatch):
         conjugate_tensor(make_sl2(), MatrixQ.identity(2))
+
+
+def extreme_case(rng, n, d, sign, with_out):
+    """Integer tensor and maps at height H > 10^30 whose contraction reaches
+    the width bound exactly: sign * bound in slot 0 and -sign * bound in
+    the last slot of every plane, other slots anywhere in between."""
+    h = 10 ** 30 + rng.randint(1, 10 ** 6)
+    full = [[h] * d for _ in range(n)]
+    if with_out:
+        c = [[[h] * n for _ in range(n)] for _ in range(n)]
+        out = [[sign * h] * n] + [[rng.randint(-h, h) for _ in range(n)] for _ in range(d - 2)] \
+            + [[-sign * h] * n]
+        return StructureTensor(c), MatrixQ(full), MatrixQ(full), MatrixQ(out), n ** 3 * h ** 4
+    c = [[[sign * h] + [rng.randint(-h, h) for _ in range(n - 2)] + [-sign * h] for _ in range(n)]
+         for _ in range(n)]
+    return StructureTensor(c), MatrixQ(full), MatrixQ(full), None, n ** 2 * h ** 3
+
+
+def test_packed_contraction_matches_fraction_reference():
+    """transform_tensor with out absent, square and d x n with d < n (the
+    restriction shape) against the Fraction grid: on entries of height above
+    10^30, on inputs whose output reaches the width bound with each sign in
+    slot 0 and in the last slot, and on the zero tensor."""
+    rng = random.Random(415)
+    for n in (2, 3, 5):
+        for d in (n, max(n - 2, 1)):
+            t = StructureTensor([[[random_entry(rng, 10 ** 31) for _ in range(n)]
+                                  for _ in range(n)] for _ in range(n)])
+            left, right = (random_shaped(rng, n, d, d, 10 ** 31) for _ in range(2))
+            out = random_shaped(rng, d, n, d, 10 ** 31)
+            assert transform_tensor(t, left, right, out) == \
+                fraction_transform_grid(t, left, right, out)
+            if d == n:
+                assert transform_tensor(t, left, right) == fraction_twist_grid(t, left, right)
+            zero = transform_tensor(StructureTensor.zero(n), left, right, out)
+            assert zero == StructureTensor.zero(d)
+        for d, sign, with_out in itertools.product((n, 2), (1, -1), (False, True)):
+            if d != n and not with_out:
+                continue
+            t, left, right, out, bound = extreme_case(rng, n, d, sign, with_out)
+            moved = transform_tensor(t, left, right, out)
+            if out is None:
+                assert moved == fraction_twist_grid(t, left, right)
+            else:
+                assert moved == fraction_transform_grid(t, left, right, out)
+            assert all(v[0] == sign * bound and v[-1] == -sign * bound
+                       for plane in moved.scaled()[1] for v in plane)
 
 
 def test_tensor_view_is_canonical_from_fractions_and_from_scaled():

@@ -415,6 +415,43 @@ def test_killing_form_matches_trace_of_ad_products():
         assert killing_form(lie) == expected
 
 
+def fraction_killing(t):
+    """trace(ad e_i ad e_j) in Fraction arithmetic, ad e_i holding c[i][l][k] at (k, l)."""
+    n, c = t.dim, t.c
+    ads = [[[c[i][l][k] for l in range(n)] for k in range(n)] for i in range(n)]
+    return [[sum(x[k][l] * y[l][k] for k in range(n) for l in range(n)) for y in ads]
+            for x in ads]
+
+
+def test_killing_form_matches_fraction_trace_at_extreme_entries():
+    """The packed Killing form against the Fraction trace on sums of sl2 and
+    so3 (a negative definite form) in signed, permuted bases scaled past
+    10^30, so that slot 0 and slot n-1 of the packed rows hold entries of
+    each sign above 10^57, and on the zero tensor."""
+    so3 = StructureTensor.from_brackets(3, {(0, 1): (0, 0, 1), (1, 0): (0, 0, -1),
+                                            (1, 2): (1, 0, 0), (2, 1): (-1, 0, 0),
+                                            (2, 0): (0, 1, 0), (0, 2): (0, -1, 0)})
+    rng, signs = random.Random(92), set()
+    for parts in ((make_sl2(),), (so3,), (make_sl2(), so3), (so3, make_sl2(), so3),
+                  (make_sl2(), make_sl2(), so3), (so3, so3, make_sl2())):
+        sum_ = direct_sum([BiHomAlgebra(3, t, MatrixQ.identity(3), MatrixQ.identity(3))
+                           for t in parts]).tensor
+        n = sum_.dim
+        for _ in range(3):
+            order = rng.sample(range(n), n)
+            basis = MatrixQ([[Q(rng.choice((1, -1)) * rng.randint(10 ** 30, 10 ** 31),
+                                rng.randint(1, 10)) if order[j] == i else 0
+                              for j in range(n)] for i in range(n)])
+            lie = conjugate_tensor(sum_, basis)
+            expected = fraction_killing(lie)
+            assert killing_form(lie).entries == tuple(map(tuple, expected))
+            signs |= {(slot, x > 0) for row in expected for slot, x in ((0, row[0]), (-1, row[-1]))
+                      if abs(x) > 10 ** 57}
+    assert signs == {(0, True), (0, False), (-1, True), (-1, False)}
+    for n in (1, 3, 6):
+        assert killing_form(StructureTensor.zero(n)).is_zero()
+
+
 def test_killing_form_rejects_non_lie():
     with pytest.raises(NotLie):
         killing_form(make_L1(2, 3).tensor)

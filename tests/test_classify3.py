@@ -811,9 +811,12 @@ def test_each_label_inverts_no_matrix_twice(monkeypatch):
     """_certify reads the parameters off its one conjugation, which inverts
     the candidate basis, and a flipped L1 label conjugates that result by
     _FLIP once more: counting exactlin.invert in every module that binds it,
-    no matrix is inverted twice for a label."""
+    no matrix is inverted twice for a label. An L2 or L3 label inverts three
+    matrices, alpha and beta for the induced bracket and the candidate basis
+    for _certify: _unipotent_basis reads its two parameters off brackets in
+    the input basis and no longer inverts the Jordan chain as a fourth."""
     classify3_module = sys.modules["bihomlie.classify3"]
-    calls, flips = [], []
+    calls, flips, families = [], [], []
     original, normalize = exactlin.invert, classify3_module.normalize_l1_params
 
     def counted(m):
@@ -828,7 +831,7 @@ def test_each_label_inverts_no_matrix_twice(monkeypatch):
     rng = random.Random(1619)
     inputs = [conjugate_algebra(a, random_invertible(3, rng)) for a in (
         make_L1(2, 3), make_L3(5), make_L1(Q(1, 2), Q(-1, 3)), make_L3(Q(-2, 7)),
-        *[make_L1(-1, b) for b in (3, Q(1, 3), Q(-2, 5), Q(5, 2))])]
+        make_L2(), make_L2(), *[make_L1(-1, b) for b in (3, Q(1, 3), Q(-2, 5), Q(5, 2))])]
     for name, module in list(sys.modules.items()):
         if name.startswith("bihomlie") and getattr(module, "invert", None) is original:
             monkeypatch.setattr(module, "invert", counted)
@@ -837,7 +840,11 @@ def test_each_label_inverts_no_matrix_twice(monkeypatch):
         calls.clear()
         label = classify3(a)
         assert len(calls) == len(set(calls)), (label.family, label.params)
+        families.append(label.family)
+        if label.family != "L1":
+            assert len(calls) == 3, (label.family, label.params)
     assert True in flips and False in flips   # both sides of the flip ran
+    assert {"L1", "L2", "L3"} <= set(families)
 
 
 # --- one profile per label ------------------------------------------------------
