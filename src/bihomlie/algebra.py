@@ -29,9 +29,10 @@ columns) with entry (i, j) of M^T P M. A failure is located in the plain loop
 order; a skew or Jacobi witness is the failing integer vector (unpacked) over
 its scale, a multiplicativity witness (M c[i][j] and [M e_i, M e_j]) is read
 off the views, and a commuting witness is recomputed in Fraction arithmetic.
-Verification is kept per object (the report on the BiHomAlgebra, the Lie
-verdict on the StructureTensor), never keyed by content, and so are the
-scaled views. Twisting, inducing and changing basis are one kernel,
+Verification is kept per object (the report, or the verified induced tensor
+of twist.require_axioms, on the BiHomAlgebra, the Lie verdict on the
+StructureTensor), never keyed by content, and so are the scaled views and
+their heights. Twisting, inducing and changing basis are one kernel,
 transform_tensor, on those views: each c[p][q] (o c[p][q] with an output map
 o) is packed into one integer, and the n x n packed matrix is contracted over
 p and over q by two integer products, then unpacked.
@@ -71,7 +72,7 @@ class StructureTensor:
     analysis.killing_form result and its determinant.
     """
 
-    __slots__ = ("dim", "_c", "_lie", "_killing", "_killing_det", "_scaled")
+    __slots__ = ("dim", "_c", "_lie", "_killing", "_killing_det", "_scaled", "_height")
 
     def __init__(self, c):
         grid = tuple(tuple(vector(row) for row in plane) for plane in c)
@@ -103,6 +104,12 @@ class StructureTensor:
         """(d, planes): d > 0 the lcm of the denominators and planes[i][j][k]
         the integers d * c[i][j][k], with gcd(d, entries) = 1 as for MatrixQ."""
         return self._scaled
+
+    def height(self) -> int:
+        """The largest |entry| of the view, kept (slot _height) once read."""
+        if not hasattr(self, "_height"):
+            object.__setattr__(self, "_height", _height(chain.from_iterable(self._scaled[1])))
+        return self._height
 
     @property
     def c(self) -> tuple[tuple[Vector, ...], ...]:
@@ -235,6 +242,12 @@ class AxiomReport(NamedTuple):
     def failures(self) -> list[str]:
         return [n for n in self.NAMES if not getattr(self, n).ok]
 
+    def require(self) -> None:
+        """Raise AxiomViolation naming the failing checks, if any."""
+        if self.failures():
+            raise AxiomViolation("input is not a verified BiHom-Lie algebra; "
+                                 "failing checks: " + ", ".join(self.failures()))
+
 
 def _fail(indices, lhs, rhs, detail) -> CheckResult:
     return CheckResult(False, Witness(indices=indices, lhs=lhs, rhs=rhs, detail=detail))
@@ -256,10 +269,9 @@ def homomorphism_failure(m: MatrixQ, src: StructureTensor,
                                 f"dimension {src.dim} and {dst.dim}")
     (d_src, c_src), (d_dst, c_dst) = src.scaled(), dst.scaled()
     dm, rows = m.scaled()
-    g, n, h = math.gcd(d_src, d_dst), len(rows), _height(rows)
+    g, n, h = math.gcd(d_src, d_dst), len(rows), m.height()
     lhs_k, rhs_k, cols = dm * d_dst // g, d_src // g, tuple(zip(*rows))
-    w = pack_width(lhs_k * n * h * _height(chain.from_iterable(c_src))
-                   + rhs_k * n * n * h * h * _height(chain.from_iterable(c_dst)))
+    w = pack_width(lhs_k * n * h * src.height() + rhs_k * n * n * h * h * dst.height())
     images = [lhs_k * pack(col, w) for col in cols]         # the packed lhs_k m(e_s)
     packed = [[pack(v, w) for v in plane] for plane in c_dst]
     brackets = int_product(int_product(cols, packed), rows)   # pack([m e_i, m e_j]_dst)
@@ -268,39 +280,39 @@ def homomorphism_failure(m: MatrixQ, src: StructureTensor,
                  if sum(map(mul, v, images)) != rhs_k * b), None)
 
 
-def _contract(c, left, right, out_t=None) -> list[list[list[int]]]:
-    """Integer planes sum l[p][i] r[q][j] (o[s][k]) c[p][q][k] of integer views
-    l, r (and o, passed transposed as out_t), packed as in the module note at
-    the width of n^2 |l| |r| |c| (times n |o|), which bounds every entry."""
-    n, m = len(c), len(c) if out_t is None else len(out_t[0])
-    w = pack_width(n * n * _height(left) * _height(right) * _height(chain.from_iterable(c))
-                   * (1 if out_t is None else n * _height(out_t)))
-    if out_t is None:
+def _contract(t, left, right, out=None) -> list[list[list[int]]]:
+    """Integer planes sum l[p][i] r[q][j] (o[s][k]) c[p][q][k] of the views
+    c, l, r (and o) of t, left, right (and out), packed as in the module note
+    at the width of n^2 |l| |r| |c| (times n |o|), which bounds every entry."""
+    c, n, m = t.scaled()[1], t.dim, t.dim if out is None else out.rows
+    w = pack_width(n * n * left.height() * right.height() * t.height()
+                   * (1 if out is None else n * out.height()))
+    if out is None:
         packed = [[pack(v, w) for v in plane] for plane in c]
     else:
-        o = [pack(col, w) for col in out_t]
+        o = [pack(col, w) for col in zip(*out.scaled()[1])]
         packed = [[sum(map(mul, v, o)) for v in plane] for plane in c]
-    return [[unpack(x, w, m) for x in row]
-            for row in int_product(int_product(tuple(zip(*left)), packed), right)]
+    return [[unpack(x, w, m) for x in row] for row in int_product(
+        int_product(tuple(zip(*left.scaled()[1])), packed), right.scaled()[1])]
 
 
 def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
-    """Axiom (3) on pairs i <= j and (4) on triples i <= j <= k, with S and po
-    of the module note; None maps are identities. Sorted triples suffice
-    given (3): the cyclic sum is invariant under cyclic permutations and then
-    changes sign under transpositions. A witness is read off S (over ds) and
-    the unpacked cyclic sum (over ds * dp, dp the scale of po)."""
+    """Axiom (3) on pairs i <= j and (4) on triples i < j < k, i <= j <= k while
+    (3) fails, with S and po of the module note; None maps are identities.
+    Given (3), the cyclic sum is invariant under cyclic permutations and
+    changes sign under transpositions, so it is zero when two indices agree.
+    A witness is read off S (over ds) or the unpacked sum (over ds * dp)."""
     dc, c = t.scaled()
-    n, hc = len(c), _height(chain.from_iterable(c))
+    n, hc = len(c), t.height()
     if alpha is None:
         s, b2, hl, ds, dp = c, None, hc, dc, dc
     else:
-        (da, a), (db, b) = alpha.scaled(), beta.scaled()
-        s, b2 = _contract(c, b, a), int_product(b, b)
+        da, (db, b) = alpha.scaled()[0], beta.scaled()
+        s, b2 = _contract(t, beta, alpha), int_product(b, b)
         hl, ds, dp = n * _height(b2) * hc, dc * da * db, dc * db * db
     skew = next(((i, j) for i in range(n) for j in range(i, n)
                  if any(x + y for x, y in zip(s[i][j], s[j][i]))), None)
-    w = pack_width(3 * n * hl * _height(chain.from_iterable(s)))
+    w = pack_width(3 * n * hl * (hc if b2 is None else _height(chain.from_iterable(s))))
     po = [[pack(v, w) for v in plane] for plane in c]
     if b2 is not None:
         po = int_product(tuple(zip(*b2)), po)
@@ -309,8 +321,8 @@ def _skew_jacobi(t: StructureTensor, alpha, beta, details) -> list[CheckResult]:
         return (sum(map(mul, po[i], s[j][k])) + sum(map(mul, po[j], s[k][i]))
                 + sum(map(mul, po[k], s[i][j])))
 
-    jacobi = next(((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
-                   if cyclic(i, j, k)), None)
+    jacobi = next(((i, j, k) for i in range(n) for j in range(i + (skew is None), n)
+                   for k in range(j + (skew is None), n) if cyclic(i, j, k)), None)
     i, j = skew or (0, 0)
     return [_fail(skew, fractions_over(ds, s[i][j]), fractions_over(ds, [-x for x in s[j][i]]),
                   details[0]) if skew else CheckResult(True),
@@ -357,15 +369,6 @@ def check_all(a: BiHomAlgebra) -> AxiomReport:
     if not hasattr(a, "_axiom_report"):
         object.__setattr__(a, "_axiom_report", _axiom_kernel(a))
     return a._axiom_report
-
-
-def require_axioms(a: BiHomAlgebra) -> None:
-    """The gate of every entry point that needs a verified algebra: raise
-    AxiomViolation naming the failing checks of check_all."""
-    failures = check_all(a).failures()
-    if failures:
-        raise AxiomViolation("input is not a verified BiHom-Lie algebra; "
-                             "failing checks: " + ", ".join(failures))
 
 
 def is_lie_algebra(t: StructureTensor) -> CheckResult:
@@ -435,9 +438,9 @@ def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,
             (d, d) if out is None else (out.rows, out.cols)] != [(n, d), (n, d), (d, n)]:
         raise DimensionMismatch(f"maps must be {n}x{d}, {n}x{d} and {d}x{n} "
                                 f"for a tensor of dimension {n}")
-    (dc, c), (dl, l), (dr, r) = t.scaled(), left.scaled(), right.scaled()
-    do, ot = (1, None) if out is None else (out.scaled()[0], tuple(zip(*out.scaled()[1])))
-    return StructureTensor.from_scaled(dc * dl * dr * do, _contract(c, l, r, ot))
+    do = 1 if out is None else out.scaled()[0]
+    return StructureTensor.from_scaled(t.scaled()[0] * left.scaled()[0] * right.scaled()[0] * do,
+                                       _contract(t, left, right, out))
 
 
 def conjugate_tensor(t: StructureTensor, basis: MatrixQ) -> StructureTensor:

@@ -38,7 +38,6 @@ from .algebra import (
     ad_matrix,
     is_abelian,
     is_lie_algebra,
-    require_axioms,
     right_bracket_matrix,
     transform_tensor,
 )
@@ -68,7 +67,7 @@ from .exactlin import (
     reshape,
     unpack,
 )
-from .twist import induce_lie
+from .twist import induce_lie, require_axioms
 
 
 class IdealReport(NamedTuple):
@@ -250,7 +249,7 @@ def killing_form(t: StructureTensor) -> MatrixQ:
     if not lie.ok:
         raise NotLie(f"killing_form needs a Lie algebra: {lie.witness.detail}")
     n, (d, c) = t.dim, t.scaled()
-    w = pack_width(n * n * max(map(abs, chain.from_iterable(chain.from_iterable(c)))) ** 2)
+    w = pack_width(n * n * t.height() ** 2)
     cols = [pack(col, w) for col in zip(*(chain.from_iterable(zip(*plane)) for plane in c))]
     object.__setattr__(t, "_killing", MatrixQ.from_scaled(
         d * d, [unpack(sum(map(mul, chain.from_iterable(plane), cols)), w, n) for plane in c]))

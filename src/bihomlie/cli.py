@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import catalog
-from .algebra import BiHomAlgebra, check_all, is_abelian, require_axioms
+from .algebra import BiHomAlgebra, check_all, is_abelian
 from .analysis import Decomposition, _simplicity, type_candidates
 from .classify3 import bihom_isomorphic3, classify3
 from .errors import BiHomError, DimensionMismatch, ParseError, ZeroParameter
@@ -26,7 +26,7 @@ from .fileio import (
     parse_rational,
     save,
 )
-from .twist import TwistInput, induce_lie, yau_twist
+from .twist import TwistInput, induce_lie, require_axioms, yau_twist
 
 EXIT_OK = 0
 EXIT_FAIL = 1

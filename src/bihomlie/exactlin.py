@@ -106,7 +106,7 @@ class MatrixQ:
     holds the image of the j-th basis vector. It is kept as its view (slot
     _scaled), the Fraction rows (slot _entries) once given or read."""
 
-    __slots__ = ("rows", "cols", "_entries", "_scaled")
+    __slots__ = ("rows", "cols", "_entries", "_scaled", "_height")
 
     def __init__(self, entries):
         rows = tuple(tuple(as_fraction(x) for x in row) for row in entries)
@@ -139,6 +139,12 @@ class MatrixQ:
         """(d, rows): d > 0 the lcm of the denominators and rows the integer
         rows of d * self, so gcd(d, entries) = 1."""
         return self._scaled
+
+    def height(self) -> int:
+        """The largest |entry| of the view, kept (slot _height) once read."""
+        if not hasattr(self, "_height"):
+            object.__setattr__(self, "_height", max(abs(x) for r in self._scaled[1] for x in r))
+        return self._height
 
     @property
     def entries(self) -> tuple[Vector, ...]:

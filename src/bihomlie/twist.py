@@ -19,9 +19,9 @@ from typing import NamedTuple
 from .algebra import (
     BiHomAlgebra,
     StructureTensor,
+    check_all,
     homomorphism_failure,
     is_lie_algebra,
-    require_axioms,
     transform_tensor,
 )
 from .errors import NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularMatrix
@@ -64,22 +64,34 @@ def yau_twist(tw: TwistInput) -> BiHomAlgebra:
 
 
 def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
-    """Recover the induced Lie algebra of a regular BiHom-Lie algebra:
-    [e_i, e_j]' = [alpha^-1(e_i), beta^-1(e_j)]. Returns the Lie tensor
-    together with the original maps, which are automorphisms of it; the
-    result is computed once per algebra object and kept on it. The axioms
-    make it Lie (Graziani-Makhlouf-Menini-Panaite, SIGMA 11 (2015) 086)."""
-    if hasattr(a, "_induced"):
-        return a._induced
-    try:
-        alpha_inv = invert(a.alpha)
-        beta_inv = invert(a.beta)
-    except SingularMatrix as exc:
-        raise NotRegular(f"algebra is not regular: {exc}") from exc
-    require_axioms(a)
-    object.__setattr__(a, "_induced", (transform_tensor(a.tensor, alpha_inv, beta_inv),
-                                       a.alpha, a.beta))
+    """The induced Lie algebra [e_i, e_j]' = [alpha^-1(e_i), beta^-1(e_j)] of
+    a regular BiHom-Lie algebra, with the maps, its automorphisms; computed
+    once per algebra object and kept on it. For invertible maps the axioms
+    hold iff (1) does, [.,.]' is Lie and alpha, beta are its automorphisms
+    (Graziani-Makhlouf-Menini-Panaite, SIGMA 11 (2015) 086): by (1), (2) reads
+    alpha[u,v]' = [alpha u, alpha v]' at u = alpha x, v = beta y; (3) reads
+    [gx, gy]' = -[gy, gx]' and (4), given (2), the classical Jacobi identity
+    at (dx, dy, dz), for g = alpha beta and d = alpha beta^2."""
+    if not hasattr(a, "_induced"):
+        try:
+            alpha_inv, beta_inv = invert(a.alpha), invert(a.beta)
+        except SingularMatrix as exc:
+            raise NotRegular(f"algebra is not regular: {exc}") from exc
+        induced = transform_tensor(a.tensor, alpha_inv, beta_inv)
+        if not (a.alpha * a.beta == a.beta * a.alpha and is_lie_algebra(induced).ok and all(
+                homomorphism_failure(m, induced) is None for m in (a.alpha, a.beta))):
+            check_all(a).require()
+        object.__setattr__(a, "_induced", (induced, a.alpha, a.beta))
     return a._induced
+
+
+def require_axioms(a: BiHomAlgebra) -> None:
+    """The gate of every entry point that needs a verified algebra: induce_lie,
+    or check_all for singular maps; AxiomViolation names check_all's failures."""
+    try:
+        induce_lie(a)
+    except NotRegular:
+        check_all(a).require()
 
 
 def roundtrip_check(tw: TwistInput) -> bool:

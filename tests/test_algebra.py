@@ -468,9 +468,9 @@ def test_lie_gate_matches_fraction_oracle():
 
 
 def test_induced_tensor_of_verified_algebra_is_lie():
-    """induce_lie does not check that its result is Lie: the axioms imply it.
-    Every twist, re-twist and conjugate that the Fraction axiom oracle
-    accepts induces a tensor that the Fraction Lie oracle accepts."""
+    """The axioms imply that the induced tensor is Lie: every twist,
+    re-twist and conjugate that the Fraction axiom oracle accepts induces a
+    tensor that the Fraction Lie oracle accepts."""
     rng = random.Random(1402)
     dims = set()
     for _ in range(16):
@@ -479,6 +479,36 @@ def test_induced_tensor_of_verified_algebra_is_lie():
         assert fraction_is_lie_algebra(induce_lie(a)[0]).ok
         dims.add(a.dim)
     assert dims == {3, 6, 9}
+
+
+def test_skew_jacobi_witnesses_match_fraction_loop():
+    """_skew_jacobi runs Jacobi over distinct triples once skew holds and
+    over sorted ones while it fails; either way its results and witnesses
+    are those of a Fraction loop over all i <= j <= k, on inputs where skew
+    holds and Jacobi fails and on inputs where both fail, with the twisting
+    maps and with identity maps (passed as None)."""
+    rng = random.Random(2102)
+    details = ("[beta(e_i),alpha(e_j)] != -[beta(e_j),alpha(e_i)]",
+               "cyclic BiHom-Jacobi sum is nonzero")
+    kinds = set()
+    for _ in range(10):
+        lie, alpha, beta = induce_lie(random_valid(rng))
+        n, identity = lie.dim, MatrixQ.identity(lie.dim)
+        grid = [[list(row) for row in plane] for plane in lie.c]
+        (i, j), k, delta = rng.sample(range(n), 2), rng.randrange(n), random_fraction(rng, 3, True)
+        grid[i][j][k] += delta
+        grid[j][i][k] -= delta
+        skew_kept = StructureTensor(grid)
+        grid[i][j][k] += delta
+        for t in (skew_kept, StructureTensor(grid)):
+            for a in (BiHomAlgebra(dim=n, tensor=t, alpha=identity, beta=identity),
+                      BiHomAlgebra(dim=n, tensor=transform_tensor(t, alpha, beta),
+                                   alpha=alpha, beta=beta)):
+                maps = (None, None) if a.alpha is identity else (a.alpha, a.beta)
+                got = algebra_module._skew_jacobi(a.tensor, *maps, details)
+                assert got == [fraction_check_bihom_skew(a), fraction_check_bihom_jacobi(a)]
+                kinds.add((got[0].ok, got[1].ok, maps[0] is None))
+    assert kinds >= {(skew, False, plain) for skew in (True, False) for plain in (True, False)}
 
 
 # --- the packed comparisons at large heights and at the edge slots -----------

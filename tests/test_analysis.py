@@ -12,7 +12,6 @@ from bihomlie.algebra import (
     conjugate_algebra,
     conjugate_tensor,
     is_abelian,
-    require_axioms,
 )
 from bihomlie.analysis import (
     IdealReport,
@@ -51,7 +50,7 @@ from bihomlie.exactlin import (
     vec_add,
     vector,
 )
-from bihomlie.twist import TwistInput, induce_lie, yau_twist
+from bihomlie.twist import TwistInput, induce_lie, require_axioms, yau_twist
 from conftest import deadline, lift_coordinates, random_fraction, random_invertible
 
 SOLVABLE = StructureTensor.from_brackets(2, {(0, 1): (0, 1), (1, 0): (0, -1)})

@@ -298,6 +298,10 @@ def test_cli_json_outputs_byte_stable(tmp_path):
 
 
 def test_analyze_verifies_each_object_once(tmp_path, monkeypatch, capsys):
+    """analyze verifies a regular input once, on its induced Lie algebra:
+    one _lie_kernel run, which killing_form then finds kept, and no
+    _axiom_kernel run. An input with a singular map, and the check command,
+    run the twisted check_all kernel once."""
     from bihomlie import algebra, cli
 
     calls = {"axiom": 0, "lie": 0}
@@ -308,23 +312,36 @@ def test_analyze_verifies_each_object_once(tmp_path, monkeypatch, capsys):
             return kernel(*args)
         return wrapper
 
+    def run(argv, a, name):
+        path = tmp_path / name
+        save(a, path)
+        calls.update(axiom=0, lie=0)
+        assert cli.main([*argv, "--json", str(path)]) == 0
+        return json.loads(capsys.readouterr().out), path
+
     monkeypatch.setattr(algebra, "_axiom_kernel", counting("axiom", algebra._axiom_kernel))
     monkeypatch.setattr(algebra, "_lie_kernel", counting("lie", algebra._lie_kernel))
-    regular = direct_sum([make_L1(2, 3), make_L3(5)])
     basis = random_invertible(3, random.Random(8))
     blocks = MatrixQ([[basis.entries[i % 3][j % 3] if i // 3 == j // 3 else 0
                        for j in range(6)] for i in range(6)])
-    path = tmp_path / "sum.json"
-    save(conjugate_algebra(regular, blocks), path)
-    assert cli.main(["analyze", "--json", str(path)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    regular = conjugate_algebra(direct_sum([make_L1(2, 3), make_L3(5)]), blocks)
+    doc, path = run(["analyze"], regular, "regular.json")
     assert doc["regular"] and doc["induced"]["decomposition"]["m"] == 2
-    assert calls == {"axiom": 1, "lie": 1}
+    assert calls == {"axiom": 0, "lie": 1}
+    doc, _ = run(["check"], regular, "regular.json")
+    assert doc["all_pass"] and calls == {"axiom": 1, "lie": 0}
+    zero = MatrixQ([[0] * 3] * 3)
+    singular = direct_sum([make_L1(2, 3), BiHomAlgebra(dim=3, tensor=make_L3(5).tensor,
+                                                       alpha=zero, beta=zero)])
+    doc, _ = run(["analyze"], conjugate_algebra(singular, blocks), "singular.json")
+    assert not doc["regular"] and not doc["simple"]
+    assert calls == {"axiom": 1, "lie": 0}
     # the report lives on the loaded object: a second load is verified again
+    calls.update(axiom=0)
     first, second = load(path), load(path)
     assert check_all(first) is check_all(first)
     check_all(second)
-    assert calls["axiom"] == 3
+    assert calls["axiom"] == 2
 
 
 def corrupted_l1():

@@ -3,8 +3,17 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bihomlie.algebra import BiHomAlgebra, StructureTensor, conjugate_tensor, is_lie_algebra
+from bihomlie.algebra import (
+    BiHomAlgebra,
+    StructureTensor,
+    check_all,
+    conjugate_algebra,
+    conjugate_tensor,
+    is_lie_algebra,
+    transform_tensor,
+)
 from bihomlie.catalog import (
+    direct_sum,
     make_L1,
     make_L2,
     make_L3,
@@ -13,6 +22,7 @@ from bihomlie.catalog import (
     unipotent_full,
 )
 from bihomlie.errors import (
+    AxiomViolation,
     DimensionMismatch,
     NotAutomorphism,
     NotCommuting,
@@ -20,9 +30,10 @@ from bihomlie.errors import (
     NotRegular,
     SingularMatrix,
 )
-from bihomlie.exactlin import MatrixQ
-from bihomlie.twist import TwistInput, induce_lie, roundtrip_check, yau_twist
-from conftest import random_fraction
+from bihomlie.exactlin import MatrixQ, rank
+from bihomlie.twist import TwistInput, induce_lie, require_axioms, roundtrip_check, yau_twist
+from conftest import random_fraction, random_invertible
+from test_algebra import random_basis, random_part
 
 
 def diag_pair(a, b):
@@ -152,3 +163,85 @@ def test_twist_rejects_non_automorphism_naming_the_map():
     with pytest.raises(NotAutomorphism) as excinfo:
         yau_twist(TwistInput(make_sl2(), unipotent_full(), MatrixQ.identity(3)))
     assert "alpha" in str(excinfo.value)
+
+
+def corrupted(a, rng, part):
+    """A copy of a with one fault. "bracket", "alpha", "beta": one entry
+    moved by a nonzero rational, the maps kept invertible. "pair": both maps
+    times invertible matrices that make them not commute. "twisted": one map
+    plus a multiple of the identity, so the maps still commute, and the
+    bracket twisted from a's induced Lie algebra by the new pair: only
+    axiom (2) can fail, because the induced algebra is unchanged."""
+    n = a.dim
+    grid = [[list(row) for row in plane] for plane in a.tensor.c]
+    maps = {"alpha": a.alpha, "beta": a.beta}
+    if part == "bracket":
+        grid[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += random_fraction(rng, 3, True)
+    while part == "pair" and maps["alpha"] * maps["beta"] == maps["beta"] * maps["alpha"]:
+        maps = {name: m * random_invertible(n, rng) for name, m in maps.items()}
+    while part in ("alpha", "beta") and (maps[part] is getattr(a, part) or rank(maps[part]) < n):
+        rows = [list(row) for row in getattr(a, part).entries]
+        rows[rng.randrange(n)][rng.randrange(n)] += random_fraction(rng, 3, True)
+        maps[part] = MatrixQ(rows)
+    if part == "twisted":
+        name = rng.choice(("alpha", "beta"))
+        while maps[name] is getattr(a, name) or rank(maps[name]) < n:
+            maps[name] = getattr(a, name) + MatrixQ.diagonal([random_fraction(rng, 3, True)] * n)
+        return BiHomAlgebra(dim=n, tensor=transform_tensor(induce_lie(a)[0], *maps.values()),
+                            **maps)
+    return BiHomAlgebra(dim=n, tensor=StructureTensor(grid), **maps)
+
+
+def non_commuting_sl2(rng):
+    """sl2 twisted by two of its automorphisms that do not commute: the
+    induced algebra is sl2 and both maps are its automorphisms, so of the
+    gate's tests only the commuting one fails."""
+    alpha, beta = unipotent_auto(rng.randint(1, 3)), MatrixQ.diagonal([1, 2, Q(1, 2)])
+    return BiHomAlgebra(dim=3, tensor=transform_tensor(make_sl2(), alpha, beta),
+                        alpha=alpha, beta=beta)
+
+
+def gate_outcome(a):
+    try:
+        require_axioms(a)
+    except AxiomViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_gate_matches_check_all():
+    """require_axioms passes exactly when the twisted check_all does, and
+    each AxiomViolation names check_all's failing checks: on catalog sums of
+    dims 3 to 9 in block and dense bases, on five corruptions of each, and
+    on sums with a part whose maps are automorphisms that do not commute;
+    the corrupted bracket with identity maps is the ordinary Lie check."""
+    rng = random.Random(2101)
+    dims, failures = set(), {}
+    for trial in range(24):
+        parts = [random_part(rng) for _ in range(rng.randint(1, 3))]
+        basis = random_basis(3 * len(parts), rng) if trial % 2 else random_invertible(
+            3 * len(parts), rng)
+        a = conjugate_algebra(direct_sum(parts), basis)
+        dims.add(a.dim)
+        variants = {part: corrupted(a, rng, part)
+                    for part in ("bracket", "alpha", "beta", "pair", "twisted")}
+        variants["valid"] = a
+        identity = MatrixQ.identity(a.dim)
+        variants["identity maps"] = BiHomAlgebra(dim=a.dim, tensor=variants["bracket"].tensor,
+                                                 alpha=identity, beta=identity)
+        variants["automorphisms"] = conjugate_algebra(
+            direct_sum([non_commuting_sl2(rng)] + parts[1:]), basis)
+        for part, variant in variants.items():
+            outcome = gate_outcome(variant)
+            names = check_all(variant).failures()
+            expected = ("input is not a verified BiHom-Lie algebra; failing checks: "
+                        + ", ".join(names)) if names else None
+            assert outcome == expected, (trial, part)
+            failures.setdefault(part, set()).add(tuple(names))
+    assert dims == {3, 6, 9}
+    assert failures["valid"] == {()} and all(() not in f for f in failures.values() if f != {()})
+    # each of these fails one test of the gate: "identity maps" the Lie test,
+    # "twisted" the automorphism test of one map, "automorphisms" the commuting test
+    assert failures["identity maps"] <= {("skew", "jacobi"), ("skew",), ("jacobi",)}
+    assert failures["twisted"] == {("multiplicative_alpha",), ("multiplicative_beta",)}
+    assert all("commuting" in names for names in failures["automorphisms"])
