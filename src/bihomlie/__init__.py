@@ -7,7 +7,6 @@ from .algebra import (
     StructureTensor,
     Witness,
     ad_matrix,
-    bracket,
     check_all,
     check_bihom_jacobi,
     check_bihom_skew,

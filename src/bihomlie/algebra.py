@@ -35,7 +35,11 @@ StructureTensor), never keyed by content, and so are the scaled views and
 their heights. Twisting, inducing and changing basis are one kernel,
 transform_tensor, on those views: each c[p][q] (o c[p][q] with an output map
 o) is packed into one integer, and the n x n packed matrix is contracted over
-p and over q by two integer products, then unpacked.
+p and over q by two integer products, then unpacked. Brackets of vectors
+have one evaluator, _bracket_matrix on the view: ad_matrix,
+right_bracket_matrix and StructureTensor.bracket, ad(x) y. So no code path
+builds the Fraction grid c; only bracket_basis and catalog.printed_L3_tensor
+read it.
 """
 
 from __future__ import annotations
@@ -137,19 +141,11 @@ class StructureTensor:
         return self.c[i][j]
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        """Bilinear extension of the tensor to coordinate vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
+        """[x, y] = ad(x) y of coordinate vectors, on the integer views."""
+        if len(y) != self.dim:
             raise DimensionMismatch("vector length does not match algebra dimension")
-        out = list(zero_vector(self.dim))
-        for xi, row in zip(x, self.c):
-            if xi != 0:
-                for yj, ck in zip(y, row):
-                    if yj != 0:
-                        coeff = xi * yj
-                        for k, v in enumerate(ck):
-                            if v != 0:
-                                out[k] += coeff * v
-        return tuple(out)
+        (d, rows), (dy, ys) = ad_matrix(self, x).scaled(), cleared(y)
+        return fractions_over(d * dy, [sum(map(mul, row, ys)) for row in rows])
 
     def is_zero(self) -> bool:
         return not any(map(any, chain.from_iterable(self.scaled()[1])))
@@ -167,7 +163,7 @@ class StructureTensor:
 class BiHomAlgebra:
     """The 4-tuple (L, [.,.], alpha, beta) in a fixed basis, equal to another
     exactly when the five fields are. Slots _induced and _axiom_report keep
-    the twist.induce_lie result and the check_all report."""
+    the twist.induce_lie result (or its NotRegular) and the check_all report."""
 
     __slots__ = ("dim", "tensor", "alpha", "beta", "basis_names", "_induced", "_axiom_report")
 
@@ -199,14 +195,6 @@ class BiHomAlgebra:
 
     def __repr__(self):
         return f"BiHomAlgebra(dim={self.dim}, basis_names={self.basis_names})"
-
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        return self.tensor.bracket(x, y)
-
-
-def bracket(a: BiHomAlgebra, x, y) -> Vector:
-    """Bracket of two coordinate vectors in the algebra's basis."""
-    return a.tensor.bracket(vector(x), vector(y))
 
 
 class Witness(NamedTuple):

@@ -12,9 +12,11 @@ twist-derived values; see ERRATA.md.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import BiHomAlgebra, StructureTensor
-from .errors import ZeroParameter
-from .exactlin import MatrixQ, Q, as_fraction, zero_vector
+from .errors import DimensionMismatch, ZeroParameter
+from .exactlin import MatrixQ, Q, as_fraction
 
 
 def make_sl2() -> StructureTensor:
@@ -144,28 +146,31 @@ def printed_L3_tensor(a) -> StructureTensor:
     return StructureTensor(c)
 
 
+def _place(grid, rows, scale: int, offset: int) -> None:
+    """Write scale * rows into grid as the diagonal block at offset."""
+    for j, row in enumerate(rows):
+        grid[offset + j][offset:offset + len(row)] = [scale * x for x in row]
+
+
 def direct_sum(entries: list[BiHomAlgebra]) -> BiHomAlgebra:
-    """Block-diagonal tensor and maps; a test-fixture builder."""
+    """Block-diagonal tensor and maps, placed from the blocks' scaled views
+    over the lcm of their denominators; a test-fixture builder."""
+    if not entries:
+        raise DimensionMismatch("a direct sum needs at least one block")
     total = sum(e.dim for e in entries)
-    grid = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
-    alpha = [[Q(0)] * total for _ in range(total)]
-    beta = [[Q(0)] * total for _ in range(total)]
+    views = [(e.tensor.scaled(), e.alpha.scaled(), e.beta.scaled()) for e in entries]
+    dt, da, db = (math.lcm(*(view[part][0] for view in views)) for part in range(3))
+    planes = [[[0] * total for _ in range(total)] for _ in range(total)]
+    alpha, beta = ([[0] * total for _ in range(total)] for _ in range(2))
     offset = 0
-    for e in entries:
-        for i in range(e.dim):
-            for j in range(e.dim):
-                ck = e.tensor.bracket_basis(i, j)
-                for k in range(e.dim):
-                    grid[offset + i][offset + j][offset + k] = ck[k]
-                alpha[offset + i][offset + j] = e.alpha.entries[i][j]
-                beta[offset + i][offset + j] = e.beta.entries[i][j]
-        offset += e.dim
-    return BiHomAlgebra(
-        dim=total,
-        tensor=StructureTensor(grid),
-        alpha=MatrixQ(alpha),
-        beta=MatrixQ(beta),
-    )
+    for (dc, c), (dm, m), (dn, n) in views:
+        for i, plane in enumerate(c):
+            _place(planes[offset + i], plane, dt // dc, offset)
+        _place(alpha, m, da // dm, offset)
+        _place(beta, n, db // dn, offset)
+        offset += len(c)
+    return BiHomAlgebra(dim=total, tensor=StructureTensor.from_scaled(dt, planes),
+                        alpha=MatrixQ.from_scaled(da, alpha), beta=MatrixQ.from_scaled(db, beta))
 
 
 def sl2_bihom() -> BiHomAlgebra:

@@ -68,7 +68,6 @@ from .exactlin import (
     basis_vector,
     char_poly,
     factor,
-    fractions_over,
     invert,
     kernel,
     rational_roots,
@@ -126,16 +125,14 @@ def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
     3-dimensional semisimple Lie algebra: char_poly(ad h) = x^3 - 4x, so e
     and f span the simple eigenlines of 2 and -2, and [e, f] is a nonzero
     element of ker ad h = Q h (else [L, L] != L), so e is scaled by the mu
-    with [e, f] = mu h, read off the views of t and of the eigenlines.
-    homomorphism_failure certifies the triple; if it fails, SplitUndecided
-    is raised, never a verdict of "not split"."""
+    with [e, f] = mu h. homomorphism_failure certifies the triple; if it
+    fails, SplitUndecided is raised, never a verdict of "not split"."""
     h = vec_scale(Q(2) / c, v)
-    ad_h, identity, (dc, planes) = ad_matrix(t, h), MatrixQ.identity(3), t.scaled()
-    (pe, (e, *_)), (pf, (f, *_)) = (kernel(ad_h - identity.scale(s)).scaled() for s in (2, -2))
+    ad_h, identity = ad_matrix(t, h), MatrixQ.identity(3)
+    e, f = (kernel(ad_h - identity.scale(s)).basis_rows[0] for s in (2, -2))
     k = next(i for i, x in enumerate(h) if x != 0)
-    mu = Fraction(sum(x * y * z[k] for x, plane in zip(e, planes) for y, z in zip(f, plane)),
-                  pe * pf * dc) / h[k]
-    triple = Sl2Triple(h=h, e=vec_scale(1 / mu, fractions_over(pe, e)), f=fractions_over(pf, f))
+    mu = t.bracket(e, f)[k] / h[k]
+    triple = Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
     if homomorphism_failure(triple.basis_matrix(), _SL2, t) is not None:
         raise SplitUndecided("the eigenvectors of ad h do not close into an sl2 triple")
     return triple

@@ -71,17 +71,21 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
     (Graziani-Makhlouf-Menini-Panaite, SIGMA 11 (2015) 086): by (1), (2) reads
     alpha[u,v]' = [alpha u, alpha v]' at u = alpha x, v = beta y; (3) reads
     [gx, gy]' = -[gy, gx]' and (4), given (2), the classical Jacobi identity
-    at (dx, dy, dz), for g = alpha beta and d = alpha beta^2."""
+    at (dx, dy, dz), for g = alpha beta and d = alpha beta^2. A singular map
+    is kept as the NotRegular it raises, so no object is inverted twice."""
     if not hasattr(a, "_induced"):
         try:
             alpha_inv, beta_inv = invert(a.alpha), invert(a.beta)
         except SingularMatrix as exc:
-            raise NotRegular(f"algebra is not regular: {exc}") from exc
+            object.__setattr__(a, "_induced", NotRegular(f"algebra is not regular: {exc}"))
+            raise a._induced from exc
         induced = transform_tensor(a.tensor, alpha_inv, beta_inv)
         if not (a.alpha * a.beta == a.beta * a.alpha and is_lie_algebra(induced).ok and all(
                 homomorphism_failure(m, induced) is None for m in (a.alpha, a.beta))):
             check_all(a).require()
         object.__setattr__(a, "_induced", (induced, a.alpha, a.beta))
+    if isinstance(a._induced, NotRegular):
+        raise a._induced.with_traceback(None)
     return a._induced
 
 

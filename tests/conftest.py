@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random rationals and invertible matrices, and
-a wall-clock deadline for inputs that must finish in bounded time."""
+"""Shared test helpers: seeded random rationals and invertible matrices, a
+wall-clock deadline for inputs that must finish in bounded time, and the
+Fraction reference bracket that the tests use as their oracle."""
 
 import signal
 from contextlib import contextmanager
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from bihomlie.errors import DimensionMismatch
 from bihomlie.exactlin import MatrixQ, Q
 
 
@@ -53,4 +55,22 @@ def lift_coordinates(space, coords):
     out = [Q(0)] * space.ambient_dim
     for c, row in zip(coords, space.basis_rows):
         out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def fraction_bracket(t, x, y):
+    """[x, y] of coordinate vectors in the tensor t, by the Fraction triple
+    loop over the grid t.c that StructureTensor.bracket ran before it moved
+    onto the integer view: the reference the tests compare against."""
+    if len(x) != t.dim or len(y) != t.dim:
+        raise DimensionMismatch("vector length does not match algebra dimension")
+    out = [Q(0)] * t.dim
+    for xi, row in zip(x, t.c):
+        if xi != 0:
+            for yj, ck in zip(y, row):
+                if yj != 0:
+                    coeff = xi * yj
+                    for k, v in enumerate(ck):
+                        if v != 0:
+                            out[k] += coeff * v
     return tuple(out)

@@ -12,7 +12,6 @@ from bihomlie.algebra import (
     CheckResult,
     StructureTensor,
     Witness,
-    bracket,
     check_all,
     check_bihom_jacobi,
     check_bihom_skew,
@@ -51,7 +50,7 @@ from bihomlie.exactlin import (
 )
 from bihomlie.fileio import algebra_to_dict, dumps_algebra
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
-from conftest import lift_coordinates, random_fraction, random_invertible
+from conftest import fraction_bracket, lift_coordinates, random_fraction, random_invertible
 from test_exactlin import (
     assert_canonical,
     fraction_invert,
@@ -65,12 +64,12 @@ from test_exactlin import (
 def test_bracket_l1_table_value():
     # [e1, e2] = 2b e2 at (a, b) = (2, 3)
     a = make_L1(2, 3)
-    assert bracket(a, basis_vector(3, 0), basis_vector(3, 1)) == (Q(0), Q(6), Q(0))
+    assert a.tensor.bracket(basis_vector(3, 0), basis_vector(3, 1)) == (Q(0), Q(6), Q(0))
 
 
 def test_bracket_bilinear_zero():
     a = make_L1(2, 3)
-    assert bracket(a, zero_vector(3), basis_vector(3, 1)) == zero_vector(3)
+    assert a.tensor.bracket(zero_vector(3), basis_vector(3, 1)) == zero_vector(3)
 
 
 def test_bracket_sl2_e_f():
@@ -79,7 +78,34 @@ def test_bracket_sl2_e_f():
 
 def test_bracket_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        bracket(sl2_bihom(), (1, 0), (0, 1, 0))
+        sl2_bihom().tensor.bracket((1, 0), (0, 1, 0))
+
+
+def test_bracket_matches_fraction_reference():
+    """StructureTensor.bracket, ad(x) y on the integer view, equals the
+    Fraction triple loop of conftest on seeded dense tensors with entries
+    above 10^30 and on zero vectors, builds no Fraction grid, and raises the
+    same DimensionMismatch message for a vector of the wrong length."""
+    rng = random.Random(2201)
+
+    def dense(dim):
+        return [Q(rng.randint(-10 ** 31, 10 ** 31), rng.randint(1, 10 ** 31))
+                for _ in range(dim)]
+
+    for dim in (1, 2, 3, 4, 6):
+        grid = StructureTensor([[dense(dim) for _ in range(dim)] for _ in range(dim)])
+        t = StructureTensor.from_scaled(*grid.scaled())
+        assert t.height() > 10 ** 30
+        x, y, zero = dense(dim), dense(dim), zero_vector(dim)
+        for u, v in ((x, y), (y, x), (x, x), (zero, y), (x, zero), (zero, zero)):
+            assert t.bracket(u, v) == fraction_bracket(grid, u, v)
+        assert not hasattr(t, "_c")
+        for u, v in ((x[1:], y), (x, y + [Q(1)]), (x + [Q(1)], y[1:])):
+            with pytest.raises(DimensionMismatch) as got:
+                t.bracket(u, v)
+            with pytest.raises(DimensionMismatch) as expected:
+                fraction_bracket(grid, u, v)
+            assert str(got.value) == str(expected.value)
 
 
 def test_check_commuting_equal_maps():
@@ -124,7 +150,7 @@ def test_check_multiplicative_failure():
     # the witness re-evaluates to a genuine inequality
     i, j = result.witness.indices
     lhs = a.alpha.apply(a.tensor.bracket_basis(i, j))
-    rhs = a.tensor.bracket(a.alpha.column(i), a.alpha.column(j))
+    rhs = fraction_bracket(a.tensor, a.alpha.column(i), a.alpha.column(j))
     assert lhs == result.witness.lhs
     assert rhs == result.witness.rhs
     assert lhs != rhs
@@ -215,8 +241,8 @@ def test_skew_on_random_vectors():
     for _ in range(5):
         x = tuple(random_fraction(rng, 5) for _ in range(3))
         y = tuple(random_fraction(rng, 5) for _ in range(3))
-        lhs = a.tensor.bracket(a.beta.apply(x), a.alpha.apply(y))
-        rhs = vec_scale(-1, a.tensor.bracket(a.beta.apply(y), a.alpha.apply(x)))
+        lhs = fraction_bracket(a.tensor, a.beta.apply(x), a.alpha.apply(y))
+        rhs = vec_scale(-1, fraction_bracket(a.tensor, a.beta.apply(y), a.alpha.apply(x)))
         assert lhs == rhs
 
 
@@ -252,7 +278,7 @@ def fraction_check_bracket_preserving(t, m, name):
     for i in range(t.dim):
         for j in range(t.dim):
             lhs = m.apply(t.bracket_basis(i, j))
-            rhs = t.bracket(cols[i], cols[j])
+            rhs = fraction_bracket(t, cols[i], cols[j])
             if lhs != rhs:
                 return CheckResult(False, Witness(
                     indices=(i, j), lhs=lhs, rhs=rhs,
@@ -265,8 +291,8 @@ def fraction_check_bihom_skew(a):
     bcols = [a.beta.column(j) for j in range(a.dim)]
     for i in range(a.dim):
         for j in range(i, a.dim):
-            lhs = a.tensor.bracket(bcols[i], acols[j])
-            rhs = vec_scale(-1, a.tensor.bracket(bcols[j], acols[i]))
+            lhs = fraction_bracket(a.tensor, bcols[i], acols[j])
+            rhs = vec_scale(-1, fraction_bracket(a.tensor, bcols[j], acols[i]))
             if lhs != rhs:
                 return CheckResult(False, Witness(
                     indices=(i, j), lhs=lhs, rhs=rhs,
@@ -282,8 +308,8 @@ def fraction_check_bihom_jacobi(a):
     b2cols = [beta2.column(j) for j in range(n)]
 
     def term(i, j, k):
-        inner = a.tensor.bracket(bcols[j], acols[k])
-        return a.tensor.bracket(b2cols[i], inner)
+        inner = fraction_bracket(a.tensor, bcols[j], acols[k])
+        return fraction_bracket(a.tensor, b2cols[i], inner)
 
     for i in range(n):
         for j in range(i, n):
@@ -320,9 +346,9 @@ def fraction_is_lie_algebra(t):
         for j in range(i, n):
             for k in range(j, n):
                 total = vec_add(
-                    vec_add(t.bracket(basis_vector(n, i), t.bracket_basis(j, k)),
-                            t.bracket(basis_vector(n, j), t.bracket_basis(k, i))),
-                    t.bracket(basis_vector(n, k), t.bracket_basis(i, j)))
+                    vec_add(fraction_bracket(t, basis_vector(n, i), t.bracket_basis(j, k)),
+                            fraction_bracket(t, basis_vector(n, j), t.bracket_basis(k, i))),
+                    fraction_bracket(t, basis_vector(n, k), t.bracket_basis(i, j)))
                 if any(total):
                     return CheckResult(False, Witness(
                         indices=(i, j, k), lhs=total, rhs=zero_vector(n),
@@ -344,7 +370,8 @@ def fraction_validate_twist(tw):
         cols = [m.column(j) for j in range(tw.lie.dim)]
         for i in range(tw.lie.dim):
             for j in range(tw.lie.dim):
-                if m.apply(tw.lie.bracket_basis(i, j)) != tw.lie.bracket(cols[i], cols[j]):
+                rhs = fraction_bracket(tw.lie, cols[i], cols[j])
+                if m.apply(tw.lie.bracket_basis(i, j)) != rhs:
                     raise NotAutomorphism(
                         f"{name} does not preserve the bracket at basis pair ({i + 1}, {j + 1})")
 
@@ -585,7 +612,8 @@ def test_gates_match_fraction_oracle_at_edge_slots():
 def fraction_homomorphism_failure(m, src, dst):
     cols = [m.column(j) for j in range(src.dim)]
     return next(((i, j) for i in range(src.dim) for j in range(src.dim)
-                 if m.apply(src.bracket_basis(i, j)) != dst.bracket(cols[i], cols[j])), None)
+                 if m.apply(src.bracket_basis(i, j))
+                 != fraction_bracket(dst, cols[i], cols[j])), None)
 
 
 def test_homomorphism_failure_matches_fraction_oracle():
@@ -696,23 +724,26 @@ def test_pack_width_bounds_true_residues(monkeypatch):
             b2 = variant.beta * variant.beta
             acols = [variant.alpha.column(j) for j in range(n)]
             bcols = [variant.beta.column(j) for j in range(n)]
-            sums = [vec_add(vec_add(*(t.bracket(b2.column(x), t.bracket(bcols[y], acols[z]))
-                                      for x, y, z in ((i, j, k), (j, k, i)))),
-                            t.bracket(b2.column(k), t.bracket(bcols[i], acols[j])))
+
+            def term(x, y, z):
+                return fraction_bracket(t, b2.column(x), fraction_bracket(t, bcols[y], acols[z]))
+
+            sums = [vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j))
                     for i in range(n) for j in range(i, n) for k in range(j, n)]
             scale = da * db ** 3 * dc ** 2
             top, limit = scaled_residue_heights(widths, lambda: algebra_module._skew_jacobi(
                 t, variant.alpha, variant.beta, ("", "")), [[scale * x for x in v] for v in sums])
             assert top < limit
             nonzero += top > 0
+            # packed by the first call
             s_planes = [da * db * dc * x for j in range(n) for k in range(n)
-                        for x in t.bracket(bcols[j], acols[k])]      # packed by the first call
+                        for x in fraction_bracket(t, bcols[j], acols[k])]
             assert 0 < max(map(abs, s_planes)) < 2 ** (widths[0] - 1)
             for m in (variant.alpha, variant.beta):
                 dm, cols = m.scaled()[0], [m.column(j) for j in range(n)]
                 scale = dm * dm * dc     # dm^2 d_src d_dst / gcd(d_src, d_dst)
                 diffs = [[scale * (x - y) for x, y in zip(m.apply(t.bracket_basis(i, j)),
-                                                          t.bracket(cols[i], cols[j]))]
+                                                          fraction_bracket(t, cols[i], cols[j]))]
                          for i in range(n) for j in range(n)]
                 top, limit = scaled_residue_heights(
                     widths, lambda: homomorphism_failure(m, t), diffs)
@@ -720,9 +751,10 @@ def test_pack_width_bounds_true_residues(monkeypatch):
                 nonzero += top > 0
         lie = StructureTensor(induce_lie(a)[0].c)     # not yet verified
         d = lie.scaled()[0]
-        sums = [vec_add(vec_add(lie.bracket(basis_vector(n, i), lie.bracket_basis(j, k)),
-                                lie.bracket(basis_vector(n, j), lie.bracket_basis(k, i))),
-                        lie.bracket(basis_vector(n, k), lie.bracket_basis(i, j)))
+        def ad(i, j, k):
+            return fraction_bracket(lie, basis_vector(n, i), lie.bracket_basis(j, k))
+
+        sums = [vec_add(vec_add(ad(i, j, k), ad(j, k, i)), ad(k, i, j))
                 for i in range(n) for j in range(i, n) for k in range(j, n)]
         top, limit = scaled_residue_heights(
             widths, lambda: is_lie_algebra(lie), [[d * d * x for x in v] for v in sums])
@@ -767,7 +799,7 @@ def fraction_twist_grid(lie, alpha, beta):
     n = lie.dim
     acols = [alpha.column(j) for j in range(n)]
     bcols = [beta.column(j) for j in range(n)]
-    return StructureTensor([[lie.bracket(acols[i], bcols[j]) for j in range(n)]
+    return StructureTensor([[fraction_bracket(lie, acols[i], bcols[j]) for j in range(n)]
                             for i in range(n)])
 
 
@@ -778,15 +810,15 @@ def fraction_induce_grid(a):
 def fraction_conjugate_grid(t, basis):
     inv = fraction_invert(basis)
     cols = [basis.column(j) for j in range(t.dim)]
-    return StructureTensor([[inv.apply(t.bracket(cols[i], cols[j])) for j in range(t.dim)]
-                            for i in range(t.dim)])
+    return StructureTensor([[inv.apply(fraction_bracket(t, cols[i], cols[j]))
+                             for j in range(t.dim)] for i in range(t.dim)])
 
 
 def fraction_transform_grid(t, left, right, out):
     """out [left e_i, right e_j] for n x d maps left, right and d x n out."""
     lcols = [left.column(i) for i in range(left.cols)]
     rcols = [right.column(j) for j in range(right.cols)]
-    return StructureTensor([[out.apply(t.bracket(x, y)) for y in rcols] for x in lcols])
+    return StructureTensor([[out.apply(fraction_bracket(t, x, y)) for y in rcols] for x in lcols])
 
 
 def assert_lowest_terms(t):
@@ -837,7 +869,7 @@ def test_transform_tensor_matches_fraction_grids():
             assert restricted == fraction_transform_grid(lie, b, b, p)
             assert is_lie_algebra(restricted).ok
             assert all(lift_coordinates(ideal, restricted.c[i][j])
-                       == lie.bracket(b.column(i), b.column(j))
+                       == fraction_bracket(lie, b.column(i), b.column(j))
                        for i in range(3) for j in range(3))
             for t in (conj.tensor, lie, twisted.tensor, restricted):
                 assert_lowest_terms(t)

@@ -51,7 +51,13 @@ from bihomlie.exactlin import (
     vector,
 )
 from bihomlie.twist import TwistInput, induce_lie, require_axioms, yau_twist
-from conftest import deadline, lift_coordinates, random_fraction, random_invertible
+from conftest import (
+    deadline,
+    fraction_bracket,
+    lift_coordinates,
+    random_fraction,
+    random_invertible,
+)
 
 SOLVABLE = StructureTensor.from_brackets(2, {(0, 1): (0, 1), (1, 0): (0, -1)})
 
@@ -88,7 +94,7 @@ def derived_series(t):
     series = [current]
     while True:
         gens = current.basis_rows
-        nxt = Subspace(n, [t.bracket(x, y) for x in gens for y in gens])
+        nxt = Subspace(n, [fraction_bracket(t, x, y) for x in gens for y in gens])
         if nxt == current:
             break
         series.append(nxt)
@@ -620,7 +626,8 @@ def ambient_spin(tensor, maps, seeds):
     basis = [basis_vector(n, k) for k in range(n)]
     while work:
         v = work.pop(0)
-        images = [w for b in basis for w in (tensor.bracket(v, b), tensor.bracket(b, v))]
+        images = [w for b in basis
+                  for w in (fraction_bracket(tensor, v, b), fraction_bracket(tensor, b, v))]
         for w in images + [m.apply(v) for m in maps]:
             if builder.add(cleared(w)[1]):
                 work.append(w)

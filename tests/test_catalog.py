@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from bihomlie.algebra import (
     BiHomAlgebra,
+    StructureTensor,
     check_all,
+    conjugate_algebra,
     check_multiplicative_alpha,
     is_lie_algebra,
 )
@@ -26,9 +29,10 @@ from bihomlie.catalog import (
     unipotent_beta,
     unipotent_full,
 )
-from bihomlie.errors import ZeroParameter
-from bihomlie.exactlin import MatrixQ, det
+from bihomlie.errors import DimensionMismatch, ZeroParameter
+from bihomlie.exactlin import MatrixQ, det, zero_vector
 from bihomlie.twist import TwistInput, yau_twist
+from conftest import random_invertible
 
 L1_SAMPLES = [(Q(2), Q(3)), (Q(-3), Q(1, 2)), (Q(5, 7), Q(-7, 5)), (Q(1), Q(1)),
               (Q(-1), Q(2))]
@@ -134,3 +138,42 @@ def test_direct_sum_properties():
     assert double.tensor.bracket_basis(3, 4) == \
         (Q(0), Q(0), Q(0), Q(0), Q(2), Q(0))
     assert double.tensor.bracket_basis(0, 4) == (Q(0),) * 6
+
+
+def fraction_direct_sum(entries):
+    """direct_sum as it was built before the views: Fraction block grids
+    filled from bracket_basis and .entries."""
+    total = sum(e.dim for e in entries)
+    grid = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
+    alpha = [[Q(0)] * total for _ in range(total)]
+    beta = [[Q(0)] * total for _ in range(total)]
+    offset = 0
+    for e in entries:
+        for i in range(e.dim):
+            for j in range(e.dim):
+                ck = e.tensor.bracket_basis(i, j)
+                for k in range(e.dim):
+                    grid[offset + i][offset + j][offset + k] = ck[k]
+                alpha[offset + i][offset + j] = e.alpha.entries[i][j]
+                beta[offset + i][offset + j] = e.beta.entries[i][j]
+        offset += e.dim
+    return BiHomAlgebra(dim=total, tensor=StructureTensor(grid), alpha=MatrixQ(alpha),
+                        beta=MatrixQ(beta))
+
+
+def test_direct_sum_matches_fraction_reference():
+    """The view-built direct_sum equals the Fraction block grids on blocks
+    with different denominators, on one block and on five blocks."""
+    dense_sl2 = conjugate_algebra(sl2_bihom(), random_invertible(3, random.Random(2202), 3))
+    mixed = [make_L1(Q(2, 3), Q(5, 7)), make_L3(Q(7, 5)), dense_sl2]
+    assert len({e.tensor.scaled()[0] for e in mixed}) == 3
+    five = [make_L1(2, 3), make_L3(5), make_L2(), make_L1(-3, Q(7, 2)), make_L3(-1)]
+    for entries in (mixed, [dense_sl2], [make_L3(Q(7, 5))], five):
+        built, expected = direct_sum(entries), fraction_direct_sum(entries)
+        assert (built.dim, built.tensor, built.alpha, built.beta, built.basis_names) == (
+            expected.dim, expected.tensor, expected.alpha, expected.beta, expected.basis_names)
+        assert built.tensor.c == expected.tensor.c
+        assert built.alpha.entries == expected.alpha.entries
+        assert built.beta.entries == expected.beta.entries
+    with pytest.raises(DimensionMismatch):
+        direct_sum([])
