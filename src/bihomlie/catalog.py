@@ -3,25 +3,31 @@ simple Lie algebra sl2 and the three canonical families L1(a,b), L2, L3(a)
 of 3-dimensional multiplicative simple BiHom-Lie algebras, plus block
 direct sums used as test fixtures.
 
-Every family is certified against the twist construction: the bracket
-tables shipped here equal [alpha(e_i), beta(e_j)]' over the corresponding
-induced Lie algebra, entry for entry. For L3 two entries of the commonly
-transcribed table fail the multiplicativity axiom and were replaced by the
-twist-derived values; see ERRATA.md.
+A regular algebra is the twist [x, y] = [alpha x, beta y]' of its induced
+Lie algebra, and each family is built that way: transform_tensor applied to
+sl2, or to sl2 in the basis adapted to the unipotent maps, with the
+family's pair of commuting automorphisms. make_sl2's table is the only
+bracket table here. The paper's tables, with the two L3 entries that the
+commonly transcribed grid gets wrong (ERRATA.md), are the oracle of
+tests/test_catalog.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .algebra import BiHomAlgebra, StructureTensor
+from .algebra import BiHomAlgebra, StructureTensor, conjugate_tensor, transform_tensor
 from .errors import DimensionMismatch, ZeroParameter
 from .exactlin import MatrixQ, Q, as_fraction
 
 
+@functools.cache
 def make_sl2() -> StructureTensor:
     """Standard sl2 constants in the basis (h, e, f):
-    [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
+    [h,e] = 2e, [h,f] = -2f, [e,f] = h. Built once per process; the tensor
+    is immutable, and what it keeps (its Lie verdict, Killing form and
+    height) are facts about the same values, so every caller shares it."""
     return StructureTensor.from_brackets(3, {
         (0, 1): (0, 2, 0),
         (1, 0): (0, -2, 0),
@@ -32,21 +38,17 @@ def make_sl2() -> StructureTensor:
     })
 
 
+@functools.cache
 def unipotent_base_tensor() -> StructureTensor:
-    """sl2 written in the basis adapted to the unipotent families L2 and L3.
+    """sl2 written in the basis adapted to the unipotent families L2 and L3,
+    built once per process as make_sl2 is.
 
     This is the standard algebra conjugated by u1 = e, u2 = -h,
     u3 = -(1/4)e + (1/2)h - 2f; the full-Jordan-block unipotent map is an
     automorphism of these constants.
     """
-    return StructureTensor.from_brackets(3, {
-        (0, 1): (2, 0, 0),
-        (1, 0): (-2, 0, 0),
-        (0, 2): (-1, 2, 0),
-        (2, 0): (1, -2, 0),
-        (1, 2): (1, 1, 2),
-        (2, 1): (-1, -1, -2),
-    })
+    return conjugate_tensor(make_sl2(), MatrixQ.from_columns(
+        [(0, 1, 0), (-1, 0, 0), (Q(1, 2), Q(-1, 4), -2)]))
 
 
 def unipotent_full() -> MatrixQ:
@@ -60,9 +62,15 @@ def unipotent_beta(a) -> MatrixQ:
     return MatrixQ([[1, a, (a * a - a) / 2], [0, 1, a], [0, 0, 1]])
 
 
+def _twist(lie: StructureTensor, alpha: MatrixQ, beta: MatrixQ) -> BiHomAlgebra:
+    """The algebra [x, y] = [alpha x, beta y]' of a Lie tensor and two of its
+    commuting automorphisms, which the families supply and are not checked."""
+    return BiHomAlgebra(dim=3, tensor=transform_tensor(lie, alpha, beta), alpha=alpha, beta=beta)
+
+
 def make_L1(a, b) -> BiHomAlgebra:
-    """Diagonal family: alpha = diag(1, a, 1/a), beta = diag(1, b, 1/b) with
-    the bracket twisted from sl2 in the basis (e1, e2, e3) = (h, e, f).
+    """Diagonal family: sl2 in the basis (e1, e2, e3) = (h, e, f) twisted by
+    alpha = diag(1, a, 1/a) and beta = diag(1, b, 1/b).
 
     Any nonzero rational parameters are accepted; a in {-1, 1} simply lands
     in the degenerate diagonal cases.
@@ -71,67 +79,24 @@ def make_L1(a, b) -> BiHomAlgebra:
     b = as_fraction(b)
     if a == 0 or b == 0:
         raise ZeroParameter("the L1 parameters must be nonzero")
-    tensor = StructureTensor.from_brackets(3, {
-        (0, 1): (0, 2 * b, 0),
-        (1, 0): (0, -2 * a, 0),
-        (0, 2): (0, 0, Q(-2) / b),
-        (2, 0): (0, 0, Q(2) / a),
-        (1, 2): (a / b, 0, 0),
-        (2, 1): (-b / a, 0, 0),
-    })
-    return BiHomAlgebra(
-        dim=3,
-        tensor=tensor,
-        alpha=MatrixQ.diagonal([1, a, 1 / a]),
-        beta=MatrixQ.diagonal([1, b, 1 / b]),
-    )
+    return _twist(make_sl2(), MatrixQ.diagonal([1, a, 1 / a]), MatrixQ.diagonal([1, b, 1 / b]))
 
 
 def make_L2() -> BiHomAlgebra:
-    """Unipotent family with identity alpha and full-Jordan-block beta."""
-    tensor = StructureTensor.from_brackets(3, {
-        (0, 1): (2, 0, 0),
-        (0, 2): (1, 2, 0),
-        (1, 0): (-2, 0, 0),
-        (1, 1): (-2, 0, 0),
-        (1, 2): (1, 1, 2),
-        (2, 0): (1, -2, 0),
-        (2, 1): (0, -3, -2),
-        (2, 2): (-1, -1, -2),
-    })
-    return BiHomAlgebra(
-        dim=3,
-        tensor=tensor,
-        alpha=MatrixQ.identity(3),
-        beta=unipotent_full(),
-    )
+    """Unipotent family: the unipotent base twisted by the identity alpha and
+    the full-Jordan-block beta."""
+    return _twist(unipotent_base_tensor(), MatrixQ.identity(3), unipotent_full())
 
 
 def make_L3(a) -> BiHomAlgebra:
-    """Unipotent family with alpha the full Jordan block and beta its
-    a-parametrized companion.
+    """Unipotent family: the unipotent base twisted by alpha the full Jordan
+    block and beta its a-parametrized companion.
 
-    The [e2,e3] and [e3,e3] entries are the twist-derived corrections; the
-    commonly transcribed grid fails the multiplicativity axiom for generic
-    a (ERRATA.md records both versions with a failing witness).
+    The commonly transcribed grid differs from this twist in [e2,e3] and
+    [e3,e3] and fails the multiplicativity axiom for generic a (ERRATA.md
+    records both versions with a failing witness).
     """
-    a = as_fraction(a)
-    tensor = StructureTensor.from_brackets(3, {
-        (0, 1): (2, 0, 0),
-        (0, 2): (2 * a - 1, 2, 0),
-        (1, 0): (-2, 0, 0),
-        (1, 1): (2 * (1 - a), 0, 0),
-        (1, 2): (3 * a - a * a, 3, 2),
-        (2, 0): (-1, -2, 0),
-        (2, 1): (-(a + 1), -(1 + 2 * a), -2),
-        (2, 2): ((1 - a) * (a + 2) / 2, 1 - a * a, 2 * (1 - a)),
-    })
-    return BiHomAlgebra(
-        dim=3,
-        tensor=tensor,
-        alpha=unipotent_full(),
-        beta=unipotent_beta(a),
-    )
+    return _twist(unipotent_base_tensor(), unipotent_full(), unipotent_beta(a))
 
 
 def printed_L3_tensor(a) -> StructureTensor:

@@ -117,7 +117,6 @@ _GRID = tuple(
     for coeffs in product((2, -2, 4, -4, 1, -1), repeat=size))
 
 _DEFINITE = "Killing form is definite: no isotropic vector over the reals"
-_SL2 = make_sl2()
 
 
 def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
@@ -133,7 +132,7 @@ def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
     k = next(i for i, x in enumerate(h) if x != 0)
     mu = t.bracket(e, f)[k] / h[k]
     triple = Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
-    if homomorphism_failure(triple.basis_matrix(), _SL2, t) is not None:
+    if homomorphism_failure(triple.basis_matrix(), make_sl2(), t) is not None:
         raise SplitUndecided("the eigenvectors of ad h do not close into an sl2 triple")
     return triple
 

@@ -197,24 +197,18 @@ def _cmd_iso3(args) -> int:
     return EXIT_OK
 
 
+# name -> (constructor, its rational parameters in the order they are parsed)
+_CATALOG = {"sl2": (catalog.sl2_bihom, ()), "L1": (catalog.make_L1, ("a", "b")),
+            "L2": (catalog.make_L2, ()), "L3": (catalog.make_L3, ("a",))}
+
+
 def _cmd_catalog(args) -> int:
-    name = args.name
-    if name == "sl2":
-        algebra = catalog.sl2_bihom()
-    elif name == "L1":
-        if args.a is None or args.b is None:
-            print("catalog L1 requires --a and --b", file=sys.stderr)
-            return EXIT_IO
-        algebra = catalog.make_L1(parse_rational(args.a, "--a"),
-                                  parse_rational(args.b, "--b"))
-    elif name == "L2":
-        algebra = catalog.make_L2()
-    else:  # L3
-        if args.a is None:
-            print("catalog L3 requires --a", file=sys.stderr)
-            return EXIT_IO
-        algebra = catalog.make_L3(parse_rational(args.a, "--a"))
-    save(algebra, args.output)
+    build, params = _CATALOG[args.name]
+    if any(getattr(args, p) is None for p in params):
+        print(f"catalog {args.name} requires " + " and ".join(f"--{p}" for p in params),
+              file=sys.stderr)
+        return EXIT_IO
+    save(build(*(parse_rational(getattr(args, p), f"--{p}") for p in params)), args.output)
     return EXIT_OK
 
 
@@ -260,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_iso3)
 
     p = sub.add_parser("catalog", help="write a built-in algebra instance")
-    p.add_argument("name", choices=["sl2", "L1", "L2", "L3"])
+    p.add_argument("name", choices=list(_CATALOG))
     p.add_argument("--a", help="rational parameter p/q")
     p.add_argument("--b", help="rational parameter p/q")
     p.add_argument("-o", "--output", required=True)

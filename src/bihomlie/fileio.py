@@ -8,7 +8,8 @@
       "beta": [...]
     }
 
-Rationals are strings matching -?[0-9]+(/[1-9][0-9]*)? as a whole, never floats.
+Rationals are strings matching -?[0-9]+(/[1-9][0-9]*)? as a whole, never floats,
+and a key repeated in one object is a ParseError.
 Ordinary Lie algebras are the alpha = beta = identity special case, so one
 format serves both. A grid is read in integers, cleared by one lcm into the
 scaled view that MatrixQ and StructureTensor store, and save() prints each
@@ -162,9 +163,20 @@ def dumps_algebra(a: BiHomAlgebra) -> str:
             f'  "beta": [\n{grid(doc["beta"], " " * 4)}\n  ]\n}}\n')
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are distinct; json.loads would keep the last
+    value of a repeated key without a word."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def _parse_json(text: str, where: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc

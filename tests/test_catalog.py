@@ -31,12 +31,70 @@ from bihomlie.catalog import (
 )
 from bihomlie.errors import DimensionMismatch, ZeroParameter
 from bihomlie.exactlin import MatrixQ, det, zero_vector
-from bihomlie.twist import TwistInput, yau_twist
 from conftest import random_invertible
 
 L1_SAMPLES = [(Q(2), Q(3)), (Q(-3), Q(1, 2)), (Q(5, 7), Q(-7, 5)), (Q(1), Q(1)),
               (Q(-1), Q(2))]
 L3_SAMPLES = [Q(1), Q(2), Q(3), Q(-1), Q(5, 7), Q(0)]
+# parameters of height above 10^30, which widen the packing of transform_tensor
+TALL = [Q(10 ** 31 + 7, 3 ** 70), Q(-(2 ** 107 + 1), 10 ** 30 + 57), Q(-(10 ** 33 + 9), 7 ** 39)]
+SPECIAL = [Q(0), Q(1), Q(-1), Q(3)]
+
+
+# The paper's bracket tables, copied by hand: the reference that the derived
+# catalog must equal. paper_l3 carries the two corrected entries of ERRATA.md.
+def paper_l1(a, b):
+    return StructureTensor.from_brackets(3, {
+        (0, 1): (0, 2 * b, 0),
+        (1, 0): (0, -2 * a, 0),
+        (0, 2): (0, 0, Q(-2) / b),
+        (2, 0): (0, 0, Q(2) / a),
+        (1, 2): (a / b, 0, 0),
+        (2, 1): (-b / a, 0, 0),
+    })
+
+
+PAPER_L2 = StructureTensor.from_brackets(3, {
+    (0, 1): (2, 0, 0),
+    (0, 2): (1, 2, 0),
+    (1, 0): (-2, 0, 0),
+    (1, 1): (-2, 0, 0),
+    (1, 2): (1, 1, 2),
+    (2, 0): (1, -2, 0),
+    (2, 1): (0, -3, -2),
+    (2, 2): (-1, -1, -2),
+})
+
+
+def paper_l3(a):
+    return StructureTensor.from_brackets(3, {
+        (0, 1): (2, 0, 0),
+        (0, 2): (2 * a - 1, 2, 0),
+        (1, 0): (-2, 0, 0),
+        (1, 1): (2 * (1 - a), 0, 0),
+        (1, 2): (3 * a - a * a, 3, 2),
+        (2, 0): (-1, -2, 0),
+        (2, 1): (-(a + 1), -(1 + 2 * a), -2),
+        (2, 2): ((1 - a) * (a + 2) / 2, 1 - a * a, 2 * (1 - a)),
+    })
+
+
+# sl2 in the basis u1 = e, u2 = -h, u3 = -(1/4)e + (1/2)h - 2f
+PAPER_UNIPOTENT_BASE = StructureTensor.from_brackets(3, {
+    (0, 1): (2, 0, 0),
+    (1, 0): (-2, 0, 0),
+    (0, 2): (-1, 2, 0),
+    (2, 0): (1, -2, 0),
+    (1, 2): (1, 1, 2),
+    (2, 1): (-1, -1, -2),
+})
+
+
+def assert_table(algebra, table, alpha, beta):
+    """algebra is the table with the maps, entry for entry, and passes every axiom."""
+    assert algebra == BiHomAlgebra(dim=3, tensor=table, alpha=alpha, beta=beta)
+    assert algebra.tensor.c == table.c
+    assert check_all(algebra).all_pass
 
 
 def test_sl2_basics():
@@ -58,12 +116,12 @@ def test_l1_identity_parameters_give_sl2():
     assert is_lie_algebra(a.tensor).ok
 
 
-def test_l1_equals_twist_oracle_entrywise():
-    for a, b in L1_SAMPLES:
-        oracle = yau_twist(TwistInput(make_sl2(),
-                                      MatrixQ.diagonal([1, a, 1 / a]),
-                                      MatrixQ.diagonal([1, b, 1 / b])))
-        assert make_L1(a, b).tensor == oracle.tensor
+def test_l1_equals_paper_table():
+    params = L1_SAMPLES + list(zip(TALL, TALL[1:] + TALL[:1]))
+    params += [(a, b) for a in SPECIAL[1:] for b in (SPECIAL[3], TALL[0])]
+    for a, b in params:
+        assert_table(make_L1(a, b), paper_l1(a, b),
+                     MatrixQ.diagonal([1, a, 1 / a]), MatrixQ.diagonal([1, b, 1 / b]))
 
 
 def test_l1_zero_parameter():
@@ -79,10 +137,15 @@ def test_l2_table_entry_and_axioms():
     assert check_all(a).all_pass
 
 
-def test_l2_is_twist_of_adapted_base():
-    oracle = yau_twist(TwistInput(unipotent_base_tensor(),
-                                  MatrixQ.identity(3), unipotent_full()))
-    assert oracle.tensor == make_L2().tensor
+def test_l2_and_base_equal_paper_tables():
+    assert_table(make_L2(), PAPER_L2, MatrixQ.identity(3), unipotent_full())
+    assert unipotent_base_tensor() == PAPER_UNIPOTENT_BASE
+    assert unipotent_base_tensor().c == PAPER_UNIPOTENT_BASE.c
+
+
+def test_sl2_and_base_are_built_once():
+    assert make_sl2() is make_sl2()
+    assert unipotent_base_tensor() is unipotent_base_tensor()
 
 
 def test_l3_special_values():
@@ -95,11 +158,9 @@ def test_l3_axioms_sampled():
         assert check_all(make_L3(a)).all_pass, a
 
 
-def test_l3_is_twist_of_adapted_base():
-    for a in L3_SAMPLES:
-        oracle = yau_twist(TwistInput(unipotent_base_tensor(),
-                                      unipotent_full(), unipotent_beta(a)))
-        assert oracle.tensor == make_L3(a).tensor, a
+def test_l3_equals_paper_table():
+    for a in L3_SAMPLES + TALL + SPECIAL:
+        assert_table(make_L3(a), paper_l3(a), unipotent_full(), unipotent_beta(a))
 
 
 def test_errata_transcribed_l3_fails_axioms():

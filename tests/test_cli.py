@@ -54,6 +54,29 @@ def test_load_rejects_unknown_field():
         loads_algebra(json.dumps(doc))
 
 
+def test_load_rejects_a_repeated_key(tmp_path):
+    """A key given twice is named in a ParseError, at the top level and in a
+    nested object, instead of the last value being kept."""
+    text = dumps_algebra(sl2_bihom())
+    with pytest.raises(ParseError, match="repeated key 'dim'"):
+        loads_algebra(text.replace('"dim": 3,', '"dim": 3,\n  "dim": 3,'))
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"beta":', '"alpha": [["9"]],\n  "beta":'))
+    with pytest.raises(ParseError, match="repeated key 'alpha'"):
+        load(path)
+    path.write_text('{"a": {"k": 1, "k": 2}}')
+    with pytest.raises(ParseError, match="repeated key 'k'"):
+        load(path)
+
+
+def test_cli_repeated_key_exit_code(tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(dumps_algebra(sl2_bihom()).replace('"dim": 3,', '"dim": 3,\n  "dim": 3,'))
+    result = run_cli("check", str(path))
+    assert result.returncode == 2
+    assert "repeated key 'dim'" in result.stderr
+
+
 def test_cli_catalog_check_roundtrip(tmp_path):
     out = tmp_path / "x.json"
     assert run_cli("catalog", "L1", "--a", "2", "--b", "3", "-o", str(out)).returncode == 0

@@ -1,16 +1,16 @@
 """Golden outputs of the command line: exit code, stdout and stderr of
-`analyze`, `classify3`, `iso3`, `check`, `induce` and `twist` on fixed
-inputs, pinned byte for byte, and the SHA-256 of each file that `induce -o`
-and `twist -o` write.
+`analyze`, `classify3`, `iso3`, `check`, `induce`, `twist` and `catalog` on
+fixed inputs, pinned byte for byte, and the SHA-256 of each file that
+`induce -o`, `twist -o` and `catalog -o` write.
 
 The inputs are built from the catalog under seeded bases and saved to a
-temporary directory; a call takes one input, or two for `iso3`. `twist`
-reads the alpha and beta of its input from matrix files written beside it,
-and one input is spelled with non-canonical rationals ("2/4", "-0", "007",
-"0/9"). The SHA-256 of each saved file is pinned beside its outputs, so a
-drift in the inputs is told apart from a drift in the outputs. Re-record
-with `PYTHONPATH=src python tests/test_cli_golden.py` from the root of a
-checkout; it rewrites tests/data/cli_golden.json."""
+temporary directory; a call takes one input, two for `iso3`, or none for
+`catalog`. `twist` reads the alpha and beta of its input from matrix files
+written beside it, and one input is spelled with non-canonical rationals
+("2/4", "-0", "007", "0/9"). The SHA-256 of each saved file is pinned
+beside its outputs, so a drift in the inputs is told apart from a drift in
+the outputs. Re-record with `PYTHONPATH=src python tests/test_cli_golden.py`
+from the root of a checkout; it rewrites tests/data/cli_golden.json."""
 
 import contextlib
 import hashlib
@@ -160,7 +160,11 @@ WRITES = ([((name,), ["induce", "-o", OUT])
            for name in ("DS_2 dense", "DS_4 block", "DS_3 block", RESPELLED)]
           + [((name,), ["twist", "--alpha", ALPHA, "--beta", BETA, "-o", OUT])
              for name in ("DS_2 dense induced", "DS_4 block induced")]
-          + [((RESPELLED,), ["check", "--json"])])
+          + [((RESPELLED,), ["check", "--json"])]
+          # argparse takes "-2/3" after a space for an option, so that value is joined by "="
+          + [((), ["catalog", *params, "-o", OUT]) for params in (
+              ["sl2"], ["L1", "--a", "2/3", "--b", "-5"], ["L1", "--a", "-1", "--b", "7/2"],
+              ["L2"], ["L3", "--a=-2/3"], ["L3", "--a", "0"])])
 
 
 def sha256(text):
@@ -177,8 +181,8 @@ def run(directory):
         files[name] = (directory / f"input{i}.json", text)
         files[name][0].write_text(text)
     records = []
-    for names, argv in CALLS + WRITES:
-        stem = files[names[0]][0].with_suffix("")
+    for call, (names, argv) in enumerate(CALLS + WRITES):
+        stem = files[names[0]][0].with_suffix("") if names else directory / f"call{call}"
         paths = {OUT: stem.with_suffix(".out.json"), ALPHA: stem.with_suffix(".alpha.json"),
                  BETA: stem.with_suffix(".beta.json")}
         for key, m in ((ALPHA, "alpha"), (BETA, "beta")):
