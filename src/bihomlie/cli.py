@@ -1,17 +1,27 @@
 """Command-line front end.
 
+    bihomlie <command> [positionals and options in any order] [-- positionals]
+
+One table, _COMMANDS, gives each command its handler, help, positionals,
+options and flags, and main reads argv against it in one pass. An option
+is --opt value or --opt=value (-o value for --output), its value taken
+verbatim, so --a -2/3 is a negative parameter; "--" ends the options; -h
+or --help prints usage to standard output. A malformed command line (an
+unknown command or option, a missing value, a missing or extra positional,
+a missing required option, an unknown catalog name) prints the synopsis
+and the error to standard error, and main returns 2.
+
 Exit codes: 0 success (all checks pass / verdict computed), 1 a check or
-hypothesis failed (with the diagnostic on standard error), 2 I/O or parse
-errors. Reports go to standard output; --json output is byte-stable for a
-given input.
+hypothesis failed (with the diagnostic on standard error), 2 I/O, parse or
+usage errors. Reports go to standard output; --json output is byte-stable
+for a given input.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import catalog
 from .algebra import BiHomAlgebra, check_all, is_abelian
@@ -31,6 +41,10 @@ from .twist import TwistInput, induce_lie, require_axioms, yau_twist
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
+
+
+class _Usage(Exception):
+    """A malformed command line: (the command it names, or None, and what is wrong)."""
 
 
 def _vector_strings(v):
@@ -53,9 +67,9 @@ def _print_json(doc) -> None:
 
 
 def _cmd_check(args) -> int:
-    algebra = load(args.file)
+    algebra = load(args["file"])
     report = check_all(algebra)
-    if args.json:
+    if args["json"]:
         doc = {}
         for name in report.NAMES:
             result = getattr(report, name)
@@ -76,20 +90,20 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    algebra = load(args.file)
+    algebra = load(args["file"])
     induced, alpha, beta = induce_lie(algebra)
     out = BiHomAlgebra(dim=algebra.dim, tensor=induced, alpha=alpha, beta=beta,
                        basis_names=algebra.basis_names)
-    save(out, args.output)
+    save(out, args["output"])
     return EXIT_OK
 
 
 def _cmd_twist(args) -> int:
-    lie_file = load(args.file)
-    alpha = load_matrix(args.alpha)
-    beta = load_matrix(args.beta)
+    lie_file = load(args["file"])
+    alpha = load_matrix(args["alpha"])
+    beta = load_matrix(args["beta"])
     twisted = yau_twist(TwistInput(lie=lie_file.tensor, alpha=alpha, beta=beta))
-    save(twisted, args.output)
+    save(twisted, args["output"])
     return EXIT_OK
 
 
@@ -126,10 +140,10 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    algebra = load(args.file)
+    algebra = load(args["file"])
     require_axioms(algebra)
     doc = _analyze_doc(algebra)
-    if args.json:
+    if args["json"]:
         _print_json(doc)
         return EXIT_OK
     print(f"dimension: {doc['dim']}")
@@ -162,9 +176,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify3(args) -> int:
-    algebra = load(args.file)
+    algebra = load(args["file"])
     label = classify3(algebra)
-    if args.json:
+    if args["json"]:
         _print_json({
             "family": label.family,
             "params": [format_rational(p) for p in label.params],
@@ -180,10 +194,10 @@ def _cmd_classify3(args) -> int:
 
 
 def _cmd_iso3(args) -> int:
-    a1 = load(args.file1)
-    a2 = load(args.file2)
+    a1 = load(args["file1"])
+    a2 = load(args["file2"])
     f = bihom_isomorphic3(a1, a2)
-    if args.json:
+    if args["json"]:
         _print_json({
             "isomorphic": f is not None,
             "matrix": matrix_strings(f) if f is not None else None,
@@ -203,69 +217,136 @@ _CATALOG = {"sl2": (catalog.sl2_bihom, ()), "L1": (catalog.make_L1, ("a", "b")),
 
 
 def _cmd_catalog(args) -> int:
-    build, params = _CATALOG[args.name]
-    if any(getattr(args, p) is None for p in params):
-        print(f"catalog {args.name} requires " + " and ".join(f"--{p}" for p in params),
+    name = args["name"]
+    if name not in _CATALOG:
+        raise _Usage("catalog", f"argument name: invalid choice: {name!r} "
+                                f"(choose from {', '.join(_CATALOG)})")
+    build, params = _CATALOG[name]
+    if any(args[p] is None for p in params):
+        print(f"catalog {name} requires " + " and ".join(f"--{p}" for p in params),
               file=sys.stderr)
         return EXIT_IO
-    save(build(*(parse_rational(getattr(args, p), f"--{p}") for p in params)), args.output)
+    save(build(*(parse_rational(args[p], f"--{p}") for p in params)), args["output"])
     return EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
-        prog="bihomlie",
-        description="Exact toolkit for finite-dimensional BiHom-Lie algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command(NamedTuple):
+    """One command: its handler, its one-line help, its positionals, its
+    options that take a value and its flags (spelling -> argument name),
+    and the names of the options it requires."""
+    run: Callable[[dict], int]
+    help: str
+    positionals: tuple
+    options: dict = {}
+    flags: dict = {}
+    required: tuple = ()
 
-    p = sub.add_parser("check", help="verify the defining axioms of an algebra file")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("induce", help="write the induced Lie algebra of a regular algebra")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_induce)
+_JSON = {"--json": "json"}
+_OUTPUT = {"-o": "output", "--output": "output"}
+_COMMANDS = {
+    "check": _Command(_cmd_check, "verify the defining axioms of an algebra file",
+                      ("file",), flags=_JSON),
+    "induce": _Command(_cmd_induce, "write the induced Lie algebra of a regular algebra",
+                       ("file",), _OUTPUT, required=("output",)),
+    "twist": _Command(_cmd_twist, "twist a Lie algebra by a commuting automorphism pair",
+                      ("file",), {"--alpha": "alpha", "--beta": "beta", **_OUTPUT},
+                      required=("alpha", "beta", "output")),
+    "analyze": _Command(_cmd_analyze, "regularity, simplicity, decomposition, type candidates",
+                        ("file",), flags=_JSON),
+    "classify3": _Command(_cmd_classify3, "classify a 3-dimensional simple algebra",
+                          ("file",), flags=_JSON),
+    "iso3": _Command(_cmd_iso3, "explicit isomorphism between two 3-dimensional algebras",
+                     ("file1", "file2"), flags=_JSON),
+    "catalog": _Command(_cmd_catalog, "write a built-in algebra instance",
+                        ("name",), {"--a": "a", "--b": "b", **_OUTPUT}, required=("output",)),
+}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("twist", help="twist a Lie algebra by a commuting automorphism pair")
-    p.add_argument("file", help="algebra file whose bracket is the Lie algebra")
-    p.add_argument("--alpha", required=True, help="matrix file (JSON grid of rationals)")
-    p.add_argument("--beta", required=True, help="matrix file (JSON grid of rationals)")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_twist)
 
-    p = sub.add_parser("analyze", help="regularity, simplicity, decomposition, type candidates")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze)
+def _spellings(command: _Command, name: str) -> list[str]:
+    return [word for word, dest in command.options.items() if dest == name]
 
-    p = sub.add_parser("classify3", help="classify a 3-dimensional simple algebra")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify3)
 
-    p = sub.add_parser("iso3", help="explicit isomorphism between two 3-dimensional algebras")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_iso3)
+def _usage(name) -> str:
+    """The synopsis of a command, or of the program when name is None."""
+    if name is None:
+        return "usage: bihomlie [-h] <command> ..."
+    command = _COMMANDS[name]
+    words = ["usage: bihomlie", name, "[-h]", *(f"[{flag}]" for flag in command.flags)]
+    for dest in dict.fromkeys(command.options.values()):
+        word = f"{_spellings(command, dest)[0]} {dest.upper()}"
+        words.append(word if dest in command.required else f"[{word}]")
+    return " ".join(words + list(command.positionals))
 
-    p = sub.add_parser("catalog", help="write a built-in algebra instance")
-    p.add_argument("name", choices=list(_CATALOG))
-    p.add_argument("--a", help="rational parameter p/q")
-    p.add_argument("--b", help="rational parameter p/q")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_catalog)
-    return parser
+
+def _help(name) -> str:
+    if name is not None:
+        return f"{_usage(name)}\n\n{_COMMANDS[name].help}"
+    return "\n".join([_usage(None), "", "Exact toolkit for finite-dimensional BiHom-Lie "
+                      "algebras", "", "commands:"]
+                     + [f"  {n:<10} {c.help}" for n, c in _COMMANDS.items()]
+                     + ["", "bihomlie <command> -h shows the arguments of a command"])
+
+
+def _parse(argv) -> tuple:
+    """(command name, its arguments by name) in one pass over argv, by the
+    grammar of the module docstring, or (name, None) when argv asks for
+    help, name None at the top level."""
+    if not argv:
+        raise _Usage(None, "the following arguments are required: command")
+    if argv[0] in _HELP:
+        return None, None
+    name, words = argv[0], iter(argv[1:])
+    command = _COMMANDS.get(name)
+    if command is None:
+        raise _Usage(None, f"argument command: invalid choice: {name!r} "
+                           f"(choose from {', '.join(_COMMANDS)})")
+    args = dict.fromkeys(command.flags.values(), False) | dict.fromkeys(command.options.values())
+    given = []
+    for word in words:
+        if word == "--":
+            given.extend(words)   # the rest, which ends the loop
+        elif word in _HELP:
+            return name, None
+        elif word.startswith("-") and word != "-":
+            key, eq, value = word.partition("=") if word.startswith("--") else (word, "", "")
+            if key in command.options:
+                if not eq:
+                    value = next(words, None)
+                    if value is None:
+                        raise _Usage(name, f"argument {key}: expected one argument")
+                args[command.options[key]] = value
+            elif key in command.flags and not eq:
+                args[command.flags[key]] = True
+            else:
+                raise _Usage(name, f"unrecognized arguments: {word}")
+        else:
+            given.append(word)
+    missing = list(command.positionals[len(given):]) + [
+        "/".join(_spellings(command, r)) for r in command.required if args[r] is None]
+    if missing:
+        raise _Usage(name, f"the following arguments are required: {', '.join(missing)}")
+    extra = given[len(command.positionals):]
+    if extra:
+        raise _Usage(name, f"unrecognized arguments: {' '.join(extra)}")
+    args.update(zip(command.positionals, given))
+    return name, args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] when argv is None); return its exit code."""
     try:
-        return args.func(args)
+        name, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help(name))
+            return EXIT_OK
+        return _COMMANDS[name].run(args)
+    except _Usage as exc:
+        name, message = exc.args
+        print(_usage(name), file=sys.stderr)
+        print(f"bihomlie{'' if name is None else ' ' + name}: error: {message}", file=sys.stderr)
+        return EXIT_IO
     except (ParseError, DimensionMismatch, ZeroParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

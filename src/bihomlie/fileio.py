@@ -154,7 +154,8 @@ def dumps_algebra(a: BiHomAlgebra) -> str:
     doc = algebra_to_dict(a)
 
     def grid(rows, indent: str) -> str:
-        return ",\n".join(indent + json.dumps(row) for row in rows)
+        # every entry is p or p/q in digits, which JSON quotes without escapes
+        return ",\n".join(indent + '["' + '", "'.join(row) + '"]' for row in rows)
 
     planes = ",\n".join(f"    [\n{grid(plane, ' ' * 6)}\n    ]" for plane in doc["bracket"])
     return (f'{{\n  "dim": {doc["dim"]},\n  "basis": {json.dumps(doc["basis"])},\n'

@@ -163,32 +163,51 @@ def test_cli_twist_rejects_wrong_sized_maps(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
-    import argparse
-
+def test_usage_errors_return_2_and_help_returns_0(tmp_path, capsys):
+    """A malformed command line makes main print the synopsis and the error
+    to standard error and return 2 without raising; -h or --help, at the top
+    level or after a command, prints usage to standard output and returns 0."""
     from bihomlie import cli
-    built, add_subparsers = [], argparse.ArgumentParser.add_subparsers
+    f, g, x = (str(tmp_path / name) for name in ("f.json", "g.json", "x.json"))
+    save(sl2_bihom(), f)
+    save(sl2_bihom(), g)
+    for argv in ([], ["nope"], ["check"], ["induce", f], ["twist", f, "--alpha"],
+                 ["check", f, g], ["check", f, "--bogus"], ["catalog", "nope", "-o", x]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "usage: bihomlie" in err and "error:" in err, (argv, out, err)
+    assert not (tmp_path / "x.json").exists()
+    for flag in ("-h", "--help"):
+        assert cli.main([flag]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: bihomlie") and err == ""
+        assert all(name in out for name in cli._COMMANDS)
+    for name in cli._COMMANDS:
+        for flag in ("-h", "--help"):
+            assert cli.main([name, flag]) == 0
+            out, err = capsys.readouterr()
+            assert out.startswith(f"usage: bihomlie {name} ") and err == "", (name, out)
+    result = run_cli()
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "usage: bihomlie" in result.stderr and "error:" in result.stderr
 
-    def counting(self, **kwargs):   # called once per parser that main builds
-        built.append(self.prog)
-        return add_subparsers(self, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
-    cli.build_parser.cache_clear()
-    try:
-        path = tmp_path / "sl2.json"
-        assert cli.main(["catalog", "sl2", "-o", str(path)]) == 0
-        assert cli.main(["check", "--json", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["all_pass"]
-        assert built == ["bihomlie"]
-    finally:
-        cli.build_parser.cache_clear()
+def test_cli_negative_parameter_values_are_read_verbatim(tmp_path):
+    """An option's value is the next word as it stands, so a negative
+    fraction after a space writes the same file as one joined by "="."""
+    from bihomlie import cli
+    for name, spaced, joined in (("L3", ["--a", "-2/3"], ["--a=-2/3"]),
+                                 ("L1", ["--a", "3", "--b", "-5/2"], ["--a", "3", "--b=-5/2"])):
+        paths = tmp_path / f"{name}.spaced.json", tmp_path / f"{name}.joined.json"
+        for params, path in zip((spaced, joined), paths):
+            assert cli.main(["catalog", name, *params, "-o", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Every CLI call pays for what `import bihomlie.cli` loads; compared with
     a bare interpreter, it adds neither dataclasses nor inspect (which
-    brings ast, dis and tokenize)."""
+    brings ast, dis and tokenize), nor argparse with gettext and locale."""
     import os
     from pathlib import Path
 
@@ -203,7 +222,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
     added = modules("import bihomlie.cli; ") - modules("")
     assert "bihomlie.cli" in added
-    assert not added & {"dataclasses", "inspect"}, sorted(added & {"dataclasses", "inspect"})
+    forbidden = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    assert not added & forbidden, sorted(added & forbidden)
 
 
 def test_cli_analyze_direct_sum(tmp_path):

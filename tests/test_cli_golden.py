@@ -161,7 +161,8 @@ WRITES = ([((name,), ["induce", "-o", OUT])
           + [((name,), ["twist", "--alpha", ALPHA, "--beta", BETA, "-o", OUT])
              for name in ("DS_2 dense induced", "DS_4 block induced")]
           + [((RESPELLED,), ["check", "--json"])]
-          # argparse takes "-2/3" after a space for an option, so that value is joined by "="
+          # one value joined by "=": the record of "--a=-2/3" predates the parser that also
+          # reads "--a -2/3"; test_cli.py checks that the two spellings write the same file
           + [((), ["catalog", *params, "-o", OUT]) for params in (
               ["sl2"], ["L1", "--a", "2/3", "--b", "-5"], ["L1", "--a", "-1", "--b", "7/2"],
               ["L2"], ["L3", "--a=-2/3"], ["L3", "--a", "0"])])
