@@ -51,12 +51,14 @@ from typing import NamedTuple
 
 from .errors import AxiomViolation, DimensionMismatch
 from .exactlin import (
+    Frozen,
     MatrixQ,
     Vector,
     cleared,
     fractions_over,
     int_product,
     invert,
+    kept,
     pack,
     pack_width,
     reshape,
@@ -66,7 +68,7 @@ from .exactlin import (
 )
 
 
-class StructureTensor:
+class StructureTensor(Frozen):
     """Bracket data c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     No symmetry is imposed: BiHom skew-symmetry is a twisted relation, not
@@ -88,9 +90,6 @@ class StructureTensor:
         d, flat = cleared([x for plane in grid for row in plane for x in row])
         self._keep(d, reshape(flat, n * n, n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureTensor is immutable")
-
     @classmethod
     def from_scaled(cls, d: int, planes) -> "StructureTensor":
         """The tensor planes/d of integer planes; no Fraction is built."""
@@ -111,18 +110,14 @@ class StructureTensor:
 
     def height(self) -> int:
         """The largest |entry| of the view, kept (slot _height) once read."""
-        if not hasattr(self, "_height"):
-            object.__setattr__(self, "_height", _height(chain.from_iterable(self._scaled[1])))
-        return self._height
+        return kept(self, "_height", lambda: _height(chain.from_iterable(self._scaled[1])))
 
     @property
     def c(self) -> tuple[tuple[Vector, ...], ...]:
         """The Fraction grid, built from the view on first read."""
-        if not hasattr(self, "_c"):
-            d, planes = self._scaled
-            object.__setattr__(self, "_c", tuple(tuple(fractions_over(d, row) for row in plane)
-                                                 for plane in planes))
-        return self._c
+        d, planes = self._scaled
+        return kept(self, "_c", lambda: tuple(tuple(fractions_over(d, row) for row in plane)
+                                              for plane in planes))
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
@@ -150,17 +145,11 @@ class StructureTensor:
     def is_zero(self) -> bool:
         return not any(map(any, chain.from_iterable(self.scaled()[1])))
 
-    def __eq__(self, other):
-        return isinstance(other, StructureTensor) and self.scaled() == other.scaled()
-
-    def __hash__(self):
-        return hash(self.scaled())
-
     def __repr__(self):
         return f"StructureTensor(dim={self.dim})"
 
 
-class BiHomAlgebra:
+class BiHomAlgebra(Frozen):
     """The 4-tuple (L, [.,.], alpha, beta) in a fixed basis, equal to another
     exactly when the five fields are. Slots _induced and _axiom_report keep
     the twist.induce_lie result (or its NotRegular) and the check_all report."""
@@ -181,17 +170,8 @@ class BiHomAlgebra:
         for name, value in zip(self.__slots__, (dim, tensor, alpha, beta, basis_names)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiHomAlgebra is immutable")
-
     def _key(self) -> tuple:
         return self.dim, self.tensor, self.alpha, self.beta, self.basis_names
-
-    def __eq__(self, other):
-        return isinstance(other, BiHomAlgebra) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"BiHomAlgebra(dim={self.dim}, basis_names={self.basis_names})"
@@ -354,17 +334,13 @@ def _lie_kernel(t: StructureTensor) -> CheckResult:
 
 def check_all(a: BiHomAlgebra) -> AxiomReport:
     """The four axiom checks, run once per algebra object and kept on it."""
-    if not hasattr(a, "_axiom_report"):
-        object.__setattr__(a, "_axiom_report", _axiom_kernel(a))
-    return a._axiom_report
+    return kept(a, "_axiom_report", lambda: _axiom_kernel(a))
 
 
 def is_lie_algebra(t: StructureTensor) -> CheckResult:
     """Ordinary skew-symmetry, then the classical Jacobi identity; run once
     per tensor object and kept on it."""
-    if not hasattr(t, "_lie"):
-        object.__setattr__(t, "_lie", _lie_kernel(t))
-    return t._lie
+    return kept(t, "_lie", lambda: _lie_kernel(t))
 
 
 def _report_field(name: str, doc: str):

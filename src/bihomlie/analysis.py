@@ -59,6 +59,7 @@ from .exactlin import (
     det,
     int_product,
     kernel,
+    kept,
     pack,
     pack_width,
     primitive,
@@ -243,24 +244,21 @@ def killing_form(t: StructureTensor) -> MatrixQ:
     Entry (k, l) of the planes is packed over j, so row i is one dot product
     of c[i] flattened over (l, k) with those n^2 integers, unpacked. Computed
     once per tensor object and kept on it."""
-    if hasattr(t, "_killing"):
-        return t._killing
-    lie = is_lie_algebra(t)
-    if not lie.ok:
-        raise NotLie(f"killing_form needs a Lie algebra: {lie.witness.detail}")
-    n, (d, c) = t.dim, t.scaled()
-    w = pack_width(n * n * t.height() ** 2)
-    cols = [pack(col, w) for col in zip(*(chain.from_iterable(zip(*plane)) for plane in c))]
-    object.__setattr__(t, "_killing", MatrixQ.from_scaled(
-        d * d, [unpack(sum(map(mul, chain.from_iterable(plane), cols)), w, n) for plane in c]))
-    return t._killing
+    def compute():
+        lie = is_lie_algebra(t)
+        if not lie.ok:
+            raise NotLie(f"killing_form needs a Lie algebra: {lie.witness.detail}")
+        n, (d, c) = t.dim, t.scaled()
+        w = pack_width(n * n * t.height() ** 2)
+        cols = [pack(col, w) for col in zip(*(chain.from_iterable(zip(*plane)) for plane in c))]
+        return MatrixQ.from_scaled(d * d, [
+            unpack(sum(map(mul, chain.from_iterable(plane), cols)), w, n) for plane in c])
+    return kept(t, "_killing", compute)
 
 
 def killing_determinant(t: StructureTensor) -> Fraction:
     """det(killing_form(t)), computed once per tensor object and kept on it."""
-    if not hasattr(t, "_killing_det"):
-        object.__setattr__(t, "_killing_det", det(killing_form(t)))
-    return t._killing_det
+    return kept(t, "_killing_det", lambda: det(killing_form(t)))
 
 
 def is_semisimple_lie(t: StructureTensor) -> bool:

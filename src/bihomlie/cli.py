@@ -8,8 +8,9 @@ is --opt value or --opt=value (-o value for --output), its value taken
 verbatim, so --a -2/3 is a negative parameter; "--" ends the options; -h
 or --help prints usage to standard output. A malformed command line (an
 unknown command or option, a missing value, a missing or extra positional,
-a missing required option, an unknown catalog name) prints the synopsis
-and the error to standard error, and main returns 2.
+a missing required option, an unknown catalog name, a catalog parameter
+missing or not taken by its family) prints the synopsis and the error to
+standard error, and main returns 2.
 
 Exit codes: 0 success (all checks pass / verdict computed), 1 a check or
 hypothesis failed (with the diagnostic on standard error), 2 I/O, parse or
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import catalog
 from .algebra import BiHomAlgebra, check_all, is_abelian
-from .analysis import Decomposition, _simplicity, type_candidates
+from .analysis import Decomposition, TypeLabel, _simplicity, type_candidates
 from .classify3 import bihom_isomorphic3, classify3
 from .errors import BiHomError, DimensionMismatch, ParseError, ZeroParameter
 from .fileio import (
@@ -67,24 +68,21 @@ def _print_json(doc) -> None:
 
 
 def _cmd_check(args) -> int:
-    algebra = load(args["file"])
-    report = check_all(algebra)
+    report = check_all(load(args["file"]))
+    doc = {}
+    for name in report.NAMES:
+        result = getattr(report, name)
+        doc[name] = {"ok": result.ok, "witness": _witness_dict(result.witness)}
+    doc["all_pass"] = report.all_pass
     if args["json"]:
-        doc = {}
-        for name in report.NAMES:
-            result = getattr(report, name)
-            doc[name] = {"ok": result.ok, "witness": _witness_dict(result.witness)}
-        doc["all_pass"] = report.all_pass
         _print_json(doc)
     else:
         for name in report.NAMES:
-            result = getattr(report, name)
-            line = f"{name}: {'pass' if result.ok else 'FAIL'}"
-            if result.witness is not None:
-                w = result.witness
-                line += (f"  [indices {tuple(i + 1 for i in w.indices)}: "
-                         f"{w.detail}; lhs={_vector_strings(w.lhs)} "
-                         f"rhs={_vector_strings(w.rhs)}]")
+            w = doc[name]["witness"]
+            line = f"{name}: {'pass' if doc[name]['ok'] else 'FAIL'}"
+            if w is not None:
+                line += (f"  [indices {tuple(w['indices'])}: {w['detail']}; "
+                         f"lhs={w['lhs']} rhs={w['rhs']}]")
             print(line)
     return EXIT_OK if report.all_pass else EXIT_FAIL
 
@@ -132,10 +130,7 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
         "enveloping_dim": env,
         "simple": (not abelian) and env == algebra.dim * algebra.dim,
         "induced": induced_doc,
-        "type_candidates": [
-            {"series": t.series, "rank": t.rank, "m": t.m}
-            for t in type_candidates(algebra.dim)
-        ],
+        "type_candidates": [t._asdict() for t in type_candidates(algebra.dim)],
     }
 
 
@@ -168,9 +163,7 @@ def _cmd_analyze(args) -> int:
                           "decomposition theory; reported as computed")
     else:
         print("induced Lie algebra: unavailable (alpha or beta is singular)")
-    candidates = ", ".join(
-        f"({c['series']}{c['rank'] if c['rank'] else ''}, m={c['m']})"
-        for c in doc["type_candidates"]) or "none"
+    candidates = ", ".join(str(TypeLabel(**c)) for c in doc["type_candidates"]) or "none"
     print(f"type candidates: {candidates}")
     return EXIT_OK
 
@@ -222,10 +215,12 @@ def _cmd_catalog(args) -> int:
         raise _Usage("catalog", f"argument name: invalid choice: {name!r} "
                                 f"(choose from {', '.join(_CATALOG)})")
     build, params = _CATALOG[name]
-    if any(args[p] is None for p in params):
-        print(f"catalog {name} requires " + " and ".join(f"--{p}" for p in params),
-              file=sys.stderr)
-        return EXIT_IO
+    missing = [f"--{p}" for p in params if args[p] is None]
+    if missing:
+        raise _Usage("catalog", f"catalog {name} requires {' and '.join(missing)}")
+    extra = [f"--{p}" for p in ("a", "b") if p not in params and args[p] is not None]
+    if extra:
+        raise _Usage("catalog", f"catalog {name} takes no {' and '.join(extra)}")
     save(build(*(parse_rational(args[p], f"--{p}") for p in params)), args["output"])
     return EXIT_OK
 

@@ -1,14 +1,18 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Values are immutable and pivoting is deterministic (first nonzero by index),
-so outputs are reproducible byte for byte. A MatrixQ is stored as its scaled
-view (d, rows): d > 0 the lcm of its denominators, rows the integer rows of
-d*M and gcd(d, entries) = 1, so equal matrices have equal views; its
-``fractions.Fraction`` entries are built only when read. Products multiply
-two views, and elimination (rref, kernel, rank, invert, det, Subspace) is
-fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22, 1968) on integer
-rows, which keeps the RREF; a Subspace keeps the view of its RREF basis.
-SpanBuilder keeps primitive integer rows.
+so outputs are reproducible byte for byte. The exact value types (MatrixQ,
+Subspace and PolyQ here, StructureTensor and BiHomAlgebra in algebra)
+derive from Frozen, which refuses assignment and compares and hashes by
+type and _key(); a fact computed from a value is kept in one of its slots
+by kept(obj, slot, compute), filled on first read. A MatrixQ is stored as
+its scaled view (d, rows): d > 0 the lcm of its denominators, rows the
+integer rows of d*M and gcd(d, entries) = 1, so equal matrices have equal
+views; its ``fractions.Fraction`` entries are built only when read.
+Products multiply two views, and elimination (rref, kernel, rank, invert,
+det, Subspace) is fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22,
+1968) on integer rows, which keeps the RREF; a Subspace keeps the view of
+its RREF basis. SpanBuilder keeps primitive integer rows.
 
 The few integer routines that exact split detection needs live here too:
 is_prime, factor (with a documented bound past which a cofactor is left
@@ -101,7 +105,35 @@ def reshape(flat: list, count: int, width: int) -> tuple[tuple, ...]:
     return tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(count))
 
 
-class MatrixQ:
+class Frozen:
+    """Base of the immutable exact values: no attribute can be assigned, and
+    a value equals another exactly when both have the same type and equal
+    _key(), which is also hashed. The default key is the scaled view."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        return self._scaled
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def kept(obj, slot: str, compute):
+    """The value in obj's slot, filled with compute() on first read. A fact
+    is kept on the object it was computed from, never keyed by content."""
+    if not hasattr(obj, slot):
+        object.__setattr__(obj, slot, compute())
+    return getattr(obj, slot)
+
+
+class MatrixQ(Frozen):
     """Dense rational matrix. Acts on coordinate columns: the j-th column
     holds the image of the j-th basis vector. It is kept as its view (slot
     _scaled), the Fraction rows (slot _entries) once given or read."""
@@ -116,9 +148,6 @@ class MatrixQ:
             raise DimensionMismatch("ragged matrix rows")
         object.__setattr__(self, "_entries", rows)
         self._keep(*cleared([x for row in rows for x in row]), len(rows), len(rows[0]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixQ is immutable")
 
     @classmethod
     def from_scaled(cls, d: int, ints) -> "MatrixQ":
@@ -142,17 +171,13 @@ class MatrixQ:
 
     def height(self) -> int:
         """The largest |entry| of the view, kept (slot _height) once read."""
-        if not hasattr(self, "_height"):
-            object.__setattr__(self, "_height", max(abs(x) for r in self._scaled[1] for x in r))
-        return self._height
+        return kept(self, "_height", lambda: max(abs(x) for r in self._scaled[1] for x in r))
 
     @property
     def entries(self) -> tuple[Vector, ...]:
         """The rows of Fraction entries, built from the view on first read."""
-        if not hasattr(self, "_entries"):
-            d, rows = self._scaled
-            object.__setattr__(self, "_entries", tuple(fractions_over(d, row) for row in rows))
-        return self._entries
+        return kept(self, "_entries", lambda: tuple(
+            fractions_over(self._scaled[0], row) for row in self._scaled[1]))
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
@@ -182,12 +207,6 @@ class MatrixQ:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixQ) and self.scaled() == other.scaled()
-
-    def __hash__(self):
-        return hash(self.scaled())
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -332,7 +351,7 @@ class SpanBuilder:
         return len(self.rows)
 
 
-class Subspace:
+class Subspace(Frozen):
     """A subspace of Q^n held by its unique RREF basis, one vector per row,
     kept as its view (p, rows): p > 0 and rows the integer rows of p times
     the RREF, gcd(p, entries) = 1. The Fraction rows are built when read."""
@@ -341,9 +360,6 @@ class Subspace:
 
     def __new__(cls, ambient_dim: int, vectors=()):
         return cls.spanned(ambient_dim, [cleared(vector(v))[1] for v in vectors])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def spanned(cls, ambient_dim: int, ints) -> "Subspace":
@@ -385,12 +401,8 @@ class Subspace:
         rows = self._scaled[1] + (cleared(vector(v))[1],)
         return Subspace.spanned(self.ambient_dim, rows).dim == self.dim
 
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self._scaled == other._scaled)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self._scaled))
+    def _key(self):
+        return self.ambient_dim, self._scaled
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -427,7 +439,7 @@ def det(m: MatrixQ) -> Fraction:
     return Fraction(sign * p, d ** m.rows) if len(pivots) == m.rows else Q(0)
 
 
-class PolyQ:
+class PolyQ(Frozen):
     """Univariate rational polynomial, coefficients lowest degree first."""
 
     __slots__ = ("coeffs",)
@@ -437,9 +449,6 @@ class PolyQ:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyQ is immutable")
 
     @property
     def degree(self) -> int:
@@ -451,11 +460,8 @@ class PolyQ:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def __eq__(self, other):
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self):
+        return self.coeffs
 
     def __repr__(self):
         if self.is_zero():

@@ -25,7 +25,7 @@ from .algebra import (
     transform_tensor,
 )
 from .errors import NotAutomorphism, NotCommuting, NotLie, NotRegular, SingularMatrix
-from .exactlin import MatrixQ, invert, rank
+from .exactlin import MatrixQ, invert, kept, rank
 
 
 class TwistInput(NamedTuple):
@@ -72,21 +72,24 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
     alpha[u,v]' = [alpha u, alpha v]' at u = alpha x, v = beta y; (3) reads
     [gx, gy]' = -[gy, gx]' and (4), given (2), the classical Jacobi identity
     at (dx, dy, dz), for g = alpha beta and d = alpha beta^2. A singular map
-    is kept as the NotRegular it raises, so no object is inverted twice."""
-    if not hasattr(a, "_induced"):
+    is kept as the NotRegular it raises, caused by the SingularMatrix, so no
+    object is inverted twice."""
+    def compute():
         try:
             alpha_inv, beta_inv = invert(a.alpha), invert(a.beta)
         except SingularMatrix as exc:
-            object.__setattr__(a, "_induced", NotRegular(f"algebra is not regular: {exc}"))
-            raise a._induced from exc
+            error = NotRegular(f"algebra is not regular: {exc}")
+            error.__cause__ = exc
+            return error
         induced = transform_tensor(a.tensor, alpha_inv, beta_inv)
         if not (a.alpha * a.beta == a.beta * a.alpha and is_lie_algebra(induced).ok and all(
                 homomorphism_failure(m, induced) is None for m in (a.alpha, a.beta))):
             check_all(a).require()
-        object.__setattr__(a, "_induced", (induced, a.alpha, a.beta))
-    if isinstance(a._induced, NotRegular):
-        raise a._induced.with_traceback(None)
-    return a._induced
+        return induced, a.alpha, a.beta
+    induced = kept(a, "_induced", compute)
+    if isinstance(induced, NotRegular):
+        raise induced.with_traceback(None)
+    return induced
 
 
 def require_axioms(a: BiHomAlgebra) -> None:

@@ -319,6 +319,22 @@ def test_cli_catalog_requires_parameters(tmp_path):
     assert result.returncode == 2
     result = run_cli("catalog", "nope", "-o", str(tmp_path / "x.json"))
     assert result.returncode == 2
+    # a parameter missing, or one the family does not take, is a usage error
+    # that writes nothing
+    out = tmp_path / "y.json"
+    for argv, message in [
+            (("L1", "--b", "3"), "catalog L1 requires --a"),
+            (("L1",), "catalog L1 requires --a and --b"),
+            (("L3",), "catalog L3 requires --a"),
+            (("sl2", "--a", "2"), "catalog sl2 takes no --a"),
+            (("L2", "--a", "2", "--b", "3"), "catalog L2 takes no --a and --b"),
+            (("L3", "--a", "2", "--b", "3"), "catalog L3 takes no --b")]:
+        result = run_cli("catalog", *argv, "-o", str(out))
+        assert result.returncode == 2 and result.stdout == "", argv
+        assert result.stderr.splitlines() == [
+            "usage: bihomlie catalog [-h] [--a A] [--b B] -o OUTPUT name",
+            f"bihomlie catalog: error: {message}"], argv
+        assert not out.exists()
 
 
 def test_cli_catalog_bad_rational(tmp_path):

@@ -22,6 +22,7 @@ from bihomlie.exactlin import (
     factor,
     invert,
     is_prime,
+    kept,
     kernel,
     rank,
     rational_roots,
@@ -330,6 +331,21 @@ def test_subspace_contains_full():
     for _ in range(5):
         v = tuple(random_fraction(rng, 6) for _ in range(4))
         assert full.contains(v)
+
+
+def test_kept_fills_a_slot_once():
+    """kept computes on the first read only, and the filled slot is the one
+    the value's own memo reads."""
+    m, calls = MatrixQ.from_scaled(2, [[1, -3]]), []
+
+    def compute():
+        calls.append(1)
+        return 7
+
+    assert kept(m, "_height", compute) == 7 and kept(m, "_height", compute) == 7
+    assert calls == [1] and m.height() == 7
+    with pytest.raises(AttributeError, match="^MatrixQ is immutable$"):
+        m._height = 3
 
 
 def test_subspace_full_is_the_eliminated_identity():

@@ -10,12 +10,19 @@ from bihomlie.algebra import (
     StructureTensor,
     Witness,
     check_all,
+    is_lie_algebra,
 )
-from bihomlie.analysis import Decomposition, IdealReport, TypeLabel, decompose_bihom
-from bihomlie.catalog import direct_sum, make_L1, sl2_bihom
+from bihomlie.analysis import (
+    Decomposition,
+    IdealReport,
+    TypeLabel,
+    decompose_bihom,
+    killing_form,
+)
+from bihomlie.catalog import direct_sum, make_L1, make_sl2, sl2_bihom
 from bihomlie.classify3 import ClassLabel, Profile, Sl2Triple
 from bihomlie.errors import DimensionMismatch
-from bihomlie.exactlin import MatrixQ, Q, Subspace, basis_vector
+from bihomlie.exactlin import Frozen, MatrixQ, PolyQ, Q, Subspace, basis_vector
 from bihomlie.twist import TwistInput, induce_lie
 
 E = [basis_vector(3, i) for i in range(3)]
@@ -142,6 +149,56 @@ def test_bihom_algebra_equality_hash_and_immutability():
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     assert a.dim == 3 and a.tensor == twin.tensor
+
+
+def frozen_twins():
+    """Per exact value type, a value built through its Fraction constructor
+    and its twin built from integers (from_scaled, spanned, or an unreduced
+    coefficient list for PolyQ)."""
+    a = make_L1(2, 3)
+    alpha, beta = (MatrixQ.from_scaled(*m.scaled()) for m in (a.alpha, a.beta))
+    return [
+        (MatrixQ([[Q(1, 2), 0], [3, Q(-1, 4)]]), MatrixQ.from_scaled(-8, [[-4, 0], [-24, 2]])),
+        (StructureTensor(a.tensor.c), StructureTensor.from_scaled(*a.tensor.scaled())),
+        (Subspace(3, [(Q(1, 2), 1, 0), (0, 0, Q(2, 3))]),
+         Subspace.spanned(3, [[2, 4, 0], [0, 0, 5]])),
+        (PolyQ([Q(1, 2), 0, 3]), PolyQ([Q(2, 4), Q(0), 3, 0, 0])),
+        (BiHomAlgebra(3, StructureTensor(a.tensor.c), MatrixQ(a.alpha.entries),
+                      MatrixQ(a.beta.entries)),
+         BiHomAlgebra(3, StructureTensor.from_scaled(*a.tensor.scaled()), alpha, beta)),
+    ]
+
+
+def test_exact_values_share_one_frozen_base():
+    """MatrixQ, StructureTensor, Subspace, PolyQ and BiHomAlgebra refuse
+    every assignment with one message, and compare and hash by type and key."""
+    for value, twin in frozen_twins():
+        kind = type(value)
+        assert isinstance(value, Frozen) and type(twin) is kind
+        assert value == twin and not value != twin and hash(value) == hash(twin), kind
+        for name in [*kind.__slots__, "extra"]:
+            with pytest.raises(AttributeError, match=f"^{kind.__name__} is immutable$"):
+                setattr(value, name, None)
+    identity, full = MatrixQ.identity(3), Subspace.full(3)
+    assert identity.scaled() == full.scaled() and identity != full and full != identity
+    one, tensor = MatrixQ.identity(1), StructureTensor.from_scaled(1, [[[1]]])
+    assert one != tensor and tensor != one and one != Subspace.full(1)
+    assert len({identity, full, StructureTensor.zero(3), PolyQ([1])}) == 4
+
+
+def test_kept_facts_change_neither_equality_nor_hash():
+    """Filling _height, _entries, _lie and _killing leaves a value equal to,
+    and hashed as, its twin that has none of them."""
+    m, twin = MatrixQ.from_scaled(4, [[2, 0], [12, -1]]), MatrixQ([[Q(1, 2), 0], [3, Q(-1, 4)]])
+    before = hash(m)
+    assert m.height() == 12 and m.entries == twin.entries and m._height == 12
+    assert m == twin and hash(m) == before == hash(twin)
+    t = StructureTensor(make_sl2().c)
+    fresh, before = StructureTensor.from_scaled(*t.scaled()), hash(t)
+    assert not any(hasattr(t, slot) for slot in ("_height", "_lie", "_killing"))
+    assert t.height() and is_lie_algebra(t).ok and killing_form(t) is t._killing
+    assert t._lie is is_lie_algebra(t) and t.height() is t._height
+    assert t == fresh and fresh == t and hash(t) == before == hash(fresh)
 
 
 def test_bihom_algebra_keeps_its_report_and_induced_tensor():

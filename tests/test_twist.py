@@ -91,6 +91,13 @@ def test_induce_not_regular():
                             beta=MatrixQ.identity(3))
     with pytest.raises(NotRegular):
         induce_lie(singular)
+    # kept on the object: the same error, caused by the SingularMatrix, on every call
+    with pytest.raises(NotRegular) as first:
+        induce_lie(singular)
+    with pytest.raises(NotRegular) as again:
+        induce_lie(singular)
+    assert first.value is again.value and isinstance(first.value.__cause__, SingularMatrix)
+    assert str(first.value).startswith("algebra is not regular: matrix is singular")
 
 
 def test_roundtrip_check_examples():
