@@ -59,6 +59,7 @@ from .exactlin import (
     int_product,
     invert,
     kept,
+    lowest,
     pack,
     pack_width,
     reshape,
@@ -87,21 +88,24 @@ class StructureTensor(Frozen):
                 len(row) != n for plane in grid for row in plane):
             raise DimensionMismatch("structure tensor must be dim x dim x dim")
         object.__setattr__(self, "_c", grid)
-        d, flat = cleared([x for plane in grid for row in plane for x in row])
-        self._keep(d, reshape(flat, n * n, n))
+        self._keep(*cleared([x for plane in grid for row in plane for x in row]), n)
 
     @classmethod
     def from_scaled(cls, d: int, planes) -> "StructureTensor":
         """The tensor planes/d of integer planes; no Fraction is built."""
+        return cls.from_flat(d, [x for plane in planes for row in plane for x in row], len(planes))
+
+    @classmethod
+    def from_flat(cls, d: int, flat: list[int], n: int) -> "StructureTensor":
+        """The dimension-n tensor flat/d of the integers c[i][j][k] in reading order."""
         obj = object.__new__(cls)
-        obj._keep(*MatrixQ.from_scaled(d, [row for plane in planes for row in plane]).scaled())
+        obj._keep(*lowest(d, flat), n)
         return obj
 
-    def _keep(self, d: int, rows):
-        """Keep the view of the n^2 x n rows over d, which are in lowest terms."""
-        n = len(rows[0]) if rows else 0
+    def _keep(self, d: int, flat: list[int], n: int):
+        """Keep the view of the n^3 integers flat over d, which are in lowest terms."""
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "_scaled", (d, reshape(rows, n, n)))
+        object.__setattr__(self, "_scaled", (d, reshape(reshape(flat, n * n, n), n, n)))
 
     def scaled(self) -> tuple[int, tuple]:
         """(d, planes): d > 0 the lcm of the denominators and planes[i][j][k]

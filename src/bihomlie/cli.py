@@ -15,7 +15,9 @@ standard error, and main returns 2.
 Exit codes: 0 success (all checks pass / verdict computed), 1 a check or
 hypothesis failed (with the diagnostic on standard error), 2 I/O, parse or
 usage errors. Reports go to standard output; --json output is byte-stable
-for a given input.
+for a given input. When standard output has no reader (a closed pipe), the
+call exits 2 and prints nothing: python -m bihomlie then points standard
+output at os.devnull, so that the flush at exit cannot print either.
 """
 
 from __future__ import annotations
@@ -341,6 +343,8 @@ def main(argv=None) -> int:
         name, message = exc.args
         print(_usage(name), file=sys.stderr)
         print(f"bihomlie{'' if name is None else ' ' + name}: error: {message}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError:   # standard output has no reader: nothing more can be said
         return EXIT_IO
     except (ParseError, DimensionMismatch, ZeroParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,6 +67,12 @@ def cleared(values) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
+def lowest(d: int, flat: list[int]) -> tuple[int, list[int]]:
+    """flat/d over g = gcd(d, entries) with the sign of d: d > 0 and gcd 1."""
+    g = math.gcd(d, *flat) * (-1 if d < 0 else 1)
+    return d // g, flat if g == 1 else [x // g for x in flat]
+
+
 def int_product(x, y) -> list[list[int]]:
     """Product of two integer matrices given as rows."""
     cols = tuple(zip(*y))
@@ -157,12 +163,11 @@ class MatrixQ(Frozen):
         return obj
 
     def _keep(self, d: int, flat: list[int], rows: int, cols: int):
-        """Keep the view of flat/d over g = gcd(d, entries) with the sign of d."""
-        g = math.gcd(d, *flat) * (-1 if d < 0 else 1)
+        """Keep the view of flat/d in lowest terms."""
+        d, flat = lowest(d, flat)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        flat = flat if g == 1 else [x // g for x in flat]
-        object.__setattr__(self, "_scaled", (d // g, reshape(flat, rows, cols)))
+        object.__setattr__(self, "_scaled", (d, reshape(flat, rows, cols)))
 
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(d, rows): d > 0 the lcm of the denominators and rows the integer

@@ -11,11 +11,13 @@
 Rationals are strings matching -?[0-9]+(/[1-9][0-9]*)? as a whole, never floats,
 and a key repeated in one object is a ParseError.
 Ordinary Lie algebras are the alpha = beta = identity special case, so one
-format serves both. A grid is read in integers, cleared by one lcm into the
-scaled view that MatrixQ and StructureTensor store, and save() prints each
-entry x/d of the view reduced: no Fraction is built either way. save()
-emits a canonical layout (reduced rationals, fixed key order, one grid row
-per line) and save o load is the identity on canonical files.
+format serves both. A grid is read by one json.loads of its joined entries,
+each / read as a comma and the slash positions placing its few q; JSON's
+integers are a subset of -?[0-9]+. Anything else (a fault, or 007, which
+JSON does not spell) is read entry by entry in document order, so the first
+fault raises with the message of that entry alone; only this path builds
+Fractions. save() emits a canonical layout (reduced rationals, fixed key
+order, one grid row per line): save o load is the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -25,40 +27,57 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import mul
 
 from .algebra import BiHomAlgebra, StructureTensor
 from .errors import DimensionMismatch, ParseError
-from .exactlin import MatrixQ, reshape
+from .exactlin import MatrixQ, cleared, reshape
 
 RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
-ROW_RE = re.compile(rf"{RATIONAL_RE.pattern}(?:,{RATIONAL_RE.pattern})*")
+_JOINED_RE = re.compile(r"[-0-9/,]+")   # the only characters of joined rationals
+_BAD_SLASH_RE = re.compile(r"/[^,]*/|/(?![1-9])")   # two in one entry, or no q in [1-9][0-9]*
 
 
-def _rationals(texts, name) -> tuple[int, list[int]]:
-    """(d, [d*x for x in texts]), d the lcm of the denominators, for a list of
-    rational strings matched as one comma-joined string. An entry k that
-    fails alone is reported as name(k)."""
+def _read_joined(items) -> tuple[int, list[int]] | None:
+    """(d, [d*x for x in items]) by one json.loads of the comma-joined items,
+    each / read as a comma, or None for anything else. JSON's integers are a
+    subset of -?[0-9]+, so what this takes it reads as RATIONAL_RE does."""
     try:
-        text = ",".join(texts)
-        if ROW_RE.fullmatch(text) and text.count(",") == len(texts) - 1:
-            if "/" not in text:
-                return 1, list(map(int, texts))
-            pairs = [(int(p), int(q or 1)) for p, q in RATIONAL_RE.findall(text)]
-            d = math.lcm(*(q for _, q in pairs))
-            return d, [p * (d // q) for p, q in pairs]
-    except (TypeError, ValueError):   # a non-string entry, or the digit limit
-        pass
-    for k, x in enumerate(texts):
-        match = RATIONAL_RE.fullmatch(x) if isinstance(x, str) else None
-        if match is None:
-            raise ParseError(f"{name(k)}: {x!r} is not a rational of the form p or p/q")
-        try:
-            int(match[1]), int(match[2] or 1)
-        except ValueError as exc:   # beyond the interpreter's integer-string digit limit
-            raise ParseError(f"{name(k)}: {len(x)}-character rational exceeds the "
-                             f"{sys.get_int_max_str_digits()}-digit integer limit") from exc
-    return 1, []   # no entry fails alone: the list is empty
+        text = ",".join(items)
+        if (not _JOINED_RE.fullmatch(text) or text.count(",") != len(items) - 1
+                or _BAD_SLASH_RE.search(text)):
+            return None
+        values = json.loads(f"[{text.replace('/', ',')}]")
+    except (TypeError, ValueError):   # a non-string entry, 007 (not JSON), the digit limit
+        return None
+    # the q after the j-th slash is value j + 1 + the number of commas before it
+    dens = list(accumulate(part.count(",") + 1 for part in text.split("/")[:-1]))
+    d, keep = math.lcm(*(values[i] for i in dens)), [True] * len(values)
+    if d > 1:
+        values = list(map(mul, values, repeat(d)))
+    for i in dens:
+        values[i - 1] //= values[i] // d   # p*d/q
+        keep[i] = False
+    return d, list(compress(values, keep))
+
+
+def _walk(value, shape, where: str) -> list[Fraction]:
+    """The entries in reading order, lists and entries checked in document order."""
+    _require_list(value, shape[0], where)
+    if len(shape) == 1:
+        return [parse_rational(x, f"{where}[{k}]") for k, x in enumerate(value)]
+    return [x for i, v in enumerate(value) for x in _walk(v, shape[1:], f"{where}[{i}]")]
+
+
+def _grid(value, shape, where: str) -> tuple[int, list[int]]:
+    """(d, integers) of a grid of rational strings of this shape, flat in reading order."""
+    items = [value]
+    for n in shape:
+        if not all(isinstance(r, list) and len(r) == n for r in items):
+            return cleared(_walk(value, shape, where))
+        items = list(chain.from_iterable(items))
+    return _read_joined(items) or cleared(_walk(value, shape, where))
 
 
 def _strings(d: int, ints) -> list[str]:
@@ -70,9 +89,15 @@ def _strings(d: int, ints) -> list[str]:
 
 
 def parse_rational(text, where: str) -> Fraction:
-    """One rational at the edge, such as a command-line parameter."""
-    d, (x,) = _rationals([text], lambda k: where)
-    return Fraction(x, d)
+    """One rational string, or the ParseError that names it at `where`."""
+    match = RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ParseError(f"{where}: {text!r} is not a rational of the form p or p/q")
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError as exc:   # beyond the interpreter's integer-string digit limit
+        raise ParseError(f"{where}: {len(text)}-character rational exceeds the "
+                         f"{sys.get_int_max_str_digits()}-digit integer limit") from exc
 
 
 def format_rational(q: Fraction) -> str:
@@ -87,20 +112,9 @@ def _require_list(value, length, where: str):
     return value
 
 
-def _parse_row(row, length, where: str) -> tuple[int, list[int]]:
-    """A list of `length` rationals (any number when None) as (d, integers)."""
-    return _rationals(_require_list(row, length, where), lambda k: f"{where}[{k}]")
-
-
-def _view(rows) -> tuple[int, list[list[int]]]:
-    """One view (d, integer rows) of parsed rows, d the lcm of theirs."""
-    d = math.lcm(*(dr for dr, _ in rows))
-    return d, [row if dr == d else [x * (d // dr) for x in row] for dr, row in rows]
-
-
-def _parse_grid(value, dim: int, where: str) -> tuple[int, list[list[int]]]:
-    return _view([_parse_row(row, dim, f"{where}[{i}]")
-                  for i, row in enumerate(_require_list(value, dim, where))])
+def _matrix(value, rows: int, cols, where: str) -> MatrixQ:
+    d, flat = _grid(value, (rows, cols), where)
+    return MatrixQ.from_scaled(d, reshape(flat, rows, cols))
 
 
 def algebra_from_dict(doc) -> BiHomAlgebra:
@@ -120,14 +134,11 @@ def algebra_from_dict(doc) -> BiHomAlgebra:
     for i, name in enumerate(basis):
         if not isinstance(name, str):
             raise ParseError(f"basis[{i}]: expected a string label")
-    d, rows = _view([_parse_row(row, dim, f"bracket[{i}][{j}]")
-                     for i, plane in enumerate(_require_list(doc["bracket"], dim, "bracket"))
-                     for j, row in enumerate(_require_list(plane, dim, f"bracket[{i}]"))])
     return BiHomAlgebra(
         dim=dim,
-        tensor=StructureTensor.from_scaled(d, reshape(rows, dim, dim)),
-        alpha=MatrixQ.from_scaled(*_parse_grid(doc["alpha"], dim, "alpha")),
-        beta=MatrixQ.from_scaled(*_parse_grid(doc["beta"], dim, "beta")),
+        tensor=StructureTensor.from_flat(*_grid(doc["bracket"], (dim,) * 3, "bracket"), dim),
+        alpha=_matrix(doc["alpha"], dim, dim, "alpha"),
+        beta=_matrix(doc["beta"], dim, dim, "beta"),
         basis_names=tuple(basis),
     )
 
@@ -139,11 +150,13 @@ def matrix_strings(m) -> list[list[str]]:
 
 
 def algebra_to_dict(a: BiHomAlgebra) -> dict:
-    d, planes = a.tensor.scaled()
+    (d, planes), n = a.tensor.scaled(), a.dim
+    flat = _strings(d, list(chain.from_iterable(chain.from_iterable(planes))))
     return {
-        "dim": a.dim,
+        "dim": n,
         "basis": list(a.basis_names),
-        "bracket": [[_strings(d, row) for row in plane] for plane in planes],
+        "bracket": [[flat[k:k + n] for k in range(i, i + n * n, n)]
+                    for i in range(0, n ** 3, n * n)],
         "alpha": matrix_strings(a.alpha),
         "beta": matrix_strings(a.beta),
     }
@@ -214,13 +227,9 @@ def save(a: BiHomAlgebra, path) -> None:
 
 
 def load_matrix(path) -> MatrixQ:
-    """A bare matrix file: a JSON grid of rational strings."""
+    """A bare matrix file: a JSON grid of rational strings, as wide as its first row."""
     rows = _require_list(_read_json(path), None, "matrix")
     if not rows:
         raise ParseError("matrix: expected at least one row")
-    width = None
-    parsed = []
-    for i, row in enumerate(rows):
-        parsed.append(_parse_row(row, width, f"matrix[{i}]"))
-        width = len(row)
-    return MatrixQ.from_scaled(*_view(parsed))
+    return _matrix(rows, len(rows), len(rows[0]) if isinstance(rows[0], list) else None,
+                   "matrix")

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from bihomlie.algebra import BiHomAlgebra, StructureTensor, check_all, conjugate_algebra
 from bihomlie.analysis import decompose_bihom, is_simple
-from bihomlie.catalog import direct_sum, make_L1, make_L3, sl2_bihom
+from bihomlie.catalog import direct_sum, make_L1, make_L2, make_L3, sl2_bihom
 from bihomlie.classify3 import bihom_isomorphic3, classify3
 from bihomlie.errors import AxiomViolation, DimensionMismatch, ParseError
 from bihomlie.exactlin import MatrixQ
@@ -23,15 +24,19 @@ def run_cli(*args, cwd=None):
 
 
 def test_save_load_roundtrip(tmp_path):
-    path = tmp_path / "l1.json"
-    algebra = make_L1(2, 3)
-    save(algebra, path)
-    loaded = load(path)
-    assert loaded.tensor == algebra.tensor
-    assert loaded.alpha == algebra.alpha
-    assert loaded.beta == algebra.beta
-    # canonical files re-serialize byte for byte
-    assert dumps_algebra(loaded) == path.read_text()
+    """L1(2, 3), and a dense conjugate of a dimension-9 sum whose grids are
+    mostly p/q entries over several denominators."""
+    dense = conjugate_algebra(direct_sum([make_L1(2, 3), make_L3(5), make_L2()]),
+                              random_invertible(9, random.Random(0)))
+    for algebra in (make_L1(2, 3), dense):
+        path = tmp_path / "algebra.json"
+        save(algebra, path)
+        loaded = load(path)
+        assert loaded.tensor == algebra.tensor
+        assert loaded.alpha == algebra.alpha
+        assert loaded.beta == algebra.beta
+        # canonical files re-serialize byte for byte
+        assert dumps_algebra(loaded) == path.read_text()
 
 
 def test_load_rejects_zero_denominator():
@@ -499,6 +504,26 @@ def test_cli_fuzz_truncated_and_mutated_files(tmp_path, capsys):
             for argv in _fuzz_argv(tmp_path, name, path):
                 assert cli.main(argv) in (0, 1, 2), (argv, bytes(mutated))
     capsys.readouterr()
+
+
+def test_cli_closed_stdout_exits_2_silently(tmp_path):
+    """A reader that has closed standard output before the command writes
+    gets exit 2 and nothing on standard error; a missing input file still
+    says why."""
+    path, missing = tmp_path / "sl2.json", tmp_path / "missing.json"
+    save(sl2_bihom(), path)
+    cases = [(("check", "--json", str(path)), ""), (("analyze", "--json", str(path)), ""),
+             (("check", "--json", str(missing)), f"error: cannot read {missing}: ")]
+    for args, stderr in cases:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "bihomlie", *args], stdout=write,
+                                    stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert result.returncode == 2, args
+        assert result.stderr.startswith(stderr) and bool(result.stderr) == bool(stderr), args
 
 
 def test_load_rejects_invalid_utf8(tmp_path):
