@@ -6,10 +6,10 @@ direct sums used as test fixtures.
 A regular algebra is the twist [x, y] = [alpha x, beta y]' of its induced
 Lie algebra, and each family is built that way: transform_tensor applied to
 sl2, or to sl2 in the basis adapted to the unipotent maps, with the
-family's pair of commuting automorphisms. make_sl2's table is the only
-bracket table here. The paper's tables, with the two L3 entries that the
-commonly transcribed grid gets wrong (ERRATA.md), are the oracle of
-tests/test_catalog.py.
+family's pair of commuting automorphisms (family_maps, which classify3's
+certificate reads too). make_sl2's table is the only bracket table here.
+The paper's tables, with the two L3 entries that the commonly transcribed
+grid gets wrong (ERRATA.md), are the oracle of tests/test_catalog.py.
 """
 
 from __future__ import annotations
@@ -62,10 +62,20 @@ def unipotent_beta(a) -> MatrixQ:
     return MatrixQ([[1, a, (a * a - a) / 2], [0, 1, a], [0, 0, 1]])
 
 
-def _twist(lie: StructureTensor, alpha: MatrixQ, beta: MatrixQ) -> BiHomAlgebra:
-    """The algebra [x, y] = [alpha x, beta y]' of a Lie tensor and two of its
-    commuting automorphisms, which the families supply and are not checked."""
-    return BiHomAlgebra(dim=3, tensor=transform_tensor(lie, alpha, beta), alpha=alpha, beta=beta)
+def family_maps(family: str, *params) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
+    """(base, alpha, beta) of a canonical family, whose algebra is the twist
+    [x, y] = [alpha x, beta y]_base by commuting automorphisms of the base."""
+    if family == "L1":   # (a, b)
+        return (make_sl2(), *(MatrixQ.diagonal([1, p, 1 / p]) for p in params))
+    if family == "L2":
+        return unipotent_base_tensor(), MatrixQ.identity(3), unipotent_full()
+    return unipotent_base_tensor(), unipotent_full(), unipotent_beta(*params)
+
+
+def _twist(family: str, *params) -> BiHomAlgebra:
+    """The family's base twisted by its maps, which are not checked."""
+    base, alpha, beta = family_maps(family, *params)
+    return BiHomAlgebra(dim=3, tensor=transform_tensor(base, alpha, beta), alpha=alpha, beta=beta)
 
 
 def make_L1(a, b) -> BiHomAlgebra:
@@ -75,17 +85,16 @@ def make_L1(a, b) -> BiHomAlgebra:
     Any nonzero rational parameters are accepted; a in {-1, 1} simply lands
     in the degenerate diagonal cases.
     """
-    a = as_fraction(a)
-    b = as_fraction(b)
+    a, b = as_fraction(a), as_fraction(b)
     if a == 0 or b == 0:
         raise ZeroParameter("the L1 parameters must be nonzero")
-    return _twist(make_sl2(), MatrixQ.diagonal([1, a, 1 / a]), MatrixQ.diagonal([1, b, 1 / b]))
+    return _twist("L1", a, b)
 
 
 def make_L2() -> BiHomAlgebra:
     """Unipotent family: the unipotent base twisted by the identity alpha and
     the full-Jordan-block beta."""
-    return _twist(unipotent_base_tensor(), MatrixQ.identity(3), unipotent_full())
+    return _twist("L2")
 
 
 def make_L3(a) -> BiHomAlgebra:
@@ -96,7 +105,7 @@ def make_L3(a) -> BiHomAlgebra:
     [e3,e3] and fails the multiplicativity axiom for generic a (ERRATA.md
     records both versions with a failing witness).
     """
-    return _twist(unipotent_base_tensor(), unipotent_full(), unipotent_beta(a))
+    return _twist("L3", a)
 
 
 def printed_L3_tensor(a) -> StructureTensor:

@@ -2,34 +2,29 @@
 into the three canonical families L1(a,b), L2, L3(a), with a self-certifying
 change of basis.
 
-Every returned label carries a change-of-basis matrix whose columns are the
-coordinates (in the input basis) of a basis in which the whole 4-tuple
-equals the catalog constructor's output exactly; the label is verified by
-that conjugation before being returned, never inferred from invariants
-alone.
+Every returned label carries a change-of-basis matrix B whose columns are
+the coordinates (in the input basis) of a basis in which the whole 4-tuple
+equals the catalog algebra exactly. Three exact checks prove it:
+B^-1 alpha B = alpha_cat, B^-1 beta B = beta_cat, and B is a bracket
+homomorphism from the family's base onto the induced Lie algebra g. They
+are complete, since the input is the twist of g by alpha and beta
+(induce_lie verifies g) and the catalog algebra the twist of the base by
+alpha_cat and beta_cat, and B intertwines both maps and both brackets.
 
 Strategy: the induced Lie algebra of a simple input is a split form of sl2,
 and both structure maps are commuting automorphisms of it. An automorphism
 is either diagonalizable with eigenvalues (1, a, 1/a) or a single full
 unipotent Jordan block, and once one map is not the identity it forces the
 shape of the other. So only m, beta when alpha is the identity and alpha
-otherwise, is profiled; the classifier builds an sl2 basis adapted to m,
-and _certify conjugates the input once into it, reads the family
-parameters off the conjugated maps and compares the whole 4-tuple with the
-catalog algebra. When m is diagonalizable its fixed line gives h up to the
-scalar c of its adjoint eigenvalues, and _triple_at completes (h, e, f), as
-it does for find_sl2_triple; a unipotent m takes a Jordan chain plus a
-commutant correction read off two entries of the induced bracket.
+otherwise, is profiled, and the classifier builds an sl2 basis adapted to
+m: when m is diagonalizable its fixed line gives h up to the scalar c of
+its adjoint eigenvalues, and _complete_triple completes (h, e, f), as it
+does for find_sl2_triple; a unipotent m takes a Jordan chain scaled in
+closed form by two entries of the induced bracket.
 
-When both maps are the identity nothing singles out a basis, and
-find_sl2_triple decides from the Killing form K whether the induced algebra
-is split: stage 1 tries a fixed grid of h-candidates in integer arithmetic
-(v gives a triple when K(v,v)/2 is a positive rational square); stage 2,
-when the grid has no hit, solves the conic K(v,v) = 0 exactly by Legendre's
-reduction and Lagrange descent. The outcome is a verified triple, NotSplit
-with its proof (K definite, or a non-square modulo a named prime), or
-SplitUndecided when a number to be factored exceeds the bound of
-exactlin.factor; "undecided" is never reported as "not split".
+With both maps the identity nothing singles out a basis: find_sl2_triple
+decides exactly from the Killing form whether the induced algebra is split
+(a verified triple, NotSplit with its proof, or SplitUndecided).
 """
 
 from __future__ import annotations
@@ -37,17 +32,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import NamedTuple
 
-from .algebra import (
-    BiHomAlgebra,
-    StructureTensor,
-    ad_matrix,
-    conjugate_algebra,
-    homomorphism_failure,
-)
+from .algebra import BiHomAlgebra, StructureTensor, ad_matrix, homomorphism_failure
 from .analysis import is_simple, killing_determinant, killing_form
-from .catalog import make_L1, make_L2, make_L3, make_sl2, unipotent_full
+from .catalog import family_maps, make_sl2
 from .errors import (
     DimensionMismatch,
     IrrationalEigenvalues,
@@ -68,6 +58,7 @@ from .exactlin import (
     basis_vector,
     char_poly,
     factor,
+    fractions_over,
     invert,
     kernel,
     rational_roots,
@@ -119,19 +110,23 @@ _GRID = tuple(
 _DEFINITE = "Killing form is definite: no isotropic vector over the reals"
 
 
-def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
+def _complete_triple(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
     """Triple with h = 2v/c for a v with K(v,v)/2 = c^2 > 0 on a
     3-dimensional semisimple Lie algebra: char_poly(ad h) = x^3 - 4x, so e
     and f span the simple eigenlines of 2 and -2, and [e, f] is a nonzero
     element of ker ad h = Q h (else [L, L] != L), so e is scaled by the mu
-    with [e, f] = mu h. homomorphism_failure certifies the triple; if it
-    fails, SplitUndecided is raised, never a verdict of "not split"."""
+    with [e, f] = mu h. The bracket is not checked."""
     h = vec_scale(Q(2) / c, v)
     ad_h, identity = ad_matrix(t, h), MatrixQ.identity(3)
     e, f = (kernel(ad_h - identity.scale(s)).basis_rows[0] for s in (2, -2))
     k = next(i for i, x in enumerate(h) if x != 0)
     mu = t.bracket(e, f)[k] / h[k]
-    triple = Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
+    return Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
+
+
+def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
+    """_complete_triple certified by homomorphism_failure, or SplitUndecided."""
+    triple = _complete_triple(t, v, c)
     if homomorphism_failure(triple.basis_matrix(), make_sl2(), t) is not None:
         raise SplitUndecided("the eigenvectors of ad h do not close into an sl2 triple")
     return triple
@@ -240,11 +235,10 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
     by one homomorphism_failure check in _triple_at; NotSplit with its
     proof (the Killing form is definite, or a is not a square modulo a
     prime p dividing b); or SplitUndecided when a number to be factored
-    keeps a cofactor beyond the factoring bound of `exactlin.factor`
-    (RHO_ITERATIONS Pollard-Brent steps per composite, primality proved
-    only below PRIME_PROOF_BOUND, about 3.3e24), or when the certificate
-    fails, which no semisimple input reaches. SplitUndecided is never a
-    verdict of "not split". Also raises NotSemisimple when det K = 0.
+    keeps a cofactor beyond the factoring bound of `exactlin.factor`, or
+    when the certificate fails, which no semisimple input reaches.
+    SplitUndecided is never a verdict of "not split". Also raises
+    NotSemisimple when det K = 0.
     """
     if t.dim != 3:
         raise DimensionMismatch("sl2 triples live in dimension 3")
@@ -281,10 +275,7 @@ def alpha_profile(m: MatrixQ) -> Profile:
     if not residual.is_constant():
         raise IrrationalEigenvalues(
             f"eigenvalues are irrational (residual factor of degree {residual.degree})")
-    eigen = []
-    for value, mult in roots:
-        eigen.extend([value] * mult)
-    eigen.sort()
+    eigen = sorted(value for value, mult in roots for _ in range(mult))
     identity = MatrixQ.identity(3)
     if eigen == [1, 1, 1]:
         if m == identity:
@@ -311,10 +302,10 @@ def alpha_profile(m: MatrixQ) -> Profile:
 
 def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
     """sl2 triple in which an automorphism with eigenvalues (1, r, 1/r), r != 1,
-    becomes diag(1, r, 1/r). With h0 spanning the fixed line, ad h0 is
-    diag(0, c, -c) in such a basis, so c = tr(ad h0 m)/(r - 1/r), which puts
-    e in the r-eigenspace; for r = -1, c = +sqrt(K(h0,h0)/2). The fixed
-    space is a line, since alpha_profile found the eigenvalue 1 simple."""
+    becomes diag(1, r, 1/r), unchecked (_certify checks its bracket). With h0
+    spanning the fixed line (a line: alpha_profile found the eigenvalue 1
+    simple), ad h0 is diag(0, c, -c) in such a basis, so c = tr(ad h0 m)/(r - 1/r),
+    which puts e in the r-eigenspace; for r = -1, c = +sqrt(K(h0,h0)/2)."""
     h0 = kernel(m - MatrixQ.identity(3)).basis_rows[0]
     ad_h0 = ad_matrix(t, h0)
     c = (sqrt_fraction((ad_h0 * ad_h0).trace() / 2) if r == -1
@@ -323,39 +314,37 @@ def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
         raise Unmatched("the fixed line of the involution is not split over Q "
                         "(its adjoint eigenvalues are irrational), so no "
                         "canonical family matches")
-    return _triple_at(t, h0, c)
+    return _complete_triple(t, h0, c)
 
 
 def _unipotent_basis(t: StructureTensor, m: MatrixQ) -> MatrixQ:
     """Corrected Jordan basis of a full unipotent block m on the induced
-    bracket t. In the chain basis (N^2 v, N v, v) the bracket reads
-    [u1,u2] = x u1, [u1,u3] = -(x/2) u1 + x u2, [u2,u3] = y u1 + (x/2) u2
-    + x u3 with x != 0: a Lie bracket that the full block preserves and
-    that has [u1,u2] != 0 takes this shape, and one with [u1,u2] = 0 is
-    solvable. x and y are read off [u1,u2] and [u2,u3] - (x/2) u2 - x u3 at
-    a nonzero coordinate of u1, with no inversion of the chain. The
-    commutant correction g = s*I + u*N^2 fixes every polynomial in N and
-    moves (x, y) to (s*x, s*y - 2*x*u), which is (2, 1) of
-    unipotent_base_tensor for s = 2/x and u = (2y/x - 1)/(2x)."""
-    n = m - MatrixQ.identity(3)
-    n2 = n * n
-    seed = next(basis_vector(3, j) for j in range(3) if any(n2.column(j)))
-    u1, u2 = n2.apply(seed), n.apply(seed)
-    r = next(r for r, v in enumerate(u1) if v)
+    bracket t. In the chain basis (u1, u2, v) = (N^2 v, N v, v), N = m - I,
+    read off the integer view of N at the first basis vector v with
+    N^2 v != 0, the bracket reads [u1,u2] = x u1, [u1,v] = -(x/2) u1 + x u2,
+    [u2,v] = y u1 + (x/2) u2 + x v with x != 0: a Lie bracket that the full
+    block preserves and that has [u1,u2] != 0 takes this shape, and one with
+    [u1,u2] = 0 is solvable. x and y are read off [u1,u2] and [u2,v] at a
+    nonzero coordinate of u1. The commutant correction (2/x) I + s N^2,
+    s = (2y/x - 1)/(2x), moves (x, y) to the (2, 1) of unipotent_base_tensor:
+    the basis is ((2/x) u1, (2/x) u2, (2/x) v + s u1)."""
+    d, rows = (m - MatrixQ.identity(3)).scaled()
+    for j in range(3):
+        w2 = [row[j] for row in rows]                   # d N e_j
+        w1 = [sum(map(mul, row, w2)) for row in rows]   # d^2 N^2 e_j
+        if any(w1):
+            break
+    u1, u2, v = fractions_over(d * d, w1), fractions_over(d, w2), basis_vector(3, j)
+    r = next(r for r, x in enumerate(u1) if x)
     x = t.bracket(u1, u2)[r] / u1[r]
-    y = (t.bracket(u2, seed)[r] - x / 2 * u2[r] - x * seed[r]) / u1[r]
-    nc = unipotent_full() - MatrixQ.identity(3)   # N of the catalog block
-    g = MatrixQ.identity(3).scale(2 / x) + (nc * nc).scale((2 * y / x - 1) / (2 * x))
-    # the chain of a full block (alpha_profile has found N^2 != 0) is independent
-    return MatrixQ.from_columns([u1, u2, seed]) * g
+    y = (t.bracket(u2, v)[r] - x / 2 * u2[r] - x * v[r]) / u1[r]
+    k, s = 2 / x, (2 * y / x - 1) / (2 * x)
+    return MatrixQ.from_columns([vec_scale(k, u1), vec_scale(k, u2),
+                                 vec_add(vec_scale(k, v), vec_scale(s, u1))])
 
 
+# (h, e, f) -> (-h, f, e): an automorphism of sl2 and its own inverse
 _FLIP = MatrixQ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
-_CATALOG = {"L1": make_L1, "L2": make_L2, "L3": make_L3}
-
-
-def _l1_param_key(a: Fraction, b: Fraction):
-    return (abs(a), a, abs(b), b)
 
 
 def normalize_l1_params(a, b) -> tuple[Fraction, Fraction, bool]:
@@ -363,34 +352,37 @@ def normalize_l1_params(a, b) -> tuple[Fraction, Fraction, bool]:
     (h, e, f) -> (-h, f, e). Deterministic height rule: prefer the pair with
     larger |a|, then larger a, then larger |b|, then larger b. Returns
     (a, b, flipped)."""
-    a = as_fraction(a)
-    b = as_fraction(b)
-    alt = (1 / a, 1 / b)
-    if _l1_param_key(*alt) > _l1_param_key(a, b):
-        return alt[0], alt[1], True
+    a, b = as_fraction(a), as_fraction(b)
+    if (abs(1 / a), 1 / a, abs(1 / b), 1 / b) > (abs(a), a, abs(b), b):
+        return 1 / a, 1 / b, True
     return a, b, False
 
 
 def _certify(a: BiHomAlgebra, basis: MatrixQ, family: str) -> ClassLabel:
-    """The label of a in the candidate basis: one conjugation, the family
-    parameters read off the conjugated maps (entry (1, 1) of alpha and beta
-    for L1, normalized by the flip, and entry (0, 1) of beta for L3), and an
-    exact comparison of the whole 4-tuple with the catalog algebra."""
-    conj, params = conjugate_algebra(a, basis), ()
+    """The label of a in the candidate basis B. The parameters are read off
+    B^-1 alpha B and B^-1 beta B (entry (1, 1) of both for L1, normalized by
+    the flip, and entry (0, 1) of beta for L3); three exact checks prove the
+    label: B^-1 alpha B = alpha_cat, B^-1 beta B = beta_cat, and B is a
+    bracket homomorphism from the family's base onto the induced Lie algebra
+    g. As a is the twist of g by alpha and beta (induce_lie has verified g)
+    and the catalog algebra the twist of the base by alpha_cat and beta_cat,
+    B carries the one onto the other."""
+    inv, params, (g, _, _) = invert(basis), (), induce_lie(a)
+    alpha, beta = inv * a.alpha * basis, inv * a.beta * basis
     if family == "L1":
-        if conj.beta[1, 1] == 0:   # beta swaps the e- and f-lines
+        if beta[1, 1] == 0:   # beta swaps the e- and f-lines
             raise Unmatched(
                 "alpha is diagonalizable in an adapted sl2 basis but beta is not "
                 "diag(1, b, 1/b) there; no canonical family corresponds to this pair")
-        a_n, b_n, flipped = normalize_l1_params(conj.alpha[1, 1], conj.beta[1, 1])
+        a_n, b_n, flipped = normalize_l1_params(alpha[1, 1], beta[1, 1])
         if flipped:
-            basis, conj = basis * _FLIP, conjugate_algebra(conj, _FLIP)
+            basis, alpha, beta = basis * _FLIP, _FLIP * alpha * _FLIP, _FLIP * beta * _FLIP
         params = (a_n, b_n)
     elif family == "L3":
-        params = (conj.beta[0, 1],)
-    expected = _CATALOG[family](*params)
-    if conj.tensor != expected.tensor or conj.alpha != expected.alpha \
-            or conj.beta != expected.beta:
+        params = (beta[0, 1],)
+    base, alpha_cat, beta_cat = family_maps(family, *params)
+    if alpha != alpha_cat or beta != beta_cat \
+            or homomorphism_failure(basis, base, g) is not None:
         raise Unmatched(
             f"profiles matched family {family} but exact conjugation against "
             "the catalog algebra failed; the input is not isomorphic to "
@@ -402,10 +394,8 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
     """Decide which canonical family a 3-dimensional multiplicative simple
     BiHom-Lie algebra belongs to and produce the witnessing change of basis.
 
-    Only m, beta when alpha is the identity and alpha otherwise, is
-    profiled: the maps are commuting automorphisms of the induced sl2, so
-    m forces the shape of the other. An identity m leads to
-    find_sl2_triple and a diagonalizable one to the adapted triple, both
+    An identity m (beta when alpha is the identity, alpha otherwise) leads
+    to find_sl2_triple and a diagonalizable one to the adapted triple, both
     certified as L1(a,b); a full unipotent block leads to its corrected
     Jordan basis, certified as L2 when alpha is the identity and as L3(a)
     otherwise. A profile that no family realizes is reported Unmatched; a
@@ -436,9 +426,10 @@ def bihom_isomorphic3(a1: BiHomAlgebra, a2: BiHomAlgebra) -> MatrixQ | None:
     """Explicit isomorphism between two 3-dimensional simple algebras, or
     None when their labels differ. A returned f = B2 B1^-1 satisfies
     f o alpha1 = alpha2 o f, f o beta1 = beta2 o f and
-    f([x,y]_1) = [f(x), f(y)]_2 by construction: _certify has checked that
-    a_i in the basis B_i (the columns of its change of basis) is exactly the
-    same catalog algebra, and f maps the basis B1 onto the basis B2."""
+    f([x,y]_1) = [f(x), f(y)]_2 by construction: the three checks of
+    _certify (B_i conjugates both maps of a_i to the catalog maps and carries
+    the base's bracket onto the induced one, whose twist a_i is) prove that
+    a_i in the basis B_i is the same catalog algebra."""
     label1 = classify3(a1)
     label2 = classify3(a2)
     if label1.family != label2.family or label1.params != label2.params:

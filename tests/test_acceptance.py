@@ -41,6 +41,7 @@ from bihomlie.exactlin import MatrixQ, basis_vector, det
 from bihomlie.fileio import dumps_algebra, save
 from bihomlie.twist import TwistInput, induce_lie, roundtrip_check, yau_twist
 from conftest import random_fraction, random_invertible
+from test_classify3 import CONIC_BASIS, grid_oracle
 
 L1_PARAMS = [(Q(2), Q(3)), (Q(-3), Q(1, 2)), (Q(5, 7), Q(-7, 5)), (Q(1), Q(1))]
 
@@ -197,7 +198,28 @@ def test_criterion_7_type_enumeration():
     print("ACCEPTANCE 7: PASS - type enumeration matches at dimensions 3, 6 and 14")
 
 
-def test_criterion_8_classifier_soundness():
+def _classifier_path_conjugates(rng):
+    """(path, input, family, params) for seeded dense conjugates on every
+    path of classify3: L1 generic given by its normalized parameters and by
+    their inverses, L1(1,b), L1(-1,b) with b on both sides of the flip,
+    L1(1,1) through the grid of find_sl2_triple and through the conic, L2
+    and L3."""
+    cases = [("L1 generic", make_L1(2, 3), "L1", (2, 3)),
+             ("L1 generic, inverse parameters", make_L1(Q(1, 2), Q(1, 3)), "L1", (2, 3)),
+             ("L1 generic, inverse parameters", make_L1(Q(-1, 3), Q(5, 7)), "L1", (-3, Q(7, 5))),
+             ("L1(1,b)", make_L1(1, Q(2, 5)), "L1", (1, Q(5, 2))),
+             ("L1(-1,b)", make_L1(-1, 3), "L1", (-1, 3)),
+             ("L1(-1,b)", make_L1(-1, Q(1, 3)), "L1", (-1, 3)),
+             ("L1(-1,b)", make_L1(-1, Q(-2, 5)), "L1", (-1, Q(-5, 2))),
+             ("L1(1,1) grid", make_L1(1, 1), "L1", (1, 1)),
+             ("L2", make_L2(), "L2", ()),
+             ("L3", make_L3(Q(-2, 3)), "L3", (Q(-2, 3),))]
+    out = [(path, conjugate_algebra(a, random_invertible(3, rng)), family, params)
+           for _ in range(3) for path, a, family, params in cases]
+    return out + [("L1(1,1) conic", conjugate_algebra(make_L1(1, 1), CONIC_BASIS), "L1", (1, 1))]
+
+
+def test_criterion_8_classifier_soundness(monkeypatch):
     expectations = [
         (make_L1(2, 3), "L1", (Q(2), Q(3))),
         (make_L1(-3, Q(1, 2)), "L1", (Q(-3), Q(1, 2))),
@@ -207,23 +229,35 @@ def test_criterion_8_classifier_soundness():
     catalogs = {"L1": lambda p: make_L1(*p), "L2": lambda p: make_L2(),
                 "L3": lambda p: make_L3(*p)}
     rng = random.Random(77)
+    cases = []
     for algebra, family, params in expectations:
+        cases.append(("catalog", algebra, family, params))
+        cases += [("conjugate", conjugate_algebra(algebra, random_invertible(3, rng)),
+                   family, params) for _ in range(10)]
+    cases += _classifier_path_conjugates(random.Random(78))
+    # the oracle: conjugating the whole 4-tuple into the label's basis gives
+    # the catalog algebra of the label exactly
+    classify3_module, flips = sys.modules["bihomlie.classify3"], []
+    normalize = classify3_module.normalize_l1_params
+
+    def recorded(a, b):
+        out = normalize(a, b)
+        flips.append(out[2])
+        return out
+    monkeypatch.setattr(classify3_module, "normalize_l1_params", recorded)
+    for path, algebra, family, params in cases:
+        if path.startswith("L1(1,1)"):
+            grid_hit = grid_oracle(induce_lie(algebra)[0]) is not None
+            assert grid_hit == path.endswith("grid"), path
         label = classify3(algebra)
-        assert (label.family, label.params) == (family, params)
+        assert (label.family, label.params) == (family, params), path
         reference = catalogs[family](params)
-        conj = conjugate_algebra(algebra, label.change_of_basis)
-        assert (conj.tensor, conj.alpha, conj.beta) == \
-            (reference.tensor, reference.alpha, reference.beta)
-        for _ in range(10):
-            p = random_invertible(3, rng)
-            moved = conjugate_algebra(algebra, p)
-            moved_label = classify3(moved)
-            assert (moved_label.family, moved_label.params) == (family, params)
-            back = conjugate_algebra(moved, moved_label.change_of_basis)
-            assert (back.tensor, back.alpha, back.beta) == \
-                (reference.tensor, reference.alpha, reference.beta)
-    print("ACCEPTANCE 8: PASS - classifier self-certifies on catalog instances "
-          "and is stable under 10 random conjugations each")
+        back = conjugate_algebra(algebra, label.change_of_basis)
+        assert (back.tensor, back.alpha, back.beta) == \
+            (reference.tensor, reference.alpha, reference.beta), path
+    assert True in flips and False in flips   # both sides of the flip ran
+    print("ACCEPTANCE 8: PASS - classifier self-certifies on catalog instances, "
+          "10 random conjugations each and dense conjugates of every classifier path")
 
 
 def test_criterion_9_isomorphism_criterion():

@@ -9,6 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
+import bihomlie.algebra as algebra_module
 from bihomlie import exactlin
 from bihomlie.algebra import (
     BiHomAlgebra,
@@ -846,6 +847,97 @@ def test_each_label_inverts_no_matrix_twice(monkeypatch):
             assert len(calls) == 3, (label.family, label.params)
     assert True in flips and False in flips   # both sides of the flip ran
     assert {"L1", "L2", "L3"} <= set(families)
+
+
+# --- the three checks of the certificate ---------------------------------------
+# _certify proves a label by B^-1 alpha B = alpha_cat, B^-1 beta B = beta_cat
+# and B being a bracket homomorphism from the family's base onto the induced
+# algebra. A basis scaled by 2 keeps both conjugated maps and breaks the
+# bracket, so only the third check can reject it.
+
+def _scaled_triple(find):
+    def scaled(*args):
+        return Sl2Triple(*(vec_scale(2, v) for v in find(*args)))
+    return scaled
+
+
+def test_certificate_rejects_a_scaled_basis(monkeypatch):
+    classify3_module = sys.modules["bihomlie.classify3"]
+    unipotent_basis, rng = classify3_module._unipotent_basis, random.Random(2701)
+    stubs = {
+        "_adapted_triple": (_scaled_triple(classify3_module._adapted_triple),
+                            [make_L1(2, 3), make_L1(-1, 3), make_L1(1, Q(2, 5))]),
+        "_unipotent_basis": (lambda *args: unipotent_basis(*args).scale(2),
+                             [make_L2(), make_L3(Q(-2, 3))]),
+        "find_sl2_triple": (_scaled_triple(classify3_module.find_sl2_triple),
+                            [make_L1(1, 1)]),
+    }
+    for name, (stub, algebras) in stubs.items():
+        inputs = [conjugate_algebra(a, random_invertible(3, rng)) for a in algebras]
+        if name == "find_sl2_triple":
+            inputs.append(conjugate_algebra(make_L1(1, 1), CONIC_BASIS))
+        for a in inputs:   # unpatched, each input is certified
+            classify3(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(classify3_module, name, stub)
+            for a in inputs:
+                with pytest.raises(Unmatched, match="exact conjugation against the "
+                                   "catalog algebra failed"):
+                    classify3(a)
+
+
+def test_flip_is_an_involutive_automorphism_of_sl2():
+    flip = sys.modules["bihomlie.classify3"]._FLIP
+    assert homomorphism_failure(flip, make_sl2()) is None
+    assert flip * flip == MatrixQ.identity(3)
+
+
+def test_certify_conjugates_no_tensor(monkeypatch):
+    """One classify3 call runs transform_tensor once, for the induced tensor
+    and outside _certify, and homomorphism_failure once on the label's basis
+    (twice on the identity path, whose triple find_sl2_triple has already
+    checked), in every module that binds them."""
+    classify3_module = sys.modules["bihomlie.classify3"]
+    transform, certify = algebra_module.transform_tensor, classify3_module._certify
+    failure = classify3_module.homomorphism_failure
+    tensors, checks, inside = [], [], []
+
+    def counted_transform(t, *maps):
+        tensors.append(t)
+        return transform(t, *maps)
+
+    def counted_failure(m, *tensors_):
+        checks.append(m)
+        return failure(m, *tensors_)
+
+    def watched(*args):
+        before = len(tensors)
+        out = certify(*args)
+        inside.append(len(tensors) - before)
+        return out
+
+    rng = random.Random(2702)
+    unipotent_base_tensor()
+    cases = [(path, conjugate_algebra(algebra, random_invertible(3, rng)))
+             for path, algebra in [("adapted", make_L1(2, 3)), ("adapted", make_L1(-1, Q(1, 3))),
+                                   ("adapted", make_L1(-1, 3)), ("adapted", make_L1(1, Q(2, 5))),
+                                   ("identity", make_L1(1, 1)), ("L2", make_L2()),
+                                   ("L3", make_L3(Q(-2, 3)))]]
+    cases.append(("identity", conjugate_algebra(make_L1(1, 1), CONIC_BASIS)))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bihomlie") and getattr(module, "transform_tensor", None) is transform:
+            monkeypatch.setattr(module, "transform_tensor", counted_transform)
+    monkeypatch.setattr(classify3_module, "homomorphism_failure", counted_failure)
+    monkeypatch.setattr(classify3_module, "_certify", watched)
+    for path, a in cases:
+        tensors.clear()
+        checks.clear()
+        inside.clear()
+        label = classify3(a)
+        assert len(tensors) == 1 and tensors[0] is a.tensor, path
+        assert inside == [0], path
+        assert all(m == label.change_of_basis for m in checks), path
+        assert len(checks) == 1 or (path == "identity" and len(checks) == 2), path
 
 
 # --- one profile per label ------------------------------------------------------
