@@ -43,13 +43,13 @@ from .catalog import (
     make_sl2,
     sl2_bihom,
 )
+# not the function classify3, so that bihomlie.classify3 stays the module
 from .classify3 import (
     ClassLabel,
     Profile,
     Sl2Triple,
     alpha_profile,
     bihom_isomorphic3,
-    classify3,
     find_sl2_triple,
     normalize_l1_params,
 )

@@ -4,10 +4,11 @@ of 3-dimensional multiplicative simple BiHom-Lie algebras, plus block
 direct sums used as test fixtures.
 
 A regular algebra is the twist [x, y] = [alpha x, beta y]' of its induced
-Lie algebra, and each family is built that way: transform_tensor applied to
-sl2, or to sl2 in the basis adapted to the unipotent maps, with the
-family's pair of commuting automorphisms (family_maps, which classify3's
-certificate reads too). make_sl2's table is the only bracket table here.
+Lie algebra, and each family is built that way: yau_twist, which checks
+that the maps commute and preserve the bracket, applied to sl2, or to sl2
+in the basis adapted to the unipotent maps, with the family's pair of
+commuting automorphisms (family_maps, which classify3's certificate reads
+too). make_sl2's table is the only bracket table here.
 The paper's tables, with the two L3 entries that the commonly transcribed
 grid gets wrong (ERRATA.md), are the oracle of tests/test_catalog.py.
 """
@@ -17,9 +18,10 @@ from __future__ import annotations
 import functools
 import math
 
-from .algebra import BiHomAlgebra, StructureTensor, conjugate_tensor, transform_tensor
+from .algebra import BiHomAlgebra, StructureTensor, conjugate_tensor
 from .errors import DimensionMismatch, ZeroParameter
 from .exactlin import MatrixQ, Q, as_fraction
+from .twist import TwistInput, yau_twist
 
 
 @functools.cache
@@ -72,12 +74,6 @@ def family_maps(family: str, *params) -> tuple[StructureTensor, MatrixQ, MatrixQ
     return unipotent_base_tensor(), unipotent_full(), unipotent_beta(*params)
 
 
-def _twist(family: str, *params) -> BiHomAlgebra:
-    """The family's base twisted by its maps, which are not checked."""
-    base, alpha, beta = family_maps(family, *params)
-    return BiHomAlgebra(dim=3, tensor=transform_tensor(base, alpha, beta), alpha=alpha, beta=beta)
-
-
 def make_L1(a, b) -> BiHomAlgebra:
     """Diagonal family: sl2 in the basis (e1, e2, e3) = (h, e, f) twisted by
     alpha = diag(1, a, 1/a) and beta = diag(1, b, 1/b).
@@ -88,13 +84,13 @@ def make_L1(a, b) -> BiHomAlgebra:
     a, b = as_fraction(a), as_fraction(b)
     if a == 0 or b == 0:
         raise ZeroParameter("the L1 parameters must be nonzero")
-    return _twist("L1", a, b)
+    return yau_twist(TwistInput(*family_maps("L1", a, b)))
 
 
 def make_L2() -> BiHomAlgebra:
     """Unipotent family: the unipotent base twisted by the identity alpha and
     the full-Jordan-block beta."""
-    return _twist("L2")
+    return yau_twist(TwistInput(*family_maps("L2")))
 
 
 def make_L3(a) -> BiHomAlgebra:
@@ -105,7 +101,7 @@ def make_L3(a) -> BiHomAlgebra:
     [e3,e3] and fails the multiplicativity axiom for generic a (ERRATA.md
     records both versions with a failing witness).
     """
-    return _twist("L3", a)
+    return yau_twist(TwistInput(*family_maps("L3", a)))
 
 
 def printed_L3_tensor(a) -> StructureTensor:

@@ -14,13 +14,14 @@ alpha_cat and beta_cat, and B intertwines both maps and both brackets.
 Strategy: the induced Lie algebra of a simple input is a split form of sl2,
 and both structure maps are commuting automorphisms of it. An automorphism
 is either diagonalizable with eigenvalues (1, a, 1/a) or a single full
-unipotent Jordan block, and once one map is not the identity it forces the
-shape of the other. So only m, beta when alpha is the identity and alpha
-otherwise, is profiled, and the classifier builds an sl2 basis adapted to
-m: when m is diagonalizable its fixed line gives h up to the scalar c of
-its adjoint eigenvalues, and _complete_triple completes (h, e, f), as it
-does for find_sl2_triple; a unipotent m takes a Jordan chain scaled in
-closed form by two entries of the induced bracket.
+unipotent Jordan block, so alpha_profile reads its shape off its trace, and
+once one map is not the identity it forces the shape of the other. So only
+m, beta when alpha is the identity and alpha otherwise, is profiled, and
+the classifier builds an sl2 basis adapted to m: when m is diagonalizable
+its fixed line gives h up to the scalar c of its adjoint eigenvalues, and
+_complete_triple completes (h, e, f), as it does for find_sl2_triple; a
+unipotent m takes a Jordan chain scaled in closed form by two entries of
+the induced bracket.
 
 With both maps the identity nothing singles out a basis: find_sl2_triple
 decides exactly from the Killing form whether the induced algebra is split
@@ -52,6 +53,7 @@ from .exactlin import (
     PRIME_PROOF_BOUND,
     RHO_ITERATIONS,
     MatrixQ,
+    PolyQ,
     Q,
     Vector,
     as_fraction,
@@ -61,7 +63,6 @@ from .exactlin import (
     fractions_over,
     invert,
     kernel,
-    rational_roots,
     sqrt_fraction,
     sqrt_mod_prime,
     vec_add,
@@ -82,11 +83,10 @@ class Sl2Triple(NamedTuple):
 
 
 class Profile(NamedTuple):
-    """Canonical shape of a candidate sl2-automorphism.
+    """Canonical shape of an sl2-automorphism.
 
-    kind is one of DiagonalDistinct, Identity, UnipotentFull,
-    UnipotentPartial, DiagNegPair, NegJordan; param carries the eigenvalue a
-    for the diagonalizable kinds.
+    kind is one of DiagonalDistinct, Identity, UnipotentFull, DiagNegPair;
+    param carries the eigenvalue a for the diagonalizable kinds.
     """
 
     kind: str
@@ -268,44 +268,40 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
 
 def alpha_profile(m: MatrixQ) -> Profile:
     """Canonical-shape profile of a 3x3 map expected to be an automorphism
-    of sl2 (eigenvalue multiset {1, a, 1/a})."""
+    of sl2, read off its trace. Such a map has eigenvalues (1, a, 1/a), so
+    its characteristic polynomial is (x - 1)(x^2 - t x + 1) with
+    t = tr m - 1 = a + 1/a; it is diagonalizable, or for t = 2 one full
+    unipotent block, and a = (t +- sqrt(t^2 - 4))/2."""
     if not (m.is_square and m.rows == 3):
         raise DimensionMismatch("profile is defined for 3x3 matrices")
-    roots, residual = rational_roots(char_poly(m))
-    if not residual.is_constant():
-        raise IrrationalEigenvalues(
-            f"eigenvalues are irrational (residual factor of degree {residual.degree})")
-    eigen = sorted(value for value, mult in roots for _ in range(mult))
-    identity = MatrixQ.identity(3)
-    if eigen == [1, 1, 1]:
-        if m == identity:
-            return Profile("Identity")
-        n = m - identity
-        if not (n * n).is_zero():
-            return Profile("UnipotentFull")
-        return Profile("UnipotentPartial")
-    if eigen == [-1, -1, 1]:
-        if kernel(m + identity).dim == 2:
-            return Profile("DiagNegPair", Q(-1))
-        return Profile("NegJordan")
-    if Q(1) not in eigen:
-        raise NotAutomorphismShape(f"eigenvalue multiset {eigen} does not contain 1")
-    pair = list(eigen)
-    pair.remove(Q(1))
-    a, b = pair
-    if a * b != 1:
-        raise NotAutomorphismShape(f"eigenvalue multiset {eigen} is not of the "
-                                   "form {1, a, 1/a}")
-    chosen = max(pair, key=lambda r: (abs(r), r))
-    return Profile("DiagonalDistinct", chosen)
+    trace = m.trace()
+    if char_poly(m) != PolyQ((-1, trace, -trace, 1)):
+        raise NotAutomorphismShape("characteristic polynomial is not (x - 1)(x^2 - t x + 1) "
+                                   "for t = tr m - 1: the eigenvalues are not {1, a, 1/a}")
+    t, identity = trace - 1, MatrixQ.identity(3)
+    if m == identity:
+        return Profile("Identity")
+    if t == 2 and not ((m - identity) * (m - identity)).is_zero():
+        return Profile("UnipotentFull")
+    if t == -2 and ((m + identity) * (m - identity)).is_zero():
+        return Profile("DiagNegPair", Q(-1))
+    if t in (2, -2):
+        raise NotAutomorphismShape(f"the double eigenvalue {t / 2} has a Jordan block "
+                                   "that no automorphism of sl2 has")
+    root = sqrt_fraction(t * t - 4)
+    if root is None:
+        raise IrrationalEigenvalues("eigenvalues are irrational (residual factor of degree 2)")
+    return Profile("DiagonalDistinct", max((t + root) / 2, (t - root) / 2,
+                                           key=lambda r: (abs(r), r)))
 
 
 def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
     """sl2 triple in which an automorphism with eigenvalues (1, r, 1/r), r != 1,
     becomes diag(1, r, 1/r), unchecked (_certify checks its bracket). With h0
-    spanning the fixed line (a line: alpha_profile found the eigenvalue 1
-    simple), ad h0 is diag(0, c, -c) in such a basis, so c = tr(ad h0 m)/(r - 1/r),
-    which puts e in the r-eigenspace; for r = -1, c = +sqrt(K(h0,h0)/2)."""
+    spanning the fixed line (a line: the eigenvalue 1 is simple, as
+    r + 1/r != 2), ad h0 is diag(0, c, -c) in such a basis, so
+    c = tr(ad h0 m)/(r - 1/r), which puts e in the r-eigenspace; for r = -1,
+    c = +sqrt(K(h0,h0)/2)."""
     h0 = kernel(m - MatrixQ.identity(3)).basis_rows[0]
     ad_h0 = ad_matrix(t, h0)
     c = (sqrt_fraction((ad_h0 * ad_h0).trace() / 2) if r == -1
@@ -398,7 +394,8 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
     to find_sl2_triple and a diagonalizable one to the adapted triple, both
     certified as L1(a,b); a full unipotent block leads to its corrected
     Jordan basis, certified as L2 when alpha is the identity and as L3(a)
-    otherwise. A profile that no family realizes is reported Unmatched; a
+    otherwise. Every profile kind has its family; an input that the adapted
+    triple or the certificate does not match is reported Unmatched, and a
     fourth family is never invented.
     """
     if a.dim != 3:
@@ -413,13 +410,7 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
         return _certify(a, find_sl2_triple(induced).basis_matrix(), "L1")
     if profile.kind in ("DiagonalDistinct", "DiagNegPair"):
         return _certify(a, _adapted_triple(induced, m, profile.param).basis_matrix(), "L1")
-    if profile.kind == "UnipotentFull":
-        return _certify(a, _unipotent_basis(induced, m), "L2" if identity_alpha else "L3")
-    if identity_alpha:
-        raise Unmatched(f"identity alpha with beta profile {profile.kind} "
-                        "corresponds to no canonical family")
-    raise Unmatched(f"alpha profile {profile.kind} is not realized by any "
-                    "simple family (such brackets are never simple)")
+    return _certify(a, _unipotent_basis(induced, m), "L2" if identity_alpha else "L3")
 
 
 def bihom_isomorphic3(a1: BiHomAlgebra, a2: BiHomAlgebra) -> MatrixQ | None:

@@ -29,7 +29,7 @@ from bihomlie.catalog import (
     unipotent_beta,
     unipotent_full,
 )
-from bihomlie.errors import DimensionMismatch, ZeroParameter
+from bihomlie.errors import DimensionMismatch, NotAutomorphism, ZeroParameter
 from bihomlie.exactlin import MatrixQ, det, zero_vector
 from conftest import random_invertible
 
@@ -129,6 +129,30 @@ def test_l1_zero_parameter():
         make_L1(0, 1)
     with pytest.raises(ZeroParameter):
         make_L1(2, 0)
+
+
+def test_families_come_out_of_the_checked_twist(monkeypatch):
+    """make_L1, make_L2 and make_L3 return what yau_twist makes of
+    family_maps, so a map that broke the base's bracket would raise."""
+    import bihomlie.catalog as catalog
+    made, twist = [], catalog.yau_twist
+
+    def recorded(tw):
+        made.append(twist(tw))
+        return made[-1]
+    monkeypatch.setattr(catalog, "yau_twist", recorded)
+    for build, family, params in ((make_L1, "L1", (Q(2), Q(3))), (make_L2, "L2", ()),
+                                  (make_L3, "L3", (Q(-2, 3),))):
+        a = build(*params)
+        assert a is made[-1]
+        assert (a.alpha, a.beta) == catalog.family_maps(family, *params)[1:]
+    assert len(made) == 3
+    monkeypatch.setattr(catalog, "family_maps", lambda family, *params: (
+        make_sl2(), MatrixQ.diagonal([1, 2, 3]), MatrixQ.identity(3)))
+    with pytest.raises(NotAutomorphism, match="alpha does not preserve the bracket"):
+        make_L1(2, 3)
+    with pytest.raises(ZeroParameter):   # checked before the maps are built
+        make_L1(0, 3)
 
 
 def test_l2_table_entry_and_axioms():

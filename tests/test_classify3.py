@@ -10,6 +10,7 @@ from itertools import combinations, product
 import pytest
 
 import bihomlie.algebra as algebra_module
+import bihomlie.classify3 as classify3_module
 from bihomlie import exactlin
 from bihomlie.algebra import (
     BiHomAlgebra,
@@ -115,14 +116,20 @@ def test_find_triple_not_semisimple():
         find_sl2_triple(StructureTensor.zero(3))
 
 
+# the two Jordan shapes at a double eigenvalue +-1 that no automorphism of sl2 has
+UNIPOTENT_PARTIAL = MatrixQ([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+NEG_JORDAN = MatrixQ([[1, 0, 0], [0, -1, 1], [0, 0, -1]])
+
+
 def test_alpha_profile_kinds():
     assert alpha_profile(MatrixQ.diagonal([1, 2, Q(1, 2)])).kind == "DiagonalDistinct"
     assert alpha_profile(MatrixQ.diagonal([1, 2, Q(1, 2)])).param == 2
     assert alpha_profile(MatrixQ.identity(3)).kind == "Identity"
     assert alpha_profile(unipotent_full()).kind == "UnipotentFull"
-    assert alpha_profile(MatrixQ([[1, 0, 0], [0, 1, 1], [0, 0, 1]])).kind == "UnipotentPartial"
     assert alpha_profile(MatrixQ.diagonal([1, -1, -1])).kind == "DiagNegPair"
-    assert alpha_profile(MatrixQ([[1, 0, 0], [0, -1, 1], [0, 0, -1]])).kind == "NegJordan"
+    for m in (UNIPOTENT_PARTIAL, NEG_JORDAN):
+        with pytest.raises(NotAutomorphismShape, match="Jordan block"):
+            alpha_profile(m)
 
 
 def test_alpha_profile_prefers_larger_eigenvalue():
@@ -817,7 +824,6 @@ def test_each_label_inverts_no_matrix_twice(monkeypatch):
     matrices, alpha and beta for the induced bracket and the candidate basis
     for _certify: _unipotent_basis reads its two parameters off brackets in
     the input basis and no longer inverts the Jordan chain as a fourth."""
-    classify3_module = sys.modules["bihomlie.classify3"]
     calls, flips, families = [], [], []
     original, normalize = exactlin.invert, classify3_module.normalize_l1_params
 
@@ -862,7 +868,6 @@ def _scaled_triple(find):
 
 
 def test_certificate_rejects_a_scaled_basis(monkeypatch):
-    classify3_module = sys.modules["bihomlie.classify3"]
     unipotent_basis, rng = classify3_module._unipotent_basis, random.Random(2701)
     stubs = {
         "_adapted_triple": (_scaled_triple(classify3_module._adapted_triple),
@@ -887,7 +892,7 @@ def test_certificate_rejects_a_scaled_basis(monkeypatch):
 
 
 def test_flip_is_an_involutive_automorphism_of_sl2():
-    flip = sys.modules["bihomlie.classify3"]._FLIP
+    flip = classify3_module._FLIP
     assert homomorphism_failure(flip, make_sl2()) is None
     assert flip * flip == MatrixQ.identity(3)
 
@@ -897,7 +902,6 @@ def test_certify_conjugates_no_tensor(monkeypatch):
     and outside _certify, and homomorphism_failure once on the label's basis
     (twice on the identity path, whose triple find_sl2_triple has already
     checked), in every module that binds them."""
-    classify3_module = sys.modules["bihomlie.classify3"]
     transform, certify = algebra_module.transform_tensor, classify3_module._certify
     failure = classify3_module.homomorphism_failure
     tensors, checks, inside = [], [], []
@@ -964,7 +968,6 @@ def _one_map_cases(rng):
 
 
 def test_classify3_profiles_one_map(monkeypatch):
-    classify3_module = sys.modules["bihomlie.classify3"]
     calls = []
 
     def counted(m):
@@ -1003,12 +1006,186 @@ def test_dropped_profile_is_forced():
     assert seen == {"Identity", "DiagonalDistinct", "UnipotentFull"}
 
 
-def test_unrealized_profile_is_unmatched(monkeypatch):
-    """A profile that no family realizes names the map it was read from;
-    automorphisms of sl2 never have one, so the profile is stubbed."""
-    monkeypatch.setattr(sys.modules["bihomlie.classify3"], "alpha_profile",
-                        lambda m: Profile("NegJordan"))
-    with pytest.raises(Unmatched, match="^alpha profile NegJordan is not realized"):
-        classify3(make_L3(2))
-    with pytest.raises(Unmatched, match="^identity alpha with beta profile NegJordan"):
-        classify3(make_L2())
+# --- the trace rule against the root-based profile ------------------------------
+# alpha_profile reads the shape of an automorphism off its trace. Its former
+# body, which found the rational roots of the characteristic polynomial,
+# is kept here as the reference oracle; no code in src/ uses it.
+
+def root_profile(m):
+    """The former alpha_profile: the rational roots of char_poly(m) by
+    exactlin.rational_roots, then the Jordan shape at a repeated eigenvalue.
+    It names two shapes that no automorphism of sl2 has, UnipotentPartial
+    and NegJordan, which the trace rule rejects."""
+    roots, residual = exactlin.rational_roots(char_poly(m))
+    if not residual.is_constant():
+        raise IrrationalEigenvalues(
+            f"eigenvalues are irrational (residual factor of degree {residual.degree})")
+    eigen = sorted(value for value, mult in roots for _ in range(mult))
+    identity = MatrixQ.identity(3)
+    if eigen == [1, 1, 1]:
+        if m == identity:
+            return Profile("Identity")
+        n = m - identity
+        if not (n * n).is_zero():
+            return Profile("UnipotentFull")
+        return Profile("UnipotentPartial")
+    if eigen == [-1, -1, 1]:
+        if kernel(m + identity).dim == 2:
+            return Profile("DiagNegPair", Q(-1))
+        return Profile("NegJordan")
+    if Q(1) not in eigen:
+        raise NotAutomorphismShape(f"eigenvalue multiset {eigen} does not contain 1")
+    pair = list(eigen)
+    pair.remove(Q(1))
+    a, b = pair
+    if a * b != 1:
+        raise NotAutomorphismShape(f"eigenvalue multiset {eigen} is not of the "
+                                   "form {1, a, 1/a}")
+    return Profile("DiagonalDistinct", max(pair, key=lambda r: (abs(r), r)))
+
+
+def _outcome(profile, m):
+    """(kind, param) of the profile, or (type of the error raised, its text
+    for an IrrationalEigenvalues)."""
+    try:
+        return tuple(profile(m))
+    except IrrationalEigenvalues as exc:
+        return IrrationalEigenvalues, str(exc)
+    except NotAutomorphismShape:
+        return NotAutomorphismShape, None
+
+
+def _seeded_adjoints(rng):
+    """(shape of g, basis P, Ad(g) in the basis P) for seeded invertible 2x2
+    g: diagonal, unipotent, with an irrational eigenvalue ratio, with
+    ratio -1 (trace 0), with small random entries, and at a 20-digit-prime
+    height. Ad(g) in the basis P is an automorphism of sl2 in that basis."""
+    q = next(n for n in itertools.count(10**19 + 1) if is_prime(n))
+
+    def small():
+        return rng.choice([x for x in range(-9, 10) if x])
+
+    def irrational(height):
+        while True:
+            d, s = rng.choice((1, -1)) * height, small()
+            if sqrt_fraction(Q(s * s - 4 * d)) is None:
+                return [[0, 1], [-d, s]]
+
+    def zero_trace():
+        while True:
+            x, y, z = small(), small(), rng.randint(-9, 9)
+            if x * x + y * z:
+                return [[x, y], [z, -x]]
+
+    def general():
+        while True:
+            g = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
+            if g[0][0] * g[1][1] != g[0][1] * g[1][0]:
+                return g
+
+    shapes = ([("diagonal", lambda: [[small(), 0], [0, small()]])] * 60
+              + [("unipotent", lambda: [[1, small()], [0, 1]])] * 30
+              + [("irrational", lambda: irrational(small()))] * 30
+              + [("ratio -1", zero_trace)] * 30
+              + [("general", general)] * 30
+              + [("prime height", lambda: [[q * rng.choice((1, -1)), 0], [0, small()]])] * 10
+              + [("prime height", lambda: irrational(q))] * 10
+              + [("prime height", lambda: [[small(), q], [0, small()]])] * 10)
+    out = []
+    for shape, make in shapes:
+        basis = random_invertible(3, rng)
+        out.append((shape, basis, invert(basis) * _adjoint(make()) * basis))
+    return out
+
+
+def test_trace_rule_matches_root_profile_on_automorphisms():
+    """On seeded automorphisms Ad(g) under random bases the trace rule gives
+    the kind and parameter of the root-based profile, or the same error:
+    IrrationalEigenvalues with the same text."""
+    cases = _seeded_adjoints(random.Random(2801))
+    assert len(cases) >= 200
+    kinds = set()
+    for shape, basis, m in cases:
+        assert homomorphism_failure(m, conjugate_tensor(make_sl2(), basis)) is None, shape
+        expected = _outcome(root_profile, m)
+        assert _outcome(alpha_profile, m) == expected, (shape, m)
+        kinds.add(expected[0])
+    assert kinds == {"Identity", "DiagonalDistinct", "UnipotentFull", "DiagNegPair",
+                     IrrationalEigenvalues}
+
+
+def test_trace_rule_rejects_what_no_automorphism_is():
+    """On maps that are no automorphism the trace rule raises
+    NotAutomorphismShape wherever the root-based profile named a shape that
+    no automorphism has, or raised NotAutomorphismShape; it may raise it
+    where the roots were irrational; elsewhere the two agree."""
+    rng = random.Random(2802)
+
+    def conjugate(m):
+        basis = random_invertible(3, rng)
+        return invert(basis) * m * basis
+
+    def small():
+        return Q(rng.randint(-6, 6), rng.randint(1, 3))
+
+    matrices = ([conjugate(m) for m in (UNIPOTENT_PARTIAL, NEG_JORDAN) for _ in range(25)]
+                + [conjugate(MatrixQ.diagonal([1, small(), small()])) for _ in range(40)]
+                + [MatrixQ([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+                   for _ in range(40)])
+    seen = set()
+    rejected = (NotAutomorphismShape, None)
+    for m in matrices:
+        expected, got = _outcome(root_profile, m), _outcome(alpha_profile, m)
+        seen.add(expected[0])
+        if expected[0] in ("UnipotentPartial", "NegJordan", NotAutomorphismShape):
+            assert got == rejected, m
+        elif expected[0] is IrrationalEigenvalues:
+            assert got in (expected, rejected), m
+        else:
+            assert got == expected, m
+    assert {"UnipotentPartial", "NegJordan", NotAutomorphismShape,
+            IrrationalEigenvalues} <= seen
+
+
+def test_classify3_and_iso3_find_no_roots(monkeypatch):
+    """No classify3 or iso3 call runs exactlin.rational_roots, in any module
+    that binds it, on every path: the identity pair by the grid and by the
+    conic, DiagonalDistinct, DiagNegPair, L2, L3 and the rotation."""
+    calls, roots = [], exactlin.rational_roots
+    rng = random.Random(2803)
+
+    def conj(a):
+        return conjugate_algebra(a, random_invertible(3, rng))
+
+    def counted(p):
+        calls.append(p)
+        return roots(p)
+
+    grid, conic = conj(make_L1(1, 1)), conjugate_algebra(make_L1(1, 1), CONIC_BASIS)
+    assert grid_oracle(induce_lie(grid)[0]) is not None
+    assert grid_oracle(induce_lie(conic)[0]) is None
+    cases = [("Identity", grid, make_L1(1, 1)), ("Identity", conic, make_L1(1, 1)),
+             ("DiagonalDistinct", conj(make_L1(2, 3)), make_L1(Q(1, 2), Q(1, 3))),
+             ("DiagNegPair", conj(make_L1(-1, 3)), make_L1(-1, 3)),
+             ("UnipotentFull", conj(make_L2()), make_L2()),
+             ("UnipotentFull", conj(make_L3(Q(-2, 3))), make_L3(Q(-2, 3)))]
+    rotation = conj(yau_twist(TwistInput(make_sl2(), ROTATION, MatrixQ.identity(3))))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bihomlie") and getattr(module, "rational_roots", None) is roots:
+            monkeypatch.setattr(module, "rational_roots", counted)
+    for kind, a, other in cases:
+        m = a.beta if a.alpha == MatrixQ.identity(3) else a.alpha
+        assert alpha_profile(m).kind == kind
+        classify3(a)
+        assert bihom_isomorphic3(a, conj(other)) is not None, kind
+    for call in (lambda: classify3(rotation), lambda: bihom_isomorphic3(rotation, grid)):
+        with pytest.raises(IrrationalEigenvalues):
+            call()
+    assert calls == []
+
+
+def test_package_attribute_classify3_is_the_module():
+    import bihomlie
+    import bihomlie.classify3 as module
+    assert module is sys.modules["bihomlie.classify3"] is bihomlie.classify3
+    assert module.classify3 is classify3

@@ -30,7 +30,7 @@ from bihomlie.fileio import dumps_algebra, matrix_strings
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
 from conftest import random_invertible
 from test_analysis import abelian_bihom, block_diagonal, block_permutation, sqrt2_double_sl2
-from test_classify3 import CONIC_BASIS, SO3
+from test_classify3 import CONIC_BASIS, ROTATION, SO3
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 PARTS = (lambda: make_L1(2, 3), lambda: make_L3(5), make_L2)
@@ -78,6 +78,7 @@ def inputs():
             [random_invertible(3, random.Random(1700 + k)) for k in range(3)])),
         **classify3_inputs(random.Random(1500)),
         **roundtrip_inputs(random.Random(1600)),
+        **failing_inputs(random.Random(1800)),
     }
 
 
@@ -139,6 +140,32 @@ def classify3_inputs(rng):
     return out
 
 
+def failing_inputs(rng):
+    """Inputs that classify3 or twist rejects: the sl2 twist by ROTATION
+    (irrational eigenvalues), the Heisenberg algebra (not simple), and a
+    Lie bracket file with its twist maps (alpha and beta) for each check of
+    yau_twist: a bracket that is not skew, maps that do not commute, a
+    singular map and a map that does not preserve the bracket."""
+    identity3, sl2 = MatrixQ.identity(3), make_sl2()
+    heisenberg = StructureTensor.from_brackets(3, {(0, 1): (0, 0, 1), (1, 0): (0, 0, -1)})
+    flip = MatrixQ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+    def with_maps(tensor, alpha, beta=identity3):
+        return BiHomAlgebra(dim=3, tensor=tensor, alpha=alpha, beta=beta)
+
+    return {
+        "rotation twist": conjugate_algebra(
+            yau_twist(TwistInput(sl2, ROTATION, identity3)), random_invertible(3, rng)),
+        "non-simple": conjugate_algebra(with_maps(heisenberg, identity3),
+                                        random_invertible(3, rng)),
+        "twist: non-Lie bracket": with_maps(
+            StructureTensor.from_brackets(3, {(0, 1): (0, 0, 1)}), identity3),
+        "twist: non-commuting maps": with_maps(sl2, MatrixQ.diagonal([1, 2, Q(1, 2)]), flip),
+        "twist: singular map": with_maps(sl2, MatrixQ.diagonal([1, 1, 0])),
+        "twist: non-automorphism": with_maps(sl2, MatrixQ.diagonal([1, 2, 3])),
+    }
+
+
 ERRORS = ("e/f swap", "non-split fixed line", "definite")
 CALLS = ([((name,), argv) for name in ("DS_2 dense", "cycle_2 dense", "DS_3 block",
                                        "sqrt2_double_sl2", "sqrt2_double_sl2 dense",
@@ -168,6 +195,15 @@ WRITES = ([((name,), ["induce", "-o", OUT])
               ["L2"], ["L3", "--a=-2/3"], ["L3", "--a", "0"])])
 
 
+# error paths, recorded after every call above so that their records stay in place
+FAILS = ([((name,), ["classify3", "--json"]) for name in ("rotation twist", "non-simple")]
+         + [((name,), ["twist", "--alpha", ALPHA, "--beta", BETA, "-o", OUT])
+            for name in ("twist: non-Lie bracket", "twist: non-commuting maps",
+                         "twist: singular map", "twist: non-automorphism")]
+         + [((name,), ["induce", "-o", OUT]) for name in ("non-regular", "corrupted DS_2 dense")]
+         + [((), ["catalog", "L1", "--a", "0", "--b", "1", "-o", OUT])])
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -182,7 +218,7 @@ def run(directory):
         files[name] = (directory / f"input{i}.json", text)
         files[name][0].write_text(text)
     records = []
-    for call, (names, argv) in enumerate(CALLS + WRITES):
+    for call, (names, argv) in enumerate(CALLS + WRITES + FAILS):
         stem = files[names[0]][0].with_suffix("") if names else directory / f"call{call}"
         paths = {OUT: stem.with_suffix(".out.json"), ALPHA: stem.with_suffix(".alpha.json"),
                  BETA: stem.with_suffix(".beta.json")}

@@ -39,3 +39,43 @@ def test_src_modules_use_every_import():
     assert modules
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level single-underscore functions, classes and constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read as a Name or as the attribute of an Attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def unused_private(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    used = set().union(*map(references, trees))
+    return sorted({name for tree in trees for name in private_definitions(tree)} - used)
+
+
+def test_unused_private_finds_dead_names():
+    sources = ["_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    return _A\n\n"
+               "class _C:\n    pass\n",
+               "import m\n\ndef g():\n    return m._f()\n"]
+    assert unused_private(sources) == ["_B", "_C"]
+
+
+def test_src_has_no_dead_private_code():
+    """Every module-level private name of src/bihomlie is read somewhere in
+    src/, so that removing its last caller also removes it."""
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert len(sources) > 1
+    assert unused_private(sources) == []
