@@ -11,14 +11,11 @@ from .algebra import (
     check_bihom_jacobi,
     check_bihom_skew,
     check_commuting,
-    check_multiplicative,
     check_multiplicative_alpha,
     check_multiplicative_beta,
     conjugate_algebra,
     conjugate_tensor,
-    is_abelian,
     is_lie_algebra,
-    right_bracket_matrix,
 )
 from .analysis import (
     Decomposition,
@@ -84,7 +81,6 @@ from .exactlin import (
     kernel,
     rank,
     rational_roots,
-    rref,
 )
 from .fileio import load, save
 from .twist import TwistInput, induce_lie, roundtrip_check, yau_twist

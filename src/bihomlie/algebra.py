@@ -36,10 +36,9 @@ their heights. Twisting, inducing and changing basis are one kernel,
 transform_tensor, on those views: each c[p][q] (o c[p][q] with an output map
 o) is packed into one integer, and the n x n packed matrix is contracted over
 p and over q by two integer products, then unpacked. Brackets of vectors
-have one evaluator, _bracket_matrix on the view: ad_matrix,
-right_bracket_matrix and StructureTensor.bracket, ad(x) y. So no code path
-builds the Fraction grid c; only bracket_basis and catalog.printed_L3_tensor
-read it.
+have one evaluator, ad_matrix on the view, and StructureTensor.bracket is
+ad(x) y. So no code path builds the Fraction grid c; only bracket_basis and
+catalog.printed_L3_tensor read it.
 """
 
 from __future__ import annotations
@@ -361,37 +360,16 @@ check_bihom_skew = _report_field("check_bihom_skew", "Axiom (3) on basis pairs i
 check_bihom_jacobi = _report_field("check_bihom_jacobi", "Axiom (4) on triples i <= j <= k.")
 
 
-def check_multiplicative(a: BiHomAlgebra) -> CheckResult:
-    """Axiom (2) for both maps; the witness names the failing map."""
-    return check_multiplicative_alpha(a) and check_multiplicative_beta(a)
-
-
-def is_abelian(t: StructureTensor) -> bool:
-    return t.is_zero()
-
-
-def _bracket_matrix(t: StructureTensor, x, right: bool) -> MatrixQ:
-    """The matrix whose column j is sum_i x_i planes[i][j], planes the
-    tensor's scaled view (transposed in its first two indices when right),
-    over the lcm of both denominators."""
+def ad_matrix(t: StructureTensor, x) -> MatrixQ:
+    """Matrix of w -> [x, w]: column j is sum_i x_i c[i][j], read off the
+    tensor's scaled view over the lcm of both denominators."""
     x = vector(x)
     if len(x) != t.dim:
         raise DimensionMismatch("vector length does not match algebra dimension")
     (dc, c), (dx, xs) = t.scaled(), cleared(x)
-    planes = tuple(zip(*c)) if right else c
-    terms = [(xi, planes[i]) for i, xi in enumerate(xs) if xi]
+    terms = [(xi, c[i]) for i, xi in enumerate(xs) if xi]
     return MatrixQ.from_scaled(dc * dx, [[sum(xi * plane[j][k] for xi, plane in terms)
                                           for j in range(t.dim)] for k in range(t.dim)])
-
-
-def ad_matrix(t: StructureTensor, x) -> MatrixQ:
-    """Matrix of w -> [x, w]: column j is sum_i x_i c[i][j]."""
-    return _bracket_matrix(t, x, False)
-
-
-def right_bracket_matrix(t: StructureTensor, x) -> MatrixQ:
-    """Matrix of w -> [w, x]: column j is sum_i x_i c[j][i]."""
-    return _bracket_matrix(t, x, True)
 
 
 def transform_tensor(t: StructureTensor, left: MatrixQ, right: MatrixQ,

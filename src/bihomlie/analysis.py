@@ -35,10 +35,7 @@ from typing import NamedTuple
 from .algebra import (
     BiHomAlgebra,
     StructureTensor,
-    ad_matrix,
-    is_abelian,
     is_lie_algebra,
-    right_bracket_matrix,
     transform_tensor,
 )
 from .errors import (
@@ -201,10 +198,15 @@ def enveloping_dim(gens: list[MatrixQ]) -> int:
 def burnside_generators(a: BiHomAlgebra) -> list[MatrixQ]:
     """Operators whose common invariant subspaces are exactly the ideals:
     bracketing against every basis vector (both sides, since the BiHom
-    bracket is not symmetric) plus the two structure maps. The identity is
-    not among them: enveloping_dim starts its span at the identity."""
-    return [f(a.tensor, basis_vector(a.dim, k)) for k in range(a.dim)
-            for f in (right_bracket_matrix, ad_matrix)] + [a.alpha, a.beta]
+    bracket is not symmetric) plus the two structure maps. For each k, the
+    matrix of w -> [w, e_k] is plane k of the scaled view with its first two
+    indices swapped, transposed, and that of ad(e_k) is plane k transposed.
+    The identity is not among them: enveloping_dim starts its span at the
+    identity."""
+    d, c = a.tensor.scaled()
+    swapped = tuple(zip(*c))   # swapped[k][j] = c[j][k], the coordinates of [e_j, e_k]
+    return [MatrixQ.from_scaled(d, tuple(zip(*planes[k]))) for k in range(a.dim)
+            for planes in (swapped, c)] + [a.alpha, a.beta]
 
 
 def is_simple(a: BiHomAlgebra) -> bool:
@@ -212,7 +214,7 @@ def is_simple(a: BiHomAlgebra) -> bool:
     with alpha and beta generate the full matrix algebra as a unital algebra,
     an enveloping dimension of dim^2 found by the rule of _simplicity."""
     require_axioms(a)
-    if is_abelian(a.tensor):
+    if a.tensor.is_zero():
         return False
     return _simplicity(a)[2] == a.dim * a.dim
 

@@ -27,7 +27,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import catalog
-from .algebra import BiHomAlgebra, check_all, is_abelian
+from .algebra import BiHomAlgebra, check_all
 from .analysis import Decomposition, TypeLabel, _simplicity, type_candidates
 from .classify3 import bihom_isomorphic3, classify3
 from .errors import BiHomError, DimensionMismatch, ParseError, ZeroParameter
@@ -109,7 +109,7 @@ def _cmd_twist(args) -> int:
 
 def _analyze_doc(algebra: BiHomAlgebra) -> dict:
     killing_det, outcome, env = _simplicity(algebra)
-    abelian = is_abelian(algebra.tensor)
+    abelian = algebra.tensor.is_zero()
     induced_doc = None
     if killing_det is not None:
         induced_doc = {"killing_det": format_rational(killing_det),

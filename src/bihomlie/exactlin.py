@@ -9,8 +9,8 @@ by kept(obj, slot, compute), filled on first read. A MatrixQ is stored as
 its scaled view (d, rows): d > 0 the lcm of its denominators, rows the
 integer rows of d*M and gcd(d, entries) = 1, so equal matrices have equal
 views; its ``fractions.Fraction`` entries are built only when read.
-Products multiply two views, and elimination (rref, kernel, rank, invert,
-det, Subspace) is fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22,
+Products multiply two views, and elimination (kernel, rank, invert, det,
+Subspace) is fraction-free Gauss-Jordan after Bareiss (Math. Comp. 22,
 1968) on integer rows, which keeps the RREF; a Subspace keeps the view of
 its RREF basis. SpanBuilder keeps primitive integer rows.
 
@@ -305,13 +305,6 @@ def _echelon(rows, ncols: int) -> tuple[list[int], list[list[int]], int]:
     work = [primitive(list(row)) for row in rows]
     pivots, p, _ = _gauss_jordan(work, ncols)
     return pivots, work[:len(pivots)], p
-
-
-def rref(m: MatrixQ) -> tuple[MatrixQ, int]:
-    """Reduced row-echelon form and rank. Pivot choice is the first nonzero
-    entry by index, so the result is the unique canonical RREF."""
-    pivots, rows, p = _echelon(m.scaled()[1], m.cols)
-    return MatrixQ.from_scaled(p, rows + [[0] * m.cols] * (m.rows - len(rows))), len(pivots)
 
 
 def rank(m: MatrixQ) -> int:

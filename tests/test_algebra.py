@@ -16,12 +16,10 @@ from bihomlie.algebra import (
     check_bihom_jacobi,
     check_bihom_skew,
     check_commuting,
-    check_multiplicative,
     check_multiplicative_alpha,
     conjugate_algebra,
     conjugate_tensor,
     homomorphism_failure,
-    is_abelian,
     is_lie_algebra,
     transform_tensor,
 )
@@ -133,7 +131,9 @@ def test_check_commuting_failure_witness():
 
 
 def test_check_multiplicative_l1():
-    assert check_multiplicative(make_L1(2, 3)).ok
+    report = check_all(make_L1(2, 3))
+    assert report.multiplicative_alpha.ok
+    assert report.multiplicative_beta.ok
 
 
 def test_check_multiplicative_identity_half():
@@ -145,7 +145,9 @@ def test_check_multiplicative_identity_half():
 def test_check_multiplicative_failure():
     a = BiHomAlgebra(dim=3, tensor=make_sl2(), alpha=MatrixQ.diagonal([1, 2, 3]),
                      beta=MatrixQ.identity(3))
-    result = check_multiplicative(a)
+    report = check_all(a)
+    assert report.multiplicative_beta.ok
+    result = report.multiplicative_alpha
     assert not result.ok
     # the witness re-evaluates to a genuine inequality
     i, j = result.witness.indices
@@ -218,9 +220,9 @@ def test_is_lie_algebra():
 
 
 def test_is_abelian():
-    assert is_abelian(StructureTensor.zero(4))
-    assert not is_abelian(make_sl2())
-    assert not is_abelian(make_L1(2, 3).tensor)
+    assert StructureTensor.zero(4).is_zero()
+    assert not make_sl2().is_zero()
+    assert not make_L1(2, 3).tensor.is_zero()
 
 
 def test_is_regular():

@@ -11,7 +11,6 @@ from bihomlie.algebra import (
     ad_matrix,
     conjugate_algebra,
     conjugate_tensor,
-    is_abelian,
 )
 from bihomlie.analysis import (
     IdealReport,
@@ -311,6 +310,29 @@ def test_enveloping_dim_matches_fraction_oracle_on_sums():
     assert [enveloping_dim(burnside_generators(a)) for a in cases] == [18, 36, 27]
 
 
+def test_burnside_generators_match_fraction_brackets():
+    """For each k, the matrix whose column j is the Fraction bracket
+    [e_j, e_k], then ad(e_k), then alpha and beta, on seeded dense
+    conjugates. With alpha = 0 the bracket of L1(2, 3) is kept and is not
+    skew, so [w, e_k] != -[e_k, w] and the two readings differ."""
+    rng = random.Random(2900)
+    l1 = make_L1(2, 3)
+    zero_alpha = BiHomAlgebra(dim=3, tensor=l1.tensor, alpha=MatrixQ.diagonal([0, 0, 0]),
+                              beta=l1.beta)
+    for base in (l1, make_L3(5), make_L2(), direct_sum([make_L1(2, 3), make_L3(-1)]),
+                 zero_alpha):
+        a = conjugate_algebra(base, random_invertible(base.dim, rng))
+        e = [basis_vector(a.dim, k) for k in range(a.dim)]
+        right = [MatrixQ.from_columns([fraction_bracket(a.tensor, ej, ek) for ej in e])
+                 for ek in e]
+        left = [ad_matrix(a.tensor, ek) for ek in e]
+        expected = [m for pair in zip(right, left) for m in pair] + [a.alpha, a.beta]
+        assert burnside_generators(a) == expected
+        if base is zero_alpha:
+            assert a.alpha.is_zero()
+            assert any(r != -ad for r, ad in zip(right, left))
+
+
 def test_is_simple_l1():
     assert is_simple(make_L1(2, 3))
 
@@ -372,7 +394,7 @@ def test_is_simple_matches_span_on_every_route():
     for a in cases:
         span = enveloping_dim(burnside_generators(a))
         verdicts.append(is_simple(a))
-        assert verdicts[-1] == (not is_abelian(a.tensor) and span == a.dim ** 2)
+        assert verdicts[-1] == (not a.tensor.is_zero() and span == a.dim ** 2)
         killing_det, outcome, env = _simplicity(a)
         assert env == span
         routes.append("not regular" if killing_det is None else

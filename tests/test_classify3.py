@@ -16,11 +16,12 @@ from bihomlie.algebra import (
     BiHomAlgebra,
     StructureTensor,
     ad_matrix,
+    check_all,
     conjugate_algebra,
     conjugate_tensor,
     homomorphism_failure,
 )
-from bihomlie.analysis import killing_form
+from bihomlie.analysis import is_simple, killing_form
 from bihomlie.catalog import (
     make_L1,
     make_L2,
@@ -59,6 +60,7 @@ from bihomlie.exactlin import (
     invert,
     is_prime,
     kernel,
+    rank,
     sqrt_fraction,
     vec_add,
     vec_scale,
@@ -240,6 +242,33 @@ SWAP_PAIR = yau_twist(TwistInput(make_sl2(), MatrixQ.diagonal([1, -1, -1]),
 
 def test_classify_unmatched_swap_pair():
     with pytest.raises(Unmatched, match=r"beta is not diag\(1, b, 1/b\)"):
+        classify3(SWAP_PAIR)
+
+
+def test_errata_swap_pair_is_outside_the_three_families():
+    """ERRATA.md: SWAP_PAIR is regular, multiplicative and simple, yet none of
+    L1, L2, L3. Every L1(a, b) has e1 fixed by both maps and SWAP_PAIR has no
+    common fixed vector; L2 and L3 have a unipotent map other than I and both
+    of SWAP_PAIR's maps are involutions. An isomorphism conjugates each map,
+    so it keeps both facts, over Q and over C alike."""
+    identity = MatrixQ.identity(3)
+    alpha, beta = SWAP_PAIR.alpha, SWAP_PAIR.beta
+    assert check_all(SWAP_PAIR).all_pass
+    assert rank(alpha) == rank(beta) == 3
+    assert kernel(MatrixQ((alpha - identity).entries + (beta - identity).entries)).dim == 0
+    assert alpha * alpha == beta * beta == identity
+    assert alpha != identity and beta != identity
+    rng, e1 = random.Random(2901), basis_vector(3, 0)
+    for _ in range(10):
+        a = make_L1(random_fraction(rng, nonzero=True), random_fraction(rng, nonzero=True))
+        assert a.alpha.apply(e1) == e1 == a.beta.apply(e1)
+    for m in (make_L2().beta, make_L3(random_fraction(rng)).alpha):
+        nilpotent = m - identity
+        assert not nilpotent.is_zero() and (nilpotent * nilpotent * nilpotent).is_zero()
+    assert is_simple(SWAP_PAIR)
+    with pytest.raises(Unmatched, match=r"^alpha is diagonalizable in an adapted sl2 basis but "
+                       r"beta is not diag\(1, b, 1/b\) there; no canonical family "
+                       r"corresponds to this pair$"):
         classify3(SWAP_PAIR)
 
 

@@ -79,6 +79,9 @@ def inputs():
         **classify3_inputs(random.Random(1500)),
         **roundtrip_inputs(random.Random(1600)),
         **failing_inputs(random.Random(1800)),
+        "sl2, alpha = 0": conjugate_algebra(BiHomAlgebra(
+            dim=3, tensor=make_sl2(), alpha=MatrixQ.diagonal([0, 0, 0]),
+            beta=MatrixQ.identity(3)), random_invertible(3, random.Random(1900))),
     }
 
 
@@ -202,6 +205,10 @@ FAILS = ([((name,), ["classify3", "--json"]) for name in ("rotation twist", "non
                          "twist: singular map", "twist: non-automorphism")]
          + [((name,), ["induce", "-o", OUT]) for name in ("non-regular", "corrupted DS_2 dense")]
          + [((), ["catalog", "L1", "--a", "0", "--b", "1", "-o", OUT])])
+# a simple algebra that is not regular, its full span (dimension 9) reached by the
+# Burnside generators, recorded after the error paths so that their records stay in place
+NOT_REGULAR = [(("sl2, alpha = 0",), argv)
+               for argv in (["analyze", "--json"], ["classify3", "--json"], ["classify3"])]
 
 
 def sha256(text):
@@ -218,7 +225,7 @@ def run(directory):
         files[name] = (directory / f"input{i}.json", text)
         files[name][0].write_text(text)
     records = []
-    for call, (names, argv) in enumerate(CALLS + WRITES + FAILS):
+    for call, (names, argv) in enumerate(CALLS + WRITES + FAILS + NOT_REGULAR):
         stem = files[names[0]][0].with_suffix("") if names else directory / f"call{call}"
         paths = {OUT: stem.with_suffix(".out.json"), ALPHA: stem.with_suffix(".alpha.json"),
                  BETA: stem.with_suffix(".beta.json")}

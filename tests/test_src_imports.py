@@ -1,14 +1,18 @@
-"""Every name imported in a module of src/bihomlie is used in that module.
+"""Every name imported in a module of src/bihomlie is used in that module,
+and every name it defines is read somewhere.
 
 The package's __init__.py imports in order to re-export, and
 `from __future__ import annotations` is a compiler directive, so both are
 exempt. Plain stdlib `ast`: a name counts as used when it appears as a Name
-node, or inside a string annotation."""
+node, or inside a string annotation. A private definition must be read in
+src/; a public one in src/ outside __init__.py, in bench/, or in the
+acceptance suite, and so must not be there only to be re-exported."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bihomlie"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bihomlie"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,8 +45,8 @@ def test_src_modules_use_every_import():
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level single-underscore functions, classes and constants."""
+def definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and constants."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -50,7 +54,12 @@ def private_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level single-underscore functions, classes and constants."""
+    return [n for n in definitions(tree) if n.startswith("_") and not n.startswith("__")]
 
 
 def references(tree: ast.Module) -> set[str]:
@@ -79,3 +88,59 @@ def test_src_has_no_dead_private_code():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert len(sources) > 1
     assert unused_private(sources) == []
+
+
+# public names that nothing in src/, bench/ or the acceptance suite reads, with why they stay
+KEPT_PUBLIC = {
+    "is_ideal": "the ideal check that a checked proper ideal behind every "
+                "'not simple' verdict will run (ROADMAP open item 9)",
+    "loads_algebra": "the string form of fileio.load, which the parse-error tests call",
+}
+
+
+def reads(tree: ast.Module) -> set[str]:
+    """references(tree) and the names that a from-import binds."""
+    return references(tree) | {alias.name for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unused_public(defining: list[str], reading: list[str], named=frozenset()) -> list[str]:
+    """Public module-level names of the defining sources that no defining or
+    reading source reads and that are not in named."""
+    trees = [ast.parse(source) for source in defining]
+    used = set(named).union(*map(reads, trees + [ast.parse(source) for source in reading]))
+    return sorted({name for tree in trees for name in definitions(tree)
+                   if not name.startswith("_")} - used)
+
+
+def traced_names(source: str) -> set[str]:
+    """The strings in the FUNCTIONS table of bench/tracing.py, which names
+    the functions that the traced run wraps."""
+    table = next(node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets))
+    return {node.value for node in ast.walk(table)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_unused_public_finds_dead_names():
+    defining = ["from .b import g\nX = 1\n_Y = 2\n\ndef f():\n    return X\n\n"
+                "def h():\n    pass\n\nclass C:\n    pass\n",
+                "def g():\n    pass\n\ndef k():\n    pass\n"]
+    assert unused_public(defining, []) == ["C", "f", "h", "k"]
+    assert unused_public(defining, ["import a\na.f(C)\n"], {"h"}) == ["k"]
+    tracing = 'FUNCTIONS = {"a": ("f", "k")}\nOTHER = ("h",)\n'
+    assert traced_names(tracing) == {"a", "f", "k"}
+
+
+def test_src_has_no_public_name_that_nothing_reads():
+    """Every public module-level name of src/bihomlie is read in src/ outside
+    __init__.py, in bench/ (or named in the traced FUNCTIONS), or in
+    tests/test_acceptance.py, but for the names kept in KEPT_PUBLIC."""
+    defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+                if path.name != "__init__.py"]
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    reading = [path.read_text(encoding="utf-8")
+               for path in bench + [ROOT / "tests" / "test_acceptance.py"]]
+    traced = traced_names((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    assert len(defining) > 1 and len(bench) > 1 and traced
+    assert unused_public(defining, reading, traced) == sorted(KEPT_PUBLIC)
