@@ -287,9 +287,10 @@ def _commutant(ops, d: int) -> list[MatrixQ]:
 
 def _proper_ideal(ads) -> Subspace | None:
     """A proper ideal of the Lie algebra with integer ad(e_k) multiples ads,
-    or None when it is minimal: the ideal some basis vector spins to, else a
-    proper rational eigenspace of a commutant element. A split that exists
-    only over an extension field raises IrrationalSplit instead of guessing."""
+    or None when it is minimal: the ideal some basis vector spins to, else
+    the eigenspace of the least rational eigenvalue of the first non-scalar
+    element of the commutant, whose basis holds at most one scalar. A split
+    that exists only over an extension field raises IrrationalSplit."""
     n = len(ads)
     for k in range(n):
         span = _closure(ads, [[int(i == k) for i in range(n)]])
@@ -299,17 +300,12 @@ def _proper_ideal(ads) -> Subspace | None:
     if len(comm) <= 1:
         return None
     identity = MatrixQ.identity(n)
-    for z in comm:
-        roots, residual = rational_roots(char_poly(z))
-        for lam, _mult in roots:
-            ker = kernel(z - identity.scale(lam))
-            if 0 < ker.dim < n:
-                return ker
-        if not residual.is_constant():
-            raise IrrationalSplit(
-                "commutant element splits the ideal only over an extension "
-                f"field (residual factor of degree {residual.degree})")
-    raise IrrationalSplit("commutant is non-scalar but yields no rational split")
+    z = next(z for z in comm if z != identity.scale(z[0, 0]))
+    roots, _ = rational_roots(char_poly(z))
+    if not roots:
+        raise IrrationalSplit("commutant element splits the ideal only over an extension "
+                              f"field (residual factor of degree {n})")
+    return kernel(z - identity.scale(roots[0][0]))
 
 
 def _minimal_ideals(t: StructureTensor, killing: MatrixQ) -> list[Subspace]:

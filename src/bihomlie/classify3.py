@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
 from typing import NamedTuple
 
 from .algebra import BiHomAlgebra, StructureTensor, ad_matrix, homomorphism_failure
@@ -60,7 +59,6 @@ from .exactlin import (
     basis_vector,
     char_poly,
     factor,
-    fractions_over,
     invert,
     kernel,
     sqrt_fraction,
@@ -316,21 +314,18 @@ def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
 def _unipotent_basis(t: StructureTensor, m: MatrixQ) -> MatrixQ:
     """Corrected Jordan basis of a full unipotent block m on the induced
     bracket t. In the chain basis (u1, u2, v) = (N^2 v, N v, v), N = m - I,
-    read off the integer view of N at the first basis vector v with
-    N^2 v != 0, the bracket reads [u1,u2] = x u1, [u1,v] = -(x/2) u1 + x u2,
+    the columns of N^2 and N at the first basis vector v with N^2 v != 0,
+    the bracket reads [u1,u2] = x u1, [u1,v] = -(x/2) u1 + x u2,
     [u2,v] = y u1 + (x/2) u2 + x v with x != 0: a Lie bracket that the full
     block preserves and that has [u1,u2] != 0 takes this shape, and one with
     [u1,u2] = 0 is solvable. x and y are read off [u1,u2] and [u2,v] at a
     nonzero coordinate of u1. The commutant correction (2/x) I + s N^2,
     s = (2y/x - 1)/(2x), moves (x, y) to the (2, 1) of unipotent_base_tensor:
     the basis is ((2/x) u1, (2/x) u2, (2/x) v + s u1)."""
-    d, rows = (m - MatrixQ.identity(3)).scaled()
-    for j in range(3):
-        w2 = [row[j] for row in rows]                   # d N e_j
-        w1 = [sum(map(mul, row, w2)) for row in rows]   # d^2 N^2 e_j
-        if any(w1):
-            break
-    u1, u2, v = fractions_over(d * d, w1), fractions_over(d, w2), basis_vector(3, j)
+    nil = m - MatrixQ.identity(3)
+    square = nil * nil
+    j = next(j for j in range(3) if any(square.column(j)))
+    u1, u2, v = square.column(j), nil.column(j), basis_vector(3, j)
     r = next(r for r, x in enumerate(u1) if x)
     x = t.bracket(u1, u2)[r] / u1[r]
     y = (t.bracket(u2, v)[r] - x / 2 * u2[r] - x * v[r]) / u1[r]

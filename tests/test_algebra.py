@@ -79,6 +79,12 @@ def test_bracket_dimension_mismatch():
         sl2_bihom().tensor.bracket((1, 0), (0, 1, 0))
 
 
+def test_structure_tensor_must_be_cubic():
+    for grid in ([[[0, 0], [0, 0]]], [[[0, 0], [0]], [[0, 0], [0, 0]]]):
+        with pytest.raises(DimensionMismatch, match="^structure tensor must be dim x dim x dim$"):
+            StructureTensor(grid)
+
+
 def test_bracket_matches_fraction_reference():
     """StructureTensor.bracket, ad(x) y on the integer view, equals the
     Fraction triple loop of conftest on seeded dense tensors with entries

@@ -853,10 +853,11 @@ def test_decomposition_levels_always_split(monkeypatch):
 
 
 def test_scalar_commutant_element_gives_no_split():
-    """Why _proper_ideal skips no scalar: z = cI has the one root c, whose
-    eigenspace is everything, and a constant residual, so the loop over the
-    commutant passes it without a split or an IrrationalSplit. The commutant
-    of sqrt2_double_sl2 starts with the identity; the next element raises."""
+    """Why _proper_ideal passes over a scalar element of the commutant: z = cI
+    has the one root c, whose eigenspace is everything, and a constant
+    residual, so it yields neither a split nor an IrrationalSplit. The
+    commutant of sqrt2_double_sl2 starts with the identity; the next element
+    raises."""
     for n, c in ((1, 3), (3, Q(-2, 5)), (6, 1), (9, Q(7, 3))):
         identity, z = MatrixQ.identity(n), MatrixQ.identity(n).scale(c)
         roots, residual = rational_roots(char_poly(z))
@@ -866,6 +867,74 @@ def test_scalar_commutant_element_gives_no_split():
     assert analysis._commutant(ads, 6)[0] == MatrixQ.identity(6)
     with pytest.raises(IrrationalSplit, match=r"residual factor of degree 6\)$"):
         analysis._proper_ideal(ads)
+
+
+def commutant_inputs():
+    """(name, ad multiples) of Lie algebras of dimension 6 in which no basis
+    vector spins to a proper ideal, so _proper_ideal reaches the commutant:
+    the induced algebras of dense conjugates of a block sum and of a block
+    cycle, sqrt2_double_sl2 and its dense conjugate, and the mixed basis of
+    test_decompose_mixed_basis_uses_commutant. (The dense basis of seed 0
+    leaves a basis vector of either induced algebra spinning to an ideal.)"""
+    def dense(a):
+        return conjugate_algebra(a, random_invertible(6, random.Random(1)))
+
+    cycle = yau_twist(TwistInput(direct_sum([sl2_bihom()] * 2).tensor,
+                                 block_permutation(6, 3, 1), MatrixQ.identity(6)))
+    tensors = {
+        "DS_2 dense": induce_lie(dense(direct_sum([make_L1(2, 3), make_L3(5)])))[0],
+        "cycle_2 dense": induce_lie(dense(cycle))[0],
+        "sqrt2_double_sl2": sqrt2_double_sl2(),
+        "sqrt2_double_sl2 dense": conjugate_tensor(sqrt2_double_sl2(),
+                                                   random_invertible(6, random.Random(0))),
+        "mixed basis": conjugate_tensor(direct_sum([sl2_bihom(), sl2_bihom()]).tensor,
+                                        random_invertible(6, random.Random(41))),
+    }
+    return [(name, [tuple(zip(*plane)) for plane in t.scaled()[1]])
+            for name, t in tensors.items()]
+
+
+def test_proper_ideal_splits_by_the_first_non_scalar_commutant_element(monkeypatch):
+    """On every input that reaches the commutant, _proper_ideal returns the
+    eigenspace of the least rational eigenvalue of the first non-scalar
+    element z, or raises IrrationalSplit with the degree of char_poly(z)
+    when z has no rational eigenvalue."""
+    reached = []
+    commutant = analysis._commutant
+    monkeypatch.setattr(analysis, "_commutant",
+                        lambda ops, d: reached.append(d) or commutant(ops, d))
+    outcomes, identity = {}, MatrixQ.identity(6)
+    for name, ads in commutant_inputs():
+        z = next(z for z in commutant(ads, 6) if z != identity.scale(z[0, 0]))
+        roots, residual = rational_roots(char_poly(z))
+        if roots:
+            assert analysis._proper_ideal(ads) == kernel(z - identity.scale(roots[0][0])), name
+            outcomes[name] = "split"
+        else:
+            assert residual.degree == char_poly(z).degree == 6
+            with pytest.raises(IrrationalSplit, match=r"residual factor of degree 6\)$"):
+                analysis._proper_ideal(ads)
+            outcomes[name] = "irrational"
+    assert reached == [6] * 5
+    assert outcomes == {"DS_2 dense": "split", "cycle_2 dense": "split",
+                        "sqrt2_double_sl2": "irrational",
+                        "sqrt2_double_sl2 dense": "irrational", "mixed basis": "split"}
+
+
+def test_proper_ideal_runs_rational_roots_once_per_commutant_split(monkeypatch):
+    """One rational_roots call decides a commutant split, also where the
+    commutant's basis starts with the identity, as that of sqrt2_double_sl2
+    does."""
+    calls = []
+    roots = analysis.rational_roots
+    monkeypatch.setattr(analysis, "rational_roots", lambda p: calls.append(p) or roots(p))
+    for name, ads in commutant_inputs():
+        calls.clear()
+        try:
+            analysis._proper_ideal(ads)
+        except IrrationalSplit:
+            pass
+        assert len(calls) == 1, name
 
 
 def test_automorphism_permutation_identity():
@@ -899,6 +968,27 @@ def test_automorphism_permutation_zero_ideal_dense_basis_and_singular_map():
     assert automorphism_permutation(dense, MatrixQ.identity(6)) == (0, 1, 2)
     with pytest.raises(NotPermuted, match="map is not invertible"):
         automorphism_permutation(parts, MatrixQ.diagonal([1, 1, 1, 1, 1, 0]))
+
+
+def test_analysis_argument_errors():
+    """The typed error of each argument check in analysis: a subspace of
+    another ambient dimension, no generators, dimension 0, no ideals, a map
+    of the wrong size, and a list that holds one ideal twice."""
+    parts = decompose_semisimple(direct_sum([sl2_bihom(), sl2_bihom()]).tensor)
+    identity6 = MatrixQ.identity(6)
+    for call, kind, message in (
+            (lambda: is_ideal(make_L1(2, 3), Subspace.full(4)), DimensionMismatch,
+             "subspace ambient dimension differs from algebra"),
+            (lambda: enveloping_dim([]), DimensionMismatch, "at least one generator required"),
+            (lambda: type_candidates(0), DimensionMismatch, "dimension must be at least 1"),
+            (lambda: automorphism_permutation([], identity6), NotPermuted, "empty ideal list"),
+            (lambda: automorphism_permutation(parts, MatrixQ.identity(3)), DimensionMismatch,
+             "map size does not match ambient dimension"),
+            (lambda: automorphism_permutation([parts[0], parts[0]], identity6), NotPermuted,
+             "images of the ideals do not permute the list")):
+        with pytest.raises(kind) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_decomposition_reads_no_fraction_rows(monkeypatch):

@@ -44,6 +44,7 @@ from bihomlie.classify3 import (
     normalize_l1_params,
 )
 from bihomlie.errors import (
+    DimensionMismatch,
     IrrationalEigenvalues,
     NotAutomorphismShape,
     NotSemisimple,
@@ -149,6 +150,15 @@ def test_alpha_profile_bad_shape():
         alpha_profile(MatrixQ.diagonal([1, 2, 3]))
     with pytest.raises(NotAutomorphismShape):
         alpha_profile(MatrixQ.diagonal([2, 3, Q(1, 6)]))
+
+
+def test_dimension_checks_of_the_classifier():
+    """find_sl2_triple takes a 3-dimensional tensor and alpha_profile a 3x3
+    map."""
+    with pytest.raises(DimensionMismatch, match="^sl2 triples live in dimension 3$"):
+        find_sl2_triple(StructureTensor.zero(6))
+    with pytest.raises(DimensionMismatch, match="^profile is defined for 3x3 matrices$"):
+        alpha_profile(MatrixQ.identity(2))
 
 
 def test_profiled_automorphisms_have_unit_determinant():

@@ -19,7 +19,10 @@ from conftest import random_invertible
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "bihomlie", *args],
+    """The command line in a fresh interpreter under -W error: a warning that
+    bihomlie/__main__.py or the -m entry point raises, which pytest's
+    filterwarnings never sees, fails the call."""
+    return subprocess.run([sys.executable, "-W", "error", "-m", "bihomlie", *args],
                           capture_output=True, text=True, cwd=cwd)
 
 
@@ -57,6 +60,23 @@ def test_load_rejects_unknown_field():
     doc["extra"] = 1
     with pytest.raises(ParseError):
         loads_algebra(json.dumps(doc))
+
+
+def test_load_rejects_each_header_fault():
+    """The fields read before the grids: a top level that is not an object,
+    missing fields, a dim that is not a positive integer and a basis label
+    that is not a string."""
+    doc = json.loads(dumps_algebra(make_L1(2, 3)))
+    for bad, message in (
+            ([doc], "top level: expected a JSON object"),
+            ({}, "missing fields: alpha, basis, beta, bracket, dim"),
+            (dict(doc, dim=0), "dim: expected a positive integer"),
+            (dict(doc, dim="3"), "dim: expected a positive integer"),
+            (dict(doc, dim=True), "dim: expected a positive integer"),
+            (dict(doc, basis=["e1", 2, "e3"]), "basis[1]: expected a string label")):
+        with pytest.raises(ParseError) as exc:
+            loads_algebra(json.dumps(bad))
+        assert str(exc.value) == message, bad
 
 
 def test_load_rejects_a_repeated_key(tmp_path):
@@ -143,6 +163,21 @@ def test_cli_twist(tmp_path):
     assert load(out).tensor == make_L1(2, 3).tensor
 
 
+def test_cli_induce_and_twist_back_rewrite_the_catalog_file(tmp_path):
+    """induce L1(2, 3) to sl2, then twist it back by diag(1, 2, 1/2) and
+    diag(1, 3, 1/3): the file written is the catalog file byte for byte."""
+    l1, lie, back = tmp_path / "l1.json", tmp_path / "l1.lie.json", tmp_path / "back.json"
+    alpha, beta = tmp_path / "alpha.json", tmp_path / "beta.json"
+    alpha.write_text('[["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1/2"]]\n')
+    beta.write_text('[["1", "0", "0"], ["0", "3", "0"], ["0", "0", "1/3"]]\n')
+    assert run_cli("catalog", "L1", "--a", "2", "--b", "3", "-o", str(l1)).returncode == 0
+    assert run_cli("induce", str(l1), "-o", str(lie)).returncode == 0
+    result = run_cli("twist", str(lie), "--alpha", str(alpha), "--beta", str(beta),
+                     "-o", str(back))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert back.read_bytes() == l1.read_bytes()
+
+
 def test_cli_twist_rejects_bad_hypothesis(tmp_path):
     lie = tmp_path / "sl2.json"
     save(sl2_bihom(), lie)
@@ -195,6 +230,35 @@ def test_usage_errors_return_2_and_help_returns_0(tmp_path, capsys):
     result = run_cli()
     assert (result.returncode, result.stdout) == (2, "")
     assert "usage: bihomlie" in result.stderr and "error:" in result.stderr
+
+
+def test_cli_double_dash_ends_the_options(tmp_path, monkeypatch, capsys):
+    """After "--" every word is a positional: check --json -- FILE reads FILE,
+    and check -- --json reads a file named --json."""
+    from bihomlie import cli
+    path = tmp_path / "l1.json"
+    save(make_L1(2, 3), path)
+    assert cli.main(["check", "--json", "--", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check", "--", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read --json: "), err
+
+
+def test_cli_typed_errors_of_a_file_exit_2(tmp_path, capsys):
+    """A document without its fields, and classify3 on a file of dimension
+    2, print their typed error and exit 2."""
+    from bihomlie import cli
+    empty, plane = tmp_path / "empty.json", tmp_path / "plane.json"
+    empty.write_text("{}\n")
+    save(BiHomAlgebra(dim=2, tensor=StructureTensor.zero(2), alpha=MatrixQ.identity(2),
+                      beta=MatrixQ.identity(2)), plane)
+    for argv, message in (
+            (["check", str(empty)], "missing fields: alpha, basis, beta, bracket, dim"),
+            (["classify3", str(plane)], "classification is implemented for dimension 3")):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_cli_negative_parameter_values_are_read_verbatim(tmp_path):
@@ -509,21 +573,26 @@ def test_cli_fuzz_truncated_and_mutated_files(tmp_path, capsys):
 def test_cli_closed_stdout_exits_2_silently(tmp_path):
     """A reader that has closed standard output before the command writes
     gets exit 2 and nothing on standard error; a missing input file still
-    says why."""
+    says why. Each case runs with standard output unbuffered, where a print
+    fails inside cli.main, and buffered, where the output fails only in the
+    flush of __main__.py, after main has returned 0."""
     path, missing = tmp_path / "sl2.json", tmp_path / "missing.json"
     save(sl2_bihom(), path)
     cases = [(("check", "--json", str(path)), ""), (("analyze", "--json", str(path)), ""),
              (("check", "--json", str(missing)), f"error: cannot read {missing}: ")]
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for args, stderr in cases:
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            result = subprocess.run([sys.executable, "-m", "bihomlie", *args], stdout=write,
-                                    stderr=subprocess.PIPE, text=True)
-        finally:
-            os.close(write)
-        assert result.returncode == 2, args
-        assert result.stderr.startswith(stderr) and bool(result.stderr) == bool(stderr), args
+        for env in (dict(buffered, PYTHONUNBUFFERED="1"), buffered):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                result = subprocess.run([sys.executable, "-W", "error", "-m", "bihomlie", *args],
+                                        stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+            finally:
+                os.close(write)
+            assert result.returncode == 2, (args, env.get("PYTHONUNBUFFERED"))
+            assert (result.stderr.startswith(stderr)
+                    and bool(result.stderr) == bool(stderr)), (args, result.stderr)
 
 
 def test_load_rejects_invalid_utf8(tmp_path):

@@ -133,7 +133,8 @@ def classify3_inputs(rng):
     swap = MatrixQ([[-1, 0, 0], [0, 0, Q(1, 2)], [0, 2, 0]])
     nonsplit = MatrixQ.from_columns([(-1, 0, 0), (0, 0, -1), (0, -1, 0)])
     conjugates = {f"L1({a},{b}) conjugate": make_L1(Q(a), Q(b)) for a, b in (
-        ("2", "3"), ("1/2", "1/3"), ("2", "5"), ("1", "1"), ("-1", "2"), ("1", "3"))}
+        ("2", "3"), ("1/2", "1/3"), ("2", "5"), ("1", "1"), ("-1", "2"), ("1", "3"),
+        ("1/2", "3"))}
     out = {name: conjugate_algebra(a, random_invertible(3, rng))
            for name, a in conjugates.items()}
     out["L1(1,1) conic"] = conjugate_algebra(make_L1(1, 1), CONIC_BASIS)
@@ -185,7 +186,7 @@ CALLS = ([((name,), argv) for name in ("DS_2 dense", "cycle_2 dense", "DS_3 bloc
             for argv in (["classify3", "--json"], ["classify3"])]
          + [((name, name), ["iso3"]) for name in ERRORS])
 OUT, ALPHA, BETA = "<output>", "<alpha>", "<beta>"
-RESPELLED = "DS_3 block respelled"
+RESPELLED, L1_RESPELLED = "DS_3 block respelled", "L1(1/2,3) respelled"
 WRITES = ([((name,), ["induce", "-o", OUT])
            for name in ("DS_2 dense", "DS_4 block", "DS_3 block", RESPELLED)]
           + [((name,), ["twist", "--alpha", ALPHA, "--beta", BETA, "-o", OUT])
@@ -209,6 +210,18 @@ FAILS = ([((name,), ["classify3", "--json"]) for name in ("rotation twist", "non
 # Burnside generators, recorded after the error paths so that their records stay in place
 NOT_REGULAR = [(("sl2, alpha = 0",), argv)
                for argv in (["analyze", "--json"], ["classify3", "--json"], ["classify3"])]
+# recorded after the calls above so that their records stay in place: help, both of the
+# paper's results (analyze reads simplicity off the induced algebra of L1(2, 3), and its
+# flip L1(1/2, 1/3) classifies as L1(2, 3)), check on sl2 with alpha = 0, a check and a
+# classification (normalized to L1(2, 1/3)) of a respelled L1(1/2, 3), and the text
+# renderers of check and of a classification that succeeds
+LAST = ([((), ["--help"]), (("L1(2,3) conjugate",), ["analyze", "--json"]),
+         (("L1(1/2,1/3) conjugate",), ["classify3", "--json"]),
+         (("sl2, alpha = 0",), ["check", "--json"])]
+        + [((L1_RESPELLED,), argv) for argv in (["check", "--json"], ["classify3", "--json"])]
+        + [((name,), ["classify3"])
+           for name in ("L1(2,3) conjugate", "L2 conjugate", "L3(-2/3) conjugate")]
+        + [((name,), ["check"]) for name in (RESPELLED, "corrupted DS_2 dense")])
 
 
 def sha256(text):
@@ -221,11 +234,12 @@ def run(directory):
     files, algebras = {}, inputs()
     texts = {name: dumps_algebra(a) for name, a in algebras.items()}
     texts[RESPELLED] = respell(texts["DS_3 block"])
+    texts[L1_RESPELLED] = respell(texts["L1(1/2,3) conjugate"])
     for i, (name, text) in enumerate(texts.items()):
         files[name] = (directory / f"input{i}.json", text)
         files[name][0].write_text(text)
     records = []
-    for call, (names, argv) in enumerate(CALLS + WRITES + FAILS + NOT_REGULAR):
+    for call, (names, argv) in enumerate(CALLS + WRITES + FAILS + NOT_REGULAR + LAST):
         stem = files[names[0]][0].with_suffix("") if names else directory / f"call{call}"
         paths = {OUT: stem.with_suffix(".out.json"), ALPHA: stem.with_suffix(".alpha.json"),
                  BETA: stem.with_suffix(".beta.json")}

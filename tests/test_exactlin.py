@@ -198,6 +198,19 @@ def test_rational_roots_none():
     assert residual == p
 
 
+def test_rational_roots_and_factor_of_zero_and_constants():
+    """rational_roots has no answer for the zero polynomial and none to find
+    in a constant; factor has none for 0, and the square of a prime above the
+    trial division bound is split by the perfect-square test."""
+    with pytest.raises(ValueError, match="^rational_roots of the zero polynomial$"):
+        rational_roots(PolyQ([0]))
+    assert rational_roots(PolyQ([Q(5, 3)])) == ([], PolyQ([Q(5, 3)]))
+    with pytest.raises(ValueError, match="^factor of zero$"):
+        factor(0)
+    assert factor(1009 ** 2) == ({1009: 2}, 1)
+    assert factor(-1009 ** 2 * 1013) == ({1009: 2, 1013: 1}, 1)
+
+
 def test_rational_roots_multiplicity_bound():
     rng = random.Random(15)
     for _ in range(10):
@@ -823,3 +836,20 @@ def test_subspace_view_matches_fraction_rref():
             assert space.contains(w) == (len(fraction_span_rows(cols, expected + (w,)))
                                          == len(expected))
         assert space.contains(inside)
+
+
+def test_matrix_shape_errors():
+    """Each shape check of MatrixQ raises DimensionMismatch with its message;
+    a product with a non-matrix is a TypeError."""
+    two, three = MatrixQ.identity(2), MatrixQ.identity(3)
+    for build, message in (
+            (lambda: MatrixQ([]), "matrix needs at least one row"),
+            (lambda: MatrixQ([[1, 2], [3]]), "ragged matrix rows"),
+            (lambda: MatrixQ.from_columns([(1, 2), (3,)]), "columns of unequal length"),
+            (lambda: two + three, "matrix shapes differ"),
+            (lambda: two.apply((1, 2, 3)), "vector of length 3 for 2x2")):
+        with pytest.raises(DimensionMismatch) as exc:
+            build()
+        assert str(exc.value) == message
+    with pytest.raises(TypeError, match=r"for \*: 'MatrixQ' and 'int'"):
+        two * 2
