@@ -73,7 +73,6 @@ from .errors import (
 )
 from .exactlin import (
     MatrixQ,
-    PolyQ,
     Subspace,
     char_poly,
     det,

@@ -301,11 +301,11 @@ def _proper_ideal(ads) -> Subspace | None:
         return None
     identity = MatrixQ.identity(n)
     z = next(z for z in comm if z != identity.scale(z[0, 0]))
-    roots, _ = rational_roots(char_poly(z))
+    roots = rational_roots(char_poly(z))
     if not roots:
         raise IrrationalSplit("commutant element splits the ideal only over an extension "
                               f"field (residual factor of degree {n})")
-    return kernel(z - identity.scale(roots[0][0]))
+    return kernel(z - identity.scale(roots[0]))
 
 
 def _minimal_ideals(t: StructureTensor, killing: MatrixQ) -> list[Subspace]:

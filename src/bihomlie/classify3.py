@@ -52,7 +52,6 @@ from .exactlin import (
     PRIME_PROOF_BOUND,
     RHO_ITERATIONS,
     MatrixQ,
-    PolyQ,
     Q,
     Vector,
     as_fraction,
@@ -273,7 +272,7 @@ def alpha_profile(m: MatrixQ) -> Profile:
     if not (m.is_square and m.rows == 3):
         raise DimensionMismatch("profile is defined for 3x3 matrices")
     trace = m.trace()
-    if char_poly(m) != PolyQ((-1, trace, -trace, 1)):
+    if char_poly(m) != (-1, trace, -trace, 1):
         raise NotAutomorphismShape("characteristic polynomial is not (x - 1)(x^2 - t x + 1) "
                                    "for t = tr m - 1: the eigenvalues are not {1, a, 1/a}")
     t, identity = trace - 1, MatrixQ.identity(3)

@@ -1,11 +1,12 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Values are immutable and pivoting is deterministic (first nonzero by index),
-so outputs are reproducible byte for byte. The exact value types (MatrixQ,
-Subspace and PolyQ here, StructureTensor and BiHomAlgebra in algebra)
-derive from Frozen, which refuses assignment and compares and hashes by
-type and _key(); a fact computed from a value is kept in one of its slots
-by kept(obj, slot, compute), filled on first read. A MatrixQ is stored as
+so outputs are reproducible byte for byte. The exact value types (MatrixQ
+and Subspace here, StructureTensor and BiHomAlgebra in algebra) derive
+from Frozen, which refuses assignment and compares and hashes by type and
+_key(); a fact computed from a value is kept in one of its slots by
+kept(obj, slot, compute), filled on first read. A polynomial is the tuple
+of its coefficients, lowest degree first. A MatrixQ is stored as
 its scaled view (d, rows): d > 0 the lcm of its denominators, rows the
 integer rows of d*M and gcd(d, entries) = 1, so equal matrices have equal
 views; its ``fractions.Fraction`` entries are built only when read.
@@ -437,42 +438,12 @@ def det(m: MatrixQ) -> Fraction:
     return Fraction(sign * p, d ** m.rows) if len(pivots) == m.rows else Q(0)
 
 
-class PolyQ(Frozen):
-    """Univariate rational polynomial, coefficients lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def _key(self):
-        return self.coeffs
-
-    def __repr__(self):
-        if self.is_zero():
-            return "PolyQ(0)"
-        parts = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "PolyQ(" + " + ".join(parts) + ")"
-
-
-def char_poly(m: MatrixQ) -> PolyQ:
-    """Monic characteristic polynomial det(xI - m) by the Faddeev-LeVerrier
-    recursion on the scaled view (d, A = d*m): N_k = A (N_(k-1) + c_(k-1) I)
-    and c_k = -tr(N_k)/k, a division that is exact for integral A. c_k is
-    the coefficient of x^(n-k) in det(xI - A), so that of m is c_k / d^k."""
+def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
+    """The coefficients, lowest degree first, of the monic characteristic
+    polynomial det(xI - m), by the Faddeev-LeVerrier recursion on the scaled
+    view (d, A = d*m): N_k = A (N_(k-1) + c_(k-1) I) and c_k = -tr(N_k)/k,
+    a division that is exact for integral A. c_k is the coefficient of
+    x^(n-k) in det(xI - A), so that of m is c_k / d^k."""
     m._require_square()
     n = m.rows
     d, a = m.scaled()
@@ -483,7 +454,7 @@ def char_poly(m: MatrixQ) -> PolyQ:
         mk = int_product(a, mk)
         c = -sum(mk[i][i] for i in range(n)) // k
         coeffs_high_first.append(Fraction(c, d ** k))
-    return PolyQ(coeffs_high_first[::-1])
+    return tuple(coeffs_high_first[::-1])
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
@@ -522,12 +493,17 @@ def _exact_quotient(f: list[int], d: list[int]) -> list[int]:
     return out[::-1]
 
 
+def _horner(p: list[int], x: int) -> int:
+    """p(x) for integer coefficients p, lowest degree first."""
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
 def _sign_changes(chain: list[list[int]], x: int) -> int:
     count, last = 0, 0
-    for p in chain:
-        v = 0
-        for c in reversed(p):
-            v = v * x + c
+    for v in (_horner(p, x) for p in chain):
         if v:
             if last and (v > 0) != (last > 0):
                 count += 1
@@ -535,46 +511,33 @@ def _sign_changes(chain: list[list[int]], x: int) -> int:
     return count
 
 
-def _divide_linear(f: list[int], root: Fraction) -> list[int] | None:
-    """f / (b x - a) for root = a/b in lowest terms, or None when root is no
-    root of f. When root is a root the quotient of a primitive f is integral
-    and primitive (Gauss's lemma), so a division with a remainder disproves it."""
-    a, b = root.numerator, root.denominator
-    out, carry = [], 0
-    for c in reversed(f[1:]):   # f_k = b q_(k-1) - a q_k, from the top
-        carry, r = divmod(c + a * carry, b)
-        if r:
-            return None
-        out.append(carry)
-    return out[::-1] if f[0] == -a * carry else None
+def rational_roots(coeffs) -> list[Fraction]:
+    """The distinct rational roots, in increasing order, of the polynomial
+    with rational coefficients coeffs, lowest degree first.
 
-
-def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
-    """All rational roots with multiplicities, in increasing order, and the
-    residual: p divided by them, which has no rational root left.
-
-    With p cleared to a primitive integer f = sum a_k x^k of degree d, the
+    With it cleared to a primitive integer f = sum a_k x^k of degree d, the
     integer roots of the monic g(y) = a_d^(d-1) f(y / a_d) are a_d times the
     rational roots of f, inside Cauchy's bound (-B, B), B = |a_d| + max |a_k|.
     Bisection with a Sturm sequence of g's squarefree part narrows each real
-    root to a unit interval, whose integer end is tested exactly (after
-    Collins & Akritas 1976): at most d * (log2 B + 2) Sturm evaluations, so
-    the time is polynomial in d and the coefficient bit length, and nothing
-    is factored. Each root a/b divides f by b x - a for as long as the
-    division is exact, which gives its multiplicity; the last quotient,
-    rescaled to the leading coefficient of p, is the residual."""
-    if p.is_zero():
+    root to a unit interval, whose integer end is tested by evaluating g
+    there (after Collins & Akritas 1976): at most d * (log2 B + 2) Sturm
+    evaluations, so the time is polynomial in d and the coefficient bit
+    length, and nothing is factored."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
         raise ValueError("rational_roots of the zero polynomial")
-    if p.is_constant():
-        return [], p
-    ints = primitive(cleared(p.coeffs)[1])
+    if len(cs) == 1:
+        return []
+    ints = primitive(cleared(cs)[1])
     d, lead = len(ints) - 1, ints[-1]
     monic = [c * lead ** (d - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     chain = _sturm_chain(monic)
     if len(chain[-1]) > 1:   # g has repeated factors: use g / gcd(g, g')
         chain = _sturm_chain(_exact_quotient(monic, chain[-1]))
     bound = abs(lead) + max(abs(c) for c in ints[:-1])
-    found = []
+    roots = []
     stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
     while stack:   # (lo, hi] holds v_lo - v_hi distinct real roots
         lo, hi, v_lo, v_hi = stack.pop()
@@ -584,17 +547,9 @@ def rational_roots(p: PolyQ) -> tuple[list[tuple[Fraction, int]], PolyQ]:
             mid = (lo + hi) // 2
             v_mid = _sign_changes(chain, mid)
             stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-        else:   # hi is the only integer in (lo, hi]; division tests it
-            found.append(Fraction(hi, lead))
-    roots, work = [], ints
-    for root in sorted(found):
-        mult = 0
-        while len(work) > 1 and (q := _divide_linear(work, root)) is not None:
-            work, mult = q, mult + 1
-        if mult:
-            roots.append((root, mult))
-    scale = p.coeffs[-1] / work[-1]
-    return roots, PolyQ([scale * c for c in work])
+        elif _horner(monic, hi) == 0:   # hi is the only integer in (lo, hi]
+            roots.append(Fraction(hi, lead))
+    return sorted(roots)
 
 
 def sqrt_fraction(q: Fraction):

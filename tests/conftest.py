@@ -1,7 +1,10 @@
 """Shared test helpers: seeded random rationals and invertible matrices, a
 wall-clock deadline for inputs that must finish in bounded time, and the
-Fraction reference bracket that the tests use as their oracle."""
+Fraction reference bracket and rational-root search that the tests use as
+their oracles. A polynomial is the tuple of its coefficients, lowest
+degree first."""
 
+import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -9,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from bihomlie.errors import DimensionMismatch
-from bihomlie.exactlin import MatrixQ, Q
+from bihomlie.exactlin import MatrixQ, Q, factor
 
 
 def random_fraction(rng, max_height=10, nonzero=False):
@@ -74,3 +77,61 @@ def fraction_bracket(t, x, y):
                         if v != 0:
                             out[k] += coeff * v
     return tuple(out)
+
+
+def poly_eval(p, x):
+    """p(x) by Horner's rule in Fraction arithmetic."""
+    acc = Q(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def divide_linear(p, root):
+    """Synthetic division of p by (x - root); root must be a root of p."""
+    out, acc = [], Q(0)
+    for c in reversed(p):
+        acc = acc * root + c
+        out.append(acc)
+    assert out.pop() == 0, f"{root} is not a root"
+    return tuple(out[::-1])
+
+
+def divisors(n):
+    """The positive divisors of the nonzero integer n."""
+    primes, cofactor = factor(n)
+    assert cofactor == 1, f"{n} is not fully factored"
+    out = [1]
+    for p, e in primes.items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return out
+
+
+def divisor_rational_roots(p):
+    """Reference: (rational roots with multiplicities in increasing order,
+    residual) of a polynomial with a nonzero leading coefficient, by the
+    classical candidate search over the divisors of the cleared constant and
+    leading coefficients (after the zero roots), with multiplicities by
+    synthetic division. The residual is p divided by every root found."""
+    roots, work = [], tuple(p)
+    zero_mult = 0
+    while len(work) > 1 and work[0] == 0:
+        work = work[1:]
+        zero_mult += 1
+    if zero_mult:
+        roots.append((Q(0), zero_mult))
+    if len(work) == 1:
+        return roots, work
+    scale = math.lcm(*(Q(c).denominator for c in work))
+    ints = [int(c * scale) for c in work]
+    candidates = sorted({Q(sign * num, den) for num in divisors(ints[0])
+                         for den in divisors(ints[-1]) for sign in (1, -1)})
+    for cand in candidates:
+        mult = 0
+        while len(work) > 1 and poly_eval(work, cand) == 0:
+            work = divide_linear(work, cand)
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, work

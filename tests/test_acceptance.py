@@ -303,7 +303,7 @@ def test_criterion_10_errata_discipline():
 
 def test_criterion_11_cli_end_to_end(tmp_path):
     def run(*args):
-        return subprocess.run([sys.executable, "-m", "bihomlie", *args],
+        return subprocess.run([sys.executable, "-W", "error", "-m", "bihomlie", *args],
                               capture_output=True, text=True)
 
     l1 = tmp_path / "l1.json"

@@ -68,7 +68,13 @@ from bihomlie.exactlin import (
 )
 from bihomlie.fileio import format_rational
 from bihomlie.twist import TwistInput, induce_lie, yau_twist
-from conftest import deadline, fraction_bracket, random_fraction, random_invertible
+from conftest import (
+    deadline,
+    divisor_rational_roots,
+    fraction_bracket,
+    random_fraction,
+    random_invertible,
+)
 
 SO3 = StructureTensor.from_brackets(3, {
     (0, 1): (0, 0, 1), (1, 0): (0, 0, -1),
@@ -470,9 +476,9 @@ def grid_oracle(t):
                 for idx, c in zip(support, coeffs):
                     v[idx] = c
                 cp = char_poly(ad_matrix(t, v))
-                if cp.coeffs[0] != 0 or cp.coeffs[2] != 0 or -cp.coeffs[1] <= 0:
+                if cp[0] != 0 or cp[2] != 0 or -cp[1] <= 0:
                     continue
-                c = sqrt_fraction(-cp.coeffs[1])
+                c = sqrt_fraction(-cp[1])
                 if c is None:
                     continue
                 h = vec_scale(Q(2) / c, v)
@@ -775,7 +781,7 @@ def test_triple_at_premise_fixes_the_triple():
         for v, c in _triple_premises(t):
             h = vec_scale(2 / c, v)
             ad_h = ad_matrix(t, h)
-            assert char_poly(ad_h).coeffs == (0, -4, 0, 1)
+            assert char_poly(ad_h) == (0, -4, 0, 1)
             plus, minus = kernel(ad_h - identity.scale(2)), kernel(ad_h + identity.scale(2))
             assert plus.dim == minus.dim == 1
             assert kernel(ad_h) == Subspace(3, [h])
@@ -1051,14 +1057,15 @@ def test_dropped_profile_is_forced():
 # is kept here as the reference oracle; no code in src/ uses it.
 
 def root_profile(m):
-    """The former alpha_profile: the rational roots of char_poly(m) by
-    exactlin.rational_roots, then the Jordan shape at a repeated eigenvalue.
-    It names two shapes that no automorphism of sl2 has, UnipotentPartial
-    and NegJordan, which the trace rule rejects."""
-    roots, residual = exactlin.rational_roots(char_poly(m))
-    if not residual.is_constant():
+    """The former alpha_profile: the rational roots of char_poly(m), here by
+    the divisor search with multiplicities by synthetic division, then the
+    Jordan shape at a repeated eigenvalue. It names two shapes that no
+    automorphism of sl2 has, UnipotentPartial and NegJordan, which the trace
+    rule rejects."""
+    roots, residual = divisor_rational_roots(char_poly(m))
+    if len(residual) > 1:
         raise IrrationalEigenvalues(
-            f"eigenvalues are irrational (residual factor of degree {residual.degree})")
+            f"eigenvalues are irrational (residual factor of degree {len(residual) - 1})")
     eigen = sorted(value for value, mult in roots for _ in range(mult))
     identity = MatrixQ.identity(3)
     if eigen == [1, 1, 1]:

@@ -12,7 +12,6 @@ from bihomlie import exactlin
 from bihomlie.exactlin import (
     PRIME_PROOF_BOUND,
     MatrixQ,
-    PolyQ,
     SpanBuilder,
     Subspace,
     basis_vector,
@@ -30,50 +29,38 @@ from bihomlie.exactlin import (
     sqrt_mod_prime,
 )
 from bihomlie.fileio import matrix_strings
-from conftest import random_fraction, random_invertible
+from conftest import (
+    divide_linear,
+    divisor_rational_roots,
+    poly_eval,
+    random_fraction,
+    random_invertible,
+)
 
 UNIPOTENT = MatrixQ([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
 
 def poly_mul(p, q):
-    """The product of two PolyQ."""
-    out = [Q(0)] * (len(p.coeffs) + len(q.coeffs) - 1) if p.coeffs and q.coeffs else []
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
+    """The product of two coefficient tuples, lowest degree first."""
+    out = [Q(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
             out[i + j] += a * b
-    return PolyQ(out)
-
-
-def poly_eval(p, x):
-    """p(x) by Horner's rule in Fraction arithmetic."""
-    acc = Q(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def divide_linear(p, root):
-    """Synthetic division of p by (x - root); root must be a root of p."""
-    out, acc = [], Q(0)
-    for c in reversed(p.coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    assert out.pop() == 0, f"{root} is not a root"
-    return PolyQ(out[::-1])
+    return tuple(out)
 
 
 def poly_from_roots(roots):
     """Monic polynomial with the given roots (with multiplicity)."""
-    p = PolyQ([1])
+    p = (Q(1),)
     for r in roots:
-        p = poly_mul(p, PolyQ([-Q(r), 1]))
+        p = poly_mul(p, (-Q(r), Q(1)))
     return p
 
 
 def eval_at_matrix(p, m):
     """p(m) by Horner's rule."""
     acc = MatrixQ([[0] * m.rows] * m.rows)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * m + MatrixQ.identity(m.rows).scale(c)
     return acc
 
@@ -180,31 +167,29 @@ def test_cayley_hamilton():
 
 
 def test_rational_roots_cubed():
-    roots, residual = rational_roots(poly_from_roots([1, 1, 1]))
-    assert roots == [(Q(1), 3)]
-    assert residual.is_constant()
+    assert rational_roots(poly_from_roots([1, 1, 1])) == [Q(1)]
 
 
 def test_rational_roots_pair():
-    roots, residual = rational_roots(PolyQ([1, Q(-5, 2), 1]))
-    assert roots == [(Q(1, 2), 1), (Q(2), 1)]
-    assert residual.is_constant()
+    assert rational_roots((1, Q(-5, 2), 1)) == [Q(1, 2), Q(2)]
 
 
 def test_rational_roots_none():
-    p = PolyQ([1, 0, 1])
-    roots, residual = rational_roots(p)
-    assert roots == []
-    assert residual == p
+    """No rational root: none real, and sqrt 3 alone in its unit interval
+    (1, 2]; with (y - 2) as a factor, 2 shares that interval and is found."""
+    assert rational_roots((1, 0, 1)) == []
+    assert rational_roots((-3, 0, 1)) == []
+    assert rational_roots(poly_mul((-2, 1), (-3, 0, 1))) == [2]
 
 
 def test_rational_roots_and_factor_of_zero_and_constants():
     """rational_roots has no answer for the zero polynomial and none to find
     in a constant; factor has none for 0, and the square of a prime above the
     trial division bound is split by the perfect-square test."""
-    with pytest.raises(ValueError, match="^rational_roots of the zero polynomial$"):
-        rational_roots(PolyQ([0]))
-    assert rational_roots(PolyQ([Q(5, 3)])) == ([], PolyQ([Q(5, 3)]))
+    for zero in ((), (0,), (Q(0), 0, 0)):
+        with pytest.raises(ValueError, match="^rational_roots of the zero polynomial$"):
+            rational_roots(zero)
+    assert rational_roots((Q(5, 3),)) == rational_roots((Q(5, 3), 0, 0)) == []
     with pytest.raises(ValueError, match="^factor of zero$"):
         factor(0)
     assert factor(1009 ** 2) == ({1009: 2}, 1)
@@ -212,60 +197,23 @@ def test_rational_roots_and_factor_of_zero_and_constants():
 
 
 def test_rational_roots_multiplicity_bound():
+    """The roots are distinct, increasing and roots of p, and with their
+    multiplicities (by synthetic division) they number at most its degree."""
     rng = random.Random(15)
     for _ in range(10):
-        p = PolyQ([random_fraction(rng, 4) for _ in range(5)])
-        if p.is_zero():
+        p = [random_fraction(rng, 4) for _ in range(5)]
+        while p and p[-1] == 0:
+            p.pop()
+        if not p:
             continue
-        roots, residual = rational_roots(p)
-        total = sum(m for _, m in roots)
-        assert total <= p.degree
-        assert (total == p.degree) == residual.is_constant()
-
-
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def divisor_rational_roots(p):
-    """Reference: the classical candidate search over the divisors of the
-    cleared constant and leading coefficients (after the zero roots), with
-    multiplicities by synthetic division. Its cost grows like the square
-    root of those coefficients, so it serves only small heights."""
-    roots = []
-    work = p
-    zero_mult = 0
-    while not work.is_constant() and work.coeffs[0] == 0:
-        work = PolyQ(work.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Q(0), zero_mult))
-    if work.is_constant():
-        return roots, work
-    scale = math.lcm(*(c.denominator for c in work.coeffs))
-    ints = [int(c * scale) for c in work.coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    candidates = sorted({Q(sign * num, den) for num in _divisors(ints[0])
-                         for den in _divisors(ints[-1]) for sign in (1, -1)})
-    for cand in candidates:
-        mult = 0
-        while not work.is_constant() and poly_eval(work, cand) == 0:
-            work = divide_linear(work, cand)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    roots.sort(key=lambda rm: rm[0])
-    return roots, work
+        roots, total = rational_roots(p), 0
+        assert roots == sorted(set(roots))
+        for root in roots:
+            work = tuple(p)
+            while len(work) > 1 and poly_eval(work, root) == 0:
+                work, total = divide_linear(work, root), total + 1
+            assert work != tuple(p)
+        assert total <= len(p) - 1
 
 
 def _random_factor(rng):
@@ -273,20 +221,20 @@ def _random_factor(rng):
     b*x^k + c; binomials leave degree gaps in the Sturm sequence."""
     kind = rng.random()
     if kind < 0.5:
-        return PolyQ([Q(rng.randint(-12, 12)), rng.randint(1, 6)])
+        return (Q(rng.randint(-12, 12)), Q(rng.randint(1, 6)))
     if kind < 0.6:
         k = rng.randint(2, 6)
-        return PolyQ([rng.randint(-12, 12) or 1] + [0] * (k - 1) + [rng.randint(-6, 6) or 1])
+        return (rng.randint(-12, 12) or 1,) + (0,) * (k - 1) + (rng.randint(-6, 6) or 1,)
     if kind < 0.8:
         while True:
             b, c = rng.randint(-6, 6), rng.randint(-12, 12)
             disc = b * b - 4 * c
             if disc < 0 or math.isqrt(disc) ** 2 != disc:
-                return PolyQ([c, b, 1])
+                return (c, b, 1)
     while True:   # monic integer cubic: a rational root would divide c
         a, c = rng.randint(-6, 6), rng.randint(1, 12) * rng.choice((1, -1))
         if all(r ** 3 + a * r + c != 0 for r in range(-abs(c), abs(c) + 1)):
-            return PolyQ([c, a, 0, 1])
+            return (c, a, 0, 1)
 
 
 def test_rational_roots_matches_divisor_oracle():
@@ -294,25 +242,25 @@ def test_rational_roots_matches_divisor_oracle():
     seen_zero = seen_repeated = seen_residual = 0
     for _ in range(300):
         degree = rng.randint(1, 8)
-        p = PolyQ([random_fraction(rng, 6, nonzero=True)])
+        p = (random_fraction(rng, 6, nonzero=True),)
         if rng.random() < 0.2:
-            p = poly_mul(p, PolyQ([0, 1]))
-        while p.degree < degree:
+            p = poly_mul(p, (0, 1))
+        while len(p) - 1 < degree:
             piece = _random_factor(rng)
-            if p.degree + piece.degree > degree:
+            if len(p) + len(piece) - 2 > degree:
                 continue
             p = poly_mul(p, piece)
-            if piece.degree == 1 and rng.random() < 0.25 and p.degree < degree:
+            if len(piece) == 2 and rng.random() < 0.25 and len(p) - 1 < degree:
                 p = poly_mul(p, piece)
-        roots, residual = rational_roots(p)
-        assert (roots, residual) == divisor_rational_roots(p)
+        roots, residual = divisor_rational_roots(p)
+        assert rational_roots(p) == [r for r, _ in roots]
         rebuilt = residual
         for root, mult in roots:
             rebuilt = poly_mul(rebuilt, poly_from_roots([root] * mult))
         assert rebuilt == p
         seen_zero += any(r == 0 for r, _ in roots)
         seen_repeated += any(m > 1 for _, m in roots)
-        seen_residual += residual.degree >= 2
+        seen_residual += len(residual) >= 3
     assert min(seen_zero, seen_repeated, seen_residual) >= 20
 
 
@@ -653,7 +601,7 @@ def fraction_char_poly(m):
         mk = fraction_matmul(m, shifted)
         c = -sum(mk.entries[i][i] for i in range(n)) / k
         coeffs_high_first.append(c)
-    return PolyQ(list(reversed(coeffs_high_first)))
+    return tuple(reversed(coeffs_high_first))
 
 
 def test_char_poly_matches_fraction_oracle():
@@ -676,26 +624,25 @@ def test_char_poly_matches_fraction_oracle():
         cases.append(fraction_matmul(fraction_matmul(basis, shift), fraction_invert(basis)))
     for m in cases:
         assert char_poly(m) == fraction_char_poly(m)
-    assert char_poly(cases[-1]) == PolyQ([0] * 6 + [1])
+    assert char_poly(cases[-1]) == (0,) * 6 + (1,)
     with pytest.raises(DimensionMismatch, match="square matrix required"):
         char_poly(MatrixQ([[1, 2]]))
 
 
 def test_rational_roots_repeated_roots_under_non_monic_leads():
     """Repeated roots a/b with b > 1 under a leading coefficient that is not
-    1: the residual must come back over the leading coefficient of p."""
+    1, each found once: (3x - 2)^2 (x^2 + 1) has the one root 2/3."""
+    assert rational_roots(poly_mul(poly_mul((-2, 3), (-2, 3)), (1, 0, 1))) == [Q(2, 3)]
     rng = random.Random(1011)
     for _ in range(150):
-        p = PolyQ([random_fraction(rng, 9, nonzero=True)])
+        p = (random_fraction(rng, 9, nonzero=True),)
         for _ in range(rng.randint(1, 2)):
-            root = PolyQ([rng.randint(-9, 9), rng.randint(2, 5)])
+            root = (rng.randint(-9, 9), rng.randint(2, 5))
             for _ in range(rng.randint(1, 3)):
                 p = poly_mul(p, root)
         if rng.random() < 0.5:
-            p = poly_mul(p, PolyQ([rng.randint(1, 5), 0, rng.randint(1, 5)]))
-        roots, residual = rational_roots(p)
-        assert (roots, residual) == divisor_rational_roots(p)
-        assert residual.coeffs[-1] == p.coeffs[-1]
+            p = poly_mul(p, (rng.randint(1, 5), 0, rng.randint(1, 5)))
+        assert rational_roots(p) == [r for r, _ in divisor_rational_roots(p)[0]]
 
 
 def scaled_twin(rng, values, make):

@@ -22,7 +22,7 @@ from bihomlie.analysis import (
 from bihomlie.catalog import direct_sum, make_L1, make_sl2, sl2_bihom
 from bihomlie.classify3 import ClassLabel, Profile, Sl2Triple
 from bihomlie.errors import DimensionMismatch
-from bihomlie.exactlin import Frozen, MatrixQ, PolyQ, Q, Subspace, basis_vector
+from bihomlie.exactlin import Frozen, MatrixQ, Q, Subspace, basis_vector
 from bihomlie.twist import TwistInput, induce_lie
 
 E = [basis_vector(3, i) for i in range(3)]
@@ -153,8 +153,7 @@ def test_bihom_algebra_equality_hash_and_immutability():
 
 def frozen_twins():
     """Per exact value type, a value built through its Fraction constructor
-    and its twin built from integers (from_scaled, spanned, or an unreduced
-    coefficient list for PolyQ)."""
+    and its twin built from integers (from_scaled or spanned)."""
     a = make_L1(2, 3)
     alpha, beta = (MatrixQ.from_scaled(*m.scaled()) for m in (a.alpha, a.beta))
     return [
@@ -162,7 +161,6 @@ def frozen_twins():
         (StructureTensor(a.tensor.c), StructureTensor.from_scaled(*a.tensor.scaled())),
         (Subspace(3, [(Q(1, 2), 1, 0), (0, 0, Q(2, 3))]),
          Subspace.spanned(3, [[2, 4, 0], [0, 0, 5]])),
-        (PolyQ([Q(1, 2), 0, 3]), PolyQ([Q(2, 4), Q(0), 3, 0, 0])),
         (BiHomAlgebra(3, StructureTensor(a.tensor.c), MatrixQ(a.alpha.entries),
                       MatrixQ(a.beta.entries)),
          BiHomAlgebra(3, StructureTensor.from_scaled(*a.tensor.scaled()), alpha, beta)),
@@ -170,7 +168,7 @@ def frozen_twins():
 
 
 def test_exact_values_share_one_frozen_base():
-    """MatrixQ, StructureTensor, Subspace, PolyQ and BiHomAlgebra refuse
+    """MatrixQ, StructureTensor, Subspace and BiHomAlgebra refuse
     every assignment with one message, and compare and hash by type and key."""
     for value, twin in frozen_twins():
         kind = type(value)
@@ -183,7 +181,7 @@ def test_exact_values_share_one_frozen_base():
     assert identity.scaled() == full.scaled() and identity != full and full != identity
     one, tensor = MatrixQ.identity(1), StructureTensor.from_scaled(1, [[[1]]])
     assert one != tensor and tensor != one and one != Subspace.full(1)
-    assert len({identity, full, StructureTensor.zero(3), PolyQ([1])}) == 4
+    assert len({identity, full, StructureTensor.zero(3)}) == 3
 
 
 def test_kept_facts_change_neither_equality_nor_hash():

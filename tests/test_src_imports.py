@@ -6,9 +6,12 @@ The package's __init__.py imports in order to re-export, and
 exempt. Plain stdlib `ast`: a name counts as used when it appears as a Name
 node, or inside a string annotation. A private definition must be read in
 src/; a public one in src/ outside __init__.py, in bench/, or in the
-acceptance suite, and so must not be there only to be re-exported."""
+acceptance suite, and so must not be there only to be re-exported. A public
+method or property of a class in src/ must be read in src/ outside its own
+definition, in bench/, or in the acceptance suite."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,11 +65,17 @@ def private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in definitions(tree) if n.startswith("_") and not n.startswith("__")]
 
 
+def reference_counts(node: ast.AST) -> Counter:
+    """How often each name is read as a Name or as the attribute of an
+    Attribute."""
+    return Counter([n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)]
+                   + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
+
+
 def references(tree: ast.Module) -> set[str]:
     """Names read as a Name or as the attribute of an Attribute."""
-    return ({node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    return set(reference_counts(tree))
 
 
 def unused_private(sources: list[str]) -> list[str]:
@@ -132,15 +141,51 @@ def test_unused_public_finds_dead_names():
     assert traced_names(tracing) == {"a", "f", "k"}
 
 
+def outside_readers() -> list[str]:
+    """The sources of bench/ and of the acceptance suite."""
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    assert len(bench) > 1
+    return [path.read_text(encoding="utf-8")
+            for path in bench + [ROOT / "tests" / "test_acceptance.py"]]
+
+
 def test_src_has_no_public_name_that_nothing_reads():
     """Every public module-level name of src/bihomlie is read in src/ outside
     __init__.py, in bench/ (or named in the traced FUNCTIONS), or in
     tests/test_acceptance.py, but for the names kept in KEPT_PUBLIC."""
     defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
                 if path.name != "__init__.py"]
-    bench = sorted((ROOT / "bench").glob("*.py"))
-    reading = [path.read_text(encoding="utf-8")
-               for path in bench + [ROOT / "tests" / "test_acceptance.py"]]
     traced = traced_names((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
-    assert len(defining) > 1 and len(bench) > 1 and traced
-    assert unused_public(defining, reading, traced) == sorted(KEPT_PUBLIC)
+    assert len(defining) > 1 and traced
+    assert unused_public(defining, outside_readers(), traced) == sorted(KEPT_PUBLIC)
+
+
+def unused_members(defining: list[str], reading: list[str]) -> list[str]:
+    """Class.name of each public method and property of a module-level class
+    in the defining sources that no reading source reads and no defining
+    source reads outside the member's own definition. Dunders are exempt."""
+    trees = [ast.parse(source) for source in defining]
+    counts = sum(map(reference_counts, trees), Counter())
+    read = set().union(*(references(ast.parse(source)) for source in reading))
+    return sorted(f"{cls.name}.{node.name}" for tree in trees for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in read
+                  and counts[node.name] == reference_counts(node)[node.name])
+
+
+def test_unused_members_finds_dead_methods():
+    defining = ["class A:\n    def __len__(self):\n        return 0\n\n"
+                "    def f(self):\n        return self.f()\n\n"
+                "    @property\n    def g(self):\n        return 1\n\n"
+                "    def h(self):\n        return self.g\n\n"
+                "    def _k(self):\n        pass\n"]
+    assert unused_members(defining, ["a.h()\n"]) == ["A.f"]
+
+
+def test_src_has_no_public_member_that_nothing_reads():
+    """Every public method and property of a class of src/bihomlie is read in
+    src/ outside its own definition, in bench/, or in tests/test_acceptance.py."""
+    defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert len(defining) > 1
+    assert unused_members(defining, outside_readers()) == []
