@@ -16,7 +16,8 @@ Exit codes: 0 success (all checks pass / verdict computed), 1 a check or
 hypothesis failed (with the diagnostic on standard error), 2 I/O, parse or
 usage errors. Reports go to standard output; --json output is byte-stable
 for a given input. When standard output has no reader (a closed pipe), the
-call exits 2 and prints nothing: python -m bihomlie then points standard
+call exits 2 and prints nothing: run() in __main__.py, the process entry
+of both python -m bihomlie and the bihomlie script, then points standard
 output at os.devnull, so that the flush at exit cannot print either.
 """
 
@@ -353,6 +354,3 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction as Q
 
+import bihomlie.classify3 as classify3_module
 from bihomlie.algebra import (
     BiHomAlgebra,
     StructureTensor,
@@ -237,7 +238,7 @@ def test_criterion_8_classifier_soundness(monkeypatch):
     cases += _classifier_path_conjugates(random.Random(78))
     # the oracle: conjugating the whole 4-tuple into the label's basis gives
     # the catalog algebra of the label exactly
-    classify3_module, flips = sys.modules["bihomlie.classify3"], []
+    flips = []
     normalize = classify3_module.normalize_l1_params
 
     def recorded(a, b):

@@ -118,6 +118,10 @@ def test_find_triple_induced_l2():
 def test_find_triple_not_split():
     with pytest.raises(NotSplit, match="definite"):
         find_sl2_triple(SO3)
+    # z^2 = -x^2 - y^2, which the b == -1 guard ends: descent would recurse forever
+    with pytest.raises(NotSplit) as info:
+        classify3_module._conic_point(-1, (), -1, ())
+    assert str(info.value) == classify3_module._DEFINITE
 
 
 def test_find_triple_not_semisimple():
@@ -596,8 +600,6 @@ SEMIPRIME_B = 30000000000000000041 * 50000000000000000059
 
 
 def test_split_undecided_on_unfactorable_forms():
-    import bihomlie
-    assert bihomlie.SplitUndecided is SplitUndecided
     start = time.perf_counter()
     with pytest.raises(SplitUndecided, match="cannot factor"):
         find_sl2_triple(quaternion_lie(SEMIPRIME_A, SEMIPRIME_B))

@@ -1,9 +1,11 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -277,9 +279,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Every CLI call pays for what `import bihomlie.cli` loads; compared with
     a bare interpreter, it adds neither dataclasses nor inspect (which
     brings ast, dis and tokenize), nor argparse with gettext and locale."""
-    import os
-    from pathlib import Path
-
     import bihomlie
     env = dict(os.environ, PYTHONPATH=str(Path(bihomlie.__file__).parents[1]))
     show = "import sys; print('\\n'.join(sys.modules))"
@@ -570,29 +569,46 @@ def test_cli_fuzz_truncated_and_mutated_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def script_entry():
+    """The module and function of the bihomlie script in pyproject.toml's
+    [project.scripts], read with a regex: CPython 3.10 has no tomllib."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^\[project\.scripts\]\nbihomlie = "([\w.]+):(\w+)"$', text, re.M)
+    assert match, "pyproject.toml declares no bihomlie script"
+    return match.groups()
+
+
 def test_cli_closed_stdout_exits_2_silently(tmp_path):
     """A reader that has closed standard output before the command writes
     gets exit 2 and nothing on standard error; a missing input file still
     says why. Each case runs with standard output unbuffered, where a print
     fails inside cli.main, and buffered, where the output fails only in the
-    flush of __main__.py, after main has returned 0."""
+    flush after main has returned 0. It runs under both launchers: -m
+    bihomlie, and the installed script, called as pip's wrapper calls the
+    target that pyproject.toml names."""
+    module, function = script_entry()
+    launchers = [("-m", "bihomlie"),
+                 ("-c", f"import sys; from {module} import {function}; sys.exit({function}())")]
     path, missing = tmp_path / "sl2.json", tmp_path / "missing.json"
     save(sl2_bihom(), path)
     cases = [(("check", "--json", str(path)), ""), (("analyze", "--json", str(path)), ""),
              (("check", "--json", str(missing)), f"error: cannot read {missing}: ")]
     buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    for args, stderr in cases:
-        for env in (dict(buffered, PYTHONUNBUFFERED="1"), buffered):
-            read, write = os.pipe()
-            os.close(read)
-            try:
-                result = subprocess.run([sys.executable, "-W", "error", "-m", "bihomlie", *args],
-                                        stdout=write, stderr=subprocess.PIPE, text=True, env=env)
-            finally:
-                os.close(write)
-            assert result.returncode == 2, (args, env.get("PYTHONUNBUFFERED"))
-            assert (result.stderr.startswith(stderr)
-                    and bool(result.stderr) == bool(stderr)), (args, result.stderr)
+    for launcher in launchers:
+        for args, stderr in cases:
+            for env in (dict(buffered, PYTHONUNBUFFERED="1"), buffered):
+                read, write = os.pipe()
+                os.close(read)
+                try:
+                    result = subprocess.run([sys.executable, "-W", "error", *launcher, *args],
+                                            stdout=write, stderr=subprocess.PIPE, text=True,
+                                            env=env)
+                finally:
+                    os.close(write)
+                where = (launcher[1], args, env.get("PYTHONUNBUFFERED"))
+                assert result.returncode == 2, (where, result.stderr)
+                assert (result.stderr.startswith(stderr)
+                        and bool(result.stderr) == bool(stderr)), (where, result.stderr)
 
 
 def test_load_rejects_invalid_utf8(tmp_path):

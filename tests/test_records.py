@@ -169,7 +169,8 @@ def frozen_twins():
 
 def test_exact_values_share_one_frozen_base():
     """MatrixQ, StructureTensor, Subspace and BiHomAlgebra refuse
-    every assignment with one message, and compare and hash by type and key."""
+    every assignment with one message, compare and hash by type and key, and
+    show the repr that pytest prints for a failed assertion."""
     for value, twin in frozen_twins():
         kind = type(value)
         assert isinstance(value, Frozen) and type(twin) is kind
@@ -182,6 +183,11 @@ def test_exact_values_share_one_frozen_base():
     one, tensor = MatrixQ.identity(1), StructureTensor.from_scaled(1, [[[1]]])
     assert one != tensor and tensor != one and one != Subspace.full(1)
     assert len({identity, full, StructureTensor.zero(3)}) == 3
+    for value, text in ((MatrixQ([[Q(1, 2), 0], [3, Q(-1, 4)]]), "MatrixQ[1/2 0; 3 -1/4]"),
+                        (Subspace(3, [E[0]]), "Subspace(dim 1 of Q^3)"),
+                        (make_sl2(), "StructureTensor(dim=3)"),
+                        (make_L1(2, 3), "BiHomAlgebra(dim=3, basis_names=('e1', 'e2', 'e3'))")):
+        assert repr(value) == text
 
 
 def test_kept_facts_change_neither_equality_nor_hash():

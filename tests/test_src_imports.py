@@ -1,14 +1,14 @@
 """Every name imported in a module of src/bihomlie is used in that module,
 and every name it defines is read somewhere.
 
-The package's __init__.py imports in order to re-export, and
-`from __future__ import annotations` is a compiler directive, so both are
-exempt. Plain stdlib `ast`: a name counts as used when it appears as a Name
-node, or inside a string annotation. A private definition must be read in
-src/; a public one in src/ outside __init__.py, in bench/, or in the
-acceptance suite, and so must not be there only to be re-exported. A public
-method or property of a class in src/ must be read in src/ outside its own
-definition, in bench/, or in the acceptance suite."""
+Every file of the package is covered, __init__.py too, so a re-export
+fails as an unused import. `from __future__ import annotations` is a
+compiler directive, and so exempt. Plain stdlib `ast`: a name counts as
+used when it appears as a Name node, or inside a string annotation. A
+private definition must be read in src/; a public one in src/, in bench/,
+or in the acceptance suite. A public method or property of a class in src/
+must be read in src/ outside its own definition, in bench/, or in the
+acceptance suite."""
 
 import ast
 from collections import Counter
@@ -42,7 +42,7 @@ def test_unused_imports_finds_dead_names():
 
 
 def test_src_modules_use_every_import():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
@@ -150,11 +150,10 @@ def outside_readers() -> list[str]:
 
 
 def test_src_has_no_public_name_that_nothing_reads():
-    """Every public module-level name of src/bihomlie is read in src/ outside
-    __init__.py, in bench/ (or named in the traced FUNCTIONS), or in
-    tests/test_acceptance.py, but for the names kept in KEPT_PUBLIC."""
-    defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
-                if path.name != "__init__.py"]
+    """Every public module-level name of src/bihomlie is read in src/, in
+    bench/ (or named in the traced FUNCTIONS), or in tests/test_acceptance.py,
+    but for the names kept in KEPT_PUBLIC."""
+    defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     traced = traced_names((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
     assert len(defining) > 1 and traced
     assert unused_public(defining, outside_readers(), traced) == sorted(KEPT_PUBLIC)
