@@ -154,10 +154,12 @@ class StructureTensor(Frozen):
 
 class BiHomAlgebra(Frozen):
     """The 4-tuple (L, [.,.], alpha, beta) in a fixed basis, equal to another
-    exactly when the five fields are. Slots _induced and _axiom_report keep
-    the twist.induce_lie result (or its NotRegular) and the check_all report."""
+    exactly when the five fields are. Slots _untwisted, _induced and
+    _axiom_report keep the twist.untwist tensor (or its NotRegular), the
+    twist.induce_lie result and the check_all report."""
 
-    __slots__ = ("dim", "tensor", "alpha", "beta", "basis_names", "_induced", "_axiom_report")
+    __slots__ = ("dim", "tensor", "alpha", "beta", "basis_names", "_untwisted", "_induced",
+                 "_axiom_report")
 
     def __init__(self, dim: int, tensor: StructureTensor, alpha: MatrixQ, beta: MatrixQ,
                  basis_names: tuple[str, ...] = ()):

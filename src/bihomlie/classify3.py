@@ -4,12 +4,16 @@ change of basis.
 
 Every returned label carries a change-of-basis matrix B whose columns are
 the coordinates (in the input basis) of a basis in which the whole 4-tuple
-equals the catalog algebra exactly. Three exact checks prove it:
+equals the catalog algebra exactly. Three exact checks prove it, on the
+unverified bracket g = [alpha^-1 x, beta^-1 y] of the input:
 B^-1 alpha B = alpha_cat, B^-1 beta B = beta_cat, and B is a bracket
-homomorphism from the family's base onto the induced Lie algebra g. They
-are complete, since the input is the twist of g by alpha and beta
-(induce_lie verifies g) and the catalog algebra the twist of the base by
-alpha_cat and beta_cat, and B intertwines both maps and both brackets.
+isomorphism from the family's base, sl2 in some basis, onto g. The input
+bracket is [x, y] = g(alpha x, beta y) exactly, so the input is the twist
+of g by alpha and beta, and B carries the catalog algebra, the twist of the
+base by the commuting automorphisms alpha_cat and beta_cat, onto it. A
+certified label so proves the four axioms and simplicity (an ideal of such
+a twist is an ideal of sl2), and classify3 runs its gate, is_simple, only
+on an input that has no certificate, to name its error.
 
 Strategy: the induced Lie algebra of a simple input is a split form of sl2,
 and both structure maps are commuting automorphisms of it. An automorphism
@@ -65,7 +69,7 @@ from .exactlin import (
     vec_add,
     vec_scale,
 )
-from .twist import induce_lie
+from .twist import untwist
 
 
 class Sl2Triple(NamedTuple):
@@ -348,16 +352,18 @@ def normalize_l1_params(a, b) -> tuple[Fraction, Fraction, bool]:
     return a, b, False
 
 
-def _certify(a: BiHomAlgebra, basis: MatrixQ, family: str) -> ClassLabel:
-    """The label of a in the candidate basis B. The parameters are read off
-    B^-1 alpha B and B^-1 beta B (entry (1, 1) of both for L1, normalized by
-    the flip, and entry (0, 1) of beta for L3); three exact checks prove the
-    label: B^-1 alpha B = alpha_cat, B^-1 beta B = beta_cat, and B is a
-    bracket homomorphism from the family's base onto the induced Lie algebra
-    g. As a is the twist of g by alpha and beta (induce_lie has verified g)
-    and the catalog algebra the twist of the base by alpha_cat and beta_cat,
-    B carries the one onto the other."""
-    inv, params, (g, _, _) = invert(basis), (), induce_lie(a)
+def _certify(a: BiHomAlgebra, g: StructureTensor, basis: MatrixQ, family: str) -> ClassLabel:
+    """The label of a in the candidate basis B, given g = untwist(a). The
+    parameters are read off B^-1 alpha B and B^-1 beta B (entry (1, 1) of
+    both for L1, normalized by the flip, and entry (0, 1) of beta for L3);
+    three exact checks prove the label: B^-1 alpha B = alpha_cat,
+    B^-1 beta B = beta_cat, and B is a bracket homomorphism from the
+    family's base onto g, an isomorphism as B is invertible. As a is the
+    twist of g by alpha and beta, and the catalog algebra the twist of the
+    base by its commuting automorphisms alpha_cat and beta_cat, B carries
+    the one onto the other: the certificate proves that a is a simple
+    BiHom-Lie algebra without any check of a itself."""
+    inv, params = invert(basis), ()
     alpha, beta = inv * a.alpha * basis, inv * a.beta * basis
     if family == "L1":
         if beta[1, 1] == 0:   # beta swaps the e- and f-lines
@@ -391,20 +397,30 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
     otherwise. Every profile kind has its family; an input that the adapted
     triple or the certificate does not match is reported Unmatched, and a
     fourth family is never invented.
+
+    The label is tried first, as a certified label proves the axioms and
+    simplicity (see _certify). Only when the attempt on the unverified input
+    raises, whatever the exception, does the gate is_simple run: it names
+    the error of an input that fails it (NotSimple, AxiomViolation, ...),
+    and for one that passes the attempt's own error is raised.
     """
     if a.dim != 3:
         raise DimensionMismatch("classification is implemented for dimension 3")
+    try:
+        g = untwist(a)
+        identity_alpha = a.alpha == MatrixQ.identity(3)
+        m = a.beta if identity_alpha else a.alpha
+        profile = alpha_profile(m)
+        if profile.kind == "Identity":
+            return _certify(a, g, find_sl2_triple(g).basis_matrix(), "L1")
+        if profile.kind in ("DiagonalDistinct", "DiagNegPair"):
+            return _certify(a, g, _adapted_triple(g, m, profile.param).basis_matrix(), "L1")
+        return _certify(a, g, _unipotent_basis(g, m), "L2" if identity_alpha else "L3")
+    except Exception as exc:
+        error = exc
     if not is_simple(a):
         raise NotSimple("the algebra is not simple")
-    induced, _, _ = induce_lie(a)
-    identity_alpha = a.alpha == MatrixQ.identity(3)
-    m = a.beta if identity_alpha else a.alpha
-    profile = alpha_profile(m)
-    if profile.kind == "Identity":
-        return _certify(a, find_sl2_triple(induced).basis_matrix(), "L1")
-    if profile.kind in ("DiagonalDistinct", "DiagNegPair"):
-        return _certify(a, _adapted_triple(induced, m, profile.param).basis_matrix(), "L1")
-    return _certify(a, _unipotent_basis(induced, m), "L2" if identity_alpha else "L3")
+    raise error
 
 
 def bihom_isomorphic3(a1: BiHomAlgebra, a2: BiHomAlgebra) -> MatrixQ | None:
@@ -413,7 +429,7 @@ def bihom_isomorphic3(a1: BiHomAlgebra, a2: BiHomAlgebra) -> MatrixQ | None:
     f o alpha1 = alpha2 o f, f o beta1 = beta2 o f and
     f([x,y]_1) = [f(x), f(y)]_2 by construction: the three checks of
     _certify (B_i conjugates both maps of a_i to the catalog maps and carries
-    the base's bracket onto the induced one, whose twist a_i is) prove that
+    the base's bracket onto g_i = untwist(a_i), whose twist a_i is) prove that
     a_i in the basis B_i is the same catalog algebra."""
     label1 = classify3(a1)
     label2 = classify3(a2)

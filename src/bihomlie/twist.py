@@ -63,17 +63,11 @@ def yau_twist(tw: TwistInput) -> BiHomAlgebra:
                         alpha=tw.alpha, beta=tw.beta)
 
 
-def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
-    """The induced Lie algebra [e_i, e_j]' = [alpha^-1(e_i), beta^-1(e_j)] of
-    a regular BiHom-Lie algebra, with the maps, its automorphisms; computed
-    once per algebra object and kept on it. For invertible maps the axioms
-    hold iff (1) does, [.,.]' is Lie and alpha, beta are its automorphisms
-    (Graziani-Makhlouf-Menini-Panaite, SIGMA 11 (2015) 086): by (1), (2) reads
-    alpha[u,v]' = [alpha u, alpha v]' at u = alpha x, v = beta y; (3) reads
-    [gx, gy]' = -[gy, gx]' and (4), given (2), the classical Jacobi identity
-    at (dx, dy, dz), for g = alpha beta and d = alpha beta^2. A singular map
-    is kept as the NotRegular it raises, caused by the SingularMatrix, so no
-    object is inverted twice."""
+def untwist(a: BiHomAlgebra) -> StructureTensor:
+    """The bracket [e_i, e_j]' = [alpha^-1(e_i), beta^-1(e_j)], unverified;
+    computed once per algebra object and kept on it. A singular map is kept
+    as the NotRegular it raises, caused by the SingularMatrix, so no object
+    is inverted twice."""
     def compute():
         try:
             alpha_inv, beta_inv = invert(a.alpha), invert(a.beta)
@@ -81,15 +75,29 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
             error = NotRegular(f"algebra is not regular: {exc}")
             error.__cause__ = exc
             return error
-        induced = transform_tensor(a.tensor, alpha_inv, beta_inv)
+        return transform_tensor(a.tensor, alpha_inv, beta_inv)
+    induced = kept(a, "_untwisted", compute)
+    if isinstance(induced, NotRegular):
+        raise induced.with_traceback(None)
+    return induced
+
+
+def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
+    """The induced Lie algebra untwist(a) of a regular BiHom-Lie algebra,
+    with the maps, its automorphisms; verified once per algebra object and
+    kept on it. For invertible maps the axioms hold iff (1) does, [.,.]' is
+    Lie and alpha, beta are its automorphisms
+    (Graziani-Makhlouf-Menini-Panaite, SIGMA 11 (2015) 086): by (1), (2)
+    reads alpha[u,v]' = [alpha u, alpha v]' at u = alpha x, v = beta y;
+    (3) reads [gx, gy]' = -[gy, gx]' and (4), given (2), the classical
+    Jacobi identity at (dx, dy, dz), for g = alpha beta and d = alpha beta^2."""
+    def verify():
+        induced = untwist(a)
         if not (a.alpha * a.beta == a.beta * a.alpha and is_lie_algebra(induced).ok and all(
                 homomorphism_failure(m, induced) is None for m in (a.alpha, a.beta))):
             check_all(a).require()
         return induced, a.alpha, a.beta
-    induced = kept(a, "_induced", compute)
-    if isinstance(induced, NotRegular):
-        raise induced.with_traceback(None)
-    return induced
+    return kept(a, "_induced", verify)
 
 
 def require_axioms(a: BiHomAlgebra) -> None:

@@ -20,9 +20,11 @@ from bihomlie.algebra import (
     conjugate_algebra,
     conjugate_tensor,
     homomorphism_failure,
+    transform_tensor,
 )
 from bihomlie.analysis import is_simple, killing_form
 from bihomlie.catalog import (
+    family_maps,
     make_L1,
     make_L2,
     make_L3,
@@ -44,6 +46,8 @@ from bihomlie.classify3 import (
     normalize_l1_params,
 )
 from bihomlie.errors import (
+    AxiomViolation,
+    BiHomError,
     DimensionMismatch,
     IrrationalEigenvalues,
     NotAutomorphismShape,
@@ -607,11 +611,14 @@ def test_split_undecided_on_unfactorable_forms():
 
 
 def test_classify3_spans_nothing_and_induces_once(monkeypatch):
-    """On regular inputs the simplicity gate reads the decomposition, and
-    classify3 reuses the induced tensor that the gate computed."""
+    """A certified label needs no gate: on the certified classify3 and iso3
+    inputs is_simple runs 0 times, and each input tensor is induced once.
+    An input without a certificate runs the gate once, which reads the
+    induced tensor of the label attempt and spans nothing: the zero tensor
+    (NotSimple) and a conjugate of SWAP_PAIR (Unmatched)."""
     import bihomlie.analysis as analysis
     import bihomlie.twist as twist
-    spans, induced = [], []
+    spans, induced, gates = [], [], []
     transform = twist.transform_tensor
     monkeypatch.setattr(analysis, "enveloping_dim", lambda gens: spans.append(gens))
 
@@ -619,6 +626,8 @@ def test_classify3_spans_nothing_and_induces_once(monkeypatch):
         induced.append(t)
         return transform(t, *maps)
     monkeypatch.setattr(twist, "transform_tensor", counting)
+    monkeypatch.setattr(classify3_module, "is_simple",
+                        lambda a: gates.append(a) or is_simple(a))
     rng = random.Random(1013)
     inputs = [conjugate_algebra(a, random_invertible(3, rng))
               for a in (make_L1(2, 3), make_L1(-1, 5), make_L1(1, 1), make_L2(), make_L3(4))]
@@ -628,7 +637,117 @@ def test_classify3_spans_nothing_and_induces_once(monkeypatch):
     a1, a2 = (conjugate_algebra(make_L3(Q(-2, 3)), random_invertible(3, rng)) for _ in range(2))
     assert bihom_isomorphic3(a1, a2) is not None
     assert [sum(t is a.tensor for t in induced) for a in (a1, a2)] == [1, 1]
+    assert gates == []
+    abelian = BiHomAlgebra(dim=3, tensor=StructureTensor.zero(3),
+                           alpha=MatrixQ.identity(3), beta=MatrixQ.identity(3))
+    swap = conjugate_algebra(SWAP_PAIR, random_invertible(3, rng))
+    for a, error in ((abelian, NotSimple), (swap, Unmatched)):
+        gates.clear()
+        with pytest.raises(error):
+            classify3(a)
+        assert gates == [a]
+        assert sum(t is a.tensor for t in induced) == 1
     assert spans == []
+
+
+# --- the certificate comes first ------------------------------------------------
+# classify3 tries the label before its gate, on inputs that nothing has
+# verified, and runs is_simple only when the attempt raises. The certificate
+# rests on the catalog maps being commuting automorphisms of the base; the
+# property test below checks that the gate still names every error.
+
+def test_family_maps_are_commuting_automorphisms_of_the_base():
+    """yau_twist validates that the base is Lie and that alpha and beta are
+    commuting invertible automorphisms of it; it accepts family_maps at
+    seeded nonzero (a, b) for L1 and for L2. For L3 each entry of
+    beta[x, y] - [beta x, beta y] and of alpha beta - beta alpha is a
+    polynomial in a of degree at most 4 (beta = unipotent_beta(a) has
+    entries of degree at most 2 and the bracket is bilinear), and beta is
+    unipotent, so invertible for every a: vanishing at 5 distinct values of
+    a proves the premise for every a."""
+    rng = random.Random(3301)
+    for _ in range(12):
+        yau_twist(TwistInput(*family_maps("L1", random_fraction(rng, 9, nonzero=True),
+                                          random_fraction(rng, 9, nonzero=True))))
+    yau_twist(TwistInput(*family_maps("L2")))
+    for a in (Q(0), Q(1), Q(-2), Q(3, 5), Q(-7, 4)):
+        yau_twist(TwistInput(*family_maps("L3", a)))
+
+
+_HEIS3 = StructureTensor.from_brackets(3, {(0, 1): (0, 0, 1), (1, 0): (0, 0, -1)})
+_SOLVABLE = StructureTensor.from_brackets(3, {(0, 1): (0, 1, 0), (1, 0): (0, -1, 0),
+                                              (0, 2): (0, 0, 1), (2, 0): (0, 0, -1)})
+
+
+def _gate_case(rng):
+    """One seeded 3-dimensional input for the gate property test."""
+    def entry():
+        return random_fraction(rng, 4, nonzero=True)
+
+    def matrix():
+        return MatrixQ([[random_fraction(rng, 3) for _ in range(3)] for _ in range(3)])
+    basis, kind = random_invertible(3, rng), rng.randrange(4)
+    if kind == 0:   # a catalog family with one tensor or map entry perturbed
+        a = conjugate_algebra(rng.choice((
+            make_L1(entry(), entry()), make_L1(-1, entry()), make_L1(1, 1), make_L2(),
+            make_L3(random_fraction(rng, 5)))), basis)
+        t = [[list(row) for row in plane] for plane in a.tensor.c]
+        maps = [[list(row) for row in m.entries] for m in (a.alpha, a.beta)]
+        grid = rng.choice((t[rng.randrange(3)], *maps))
+        grid[rng.randrange(3)][rng.randrange(3)] += entry()
+        return BiHomAlgebra(3, StructureTensor(t), *map(MatrixQ, maps))
+    if kind == 1:   # heis3, a solvable algebra and the abelian algebra
+        t = rng.choice((_HEIS3, _SOLVABLE, StructureTensor.zero(3)))
+        maps = rng.choice(((MatrixQ.identity(3),) * 2,
+                           (MatrixQ.diagonal([2, 1, 2]), MatrixQ.identity(3)),
+                           (matrix(), matrix())))
+        return conjugate_algebra(BiHomAlgebra(3, transform_tensor(t, *maps), *maps), basis)
+    if kind == 2:   # sl2 with a singular map
+        s = matrix()
+        s = MatrixQ([*s.entries[:2], vec_add(s.entries[0], s.entries[1])])
+        s = rng.choice((s, MatrixQ.diagonal([1, 0, 0]), MatrixQ.diagonal([0, 0, 0])))
+        maps = rng.choice(((s, MatrixQ.identity(3)), (MatrixQ.identity(3), s), (s, s)))
+        return conjugate_algebra(BiHomAlgebra(3, transform_tensor(make_sl2(), *maps), *maps),
+                                 basis)
+    t = StructureTensor([[[random_fraction(rng, 3) for _ in range(3)] for _ in range(3)]
+                         for _ in range(3)])   # a random tensor
+    maps = rng.choice(((matrix(), matrix()), (MatrixQ.identity(3),) * 2))
+    return BiHomAlgebra(3, t, *maps)
+
+
+def _raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return exc
+    return None
+
+
+def test_classify3_raises_the_gates_error(monkeypatch):
+    """Of 1,000 seeded inputs, on each that the gate rejects (is_simple
+    raises or returns False, or check_all fails) classify3 raises the gate's
+    error type and text. With the gate forced to pass, classify3 raises the
+    label attempt's own error, and on some input that is no BiHomError: the
+    fallback catches every exception."""
+    rng, rejected, attempts = random.Random(3302), 0, []
+    cases = [_gate_case(rng) for _ in range(1000)]
+    with deadline(30):
+        for a in cases:
+            out = _raised(classify3, a)   # first, on the fresh object
+            try:
+                gate = None if is_simple(a) else NotSimple("the algebra is not simple")
+            except BiHomError as exc:
+                gate = exc
+            if not check_all(a).all_pass:
+                assert isinstance(gate, AxiomViolation)
+            if gate is not None:
+                rejected += 1
+                assert (type(out), str(out)) == (type(gate), str(gate))
+        monkeypatch.setattr(classify3_module, "is_simple", lambda a: True)
+        for a in cases:
+            attempts.append(_raised(classify3, a))
+    assert rejected > 900
+    assert any(exc is not None and not isinstance(exc, BiHomError) for exc in attempts)
 
 
 def _property_case(rng, path):
