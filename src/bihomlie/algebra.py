@@ -30,7 +30,7 @@ order; a skew or Jacobi witness is the failing integer vector (unpacked) over
 its scale, a multiplicativity witness (M c[i][j] and [M e_i, M e_j]) is read
 off the views, and a commuting witness is recomputed in Fraction arithmetic.
 Verification is kept per object (the report, or the verified induced tensor
-of twist.require_axioms, on the BiHomAlgebra, the Lie verdict on the
+of twist.induce_lie, on the BiHomAlgebra, the Lie verdict on the
 StructureTensor), never keyed by content, and so are the scaled views and
 their heights. Twisting, inducing and changing basis are one kernel,
 transform_tensor, on those views: each c[p][q] (o c[p][q] with an output map
@@ -155,8 +155,8 @@ class StructureTensor(Frozen):
 class BiHomAlgebra(Frozen):
     """The 4-tuple (L, [.,.], alpha, beta) in a fixed basis, equal to another
     exactly when the five fields are. Slots _untwisted, _induced and
-    _axiom_report keep the twist.untwist tensor (or its NotRegular), the
-    twist.induce_lie result and the check_all report."""
+    _axiom_report keep the twist.untwist tensor, the twist.induce_lie result
+    and the check_all report."""
 
     __slots__ = ("dim", "tensor", "alpha", "beta", "basis_names", "_untwisted", "_induced",
                  "_axiom_report")

@@ -43,7 +43,6 @@ from .errors import (
     IrrationalSplit,
     NotLie,
     NotPermuted,
-    NotRegular,
     NotSemisimple,
 )
 from .exactlin import (
@@ -213,21 +212,21 @@ def is_simple(a: BiHomAlgebra) -> bool:
     """No proper ideals and not abelian: the bracketing operators together
     with alpha and beta generate the full matrix algebra as a unital algebra,
     an enveloping dimension of dim^2 found by the rule of _simplicity."""
-    require_axioms(a)
+    induced = require_axioms(a)
     if a.tensor.is_zero():
         return False
-    return _simplicity(a)[2] == a.dim * a.dim
+    return _simplicity(a, induced)[2] == a.dim * a.dim
 
 
-def _simplicity(a: BiHomAlgebra) -> tuple[Fraction | None, object, int]:
-    """The simplicity rule for a verified algebra, behind is_simple and
-    analyze: (det of the induced Killing form, None when a is not regular;
+def _simplicity(a: BiHomAlgebra, induced: StructureTensor | None
+                ) -> tuple[Fraction | None, object, int]:
+    """The simplicity rule behind is_simple and analyze, given what
+    require_axioms returned on a (its induced tensor, None when a is not
+    regular): (det of the induced Killing form, None when a is not regular;
     the Decomposition, else the IrrationalSplit that stopped it, else None;
     the enveloping dimension, read off the decomposition when there is one
     and spanned otherwise)."""
-    try:
-        induced = induce_lie(a)[0]
-    except NotRegular:
+    if induced is None:
         return None, None, enveloping_dim(burnside_generators(a))
     killing_det, outcome = killing_determinant(induced), None
     if killing_det != 0:

@@ -29,7 +29,8 @@ the induced bracket.
 
 With both maps the identity nothing singles out a basis: find_sl2_triple
 decides exactly from the Killing form whether the induced algebra is split
-(a verified triple, NotSplit with its proof, or SplitUndecided).
+(a triple, NotSplit with its proof, or SplitUndecided past the factoring
+bound). _certify's bracket check is the one check of every triple.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 from .algebra import BiHomAlgebra, StructureTensor, ad_matrix, homomorphism_failure
 from .analysis import is_simple, killing_determinant, killing_form
-from .catalog import family_maps, make_sl2
+from .catalog import family_maps
 from .errors import (
     DimensionMismatch,
     IrrationalEigenvalues,
@@ -116,21 +117,14 @@ def _complete_triple(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
     3-dimensional semisimple Lie algebra: char_poly(ad h) = x^3 - 4x, so e
     and f span the simple eigenlines of 2 and -2, and [e, f] is a nonzero
     element of ker ad h = Q h (else [L, L] != L), so e is scaled by the mu
-    with [e, f] = mu h. The bracket is not checked."""
+    with [e, f] = mu h: the premise proves the triple, so no bracket is
+    checked."""
     h = vec_scale(Q(2) / c, v)
     ad_h, identity = ad_matrix(t, h), MatrixQ.identity(3)
     e, f = (kernel(ad_h - identity.scale(s)).basis_rows[0] for s in (2, -2))
     k = next(i for i, x in enumerate(h) if x != 0)
     mu = t.bracket(e, f)[k] / h[k]
     return Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
-
-
-def _triple_at(t: StructureTensor, v: Vector, c: Fraction) -> Sl2Triple:
-    """_complete_triple certified by homomorphism_failure, or SplitUndecided."""
-    triple = _complete_triple(t, v, c)
-    if homomorphism_failure(triple.basis_matrix(), make_sl2(), t) is not None:
-        raise SplitUndecided("the eigenvectors of ad h do not close into an sl2 triple")
-    return triple
 
 
 def _squarefree(q: Fraction) -> tuple[int, tuple[int, ...], Fraction]:
@@ -232,12 +226,12 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
     by Tonelli-Shanks, joined by CRT). An isotropic e and a basis vector u
     with K(e,u) != 0 give v = u + s e with K(v,v)/2 = 1.
 
-    Outcomes: a triple, from the first grid hit or from stage 2, certified
-    by one homomorphism_failure check in _triple_at; NotSplit with its
-    proof (the Killing form is definite, or a is not a square modulo a
+    Outcomes: a triple, from the first grid hit or from stage 2, that
+    _complete_triple proves, as its premise holds (killing_form raises NotLie
+    on a bracket that is not Lie, and det K != 0 is checked); NotSplit with
+    its proof (the Killing form is definite, or a is not a square modulo a
     prime p dividing b); or SplitUndecided when a number to be factored
-    keeps a cofactor beyond the factoring bound of `exactlin.factor`, or
-    when the certificate fails, which no semisimple input reaches.
+    keeps a cofactor beyond the factoring bound of `exactlin.factor`.
     SplitUndecided is never a verdict of "not split". Also raises
     NotSemisimple when det K = 0.
     """
@@ -259,12 +253,12 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
         root = math.isqrt(n * scale)
         if root * root != n * scale:
             continue
-        return _triple_at(t, (Q(w0, 2), Q(w1, 2), Q(w2, 2)), Q(root, scale))
+        return _complete_triple(t, (Q(w0, 2), Q(w1, 2), Q(w2, 2)), Q(root, scale))
     e = _isotropic_vector(killing)
     ke = killing.apply(e)
     i = next(i for i, x in enumerate(ke) if x != 0)
     s = (2 - killing[i, i]) / (2 * ke[i])   # K(u + s e, u + s e) = 2
-    return _triple_at(t, vec_add(basis_vector(3, i), vec_scale(s, e)), Q(1))
+    return _complete_triple(t, vec_add(basis_vector(3, i), vec_scale(s, e)), Q(1))
 
 
 def alpha_profile(m: MatrixQ) -> Profile:

@@ -109,7 +109,7 @@ def _cmd_twist(args) -> int:
 
 
 def _analyze_doc(algebra: BiHomAlgebra) -> dict:
-    killing_det, outcome, env = _simplicity(algebra)
+    killing_det, outcome, env = _simplicity(algebra, require_axioms(algebra))
     abelian = algebra.tensor.is_zero()
     induced_doc = None
     if killing_det is not None:
@@ -138,9 +138,7 @@ def _analyze_doc(algebra: BiHomAlgebra) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    algebra = load(args["file"])
-    require_axioms(algebra)
-    doc = _analyze_doc(algebra)
+    doc = _analyze_doc(load(args["file"]))
     if args["json"]:
         _print_json(doc)
         return EXIT_OK

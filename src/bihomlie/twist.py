@@ -65,21 +65,15 @@ def yau_twist(tw: TwistInput) -> BiHomAlgebra:
 
 def untwist(a: BiHomAlgebra) -> StructureTensor:
     """The bracket [e_i, e_j]' = [alpha^-1(e_i), beta^-1(e_j)], unverified;
-    computed once per algebra object and kept on it. A singular map is kept
-    as the NotRegular it raises, caused by the SingularMatrix, so no object
-    is inverted twice."""
+    computed once per algebra object and kept on it. A singular map raises
+    NotRegular, caused by the SingularMatrix."""
     def compute():
         try:
             alpha_inv, beta_inv = invert(a.alpha), invert(a.beta)
         except SingularMatrix as exc:
-            error = NotRegular(f"algebra is not regular: {exc}")
-            error.__cause__ = exc
-            return error
+            raise NotRegular(f"algebra is not regular: {exc}") from exc
         return transform_tensor(a.tensor, alpha_inv, beta_inv)
-    induced = kept(a, "_untwisted", compute)
-    if isinstance(induced, NotRegular):
-        raise induced.with_traceback(None)
-    return induced
+    return kept(a, "_untwisted", compute)
 
 
 def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
@@ -100,13 +94,15 @@ def induce_lie(a: BiHomAlgebra) -> tuple[StructureTensor, MatrixQ, MatrixQ]:
     return kept(a, "_induced", verify)
 
 
-def require_axioms(a: BiHomAlgebra) -> None:
-    """The gate of every entry point that needs a verified algebra: induce_lie,
-    or check_all for singular maps; AxiomViolation names check_all's failures."""
+def require_axioms(a: BiHomAlgebra) -> StructureTensor | None:
+    """The gate of every entry point that needs a verified algebra: the
+    induced tensor of induce_lie, or None for singular maps once check_all
+    passes; AxiomViolation names check_all's failures."""
     try:
-        induce_lie(a)
+        return induce_lie(a)[0]
     except NotRegular:
         check_all(a).require()
+        return None
 
 
 def roundtrip_check(tw: TwistInput) -> bool:

@@ -625,7 +625,7 @@ def fraction_homomorphism_failure(m, src, dst):
 
 
 def test_homomorphism_failure_matches_fraction_oracle():
-    """src != dst with different denominators, as iso3 and _triple_at call
+    """src != dst with different denominators, as classify3's _certify calls
     it: m = P^-1 carries src onto its conjugate by P. A change of src at the
     last basis pair fails only there."""
     rng = random.Random(412)

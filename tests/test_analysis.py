@@ -395,7 +395,7 @@ def test_is_simple_matches_span_on_every_route():
         span = enveloping_dim(burnside_generators(a))
         verdicts.append(is_simple(a))
         assert verdicts[-1] == (not a.tensor.is_zero() and span == a.dim ** 2)
-        killing_det, outcome, env = _simplicity(a)
+        killing_det, outcome, env = _simplicity(a, require_axioms(a))
         assert env == span
         routes.append("not regular" if killing_det is None else
                       "degenerate" if killing_det == 0 else type(outcome).__name__)

@@ -37,8 +37,8 @@ from bihomlie.classify3 import (
     _GRID,
     Profile,
     Sl2Triple,
+    _complete_triple,
     _isotropic_vector,
-    _triple_at,
     alpha_profile,
     bihom_isomorphic3,
     classify3,
@@ -62,6 +62,7 @@ from bihomlie.exactlin import (
     Subspace,
     basis_vector,
     char_poly,
+    det,
     invert,
     is_prime,
     kernel,
@@ -852,11 +853,12 @@ def test_killing_determinant_taken_once(monkeypatch):
 
 
 # --- the checks that no input can fail ----------------------------------------
-# _triple_at is called only with K(v,v)/2 = c^2 > 0 on a 3-dimensional
-# semisimple Lie algebra, _adapted_triple only with a DiagonalDistinct or
-# DiagNegPair map, and bihom_isomorphic3 only with two labels certified
-# against the same catalog algebra. The tests below check, on seeded inputs
-# of every path, the facts that make one certificate per verdict enough.
+# find_sl2_triple calls _complete_triple only with K(v,v)/2 = c^2 > 0 on a
+# 3-dimensional semisimple Lie algebra, _adapted_triple is called only with
+# a DiagonalDistinct or DiagNegPair map, and bihom_isomorphic3 only with two
+# labels certified against the same catalog algebra. The tests below check,
+# on seeded inputs of every path, the facts that make one certificate per
+# verdict enough.
 
 def _path_conjugates(rng, count):
     """Seeded conjugates of every family on every profile path, L1(1,1)
@@ -911,21 +913,11 @@ def test_triple_at_premise_fixes_the_triple():
             pivot = next(i for i, x in enumerate(h) if x != 0)
             mu = ef[pivot] / h[pivot]
             assert mu != 0 and ef == vec_scale(mu, h)
-            triple = _triple_at(t, v, c)
+            triple = _complete_triple(t, v, c)
             assert triple == Sl2Triple(h=h, e=vec_scale(1 / mu, e), f=f)
             assert homomorphism_failure(triple.basis_matrix(), sl2, t) is None
             candidates += 1
     assert candidates > 10 * len(tensors)
-
-
-def test_triple_certificate_failure_is_split_undecided():
-    # a non-skew tensor with ad h = diag(0, 2, -2) and [e, f] = h, but
-    # [e, h] = 0: the eigenlines close, the certificate does not
-    brackets = {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0),
-                (2, 1): (-1, 0, 0)}
-    t = StructureTensor.from_brackets(3, brackets)
-    with pytest.raises(SplitUndecided, match="do not close"):
-        _triple_at(t, (Q(1), Q(0), Q(0)), Q(2))
 
 
 def test_fixed_space_of_diagonal_profiles_is_a_line():
@@ -1356,3 +1348,159 @@ def test_package_attribute_classify3_is_the_module():
     import bihomlie.classify3 as module
     assert module is sys.modules["bihomlie.classify3"] is bihomlie.classify3
     assert module.classify3 is classify3
+
+
+# --- the 2x2 oracle (ROADMAP open item 14) --------------------------------------
+# sl2 twisted by Ad(A) and Ad(B) for a commuting pair (A, B) in PGL2(Q): its
+# class comes from 2x2 arithmetic on (A, B) alone, never from classify3. A
+# refusal names the ROADMAP open item that lifts it.
+
+_NON_SQUARES = (-7, -3, -2, -1, 2, 3, 5, 6)
+
+
+def _is_scalar(m):
+    return m[0, 1] == m[1, 0] == 0 and m[0, 0] == m[1, 1]
+
+
+def _oracle(a, b):
+    """("L1", (r, s)), ("L2", ()) or ("L3", (r,)) for the twist of sl2 by
+    alpha = Ad(a) and beta = Ad(b), or the name of today's refusal.
+    Anticommuting: a Klein pair of involutions. Otherwise the pair lies in
+    the centralizer of a non-scalar m among them: a torus, split when the
+    discriminant of m is a nonzero square (L1 of the eigenvalue ratios on a
+    common eigenvector, under the height rule of normalize_l1_params), not
+    split otherwise (classify3 profiles alpha, or beta when alpha is
+    scalar: an involution is Unmatched, another map IrrationalEigenvalues);
+    or for discriminant 0 the group c(I + N), N^2 = 0, where
+    Ad(I + rN) = Ad(I + N)^r gives L3(r), or L2 when alpha is scalar."""
+    if a * b == -(b * a):
+        return "Unmatched"
+    m = next((x for x in (a, b) if not _is_scalar(x)), None)
+    if m is None:
+        return "L1", (Q(1), Q(1))
+    disc = m.trace() ** 2 - 4 * det(m)
+    if disc == 0:
+        nil_a, nil_b = (x.scale(2 / x.trace()) - MatrixQ.identity(2) for x in (a, b))
+        if nil_a.is_zero():
+            return "L2", ()
+        i, j = next((i, j) for i in range(2) for j in range(2) if nil_a[i, j])
+        return "L3", (nil_b[i, j] / nil_a[i, j],)
+    root = sqrt_fraction(disc)
+    if root is None:
+        return "Unmatched" if m.trace() == 0 else "IrrationalEigenvalues"
+    lam = (m.trace() + root) / 2
+    p, q = m[0, 0] - lam, m[0, 1]
+    v = (-q, p) if (p, q) != (0, 0) else (m[1, 1] - lam, -m[1, 0])
+    k = 0 if v[0] else 1
+    ratios = []
+    for x in (a, b):
+        first = x.apply(v)[k] / v[k]
+        ratios.append(first * first / det(x))
+    return "L1", max((ratios[0], ratios[1]), (1 / ratios[0], 1 / ratios[1]),
+                     key=lambda r: (abs(r[0]), r[0], abs(r[1]), r[1]))
+
+
+def _gl2_pair(rng, kind):
+    """A seeded commuting (or, for Klein, anticommuting) pair of the kind,
+    each map times a random scalar, conjugated by a random 2x2 basis."""
+    identity = MatrixQ.identity(2)
+
+    def q(nonzero=True):
+        return random_fraction(rng, 5, nonzero=nonzero)
+
+    def unipotent(s):
+        return MatrixQ([[1, s], [0, 1]])
+
+    def torus_element(j):   # x + yJ with y != 0, and x = 0 (J itself) at times
+        return identity.scale(rng.choice((0, q()))) + j.scale(q())
+
+    if kind == "split torus":
+        lam = q()
+        a = MatrixQ.diagonal([lam, rng.choice((lam, -lam, q()))])
+        b = MatrixQ.diagonal([q(), q()])
+    elif kind == "unipotent":
+        a, b = unipotent(rng.choice((0, q()))), unipotent(q(nonzero=False))
+    else:
+        d = rng.choice(_NON_SQUARES)
+        j = MatrixQ([[0, d], [1, 0]])
+        if kind == "non-split torus":
+            a, b = torus_element(j), torus_element(j)
+        elif kind == "involution":
+            a, b = rng.choice(((j, identity), (j, j)))
+        else:   # Klein: ab = -ba
+            c, u, v = q(), q(nonzero=False), q()
+            if u * u == c * v * v:   # det b = c v^2 - u^2
+                u = 0
+            a, b = MatrixQ([[0, c], [1, 0]]), MatrixQ([[u, c * v], [-v, -u]])
+    if rng.random() < 0.5:
+        a, b = b, a
+    basis = random_invertible(2, rng)
+    return tuple(basis * x.scale(q()) * invert(basis) for x in (a, b))
+
+
+def _twisted_sl2(pair, rng):
+    a, b = (_adjoint(x.entries) for x in pair)
+    return conjugate_algebra(yau_twist(TwistInput(make_sl2(), a, b)),
+                             random_invertible(3, rng))
+
+
+def _verdict(a):
+    """(family, params) of classify3's label, or the name of its refusal."""
+    try:
+        label = classify3(a)
+    except (IrrationalEigenvalues, Unmatched) as exc:
+        return type(exc).__name__
+    return label.family, label.params
+
+
+_KINDS = ("split torus", "unipotent", "non-split torus", "involution", "Klein")
+
+
+def test_classify3_matches_the_2x2_oracle():
+    """40 seeded inputs of each kind: classify3 gives the oracle's label on
+    the split torus and unipotent kinds, and today's refusals elsewhere:
+    IrrationalEigenvalues or Unmatched on a non-split torus and Unmatched
+    on an involution with a non-split fixed line (item 13), Unmatched on a
+    Klein pair (item 12)."""
+    rng, seen = random.Random(14), {kind: set() for kind in _KINDS}
+    with deadline(30):
+        for kind in _KINDS * 40:
+            pair = _gl2_pair(rng, kind)
+            expected = _oracle(*pair)
+            assert _verdict(_twisted_sl2(pair, rng)) == expected, (kind, pair)
+            seen[kind].add(expected if isinstance(expected, str) else expected[0])
+    assert seen == {"split torus": {"L1"}, "unipotent": {"L1", "L2", "L3"},
+                    # refusals that ROADMAP open item 13 lifts
+                    "non-split torus": {"IrrationalEigenvalues", "Unmatched"},
+                    "involution": {"Unmatched"},
+                    # a refusal that ROADMAP open item 12 lifts
+                    "Klein": {"Unmatched"}}
+
+
+def test_iso3_matches_the_2x2_oracle():
+    """iso3 on a seeded input and a second twist of the same pair, conjugated
+    in GL2 and in the 3-dimensional basis: an isomorphism that intertwines
+    the two when the oracle gives a label, and the refusal otherwise. On
+    every two inputs of the labelled kinds, iso3 finds an isomorphism
+    exactly when the oracle's labels agree."""
+    rng, labelled, outcomes = random.Random(1414), [], set()
+    with deadline(30):
+        for kind in _KINDS * 12:
+            pair = _gl2_pair(rng, kind)
+            basis = random_invertible(2, rng, 3)
+            twin = tuple(basis * x * invert(basis) for x in pair)
+            a1, a2 = _twisted_sl2(pair, rng), _twisted_sl2(twin, rng)
+            expected = _oracle(*pair)
+            assert _oracle(*twin) == expected
+            if isinstance(expected, str):
+                with pytest.raises((IrrationalEigenvalues, Unmatched)) as refusal:
+                    bihom_isomorphic3(a1, a2)
+                assert type(refusal.value).__name__ == expected
+                continue
+            _assert_intertwines(bihom_isomorphic3(a1, a2), a1, a2)
+            labelled.append((expected, a1))
+        for (label1, a1), (label2, a2) in combinations(labelled, 2):
+            f = bihom_isomorphic3(a1, a2)
+            assert (f is not None) == (label1 == label2)
+            outcomes.add(label1 == label2)
+    assert outcomes == {True, False}

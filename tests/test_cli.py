@@ -429,7 +429,7 @@ def test_analyze_verifies_each_object_once(tmp_path, monkeypatch, capsys):
     one _lie_kernel run, which killing_form then finds kept, and no
     _axiom_kernel run. An input with a singular map, and the check command,
     run the twisted check_all kernel once; the singular map is inverted
-    once, its NotRegular kept on the object."""
+    once, by analyze and by is_simple alike."""
     from bihomlie import algebra, cli, twist
 
     calls = {"axiom": 0, "lie": 0, "invert": 0}
@@ -462,9 +462,11 @@ def test_analyze_verifies_each_object_once(tmp_path, monkeypatch, capsys):
     zero = MatrixQ([[0] * 3] * 3)
     singular = direct_sum([make_L1(2, 3), BiHomAlgebra(dim=3, tensor=make_L3(5).tensor,
                                                        alpha=zero, beta=zero)])
-    doc, _ = run(["analyze"], conjugate_algebra(singular, blocks), "singular.json")
+    doc, singular_path = run(["analyze"], conjugate_algebra(singular, blocks), "singular.json")
     assert not doc["regular"] and not doc["simple"]
     assert calls == {"axiom": 1, "lie": 0, "invert": 1}
+    calls.update(invert=0)
+    assert not is_simple(load(singular_path)) and calls["invert"] == 1
     # the report lives on the loaded object: a second load is verified again
     calls.update(axiom=0)
     first, second = load(path), load(path)
