@@ -15,16 +15,21 @@ certified label so proves the four axioms and simplicity (an ideal of such
 a twist is an ideal of sl2), and classify3 runs its gate, is_simple, only
 on an input that has no certificate, to name its error.
 
-Strategy: the induced Lie algebra of a simple input is a split form of sl2,
-and both structure maps are commuting automorphisms of it. An automorphism
-is either diagonalizable with eigenvalues (1, a, 1/a) or a single full
-unipotent Jordan block, so alpha_profile reads its shape off its trace, and
-once one map is not the identity it forces the shape of the other. So only
-m, beta when alpha is the identity and alpha otherwise, is profiled, and
-the classifier builds an sl2 basis adapted to m: when m is diagonalizable
-its fixed line gives h up to the scalar c of its adjoint eigenvalues, and
-_complete_triple completes (h, e, f), as it does for find_sl2_triple; a
-unipotent m takes a Jordan chain scaled in closed form by two entries of
+Strategy: the induced Lie algebra g of a simple input is a form of sl2
+([g, g] is kept by both maps, so it is an ideal of the simple input and so
+all of g, and a perfect 3-dimensional Lie algebra is simple), and both
+structure maps are commuting automorphisms of it. Over the algebraic
+closure these are Ad of PGL2: diagonalizable with eigenvalues (1, r, 1/r),
+or a single full unipotent Jordan block (r = 1), so
+alpha_profile reads r off the trace, and once one map is not the identity
+it forces the shape of the other. So only m, beta when alpha is the
+identity and alpha otherwise, is profiled, and classify3 dispatches on
+m = I and r without checking the shape of m: an input that passes the gate
+has it, and on any other input the gate's error is raised, whatever the
+attempt did. The classifier builds an sl2 basis adapted to m: for r != 1
+the fixed line of m gives h up to the scalar c of its adjoint eigenvalues,
+and _complete_triple completes (h, e, f), as it does for find_sl2_triple;
+a unipotent m takes a Jordan chain scaled in closed form by two entries of
 the induced bracket.
 
 With both maps the identity nothing singles out a basis: find_sl2_triple
@@ -46,7 +51,6 @@ from .catalog import family_maps
 from .errors import (
     DimensionMismatch,
     IrrationalEigenvalues,
-    NotAutomorphismShape,
     NotSemisimple,
     NotSimple,
     NotSplit,
@@ -61,7 +65,6 @@ from .exactlin import (
     Vector,
     as_fraction,
     basis_vector,
-    char_poly,
     factor,
     invert,
     kernel,
@@ -82,17 +85,6 @@ class Sl2Triple(NamedTuple):
 
     def basis_matrix(self) -> MatrixQ:
         return MatrixQ.from_columns([self.h, self.e, self.f])
-
-
-class Profile(NamedTuple):
-    """Canonical shape of an sl2-automorphism.
-
-    kind is one of DiagonalDistinct, Identity, UnipotentFull, DiagNegPair;
-    param carries the eigenvalue a for the diagonalizable kinds.
-    """
-
-    kind: str
-    param: Fraction | None = None
 
 
 class ClassLabel(NamedTuple):
@@ -261,33 +253,18 @@ def find_sl2_triple(t: StructureTensor) -> Sl2Triple:
     return _complete_triple(t, vec_add(basis_vector(3, i), vec_scale(s, e)), Q(1))
 
 
-def alpha_profile(m: MatrixQ) -> Profile:
-    """Canonical-shape profile of a 3x3 map expected to be an automorphism
-    of sl2, read off its trace. Such a map has eigenvalues (1, a, 1/a), so
-    its characteristic polynomial is (x - 1)(x^2 - t x + 1) with
-    t = tr m - 1 = a + 1/a; it is diagonalizable, or for t = 2 one full
-    unipotent block, and a = (t +- sqrt(t^2 - 4))/2."""
-    if not (m.is_square and m.rows == 3):
-        raise DimensionMismatch("profile is defined for 3x3 matrices")
-    trace = m.trace()
-    if char_poly(m) != (-1, trace, -trace, 1):
-        raise NotAutomorphismShape("characteristic polynomial is not (x - 1)(x^2 - t x + 1) "
-                                   "for t = tr m - 1: the eigenvalues are not {1, a, 1/a}")
-    t, identity = trace - 1, MatrixQ.identity(3)
-    if m == identity:
-        return Profile("Identity")
-    if t == 2 and not ((m - identity) * (m - identity)).is_zero():
-        return Profile("UnipotentFull")
-    if t == -2 and ((m + identity) * (m - identity)).is_zero():
-        return Profile("DiagNegPair", Q(-1))
-    if t in (2, -2):
-        raise NotAutomorphismShape(f"the double eigenvalue {t / 2} has a Jordan block "
-                                   "that no automorphism of sl2 has")
+def alpha_profile(m: MatrixQ) -> Fraction:
+    """The eigenvalue r of m with |r| >= 1, read off the trace, for m an
+    automorphism of a 3-dimensional simple Lie algebra, a premise that is
+    not checked. Such an automorphism has eigenvalues
+    (1, r, 1/r), so t = tr m - 1 = r + 1/r and r = (t +- sqrt(t^2 - 4))/2;
+    r = 1 for the identity and for a full unipotent block, and r = -1 for an
+    involution other than the identity."""
+    t = m.trace() - 1
     root = sqrt_fraction(t * t - 4)
     if root is None:
         raise IrrationalEigenvalues("eigenvalues are irrational (residual factor of degree 2)")
-    return Profile("DiagonalDistinct", max((t + root) / 2, (t - root) / 2,
-                                           key=lambda r: (abs(r), r)))
+    return max((t + root) / 2, (t - root) / 2, key=lambda r: (abs(r), r))
 
 
 def _adapted_triple(t: StructureTensor, m: MatrixQ, r: Fraction) -> Sl2Triple:
@@ -385,12 +362,12 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
     BiHom-Lie algebra belongs to and produce the witnessing change of basis.
 
     An identity m (beta when alpha is the identity, alpha otherwise) leads
-    to find_sl2_triple and a diagonalizable one to the adapted triple, both
-    certified as L1(a,b); a full unipotent block leads to its corrected
-    Jordan basis, certified as L2 when alpha is the identity and as L3(a)
-    otherwise. Every profile kind has its family; an input that the adapted
-    triple or the certificate does not match is reported Unmatched, and a
-    fourth family is never invented.
+    to find_sl2_triple and an eigenvalue r != 1 of alpha_profile to the
+    adapted triple, both certified as L1(a,b); any other m, with r = 1,
+    leads to the corrected Jordan basis of a full unipotent block, certified
+    as L2 when alpha is the identity and as L3(a) otherwise. An input that
+    the adapted triple or the certificate does not match is reported
+    Unmatched, and a fourth family is never invented.
 
     The label is tried first, as a certified label proves the axioms and
     simplicity (see _certify). Only when the attempt on the unverified input
@@ -402,13 +379,14 @@ def classify3(a: BiHomAlgebra) -> ClassLabel:
         raise DimensionMismatch("classification is implemented for dimension 3")
     try:
         g = untwist(a)
-        identity_alpha = a.alpha == MatrixQ.identity(3)
+        identity = MatrixQ.identity(3)
+        identity_alpha = a.alpha == identity
         m = a.beta if identity_alpha else a.alpha
-        profile = alpha_profile(m)
-        if profile.kind == "Identity":
+        r = alpha_profile(m)
+        if m == identity:
             return _certify(a, g, find_sl2_triple(g).basis_matrix(), "L1")
-        if profile.kind in ("DiagonalDistinct", "DiagNegPair"):
-            return _certify(a, g, _adapted_triple(g, m, profile.param).basis_matrix(), "L1")
+        if r != 1:
+            return _certify(a, g, _adapted_triple(g, m, r).basis_matrix(), "L1")
         return _certify(a, g, _unipotent_basis(g, m), "L2" if identity_alpha else "L3")
     except Exception as exc:
         error = exc

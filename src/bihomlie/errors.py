@@ -62,10 +62,6 @@ class IrrationalEigenvalues(BiHomError):
     pass
 
 
-class NotAutomorphismShape(BiHomError):
-    pass
-
-
 class Unmatched(BiHomError):
     pass
 

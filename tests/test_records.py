@@ -20,7 +20,7 @@ from bihomlie.analysis import (
     killing_form,
 )
 from bihomlie.catalog import direct_sum, make_L1, make_sl2, sl2_bihom
-from bihomlie.classify3 import ClassLabel, Profile, Sl2Triple
+from bihomlie.classify3 import ClassLabel, Sl2Triple
 from bihomlie.errors import DimensionMismatch
 from bihomlie.exactlin import Frozen, MatrixQ, Q, Subspace, basis_vector
 from bihomlie.twist import TwistInput, induce_lie
@@ -47,7 +47,6 @@ def records():
          Decomposition((full,), (0,), (0,), 2)),
         (TypeLabel("A", 1, 1), TypeLabel("A", 1, 1), TypeLabel("A", 1, 2)),
         (Sl2Triple(*E), Sl2Triple(E[0], E[1], E[2]), Sl2Triple(E[0], E[2], E[1])),
-        (Profile("Identity"), Profile("Identity", None), Profile("Identity", Q(1))),
         (ClassLabel("L1", (Q(2), Q(3)), identity), ClassLabel("L1", (Q(2), Q(3)), identity),
          ClassLabel("L1", (Q(3), Q(2)), identity)),
         (TwistInput(sl2_bihom().tensor, identity, identity),
@@ -79,7 +78,6 @@ def test_record_defaults():
     assert Witness((0,), E[0], E[1]).detail == ""
     assert CheckResult(True).witness is None
     assert IdealReport(Subspace.full(3), True, True).failing_witness is None
-    assert Profile("UnipotentFull").param is None
 
 
 def test_check_result_truth_is_ok():

@@ -8,7 +8,8 @@ used when it appears as a Name node, or inside a string annotation. A
 private definition must be read in src/; a public one in src/, in bench/,
 or in the acceptance suite. A public method or property of a class in src/
 must be read in src/ outside its own definition, in bench/, or in the
-acceptance suite."""
+acceptance suite. Every error class of errors.py but the base is named in
+a `raise` in src/."""
 
 import ast
 from collections import Counter
@@ -188,3 +189,52 @@ def test_src_has_no_public_member_that_nothing_reads():
     defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert len(defining) > 1
     assert unused_members(defining, outside_readers()) == []
+
+
+def error_classes(source: str) -> list[str]:
+    """The subclasses of BiHomError that the source defines, the base not
+    among them."""
+    names: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) in {"BiHomError", *names} for base in node.bases):
+            names.append(node.name)
+    return names
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """The names that a `raise` statement raises, as `raise X`, `raise X(...)`
+    or `raise m.X(...)`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return names
+
+
+def unraised_errors(errors: str, sources: list[str]) -> list[str]:
+    """The error classes of errors that no `raise` in the sources names."""
+    raised = set().union(*(raised_names(ast.parse(source)) for source in sources))
+    return sorted(set(error_classes(errors)) - raised)
+
+
+def test_unraised_errors_finds_dead_classes():
+    errors = ("class BiHomError(Exception):\n    pass\n\nclass A(BiHomError):\n    pass\n\n"
+              "class B(BiHomError):\n    pass\n\nclass C(B):\n    pass\n\n"
+              "class D(BiHomError):\n    pass\n\nclass E(BiHomError):\n    pass\n\n"
+              "class Other(Exception):\n    pass\n")
+    assert error_classes(errors) == ["A", "B", "C", "D", "E"]
+    sources = ["from .errors import B, C\n\ndef f(x):\n    try:\n        raise A('x')\n"
+               "    except B as exc:\n        raise errors.D() from exc\n",
+               "def g():\n    raise E\n\ndef h(c=C):\n    return isinstance(c, C)\n"]
+    assert unraised_errors(errors, sources) == ["B", "C"]
+
+
+def test_src_raises_every_error_class():
+    """Every BiHomError subclass of errors.py but the base is named in a
+    `raise` in src/: a class that is only imported or caught fails."""
+    errors = (SRC / "errors.py").read_text(encoding="utf-8")
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert len(error_classes(errors)) > 10
+    assert unraised_errors(errors, sources) == []
